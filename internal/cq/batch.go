@@ -143,7 +143,12 @@ type batchStage struct {
 	cols  [][]int32
 	nrows int
 
-	idx        *relation.CodeIndex // nil → scan
+	idx *relation.CodeIndex // nil → scan
+	// tail holds the probe column's codes of the rows idx's packed part
+	// does not cover, row tailBase onwards; empty unless the relation
+	// grew since its lineage last packed the index.
+	tail       []int32
+	tailBase   int
 	probeCol   int
 	probeIsVar bool
 	probeSlot  int
@@ -463,6 +468,7 @@ func (e *batchExec) setup(p *Plan) bool {
 				if st.idx == nil {
 					return false // encoding raced away; take the reference path
 				}
+				st.tailBase, st.tail = st.idx.Tail()
 			} else {
 				probeOpNeeded = true
 			}
@@ -620,6 +626,17 @@ func (e *batchExec) pushBatch(d int, in *slotBatch) bool {
 					return false
 				}
 				if !e.emitRow(d, st, out, in, i, copyWidth, int(rid)) {
+					return false
+				}
+			}
+			for j, c := range st.tail {
+				if c != probeCode {
+					continue
+				}
+				if !e.examTick() {
+					return false
+				}
+				if !e.emitRow(d, st, out, in, i, copyWidth, st.tailBase+j) {
 					return false
 				}
 			}

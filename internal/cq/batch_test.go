@@ -330,8 +330,11 @@ func TestBatchCancelMidStream(t *testing.T) {
 
 // TestDictGrowthRace executes batched queries over snapshots while the
 // base relation keeps growing its dictionary, and runs two executors
-// over the same shared snapshot — the lazy clone's once-guarded
-// materialization must keep this race-detector clean.
+// over the same shared snapshot — the encode map and packed code
+// indexes the snapshots share with the growing base must keep this
+// race-detector clean. A second phase takes a snapshot every few
+// inserts, so most of them probe the lineage's packed index plus a
+// tail of raw codes, and checks each against EvalReference.
 func TestDictGrowthRace(t *testing.T) {
 	base := relation.New(relation.Schema{
 		Name:  "edge",
@@ -379,9 +382,77 @@ func TestDictGrowthRace(t *testing.T) {
 	wg.Wait()
 
 	// The snapshot's answers must be unaffected by post-snapshot growth.
-	want, _ := referenceUnionWire(t, db, []Query{MustParse("q(X, Y) :- edge(X, Z), edge(Z, Y)")})
+	queries := []Query{MustParse("q(X, Y) :- edge(X, Z), edge(Z, Y)")}
+	want, _ := referenceUnionWire(t, db, queries)
 	got := runUnionWire(t, plans, ExecOptions{})
 	if !bytes.Equal(got, want) {
 		t.Fatal("snapshot answers drifted under concurrent base growth")
+	}
+
+	// Tail-scan phase: this goroutine keeps growing the base and
+	// snapshots it every three rows; two executors run each snapshot
+	// while the growth continues. Every other snapshot has its probe
+	// index resolved here, in order, so it deterministically finds the
+	// lineage's index a few rows behind it; the rest resolve theirs
+	// concurrently from the executors.
+	type tailRun struct {
+		db  *relation.Database
+		got [2][]byte
+		err [2]error
+	}
+	var runs []*tailRun
+	for round := 0; round < 24; round++ {
+		for i := 0; i < 3; i++ {
+			k := round*3 + i
+			t1 := relation.Tuple{
+				relation.SV(fmt.Sprintf("n%d", k%16)), // joins the original nodes
+				relation.SV(fmt.Sprintf("t%d", k/2)),  // half novel, half repeated
+			}
+			if err := base.Insert(t1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap := base.SnapshotAs("edge")
+		if round%2 == 0 {
+			snap.EnsureCodeIndex(0)
+			snap.EnsureCodeIndex(1)
+		}
+		r := &tailRun{db: relation.NewDatabase()}
+		r.db.Put(snap)
+		runs = append(runs, r)
+		plans := compileAll(t, r.db, queries)
+		for g := 0; g < 2; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				rel, err := MaterializeUnion(context.Background(), plans, ExecOptions{})
+				if err != nil {
+					r.err[g] = err
+					return
+				}
+				r.got[g] = sortedWire(rel.Rows())
+			}(g)
+		}
+	}
+	wg.Wait()
+	tails := 0
+	for i, r := range runs {
+		want, _ := referenceUnionWire(t, r.db, queries)
+		for g := 0; g < 2; g++ {
+			if r.err[g] != nil {
+				t.Fatalf("snapshot %d executor %d: %v", i, g, r.err[g])
+			}
+			if !bytes.Equal(r.got[g], want) {
+				t.Errorf("snapshot %d executor %d: answers differ from EvalReference", i, g)
+			}
+		}
+		for col := 0; col < 2; col++ {
+			if _, tail := r.db.Get("edge").EnsureCodeIndex(col).Tail(); len(tail) > 0 {
+				tails++
+			}
+		}
+	}
+	if tails == 0 {
+		t.Error("no snapshot probed a packed index with a tail: the tail-scan path went untested")
 	}
 }

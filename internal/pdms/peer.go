@@ -330,9 +330,12 @@ type Network struct {
 
 	mu sync.Mutex
 	// globalDB caches the qualified snapshot built by GlobalDB, valid
-	// while globalFP (per-relation identity+version+length) matches.
-	globalDB *relation.Database
-	globalFP []relFingerprint
+	// while globalFP (per-relation identity+version+length) matches;
+	// globalSnaps holds, aligned with globalFP, the snapshot relation of
+	// each entry, so a rebuild re-snapshots only the entries that moved.
+	globalDB    *relation.Database
+	globalFP    []relFingerprint
+	globalSnaps []*relation.Relation
 	// reformCache memoizes Answer's reformulations (and their compiled
 	// plans) per query; see Answer.
 	reformCache map[reformKey]*reformEntry
@@ -374,6 +377,12 @@ type Network struct {
 	pushBatches atomic.Uint64
 	pushRecords atomic.Uint64
 	pushGaps    atomic.Uint64
+
+	// waitCh is the generation channel WaitPushLive/WaitPushApplied sleep
+	// on, closed (under remoteMu's write side) whenever the state they
+	// watch may have moved; nil while nobody waits. See pushWaitChan.
+	waitMu sync.Mutex
+	waitCh chan struct{}
 
 	// DownProbeInterval is how often the background prober re-checks a
 	// remote peer that graceful degradation marked down
@@ -435,7 +444,7 @@ func (n *Network) InvalidateCaches() {
 	n.topoVersion.Add(1)
 	n.mu.Lock()
 	n.reformCache = make(map[reformKey]*reformEntry)
-	n.globalDB, n.globalFP = nil, nil
+	n.globalDB, n.globalFP, n.globalSnaps = nil, nil, nil
 	n.mu.Unlock()
 	n.remoteMu.Lock()
 	n.invalidateRemotesLocked()
@@ -528,6 +537,7 @@ func (n *Network) RemovePeer(name string) error {
 		rp.stopPush()   // nor a push subscription manager
 	}
 	delete(n.remotes, name) // a remote leaver takes its mirror along; the transport stays caller-owned
+	n.wakePushWaiters()     // whoever waits on the leaver learns it is gone
 	for i, pn := range n.order {
 		if pn == name {
 			n.order = append(n.order[:i], n.order[i+1:]...)
@@ -588,9 +598,12 @@ func (n *Network) RemovePeer(name string) error {
 //
 // The snapshot is cached: while no stored relation has been mutated
 // (tracked by relation version counters), repeated calls return the
-// same database, so hash indexes built by the query engine stay warm
-// across queries. Any mutation yields a fresh snapshot on the next
-// call; snapshots already handed out are never touched.
+// same database, so indexes built by the query engine stay warm across
+// queries. A mutation yields a new database on the next call in which
+// only the mutated relations are re-snapshotted (O(arity) each — see
+// Relation.SnapshotAs); every other snapshot relation is carried over
+// by pointer, warm indexes and translation memos included. Snapshots
+// already handed out are never touched.
 func (n *Network) GlobalDB() *relation.Database {
 	if len(n.remotes) > 0 {
 		n.remoteMu.RLock()
@@ -602,54 +615,58 @@ func (n *Network) GlobalDB() *relation.Database {
 // globalSnapshot is GlobalDB without the remote read lock; callers on
 // the remote query-prepare path already hold remoteMu.
 func (n *Network) globalSnapshot() *relation.Database {
-	fp := n.fingerprint()
 	n.mu.Lock()
-	if n.globalDB != nil && fingerprintsEqual(n.globalFP, fp) {
-		db := n.globalDB
-		n.mu.Unlock()
+	db, oldFP, oldSnaps := n.globalDB, n.globalFP, n.globalSnaps
+	n.mu.Unlock()
+	if db != nil && n.fingerprintIs(oldFP) {
 		return db
 	}
-	n.mu.Unlock()
-	db := relation.NewDatabase()
+	db = relation.NewDatabase()
+	fp := make([]relFingerprint, 0, len(oldFP))
+	snaps := make([]*relation.Relation, 0, len(oldFP))
 	for _, name := range n.order {
-		p := n.peers[name]
-		for _, r := range p.Store.Relations() {
-			db.Put(r.SnapshotAs(glav.QualifiedName(name, r.Schema.Name)))
+		for _, r := range n.peers[name].Store.Relations() {
+			i := len(fp)
+			cur := relFingerprint{rel: r, ver: r.Version(), n: r.Len()}
+			var snap *relation.Relation
+			if i < len(oldFP) && oldFP[i] == cur &&
+				qualifiedAs(oldSnaps[i].Schema.Name, name, r.Schema.Name) {
+				snap = oldSnaps[i]
+			} else {
+				snap = r.SnapshotAs(glav.QualifiedName(name, r.Schema.Name))
+			}
+			fp, snaps = append(fp, cur), append(snaps, snap)
+			db.Put(snap)
 		}
 	}
 	n.mu.Lock()
-	n.globalDB, n.globalFP = db, fp
+	n.globalDB, n.globalFP, n.globalSnaps = db, fp, snaps
 	n.mu.Unlock()
 	return db
 }
 
-// fingerprint captures the identity, version and length of every stored
-// relation, in deterministic peer/relation order. It runs on every
-// query, so it allocates exactly once (sized up front).
-func (n *Network) fingerprint() []relFingerprint {
-	total := 0
-	for _, name := range n.order {
-		total += len(n.peers[name].Store.Relations())
-	}
-	fp := make([]relFingerprint, 0, total)
-	for _, name := range n.order {
-		for _, r := range n.peers[name].Store.Relations() {
-			fp = append(fp, relFingerprint{rel: r, ver: r.Version(), n: r.Len()})
-		}
-	}
-	return fp
+// qualifiedAs reports whether qualified is peer's rel's qualified name,
+// without building the string.
+func qualifiedAs(qualified, peer, rel string) bool {
+	return len(qualified) == len(peer)+1+len(rel) &&
+		qualified[:len(peer)] == peer && qualified[len(peer)] == '.' &&
+		qualified[len(peer)+1:] == rel
 }
 
-func fingerprintsEqual(a, b []relFingerprint) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// fingerprintIs reports whether fp still describes every stored
+// relation — identity, version and length, in deterministic
+// peer/relation order. It runs on every query and allocates nothing.
+func (n *Network) fingerprintIs(fp []relFingerprint) bool {
+	i := 0
+	for _, name := range n.order {
+		for _, r := range n.peers[name].Store.Relations() {
+			if i == len(fp) || fp[i] != (relFingerprint{rel: r, ver: r.Version(), n: r.Len()}) {
+				return false
+			}
+			i++
 		}
 	}
-	return true
+	return i == len(fp)
 }
 
 // MappingDegree returns, per peer, how many mappings touch it — used by

@@ -21,7 +21,7 @@ import (
 // bounded queue fed at commit time under the serving write lock, never
 // blocking it) plus Peer.FeedSubscribe; the coordinator half is
 // Network.StartPush, whose loop applies pushed records to mirror
-// replicas through the same verified replay the delta pull path uses,
+// replicas through the same verified apply the delta pull path uses,
 // keeps the remote fingerprints current so queries skip the State probe
 // entirely, and propagates applied changes through the dormant
 // updategram path into placed materialized views. A subscriber that
@@ -237,7 +237,7 @@ const (
 // StartPush launches the push subscription manager for one remote peer:
 // a goroutine that subscribes through the peer's transport (which must
 // implement PushTransport), applies pushed change records to the
-// mirror's replicas through the same verified replay the delta pull
+// mirror's replicas through the same verified apply the delta pull
 // path uses, keeps the remote fingerprints current (so queries skip the
 // per-query State probe while the subscription is live — see
 // RemotePeer.PushLive), propagates applied changes through the
@@ -371,6 +371,7 @@ func (n *Network) pushAck(ctx context.Context, rp *RemotePeer, st PeerState) err
 	}
 	n.remoteMu.Lock()
 	defer n.remoteMu.Unlock()
+	defer n.wakePushWaiters()
 	for _, s := range schemas {
 		if !rp.mirror.HasRelation(s.Name) {
 			rp.mirror.AddSchema(s)
@@ -379,7 +380,6 @@ func (n *Network) pushAck(ctx context.Context, rp *RemotePeer, st PeerState) err
 	if schemas != nil {
 		rp.schemaVer = st.SchemaVersion
 	}
-	rp.latest = latestFPs(st)
 	rp.latestStats = latestStatsMap(st)
 	rp.lastSync = time.Now()
 	rp.lastErr = nil
@@ -398,19 +398,27 @@ func (rp *RemotePeer) schemaVerLoad(n *Network) uint64 {
 
 // applyPushBatch applies one pushed change batch under the remote lock:
 // schema records grow the mirror, data records advance the remote
-// fingerprints, and records for relations with a replica replay onto it
-// through the same per-record fingerprint verification the delta pull
-// path uses (applyDelta) — a replay that fails simply drops the
-// replica's fingerprint, so the next query re-fetches it through the
-// poll path. Applied changes then flow through the updategram path into
-// placed materialized views, relation by relation with intermediate
-// snapshots — incremental maintenance instead of re-derivation, with a
-// full refresh as the correctness fallback.
+// fingerprints, and each relation's records advance its replica through
+// the one verified apply (relation.ApplyChanges) — verify, then apply:
+// a run of inserts is checked against the replica's own (version, rows)
+// and then appended in place, O(records); a run holding a delete is
+// applied to an O(1) snapshot that replaces the replica only once every
+// record landed on its fingerprint. A run that fails verification
+// leaves the replica and its recorded fingerprint exactly as they were
+// — still a true image of the origin at that fingerprint, which the
+// advanced latest fingerprint now marks stale — so the next query
+// re-fetches it through the poll path. Applied changes then flow
+// through the updategram path into placed materialized views, relation
+// by relation: one global pre-state is taken per batch, and relation
+// k's post-state serves as relation k+1's pre-state — incremental
+// maintenance instead of re-derivation, with a full refresh as the
+// correctness fallback.
 func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) error {
 	n.pushBatches.Add(1)
 	n.pushRecords.Add(uint64(len(recs)))
 	n.remoteMu.Lock()
 	defer n.remoteMu.Unlock()
+	defer n.wakePushWaiters()
 	rp.lastSync = time.Now()
 	// Group data records per relation, preserving arrival order.
 	var order []string
@@ -430,11 +438,12 @@ func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) e
 		}
 		byRel[rec.Rel] = append(byRel[rec.Rel], rec)
 	}
+	maintainViews := n.hasSubs()
+	var pre *relation.Database // the updategram pre-state; nil until a replica is about to move
 	for _, rel := range order {
 		relRecs := byRel[rel]
 		last := relRecs[len(relRecs)-1]
 		fp := remoteFP{ver: last.Ver, rows: last.Rows}
-		rp.latest[rel] = fp
 		st := rp.latestStats[rel]
 		st.Rows, st.Version = last.Rows, last.Ver
 		rp.latestStats[rel] = st
@@ -443,7 +452,7 @@ func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) e
 			continue // fingerprint-only relation: nothing local to maintain
 		}
 		// Skip records the replica already reflects (catch-up overlap
-		// after a resubscribe), then replay the rest verified.
+		// after a resubscribe), then apply the rest verified.
 		todo := relRecs
 		for len(todo) > 0 && todo[0].Ver <= have.ver {
 			todo = todo[1:]
@@ -454,22 +463,19 @@ func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) e
 			}
 			continue
 		}
-		base := rp.mirror.Store.Get(rel)
-		dst, got, err := applyDelta(base, rel, have, todo)
+		if maintainViews && pre == nil {
+			pre = n.globalSnapshot()
+		}
+		replica, err := rp.mirror.Store.Get(rel).ApplyChanges(todo)
 		if err != nil {
 			// Inconsistent with the replica (e.g. the subscription started
-			// past a gap the replica predates): drop the fingerprint so the
-			// poll path re-fetches, and keep streaming.
-			delete(rp.fetched, rel)
+			// past a gap the replica predates): nothing was touched, the
+			// fingerprints now disagree, and the poll path heals it.
 			delete(rp.pushFresh, rel)
 			continue
 		}
-		var pre *relation.Database
-		if n.hasSubs() {
-			pre = n.globalSnapshot() // before the Put: the updategram's pre-state
-		}
-		rp.mirror.Store.Put(dst)
-		rp.fetched[rel] = got
+		rp.mirror.Store.Put(replica) // a no-op unless a delete built a replacement
+		rp.fetched[rel] = remoteFP{ver: replica.Version(), rows: replica.Len()}
 		rp.pushFresh[rel] = true
 		if pre != nil {
 			u := view.Updategram{Relation: glav.QualifiedName(rp.name, rel)}
@@ -485,6 +491,7 @@ func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) e
 			if err := n.fanoutViews(pre, post, u, &PublishStats{}); err != nil {
 				n.refreshViews(post) // full re-derivation is the fallback truth
 			}
+			pre = post
 		}
 	}
 	return nil
@@ -496,6 +503,32 @@ func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) e
 // assert on.
 func (n *Network) PushCounts() (batches, records, gaps uint64) {
 	return n.pushBatches.Load(), n.pushRecords.Load(), n.pushGaps.Load()
+}
+
+// pushWaitChan returns the channel the next wakePushWaiters call
+// closes. A waiter takes it before checking its condition, so a state
+// change it misses in the check always closes the channel it then
+// sleeps on.
+func (n *Network) pushWaitChan() <-chan struct{} {
+	n.waitMu.Lock()
+	defer n.waitMu.Unlock()
+	if n.waitCh == nil {
+		n.waitCh = make(chan struct{})
+	}
+	return n.waitCh
+}
+
+// wakePushWaiters wakes every WaitPushLive/WaitPushApplied caller to
+// re-check its condition. Whoever moves the state they watch — the push
+// applier and ack, a query's remote prepare — calls it before releasing
+// remoteMu's write side. It allocates nothing while nobody waits.
+func (n *Network) wakePushWaiters() {
+	n.waitMu.Lock()
+	if n.waitCh != nil {
+		close(n.waitCh)
+		n.waitCh = nil
+	}
+	n.waitMu.Unlock()
 }
 
 // WaitPushLive blocks until the peer's push subscription is established
@@ -513,34 +546,37 @@ func (n *Network) WaitPushLive(ctx context.Context, peer string) error {
 	if rp == nil {
 		return errUnknownPeer(peer)
 	}
-	for !rp.pushLive.Load() {
+	for {
+		woken := n.pushWaitChan()
+		if rp.pushLive.Load() {
+			return nil
+		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(200 * time.Microsecond):
+		case <-woken:
 		}
 	}
-	return nil
 }
 
 // WaitPushApplied blocks until the push path has brought peer's rel to
-// at least mutation version ver — applied to the replica when one
-// exists, observed in the latest fingerprint otherwise — or ctx ends.
-// Test and benchmark synchronization for the asynchronous push apply.
+// at least mutation version ver — applied to the replica, or, when the
+// replica could not take the records (none is held, or they failed
+// verification), recorded in the latest fingerprint, which makes the
+// next query re-fetch it — or ctx ends. The applier wakes it; there is
+// no polling. Test and benchmark synchronization for the asynchronous
+// push apply.
 func (n *Network) WaitPushApplied(ctx context.Context, peer, rel string, ver uint64) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	for {
+		woken := n.pushWaitChan()
 		n.remoteMu.RLock()
 		rp := n.remotes[peer]
 		var cur uint64
 		if rp != nil {
-			if fp, ok := rp.fetched[rel]; ok {
-				cur = fp.ver
-			} else if fp, ok := rp.latest[rel]; ok {
-				cur = fp.ver
-			}
+			cur = max(rp.fetched[rel].ver, rp.latestStats[rel].Version)
 		}
 		n.remoteMu.RUnlock()
 		if rp == nil {
@@ -552,7 +588,7 @@ func (n *Network) WaitPushApplied(ctx context.Context, peer, rel string, ver uin
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(200 * time.Microsecond):
+		case <-woken:
 		}
 	}
 }

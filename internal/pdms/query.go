@@ -364,6 +364,7 @@ func (n *Network) Query(ctx context.Context, req Request) (*Cursor, error) {
 	if len(n.remotes) > 0 {
 		n.remoteMu.Lock()
 		defer n.remoteMu.Unlock()
+		defer n.wakePushWaiters() // probes and fetches move the fingerprints waiters watch
 		budget = newRetryBudget(req.Retry)
 		degraded = make(map[string]*DegradedPeer)
 		r, err := n.syncRemotes(ctx, req.Retry, budget, req.AllowStale, degraded)

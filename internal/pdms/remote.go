@@ -40,15 +40,16 @@ type RemotePeer struct {
 	// schemaVer is the last remote schema version synced into the mirror.
 	schemaVer uint64
 	// fetched maps relation name → the remote fingerprint its replica
-	// was built from; latest holds the fingerprints of the most recent
-	// State call. Both are guarded by the owning Network's remoteMu.
-	fetched map[string]remoteFP
-	latest  map[string]remoteFP
-	// latestStats holds the full per-relation statistics of the most
-	// recent State call — the remoteFP fingerprints above stay a tiny
-	// comparable pair, while the ship-vs-mirror cost model reads the
-	// per-column distinct estimates from here. Guarded by the owning
+	// stands at, which is also the replica's own (Version, Len): a scan
+	// stamps it on, the verified apply lands on it. Guarded by the owning
 	// Network's remoteMu.
+	fetched map[string]remoteFP
+	// latestStats holds the per-relation statistics of the most recent
+	// State call, kept current by pushed records while a subscription is
+	// live: their (Version, Rows) is the fingerprint a replica must match
+	// to be fresh (latestFP), and the ship-vs-mirror cost model reads the
+	// per-column distinct estimates. Guarded by the owning Network's
+	// remoteMu.
 	latestStats map[string]relation.Stats
 	// lastSync is when the last successful freshness probe completed;
 	// lastErr is the failure that marked the peer down. Both guarded by
@@ -253,7 +254,6 @@ func (n *Network) AddRemotePeer(ctx context.Context, name string, tr Transport) 
 		mirror:      mirror,
 		schemaVer:   st.SchemaVersion,
 		fetched:     make(map[string]remoteFP),
-		latest:      latestFPs(st),
 		latestStats: latestStatsMap(st),
 		lastSync:    time.Now(),
 		pushFresh:   make(map[string]bool),
@@ -265,17 +265,17 @@ func (n *Network) AddRemotePeer(ctx context.Context, name string, tr Transport) 
 	return rp, nil
 }
 
-// latestFPs extracts the per-relation fingerprints of a State response.
-func latestFPs(st PeerState) map[string]remoteFP {
-	out := make(map[string]remoteFP, len(st.Relations))
-	for _, ns := range st.Relations {
-		out[ns.Name] = remoteFP{ver: ns.Stats.Version, rows: ns.Stats.Rows}
-	}
-	return out
+// latestFP returns the freshest known remote fingerprint of rel, and
+// whether the remote serves it at all. Caller holds the owning
+// Network's remoteMu.
+func (rp *RemotePeer) latestFP(rel string) (remoteFP, bool) {
+	st, known := rp.latestStats[rel]
+	return remoteFP{ver: st.Version, rows: st.Rows}, known
 }
 
-// latestStatsMap extracts the full per-relation statistics of a State
-// response — the ship-vs-mirror cost model's input.
+// latestStatsMap extracts the per-relation statistics of a State
+// response: the freshness fingerprints and the ship-vs-mirror cost
+// model's input.
 func latestStatsMap(st PeerState) map[string]relation.Stats {
 	out := make(map[string]relation.Stats, len(st.Relations))
 	for _, ns := range st.Relations {
@@ -388,7 +388,6 @@ func (n *Network) syncRemotes(ctx context.Context, pol RetryPolicy, budget *retr
 			}
 			return retries, fmt.Errorf("pdms: sync remote peer %s: %w", name, perr)
 		}
-		rp.latest = latestFPs(st)
 		rp.latestStats = latestStatsMap(st)
 		rp.lastSync = time.Now()
 		rp.down.Store(false) // a successful probe resurrects a down peer
@@ -396,18 +395,18 @@ func (n *Network) syncRemotes(ctx context.Context, pol RetryPolicy, budget *retr
 	return retries, nil
 }
 
-// fetchJob names one stale replica to rebuild. When the mirror already
-// holds a replica built from a known fingerprint, base carries that
-// replica and have its fingerprint, so the worker can try a delta
-// catch-up before falling back to a full scan; base is captured while
-// the caller holds remoteMu, because workers must not read the mirror
-// store concurrently with the drain loop's replica publishes.
+// fetchJob names one stale replica to refresh. When the mirror already
+// holds a replica with a recorded fingerprint, base carries that replica
+// — whose own (Version, Len) is the fingerprint it was recorded at — so
+// the worker can try a delta catch-up before falling back to a full
+// scan; base is captured while the caller holds remoteMu, because
+// workers must not read the mirror store concurrently with the drain
+// loop's replica publishes.
 type fetchJob struct {
 	rp   *RemotePeer
 	rel  string
 	want remoteFP
 	base *relation.Relation
-	have remoteFP
 	// ship, when set, tells the worker to refresh the relation by remote
 	// sub-plan execution — streaming O(answers) bytes into a per-request
 	// overlay replica — before considering the delta and scan paths.
@@ -424,41 +423,6 @@ func (n *Network) RemoteSyncCounts() (scans, deltas, ships uint64) {
 	return n.remoteScans.Load(), n.remoteDeltas.Load(), n.remoteShips.Load()
 }
 
-// applyDelta replays change records onto a clone of the replica built
-// from fingerprint have, verifying every record's post-change (version,
-// rows) fingerprint along the way, and returns the caught-up relation
-// plus the fingerprint it landed on. Any inconsistency — wrong relation,
-// non-advancing version, row count mismatch — returns an error and the
-// caller falls back to a full scan: a delta must reconstruct exactly the
-// serving peer's state or not be used at all.
-func applyDelta(base *relation.Relation, rel string, have remoteFP, recs []relation.ChangeRecord) (*relation.Relation, remoteFP, error) {
-	dst := base.Clone()
-	fp := have
-	for _, rec := range recs {
-		if rec.Rel != rel {
-			return nil, remoteFP{}, fmt.Errorf("delta for %s carries record of %s", rel, rec.Rel)
-		}
-		if rec.Ver <= fp.ver {
-			return nil, remoteFP{}, fmt.Errorf("delta version %d does not advance past %d", rec.Ver, fp.ver)
-		}
-		switch rec.Op {
-		case relation.ChangeInsert:
-			if err := dst.Insert(rec.Tuple); err != nil {
-				return nil, remoteFP{}, err
-			}
-		case relation.ChangeDelete:
-			dst.Delete(rec.Tuple)
-		default:
-			return nil, remoteFP{}, fmt.Errorf("delta carries unexpected op %d", rec.Op)
-		}
-		if dst.Len() != rec.Rows {
-			return nil, remoteFP{}, fmt.Errorf("delta replay left %d rows, record says %d", dst.Len(), rec.Rows)
-		}
-		fp = remoteFP{ver: rec.Ver, rows: rec.Rows}
-	}
-	return dst, fp, nil
-}
-
 // fetchReferenced brings every remote relation referenced by the
 // rewritings up to date with the fingerprints syncRemotes just
 // recorded. Stale replicas are re-scanned concurrently on a bounded
@@ -468,9 +432,10 @@ func applyDelta(base *relation.Relation, rel string, have remoteFP, recs []relat
 // built through Insert so column statistics accrue and the cost-based
 // planner orders joins from remote cardinalities. A failed attempt
 // discards its partial relation — a replica is replaced only by a
-// complete scan, atomically, from this goroutine, which also bumps
-// the global snapshot fingerprint so plans compiled from the stale
-// replica are recompiled, never reused.
+// complete scan, atomically, from this goroutine, or advanced by a
+// delta catch-up that verified before it applied (tryDelta); either
+// moves the global snapshot fingerprint, so plans compiled from the
+// stale replica are recompiled, never reused.
 //
 // Peers already recorded in degraded are skipped (their replicas
 // deliberately stay at the last-good snapshot), and when allowStale
@@ -505,7 +470,7 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 				continue // degraded peer: its last-good replicas serve as-is
 			}
 			queued[a.Pred] = true
-			want, known := rp.latest[rel]
+			want, known := rp.latestFP(rel)
 			if !known {
 				continue // mirror schema exists but remote serves no data yet
 			}
@@ -521,10 +486,10 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 					continue // replica already matches the remote fingerprint
 				}
 				delete(rp.pushFresh, rel) // stale replica: any push-fresh mark predates it
-				// Stale but known: hand the worker the current replica and
-				// its fingerprint so it can catch up from the serving peer's
-				// change log instead of re-scanning.
-				job.base, job.have = rp.mirror.Store.Get(rel), got
+				// Stale but known: hand the worker the current replica so it
+				// can catch up from the serving peer's change log instead of
+				// re-scanning.
+				job.base = rp.mirror.Store.Get(rel)
 			}
 			jobs = append(jobs, job)
 		}
@@ -545,12 +510,12 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 	type fetchResult struct {
 		job fetchJob
 		rel *relation.Relation
-		// got is the fingerprint the new replica was built to — want for
-		// a scan, possibly fresher for a delta that caught records written
-		// after the State probe.
+		// got is the fingerprint the refreshed replica stands at — want
+		// for a scan, possibly fresher for a delta that caught records
+		// written after the State probe.
 		got remoteFP
-		// viaDelta marks a replica rebuilt from change records rather than
-		// a full scan (feeds the RemoteSyncCounts observability).
+		// viaDelta marks a replica advanced by change records rather than
+		// rebuilt by a full scan (feeds the RemoteSyncCounts observability).
 		viaDelta bool
 		// overlay marks a partial replica built by shipped sub-plan
 		// execution: it goes into the per-request ships overlay, never the
@@ -604,14 +569,15 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 				// relation. A transport failure here is the job's failure (a
 				// scan against the same peer would fare no better); an
 				// uncovered or inconsistent delta falls through to the scan.
-				dst, got, viaDelta, r, err := n.tryDelta(fctx, pol, budget, job)
+				dst, viaDelta, r, err := n.tryDelta(fctx, pol, budget, job)
 				retried.Add(int64(r))
 				if err != nil {
 					results <- fetchResult{job: job, err: err}
 					continue
 				}
 				if viaDelta {
-					results <- fetchResult{job: job, rel: dst, got: got, viaDelta: true}
+					results <- fetchResult{job: job, rel: dst, viaDelta: true,
+						got: remoteFP{ver: dst.Version(), rows: dst.Len()}}
 					continue
 				}
 				r, err = retryOp(fctx, pol, budget, func(actx context.Context) error {
@@ -628,6 +594,11 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 					})
 				})
 				retried.Add(int64(r))
+				if err == nil {
+					// The replica carries the fingerprint it is recorded at,
+					// which is where the next catch-up starts from.
+					dst.RestoreVersion(job.want.ver)
+				}
 				results <- fetchResult{job: job, rel: dst, got: job.want, err: err}
 			}
 		}()
@@ -652,25 +623,28 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 			}
 			continue
 		}
-		if firstErr == nil {
-			if res.overlay {
+		if res.overlay {
+			if firstErr == nil {
 				if ships == nil {
 					ships = make(map[string]*relation.Relation)
 				}
 				ships[glav.QualifiedName(res.job.rp.name, res.job.rel)] = res.rel
 				n.remoteShips.Add(1)
 				paths = append(paths, SyncPath{Peer: res.job.rp.name, Rel: res.job.rel, Path: "ship"})
-				continue
 			}
-			res.job.rp.mirror.Store.Put(res.rel)
-			res.job.rp.fetched[res.job.rel] = res.got
-			if res.viaDelta {
-				n.remoteDeltas.Add(1)
-				paths = append(paths, SyncPath{Peer: res.job.rp.name, Rel: res.job.rel, Path: "delta"})
-			} else {
-				n.remoteScans.Add(1)
-				paths = append(paths, SyncPath{Peer: res.job.rp.name, Rel: res.job.rel, Path: "scan"})
-			}
+			continue
+		}
+		// A completed refresh is recorded even when a sibling's failure
+		// fails the request: a delta catch-up has already advanced the
+		// replica in place, and its recorded fingerprint must move with it.
+		res.job.rp.mirror.Store.Put(res.rel)
+		res.job.rp.fetched[res.job.rel] = res.got
+		if res.viaDelta {
+			n.remoteDeltas.Add(1)
+			paths = append(paths, SyncPath{Peer: res.job.rp.name, Rel: res.job.rel, Path: "delta"})
+		} else {
+			n.remoteScans.Add(1)
+			paths = append(paths, SyncPath{Peer: res.job.rp.name, Rel: res.job.rel, Path: "scan"})
 		}
 	}
 	sort.Slice(paths, func(i, j int) bool {
@@ -684,38 +658,45 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 
 // tryDelta attempts the delta catch-up for one stale replica. used is
 // false (with a nil error) when the cheap path does not apply — the
-// transport cannot ship deltas, the replica has no known fingerprint,
-// the serving peer's log no longer covers the range, or the records
-// fail their per-step fingerprint verification — and the caller falls
-// back to a full scan. A transport error is returned as err: a scan
-// against the same unreachable peer would only spend more retries, so
-// the failure flows into the request's ordinary degradation handling.
+// transport cannot ship deltas, the replica has no recorded fingerprint,
+// the serving peer's log no longer covers the range, the records stop
+// short of the fingerprint the State probe promised, or they fail
+// verification — and the caller falls back to a full scan with the
+// replica exactly as it was: relation.ApplyChanges checks a run before
+// it touches anything. On success dst is the caught-up replica — job.base
+// itself, advanced in place, unless the run held a delete. A transport
+// error is returned as err: a scan against the same unreachable peer
+// would only spend more retries, so the failure flows into the request's
+// ordinary degradation handling.
+//
+// Workers call this while the request holds remoteMu's write side, one
+// job per relation, so the in-place advance races with nothing: other
+// readers of the mirror wait on the lock, and cursors already running
+// read snapshots the appends cannot reach.
 func (n *Network) tryDelta(ctx context.Context, pol RetryPolicy, budget *retryBudget,
-	job fetchJob) (dst *relation.Relation, got remoteFP, used bool, retries int, err error) {
+	job fetchJob) (dst *relation.Relation, used bool, retries int, err error) {
 	dt, can := job.rp.tr.(DeltaTransport)
 	if !can || job.base == nil {
-		return nil, remoteFP{}, false, 0, nil
+		return nil, false, 0, nil
 	}
 	var recs []relation.ChangeRecord
 	var covered bool
 	retries, err = retryOp(ctx, pol, budget, func(actx context.Context) error {
 		var derr error
-		recs, covered, derr = dt.Delta(actx, job.rp.name, job.rel, job.have.ver)
+		recs, covered, derr = dt.Delta(actx, job.rp.name, job.rel, job.base.Version())
 		return derr
 	})
 	if err != nil {
-		return nil, remoteFP{}, false, retries, err
+		return nil, false, retries, err
 	}
-	if !covered {
-		return nil, remoteFP{}, false, retries, nil
+	if !covered || len(recs) == 0 || recs[len(recs)-1].Ver < job.want.ver {
+		return nil, false, retries, nil
 	}
-	dst, got, aerr := applyDelta(job.base, job.rel, job.have, recs)
-	if aerr != nil || got.ver < job.want.ver {
-		// Inconsistent records, or a catch-up that fell short of the
-		// fingerprint the State probe promised: the scan is the truth.
-		return nil, remoteFP{}, false, retries, nil
+	dst, aerr := job.base.ApplyChanges(recs)
+	if aerr != nil {
+		return nil, false, retries, nil // inconsistent records: the scan is the truth
 	}
-	return dst, got, true, retries, nil
+	return dst, true, retries, nil
 }
 
 // invalidateRemotesLocked drops every replica fingerprint so the next

@@ -444,7 +444,7 @@ func (n *Network) currentSource(pred string, degraded map[string]*DegradedPeer) 
 	if degraded[peer] != nil {
 		return nil
 	}
-	want, known := rp.latest[rel]
+	want, known := rp.latestFP(rel)
 	if !known {
 		// The remote serves no data for rel: the mirror's empty replica
 		// is trivially current.

@@ -131,7 +131,7 @@ var RequiredBenches = []string{
 // writes (and the N of the default BENCH_N.json output name). Bump it
 // each PR that regenerates the ledger; the gate keys on Latest, so old
 // ledgers stay behind as the committed perf trajectory.
-const CurrentPR = 10
+const CurrentPR = 12
 
 // Latest resolves the newest BENCH_N.json in dir — the baseline
 // TestPerfLedgerGate compares a live measurement against, so the gate
@@ -545,13 +545,22 @@ func ColdShip() (Bench, error) { return coldRemote(pdms.ShipAlways) }
 // ColdMirror measures BenchColdMirror (the full-scan baseline).
 func ColdMirror() (Bench, error) { return coldRemote(pdms.ShipNever) }
 
+// pushFanoutOps pins BenchPushFanout's operation count. Every operation
+// grows the answer set by one row, so what the re-query allocates
+// depends on how many operations ran before it — a count
+// testing.Benchmark would pick from the machine's speed. Pinned, the
+// bench's allocs and bytes per operation compare across machines and
+// PRs (BENCH_10 settled on a comparable 202).
+const pushFanoutOps = 256
+
 // PushFanout measures BenchPushFanout: the remote fact relation is
 // mirrored once through the poll path, then a push subscription keeps
 // it current. Each operation inserts one dim-matched row at the serving
 // peer, waits for the push apply, and re-runs the warm query — so the
 // wire carries exactly the changed rows and the query skips the State
 // probe entirely. The loopback's probe and byte counters price both
-// properties; Run gates them.
+// properties, and the process-wide allocation counters (the push
+// applier runs on its own goroutine) price the apply; Run gates them.
 func PushFanout() (Bench, error) {
 	n, lb, src, req, err := coldRemoteNet()
 	if err != nil {
@@ -590,34 +599,33 @@ func PushFanout() (Bench, error) {
 	if _, _, err := runQuery(n, req); err != nil {
 		return Bench{}, err
 	}
-	answers, ops := 0, int64(0)
+	answers := 0
 	wireBase, probeBase := lb.WireBytes(), lb.States()
-	var benchErr error
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := pushOne(); err != nil {
-				benchErr = err
-				b.FailNow()
-			}
-			a, _, err := runQuery(n, req)
-			if err != nil {
-				benchErr = err
-				b.FailNow()
-			}
-			answers = a
-			ops++
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	t0 := time.Now()
+	for i := 0; i < pushFanoutOps; i++ {
+		if err := pushOne(); err != nil {
+			return Bench{}, err
 		}
-	})
-	if benchErr != nil {
-		return Bench{}, benchErr
+		a, _, err := runQuery(n, req)
+		if err != nil {
+			return Bench{}, err
+		}
+		answers = a
 	}
-	bench := record(r, answers, 0)
-	if ops > 0 {
-		bench.WireBytesPerOp = float64(lb.WireBytes()-wireBase) / float64(ops)
-		bench.StateProbesPerOp = float64(lb.States()-probeBase) / float64(ops)
-	}
-	return bench, nil
+	elapsed := time.Since(t0)
+	runtime.ReadMemStats(&after)
+	return Bench{
+		N:                pushFanoutOps,
+		NsPerOp:          float64(elapsed.Nanoseconds()) / pushFanoutOps,
+		AllocsPerOp:      int64(after.Mallocs-before.Mallocs) / pushFanoutOps,
+		BytesPerOp:       int64(after.TotalAlloc-before.TotalAlloc) / pushFanoutOps,
+		Answers:          answers,
+		WireBytesPerOp:   float64(lb.WireBytes()-wireBase) / pushFanoutOps,
+		StateProbesPerOp: float64(lb.States()-probeBase) / pushFanoutOps,
+	}, nil
 }
 
 // benchQueries benchmarks repeated materialized queries of req.
@@ -687,6 +695,12 @@ func Run() (*Ledger, error) {
 	if pf.StateProbesPerOp != 0 {
 		return nil, fmt.Errorf("perfledger: push fanout spent %.2f State probes/op — want 0 (push-live queries must skip the probe)",
 			pf.StateProbesPerOp)
+	}
+	// And applying that record must cost O(change), not O(replica): the
+	// iteration is left with the re-query's own allocations.
+	if pf.AllocsPerOp > 2000 || pf.BytesPerOp > 1<<20 {
+		return nil, fmt.Errorf("perfledger: push fanout spent %d allocs and %d B per op — want <= 2000 allocs and <= 1 MB",
+			pf.AllocsPerOp, pf.BytesPerOp)
 	}
 	return l, nil
 }

@@ -16,15 +16,14 @@ import "sync"
 // returning nil and answers tuple-at-a-time instead.
 
 // colDict is one column's dictionary: the columnar code vector (row id
-// → code), the decode table (code → value), and the encode map (value →
-// code). Codes are dense: the column's kth distinct value, in first-
-// appearance order, has code k-1. Snapshot clones (once != nil) share
-// the immutable encoded prefix and build m lazily on first lookup.
+// → code) and the decode table (code → value). Codes are dense: the
+// column's kth distinct value, in first-appearance order, has code k-1.
+// Both slices are append-only, so snapshot clones share their backing
+// arrays capped at the lengths they saw. The encode map (value → code)
+// lives in the lineage, shared with every snapshot.
 type colDict struct {
 	codes []int32
 	vals  []Value
-	m     map[Value]int32
-	once  *sync.Once
 }
 
 // smallDictWidth is the column width below which the encode map is not
@@ -33,36 +32,72 @@ type colDict struct {
 // propagation never grow past it, so they never pay for a map.
 const smallDictWidth = 8
 
-// encode appends the value's code for one more row, growing the
-// dictionary when the value is new, and returns the code. Caller holds
-// the relation's write lock.
-func (c *colDict) encode(v Value) int32 {
-	if c.once != nil {
-		// Snapshot clone being inserted into: detach from lazy mode; the
-		// size rule below re-derives the map when the dictionary needs one.
-		c.once = nil
-		c.m = nil
+// repackFraction bounds the unindexed tail a shared packed code index
+// may trail a snapshot by: a snapshot of n rows reuses the index packed
+// at m rows while n-m <= m/repackFraction and scans codes[m:n] per
+// probe; past that the index is re-packed at n. A re-pack costs O(n)
+// once per n/repackFraction appended rows — O(repackFraction) row
+// visits per appended row, whatever the relation's size.
+const repackFraction = 64
+
+// lineage is the index state shared by a dictionary and every snapshot
+// cloned from it: the per-column value → code maps and packed code
+// indexes. Sharing is sound because only the lineage's owner — the one
+// dictionary still allowed to append — ever adds to it, and everything
+// it adds describes codes and rows past what any snapshot can see: a
+// snapshot discards map hits at or above its own width and reads a
+// packed index only up to the row count it was packed at. A dictionary
+// that rewrites its vectors (Delete, Dedup, SortRows) or that is a
+// snapshot being inserted into leaves for a lineage of its own.
+type lineage struct {
+	// mu guards the encode maps: the owner adds values under the write
+	// side (and reads without it — it is the only writer), snapshots look
+	// values up under the read side.
+	mu sync.RWMutex
+	// idxMu serializes packed-index builds and guards cols[i].packed.
+	idxMu sync.Mutex
+	cols  []lineageCol
+}
+
+// lineageCol is one column's shared index state. m is nil until the
+// owner's column reaches smallDictWidth, and from then on holds every
+// value of the owner's decode table. packed is the newest packed code
+// index any member of the lineage built.
+type lineageCol struct {
+	m      map[Value]int32
+	packed *packedIndex
+}
+
+// packedIndex is a CSR code → row-ids index over the first n rows of a
+// lineage's code vector: rows holds the row ids of code 0, then code 1,
+// … and starts[c] is where code c's run begins. Immutable once built.
+type packedIndex struct {
+	starts []int32
+	rows   []int32
+	n      int
+}
+
+// packCodes builds the packed index of one code vector whose codes are
+// all below width.
+func packCodes(codes []int32, width int) *packedIndex {
+	p := &packedIndex{
+		starts: make([]int32, width+1),
+		rows:   make([]int32, len(codes)),
+		n:      len(codes),
 	}
-	if c.m == nil && len(c.vals) >= smallDictWidth {
-		c.materialize()
+	for _, c := range codes {
+		p.starts[c+1]++
 	}
-	if c.m != nil {
-		code, ok := c.m[v]
-		if !ok {
-			code = int32(len(c.vals))
-			c.vals = append(c.vals, v)
-			c.m[v] = code
-		}
-		c.codes = append(c.codes, code)
-		return code
+	for c := 1; c <= width; c++ {
+		p.starts[c] += p.starts[c-1]
 	}
-	code, ok := c.scan(v)
-	if !ok {
-		code = int32(len(c.vals))
-		c.vals = append(c.vals, v)
+	next := make([]int32, width)
+	copy(next, p.starts[:width])
+	for rid, c := range codes {
+		p.rows[next[c]] = int32(rid)
+		next[c]++
 	}
-	c.codes = append(c.codes, code)
-	return code
+	return p
 }
 
 // scan is the mapless lookup: a linear pass over the decode table,
@@ -76,53 +111,6 @@ func (c *colDict) scan(v Value) (int32, bool) {
 	return 0, false
 }
 
-// clone snapshots the column dictionary. The code vector and decode
-// table are append-only under Insert, so the clone shares their backing
-// arrays, capped at the current lengths: a later append by the source
-// writes past the clone's cap (or reallocates) and never aliases what
-// the clone can read. The encode map cannot be shared — the source
-// mutates it in place — so the clone rebuilds it from vals lazily, on
-// the first lookup that actually needs it; snapshot-heavy paths that
-// only decode never pay for it.
-func (c *colDict) clone() colDict {
-	return colDict{
-		codes: c.codes[:len(c.codes):len(c.codes)],
-		vals:  c.vals[:len(c.vals):len(c.vals)],
-		once:  new(sync.Once),
-	}
-}
-
-// materialize builds the encode map from the decode table; on shared
-// snapshots it is invoked through once so concurrent lookups race
-// safely, on a source dictionary crossing smallDictWidth it is called
-// directly under the write lock.
-func (c *colDict) materialize() {
-	m := make(map[Value]int32, len(c.vals))
-	for i, v := range c.vals {
-		m[v] = int32(i)
-	}
-	c.m = m
-}
-
-// lookup resolves a value to its code. Small columns linear-scan the
-// decode table; lazy snapshot clones of larger columns materialize
-// their encode map on first use (through once, never touching c.m
-// before the Do, so concurrent lookups on a shared snapshot are
-// race-free).
-func (c *colDict) lookup(v Value) (int32, bool) {
-	if c.once != nil {
-		if len(c.vals) <= smallDictWidth {
-			return c.scan(v)
-		}
-		c.once.Do(c.materialize)
-	}
-	if c.m == nil {
-		return c.scan(v)
-	}
-	code, ok := c.m[v]
-	return code, ok
-}
-
 // Dict is a relation's dictionary encoding: one dictionary per column
 // plus the encoded row count. It is a read view — the batch kernel
 // resolves codes to values and values to codes through it — and is
@@ -132,10 +120,25 @@ func (c *colDict) lookup(v Value) (int32, bool) {
 type Dict struct {
 	cols []colDict
 	n    int
+	// lin is the index state shared with snapshots (see lineage); nil on
+	// an owner that has had no use for one yet. owns marks the one
+	// dictionary of a lineage that may append to its vectors in place.
+	lin  *lineage
+	owns bool
 }
 
 func newDict(arity int) *Dict {
-	return &Dict{cols: make([]colDict, arity)}
+	return &Dict{cols: make([]colDict, arity), owns: true}
+}
+
+// lineage returns the dictionary's shared index state, creating it on
+// first use. Only an owner can lack one (clone gives every snapshot its
+// source's), and the caller holds the owning relation's write lock.
+func (d *Dict) lineage() *lineage {
+	if d.lin == nil {
+		d.lin = &lineage{cols: make([]lineageCol, len(d.cols))}
+	}
+	return d.lin
 }
 
 // Len returns the number of encoded rows.
@@ -154,18 +157,80 @@ func (d *Dict) Value(col int, code int32) Value { return d.cols[col].vals[code] 
 
 // Code returns the column's code for v and whether v appears in the
 // column at all — a miss means no row of the relation holds v there.
+// Small columns linear-scan the decode table; wider ones probe the
+// lineage's shared encode map, discarding codes the owner assigned
+// after this dictionary was snapshotted.
 func (d *Dict) Code(col int, v Value) (int32, bool) {
-	return d.cols[col].lookup(v)
+	c := &d.cols[col]
+	if len(c.vals) <= smallDictWidth {
+		return c.scan(v)
+	}
+	d.lin.mu.RLock()
+	code, ok := d.lin.cols[col].m[v]
+	d.lin.mu.RUnlock()
+	return code, ok && int(code) < len(c.vals)
 }
 
-// clone deep-copies the encoding (nil stays nil).
+// encode appends one row's codes, growing the column dictionaries (and
+// the lineage's encode maps) for values not seen before. Only the
+// lineage's owner calls it, under the relation's write lock.
+func (d *Dict) encode(t Tuple) {
+	for col := range d.cols {
+		c := &d.cols[col]
+		var m map[Value]int32
+		if d.lin != nil {
+			m = d.lin.cols[col].m
+		}
+		if m == nil && len(c.vals) >= smallDictWidth {
+			m = make(map[Value]int32, len(c.vals))
+			for i, v := range c.vals {
+				m[v] = int32(i)
+			}
+			lin := d.lineage()
+			lin.mu.Lock()
+			lin.cols[col].m = m
+			lin.mu.Unlock()
+		}
+		v := t[col]
+		var code int32
+		var ok bool
+		if m != nil {
+			code, ok = m[v]
+		} else {
+			code, ok = c.scan(v)
+		}
+		if !ok {
+			code = int32(len(c.vals))
+			c.vals = append(c.vals, v)
+			if m != nil {
+				d.lin.mu.Lock()
+				m[v] = code
+				d.lin.mu.Unlock()
+			}
+		}
+		c.codes = append(c.codes, code)
+	}
+	d.n++
+}
+
+// clone snapshots the encoding in O(arity) (nil stays nil). The code
+// vectors and decode tables are append-only under Insert, so the clone
+// shares their backing arrays, capped at the current lengths: a later
+// append by the source writes past the clone's cap (or reallocates) and
+// never aliases what the clone can read. The clone joins the source's
+// lineage without owning it, so encode maps and packed code indexes
+// built on either side serve both.
 func (d *Dict) clone() *Dict {
 	if d == nil {
 		return nil
 	}
-	out := &Dict{cols: make([]colDict, len(d.cols)), n: d.n}
+	out := &Dict{cols: make([]colDict, len(d.cols)), n: d.n, lin: d.lineage()}
 	for i := range d.cols {
-		out.cols[i] = d.cols[i].clone()
+		c := &d.cols[i]
+		out.cols[i] = colDict{
+			codes: c.codes[:len(c.codes):len(c.codes)],
+			vals:  c.vals[:len(c.vals):len(c.vals)],
+		}
 	}
 	return out
 }
@@ -191,55 +256,59 @@ func (r *Relation) Encoding() *Dict {
 }
 
 // addEncodingLocked folds one inserted tuple into the dictionary
-// encoding if it has tracked every prior row; id is the row's index.
-// Any code index on the relation is dropped rather than maintained —
-// its packed layout cannot absorb appends — and is lazily rebuilt by
-// the next EnsureCodeIndex. Caller holds r.mu.
+// encoding if it has tracked every prior row; id is the row's index. A
+// snapshot's dictionary being inserted into first leaves its source's
+// lineage: the vectors reallocate on append (they are capped), and from
+// then on its rows diverge from what the shared indexes describe. The
+// relation's cached code-index views go stale (their tail just grew);
+// the lineage's packed indexes stay. Caller holds r.mu.
 func (r *Relation) addEncodingLocked(t Tuple, id int) {
 	if r.encRows != id {
 		return // row bypassed Insert earlier, or NewResult: stay invalid
 	}
 	if r.dict == nil {
 		r.dict = newDict(r.Schema.Arity())
+	} else if !r.dict.owns {
+		r.dict.lin, r.dict.owns = nil, true
 	}
-	for col := range r.dict.cols {
-		r.dict.cols[col].encode(t[col])
-	}
-	r.dict.n = id + 1
+	r.dict.encode(t)
 	r.encRows = id + 1
 	r.codeIdx = nil
 }
 
 // rebuildEncodingLocked recomputes the dictionary encoding from the
 // current rows (after a removal or reorder invalidated the incremental
-// one). Caller holds r.mu.
+// one) into fresh vectors and a fresh lineage, leaving whatever the old
+// ones share with snapshots untouched. Caller holds r.mu.
 func (r *Relation) rebuildEncodingLocked() {
 	r.dict = newDict(r.Schema.Arity())
 	for _, row := range r.rows {
-		for col := range r.dict.cols {
-			r.dict.cols[col].encode(row[col])
-		}
+		r.dict.encode(row)
 	}
-	r.dict.n = len(r.rows)
 	r.encRows = len(r.rows)
 	r.codeIdx = nil
 }
 
-// CodeIndex is a dense code → row-ids index over one dictionary-encoded
+// CodeIndex is a code → row-ids index over one dictionary-encoded
 // column, the batch kernel's counterpart of the Value-keyed hash index:
-// a probe is an array access on the probe code, no hashing. The layout
-// is packed (CSR): rows holds the row ids of code 0, then code 1, … and
-// starts[c] is where code c's run begins. It is immutable once built;
-// mutations drop the relation's code indexes and the next
-// EnsureCodeIndex rebuilds.
+// a probe is an array access on the probe code, no hashing. It has two
+// parts. The packed part (Rows) is a CSR layout over the relation's
+// first rows, shared along the source → snapshot lineage; the tail
+// (Tail) is the column's raw codes for the rows appended since the
+// packed part was built, which a probe scans. A relation that has not
+// grown since its index was packed has an empty tail. Both parts are
+// immutable.
 type CodeIndex struct {
 	starts []int32
 	rows   []int32
+	tail   []int32
+	base   int
 }
 
-// Rows returns the ids of rows whose column holds the given code, in
-// ascending order; callers must not mutate the slice. Codes outside the
-// dictionary return nil.
+// Rows returns the ids of the packed rows whose column holds the given
+// code, in ascending order; callers must not mutate the slice. Codes
+// outside the packed dictionary return nil. A complete probe also scans
+// Tail.
 func (ci *CodeIndex) Rows(code int32) []int32 {
 	if code < 0 || int(code) >= len(ci.starts)-1 {
 		return nil
@@ -247,10 +316,21 @@ func (ci *CodeIndex) Rows(code int32) []int32 {
 	return ci.rows[ci.starts[code]:ci.starts[code+1]]
 }
 
-// EnsureCodeIndex returns the column's code index, building it if
-// needed, or nil when the relation maintains no current encoding. The
-// check-and-build is atomic, so concurrent readers sharing a relation
-// may call it safely, and the result is cached until the next mutation.
+// Tail returns the column's codes for the rows the packed part does
+// not cover — tail[i] is the code of row base+i — which a probe
+// compares one by one. Callers must not mutate the slice.
+func (ci *CodeIndex) Tail() (base int, tail []int32) { return ci.base, ci.tail }
+
+// EnsureCodeIndex returns the column's code index, or nil when the
+// relation maintains no current encoding. The packed part is shared
+// with the relation's source and snapshots: a relation of n rows reuses
+// the newest index its lineage packed at m <= n rows, with the codes of
+// rows m..n-1 as its tail, and re-packs at n (publishing the result to
+// the lineage) only when there is none or the tail has outgrown
+// m/repackFraction. A snapshot older than its lineage's index (n < m)
+// packs a private one. The check-and-build is atomic, so concurrent
+// readers sharing a relation may call it safely, and the result is
+// cached on the relation until its next mutation.
 func (r *Relation) EnsureCodeIndex(col int) *CodeIndex {
 	if col < 0 || col >= r.Schema.Arity() {
 		return nil
@@ -264,23 +344,19 @@ func (r *Relation) EnsureCodeIndex(col int) *CodeIndex {
 		return ci
 	}
 	cd := &r.dict.cols[col]
-	width := len(cd.vals)
-	ci := &CodeIndex{
-		starts: make([]int32, width+1),
-		rows:   make([]int32, len(cd.codes)),
+	n := len(cd.codes)
+	lin := r.dict.lineage()
+	lin.idxMu.Lock()
+	p := lin.cols[col].packed
+	if p == nil || p.n > n || n-p.n > p.n/repackFraction {
+		newer := p == nil || p.n < n
+		p = packCodes(cd.codes, len(cd.vals))
+		if newer {
+			lin.cols[col].packed = p
+		}
 	}
-	for _, c := range cd.codes {
-		ci.starts[c+1]++
-	}
-	for c := 1; c <= width; c++ {
-		ci.starts[c] += ci.starts[c-1]
-	}
-	next := make([]int32, width)
-	copy(next, ci.starts[:width])
-	for rid, c := range cd.codes {
-		ci.rows[next[c]] = int32(rid)
-		next[c]++
-	}
+	lin.idxMu.Unlock()
+	ci := &CodeIndex{starts: p.starts, rows: p.rows, tail: cd.codes[p.n:], base: p.n}
 	if r.codeIdx == nil {
 		r.codeIdx = make(map[int]*CodeIndex)
 	}

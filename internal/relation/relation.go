@@ -34,11 +34,18 @@ type Relation struct {
 	statRows int
 	// dict is the per-column dictionary encoding behind the columnar
 	// batch kernel; encRows mirrors statRows — the encoding is valid
-	// iff encRows == len(rows). codeIdx caches packed code→rows
-	// indexes built from dict; any mutation drops it. See dict.go.
+	// iff encRows == len(rows). codeIdx caches this relation's views of
+	// the code indexes its dictionary lineage shares; any mutation drops
+	// the views. See dict.go.
 	dict    *Dict
 	encRows int
 	codeIdx map[int]*CodeIndex
+	// shared records that the rows backing array is visible through
+	// another relation (SnapshotAs set it on both sides), so an operation
+	// that would rewrite the backing in place — Delete, Dedup, SortRows —
+	// must write a fresh one instead. Appends need no such care: they
+	// land past every snapshot's cap.
+	shared bool
 }
 
 // New creates an empty relation with the given schema. Column
@@ -90,30 +97,36 @@ func (r *Relation) RestoreVersion(v uint64) {
 }
 
 // SnapshotAs returns a relation named name holding this relation's
-// current tuples. The tuple references are shared (tuples are never
-// mutated in place) but the row slice is copied, so later inserts or
-// deletes here do not affect the snapshot. Statistics and the
-// dictionary encoding carry over — deep-copied, so the snapshot
-// executes batched while the source keeps growing — and planning
-// against a snapshot sees the source's cardinalities without
-// re-scanning.
+// current tuples, in O(arity): nothing per row is copied. The snapshot
+// shares the append-only backing of the row slice and of the dictionary
+// encoding's code vectors and decode tables, each capped at its current
+// length, so the source's later Inserts land past everything the
+// snapshot can reach (or reallocate) and the snapshot never changes.
+// Only the source may keep appending in place; an Insert into the
+// snapshot reallocates. Operations that would rewrite a shared backing
+// — Delete, Dedup, SortRows, on either side — copy first. The snapshot
+// also joins the source's dictionary lineage, so encode maps and packed
+// code indexes built by one serve the other (see EnsureCodeIndex).
+// Statistics carry over by copy; planning against a snapshot sees the
+// source's cardinalities without re-scanning.
 func (r *Relation) SnapshotAs(name string) *Relation {
-	rows := make([]Tuple, len(r.rows))
-	copy(rows, r.rows)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := len(r.rows)
 	out := &Relation{
 		Schema: Schema{Name: name, Attrs: r.Schema.Attrs},
-		rows:   rows,
+		rows:   r.rows[:n:n],
+		shared: true,
 	}
-	r.mu.RLock()
-	if r.statRows == len(rows) {
+	r.shared = true
+	if r.statRows == n {
 		out.sketches = cloneSketches(r.sketches)
-		out.statRows = len(rows)
+		out.statRows = n
 	}
-	if r.encRows == len(rows) {
+	if r.encRows == n {
 		out.dict = r.dict.clone()
-		out.encRows = len(rows)
+		out.encRows = n
 	}
-	r.mu.RUnlock()
 	return out
 }
 
@@ -183,12 +196,26 @@ func (r *Relation) InsertBatch(ts []Tuple) error {
 // Delete removes all tuples equal to t and reports how many were removed.
 // Indexes are rebuilt lazily on next use; column statistics and the
 // dictionary encoding are rebuilt eagerly (the pass is already O(rows)).
+// The rows compact in place unless a snapshot shares their backing.
 func (r *Relation) Delete(t Tuple) int {
+	first := -1
+	for i, row := range r.rows {
+		if row.Equal(t) {
+			first = i
+			break
+		}
+	}
+	if first < 0 {
+		return 0
+	}
 	statsValid := r.statRows == len(r.rows)
 	encValid := r.encRows == len(r.rows)
-	kept := r.rows[:0]
-	removed := 0
-	for _, row := range r.rows {
+	kept := r.rows[:first]
+	if r.shared {
+		kept = append(make([]Tuple, 0, len(r.rows)-1), kept...)
+	}
+	removed := 1
+	for _, row := range r.rows[first+1:] {
 		if row.Equal(t) {
 			removed++
 			continue
@@ -196,19 +223,18 @@ func (r *Relation) Delete(t Tuple) int {
 		kept = append(kept, row)
 	}
 	r.rows = kept
-	if removed > 0 {
-		r.mu.Lock()
-		r.indexes = nil
-		r.codeIdx = nil
-		r.version++
-		if statsValid {
-			r.rebuildStatsLocked()
-		}
-		if encValid {
-			r.rebuildEncodingLocked()
-		}
-		r.mu.Unlock()
+	r.mu.Lock()
+	r.shared = false
+	r.indexes = nil
+	r.codeIdx = nil
+	r.version++
+	if statsValid {
+		r.rebuildStatsLocked()
 	}
+	if encValid {
+		r.rebuildEncodingLocked()
+	}
+	r.mu.Unlock()
 	return removed
 }
 
@@ -311,50 +337,59 @@ func (r *Relation) Contains(t Tuple) bool {
 	return false
 }
 
-// Dedup removes duplicate tuples in place, preserving first occurrence
-// order, and returns the relation for chaining. Column statistics
-// survive without a rebuild: removing duplicate tuples leaves every
-// column's distinct-value set — hence its sketch — unchanged; only the
-// tracked row count moves.
+// Dedup removes duplicate tuples, preserving first occurrence order,
+// and returns the relation for chaining — in place unless a snapshot
+// shares the rows backing. Column statistics survive without a rebuild:
+// removing duplicate tuples leaves every column's distinct-value set —
+// hence its sketch — unchanged; only the tracked row count moves.
 func (r *Relation) Dedup() *Relation {
 	statsValid := r.statRows == len(r.rows)
 	encValid := r.encRows == len(r.rows)
 	seen := NewTupleSet(len(r.rows))
 	kept := r.rows[:0]
+	if r.shared {
+		kept = make([]Tuple, 0, len(r.rows))
+	}
 	for _, row := range r.rows {
 		if !seen.Add(row) {
 			continue
 		}
 		kept = append(kept, row)
 	}
-	changed := len(kept) != len(r.rows)
-	r.rows = kept
-	if changed {
-		r.mu.Lock()
-		r.indexes = nil
-		r.codeIdx = nil
-		r.version++
-		if statsValid {
-			r.statRows = len(kept)
-		}
-		if encValid {
-			// The code vectors are positional; dropping rows shifts
-			// every id after the first duplicate, so re-encode.
-			r.rebuildEncodingLocked()
-		}
-		r.mu.Unlock()
+	if len(kept) == len(r.rows) {
+		return r
 	}
+	r.rows = kept
+	r.mu.Lock()
+	r.shared = false
+	r.indexes = nil
+	r.codeIdx = nil
+	r.version++
+	if statsValid {
+		r.statRows = len(kept)
+	}
+	if encValid {
+		// The code vectors are positional; dropping rows shifts
+		// every id after the first duplicate, so re-encode.
+		r.rebuildEncodingLocked()
+	}
+	r.mu.Unlock()
 	return r
 }
 
-// SortRows orders tuples lexicographically in place (for deterministic
-// output) and returns the relation. The row count is unchanged but the
-// order is not, so the positional dictionary encoding is re-derived
-// rather than trusted.
+// SortRows orders tuples lexicographically (for deterministic output)
+// and returns the relation — in place unless a snapshot shares the rows
+// backing, in which case a copy is sorted. The row count is unchanged
+// but the order is not, so the positional dictionary encoding is
+// re-derived rather than trusted.
 func (r *Relation) SortRows() *Relation {
 	encValid := r.encRows == len(r.rows)
+	if r.shared {
+		r.rows = append([]Tuple(nil), r.rows...)
+	}
 	sort.Slice(r.rows, func(i, j int) bool { return r.rows[i].Less(r.rows[j]) })
 	r.mu.Lock()
+	r.shared = false
 	r.indexes = nil
 	r.codeIdx = nil
 	if encValid {
@@ -365,14 +400,20 @@ func (r *Relation) SortRows() *Relation {
 	return r
 }
 
-// Clone returns a deep copy (indexes are not copied; statistics and the
-// dictionary encoding are).
+// Clone returns a private mutable copy: its own schema, row slice and
+// tuples (O(rows) allocations), for callers that hand the copy out or
+// edit it freely. Hash indexes are not copied; statistics are; the
+// dictionary encoding is snapshotted as SnapshotAs does it, and detaches
+// on the copy's first mutation. Paths that only need a stable read view
+// — snapshots, replica applies — use SnapshotAs, which copies nothing
+// per row.
 func (r *Relation) Clone() *Relation {
 	out := New(r.Schema.Clone())
 	out.rows = make([]Tuple, len(r.rows))
 	for i, row := range r.rows {
 		out.rows[i] = row.Clone()
 	}
+	r.mu.Lock()
 	if r.statRows == len(r.rows) {
 		out.sketches = cloneSketches(r.sketches)
 		out.statRows = len(out.rows)
@@ -381,6 +422,7 @@ func (r *Relation) Clone() *Relation {
 		out.dict = r.dict.clone()
 		out.encRows = len(out.rows)
 	}
+	r.mu.Unlock()
 	return out
 }
 

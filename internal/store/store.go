@@ -116,7 +116,7 @@ func Open(dir string) (*Store, error) {
 		rec: Recovery{SnapshotRows: rows, Trimmed: int64(len(img)) - good},
 	}
 	replayed := 0
-	for _, rec := range recs {
+	for i, rec := range recs {
 		// A crash between a checkpoint's atomic rename and its log
 		// truncate leaves records the snapshot already folded in. Their
 		// versions say so — skip them instead of double-applying.
@@ -127,19 +127,23 @@ func Open(dir string) (*Store, error) {
 		} else if rec.Ver <= base[rec.Rel] {
 			continue
 		}
-		if err := applyRecord(db, rec); err != nil {
-			wal.Close()
-			return nil, err
-		}
-		replayed++
-		switch rec.Op {
-		case relation.ChangeSchema:
+		if rec.Op == relation.ChangeSchema {
+			db.GetOrCreate(rec.Schema)
 			if rec.Ver > s.schemaVer {
 				s.schemaVer = rec.Ver
 			}
-		default:
+		} else {
+			// A record that checksummed clean but does not land on its own
+			// (version, rows) fingerprint means the snapshot and log disagree
+			// — a hard error, because serving a silently wrong database is
+			// worse than refusing to start.
+			if err := replay(db, recs[i:i+1]); err != nil {
+				wal.Close()
+				return nil, err
+			}
 			s.tail = append(s.tail, rec)
 		}
+		replayed++
 	}
 	s.rec.Replayed = replayed
 	if s.rec.Trimmed > 0 {
@@ -155,6 +159,24 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// replay applies a run of one relation's data records to the database
+// through the relation-level verified apply, putting the result in the
+// relation's place when the apply had to build a new one (a delete).
+func replay(db *relation.Database, run []relation.ChangeRecord) error {
+	r := db.Get(run[0].Rel)
+	if r == nil {
+		return fmt.Errorf("store: log names unknown relation %q", run[0].Rel)
+	}
+	applied, err := r.ApplyChanges(run)
+	if err != nil {
+		return fmt.Errorf("store: replay: %w", err)
+	}
+	if applied != r {
+		db.Put(applied)
+	}
+	return nil
 }
 
 // Database returns the recovered database. The handle is shared: the

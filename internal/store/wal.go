@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 
 	"repro/internal/relation"
@@ -52,50 +51,4 @@ func scanWAL(img []byte) (recs []relation.ChangeRecord, good int64) {
 		off += sz + int(ln) + 4
 	}
 	return recs, int64(off)
-}
-
-// applyRecord replays one change record onto the database, verifying
-// after every data record that the relation landed exactly on the
-// record's (version, rows) fingerprint. A record that checksummed
-// clean but does not apply consistently means the snapshot and log
-// disagree — a hard error, because serving a silently wrong database
-// is worse than refusing to start.
-func applyRecord(db *relation.Database, rec relation.ChangeRecord) error {
-	switch rec.Op {
-	case relation.ChangeSchema:
-		db.GetOrCreate(rec.Schema)
-		return nil
-	case relation.ChangeInsert, relation.ChangeDelete:
-		r := db.Get(rec.Rel)
-		if r == nil {
-			return fmt.Errorf("store: log names unknown relation %q", rec.Rel)
-		}
-		if rec.Op == relation.ChangeInsert {
-			if err := r.Insert(rec.Tuple); err != nil {
-				return err
-			}
-		} else {
-			r.Delete(rec.Tuple)
-		}
-		if r.Len() != rec.Rows {
-			return fmt.Errorf("store: replaying %s onto %q left %d rows, record says %d",
-				opName(rec.Op), rec.Rel, r.Len(), rec.Rows)
-		}
-		r.RestoreVersion(rec.Ver)
-		return nil
-	}
-	return fmt.Errorf("store: unknown change op %d in log", rec.Op)
-}
-
-// opName renders a change op for error messages.
-func opName(op relation.ChangeOp) string {
-	switch op {
-	case relation.ChangeInsert:
-		return "insert"
-	case relation.ChangeDelete:
-		return "delete"
-	case relation.ChangeSchema:
-		return "schema"
-	}
-	return fmt.Sprintf("op %d", op)
 }

@@ -56,6 +56,27 @@ func TestPerfLedgerGate(t *testing.T) {
 		t.Errorf("committed ledger: push fanout spent %.2f State probes/op — want 0 (push-live queries skip the probe)",
 			push.StateProbesPerOp)
 	}
+	// The bound nobody was watching until PR 12: what applying that one
+	// pushed row costs the coordinator. BENCH_10 recorded 50 404 allocs
+	// and 8.86 MB per iteration — a deep clone of the 50 000-row replica
+	// per batch — against 30 wire bytes; an O(change) apply leaves the
+	// iteration at the re-query's own cost.
+	if push.AllocsPerOp > 2000 || push.BytesPerOp > 1<<20 {
+		t.Errorf("committed ledger: push fanout spent %d allocs and %d B per op — want <= 2000 allocs and <= 1 MB (the apply must be O(change))",
+			push.AllocsPerOp, push.BytesPerOp)
+	}
+	// And the warm paths must not have paid for it: no more allocations
+	// than the ledger of two PRs ago recorded.
+	before, err := perfledger.Load("BENCH_10.json")
+	if err != nil {
+		t.Fatalf("loading BENCH_10.json: %v", err)
+	}
+	for _, name := range []string{perfledger.BenchWarm, perfledger.BenchWarmBatch,
+		perfledger.BenchSkewed, perfledger.BenchWarmRemote} {
+		if now, was := ledger.Benches[name].AllocsPerOp, before.Benches[name].AllocsPerOp; now > was {
+			t.Errorf("committed ledger: %s allocates %d/op, BENCH_10 recorded %d/op", name, now, was)
+		}
+	}
 	base, ok := ledger.Benches[perfledger.BenchWarm]
 	if !ok || base.NsPerOp <= 0 || base.AllocsPerOp <= 0 {
 		t.Fatalf("ledger %s entry unusable: %+v", perfledger.BenchWarm, base)
