@@ -265,7 +265,7 @@ func runQuery(args []string) error {
 	timeout := fs.Duration("timeout", 0, "per-attempt timeout for remote operations (with -retry)")
 	stale := fs.Bool("stale", false, "serve last-good mirror snapshots when a remote peer is unreachable")
 	ship := fs.String("ship", "never", "plan shipping for stale remote relations: never, auto, or always")
-	explain := fs.Bool("explain", false, "print each branch's join order, cost estimate, and kernel (batch vs tuple-at-a-time) before executing")
+	explain := fs.Bool("explain", false, "print each branch's join order and cost estimate before executing")
 	watch := fs.Duration("watch", 0, "re-run the query at this interval until interrupted (0 = run once)")
 	push := fs.Bool("push", false, "subscribe to each remote peer's change push: mirrors stay current without per-query State probes")
 	var remotes remoteFlag
@@ -384,9 +384,6 @@ func runQuery(args []string) error {
 		}
 		fmt.Printf("E2 chain peers=%d remote=%d reform=%s exec=%s\n",
 			*peers, len(remoteAddr), cur.ReformTime(), cur.ExecTime())
-		if s := cur.Stats(); s.BatchBranches+s.FallbackBranches > 0 {
-			fmt.Printf("kernels batch %d fallback %d\n", s.BatchBranches, s.FallbackBranches)
-		}
 		for _, d := range cur.Degraded() {
 			fmt.Printf("degraded %s last-sync %s: %v\n", d.Peer, d.LastSync.Format("15:04:05.000"), d.Err)
 		}

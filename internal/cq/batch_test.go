@@ -12,12 +12,12 @@ import (
 	"repro/internal/relation"
 )
 
-// This file is the batch kernel's differential harness: the columnar
-// path, the tuple-at-a-time reference path (ForceTupleAtATime), and the
-// map-bindings interpreter (EvalReference) are held to byte-identical
-// sorted wire encodings over randomized unions, and the dictionary's
-// lazy snapshot clones are raced against concurrent base-relation
-// growth. Run with -race.
+// This file is the batch kernel's differential harness: the kernel and
+// the map-bindings interpreter (EvalReference, the oracle) are held to
+// byte-identical sorted wire encodings over randomized unions, over
+// relations that build their encoding on first use, and over zero-atom
+// plans; the dictionary's lazy snapshot clones are raced against
+// concurrent base-relation growth. Run with -race.
 
 // sortedWire renders an answer set as the concatenation of each tuple's
 // wire encoding in sorted order — a canonical form independent of
@@ -141,13 +141,11 @@ func runUnionWire(t *testing.T, plans []*Plan, opts ExecOptions) []byte {
 	return sortedWire(r.Rows())
 }
 
-// TestBatchDifferentialRandom holds the batch kernel, the
-// tuple-at-a-time path, and EvalReference to identical answer sets
-// (byte-identical sorted wire encodings) over randomized unions, in
-// sequential and parallel execution.
+// TestBatchDifferentialRandom holds the batch kernel to EvalReference's
+// answer sets (byte-identical sorted wire encodings) over randomized
+// unions, in sequential and parallel execution.
 func TestBatchDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var kernels KernelCounts
 	for trial := 0; trial < 120; trial++ {
 		const nRels = 3
 		db := randomBatchDB(rng, nRels)
@@ -157,27 +155,20 @@ func TestBatchDifferentialRandom(t *testing.T) {
 		}
 		want, _ := referenceUnionWire(t, db, queries)
 		plans := compileAll(t, db, queries)
-		got := runUnionWire(t, plans, ExecOptions{Kernels: &kernels})
+		got := runUnionWire(t, plans, ExecOptions{})
 		if !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: batch != reference for %v", trial, queries)
-		}
-		tup := runUnionWire(t, plans, ExecOptions{ForceTupleAtATime: true})
-		if !bytes.Equal(tup, want) {
-			t.Fatalf("trial %d: tuple-at-a-time != reference for %v", trial, queries)
 		}
 		par := runUnionWire(t, plans, ExecOptions{Parallelism: 4})
 		if !bytes.Equal(par, want) {
 			t.Fatalf("trial %d: parallel != reference for %v", trial, queries)
 		}
 	}
-	if kernels.Batch() == 0 {
-		t.Fatal("no branch ever rode the batch kernel — the differential never exercised it")
-	}
 }
 
 // TestBatchDifferentialLimits checks that limited executions yield
 // exactly min(Limit, |answers|) distinct tuples, each drawn from the
-// reference answer set, on both kernels and in parallel mode.
+// reference answer set, sequentially and in parallel mode.
 func TestBatchDifferentialLimits(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
@@ -202,7 +193,6 @@ func TestBatchDifferentialLimits(t *testing.T) {
 		for _, limit := range []int{1, total/2 + 1, total + 5} {
 			for _, opts := range []ExecOptions{
 				{Limit: limit},
-				{Limit: limit, ForceTupleAtATime: true},
 				{Limit: limit, Parallelism: 4},
 			} {
 				r, err := MaterializeUnion(context.Background(), plans, opts)
@@ -227,52 +217,236 @@ func TestBatchDifferentialLimits(t *testing.T) {
 	}
 }
 
-// TestBatchMixedEncodedFallback joins an encoded relation with a
-// result-style relation that never maintains a dictionary encoding: the
-// branch over the unencoded relation must fall back tuple-at-a-time
-// while the eligible branch rides the kernel, with identical answers.
-func TestBatchMixedEncodedFallback(t *testing.T) {
-	db := relation.NewDatabase()
-	enc := relation.New(relation.Schema{
-		Name:  "enc",
-		Attrs: []relation.Attribute{relation.Attr("a"), relation.Attr("b")},
-	})
-	raw := relation.NewResult(relation.Schema{
-		Name:  "raw",
-		Attrs: []relation.Attribute{relation.Attr("a"), relation.Attr("b")},
-	})
-	for i := 0; i < 20; i++ {
+// unencodedDB builds the three kinds of relation that carry no
+// dictionary encoding until a plan first joins against them — a
+// NewResult relation, a Project product and a Select product — beside
+// an ordinary encoded one, all over one small value domain.
+func unencodedDB(t *testing.T) *relation.Database {
+	t.Helper()
+	ab := []relation.Attribute{relation.Attr("a"), relation.Attr("b")}
+	enc := relation.New(relation.Schema{Name: "enc", Attrs: ab})
+	res := relation.NewResult(relation.Schema{Name: "res", Attrs: ab})
+	wide := relation.New(relation.Schema{Name: "proj",
+		Attrs: []relation.Attribute{relation.Attr("a"), relation.Attr("pad"), relation.Attr("b")}})
+	for i := 0; i < 40; i++ {
 		a := relation.SV(fmt.Sprintf("v%d", i%5))
-		b := relation.SV(fmt.Sprintf("v%d", (i+1)%5))
-		if err := enc.Insert(relation.Tuple{a, b}); err != nil {
-			t.Fatal(err)
-		}
-		if err := raw.Insert(relation.Tuple{b, a}); err != nil {
-			t.Fatal(err)
+		b := relation.SV(fmt.Sprintf("v%d", (i*3+1)%7))
+		for _, err := range []error{
+			enc.Insert(relation.Tuple{a, b}),
+			res.Insert(relation.Tuple{b, a}),
+			wide.Insert(relation.Tuple{a, relation.SV("pad"), b}),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	db.Put(enc)
-	db.Put(raw)
+	proj, err := wide.Project("b", "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := enc.Select(func(row relation.Tuple) bool { return row[0] != relation.SV("v0") })
+	sel.Schema.Name = "sel"
+	db := relation.NewDatabase()
+	for _, r := range []*relation.Relation{enc, res, proj, sel} {
+		db.Put(r)
+	}
+	return db
+}
+
+// entryPointWires runs the union through every execution entry point of
+// the package and returns each one's sorted wire form, keyed by name.
+func entryPointWires(t *testing.T, plans []*Plan) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	if len(plans) == 1 {
+		r, err := plans[0].Exec()
+		if err != nil {
+			t.Fatalf("Exec: %v", err)
+		}
+		out["Exec"] = sortedWire(r.Rows())
+	}
+	for _, par := range []int{1, 4} {
+		var rows []relation.Tuple
+		err := StreamUnionOpts(context.Background(), plans, ExecOptions{Parallelism: par},
+			func(row relation.Tuple) bool { rows = append(rows, row); return true })
+		if err != nil {
+			t.Fatalf("StreamUnionOpts par=%d: %v", par, err)
+		}
+		out[fmt.Sprintf("StreamUnionOpts/par=%d", par)] = sortedWire(rows)
+	}
+	out["MaterializeUnion"] = runUnionWire(t, plans, ExecOptions{})
+	return out
+}
+
+// TestEncodeOnDemandDifferential joins against relations that were not
+// maintaining an encoding — NewResult, Project and Select products, alone
+// and mixed with an encoded relation — and holds every entry point to
+// EvalReference. An Insert after the first use must keep the encoding
+// current, so the same plans see the new row.
+func TestEncodeOnDemandDifferential(t *testing.T) {
+	db := unencodedDB(t)
+	unions := [][]Query{
+		{MustParse("q(X, Y) :- res(X, Z), res(Z, Y)")},
+		{MustParse("q(X, Y) :- proj(X, Z), proj(Z, Y)")},
+		{MustParse("q(X, Y) :- sel(X, Z), sel(Z, Y)")},
+		{MustParse("q(X, Y) :- enc(X, Z), res(Z, Y)")},
+		{MustParse("q(X, Y) :- res(X, 'v1'), sel(Y, X)")},
+		{
+			MustParse("q(X, Y) :- enc(X, Z), enc(Z, Y)"),
+			MustParse("q(X, Y) :- res(X, Z), proj(Z, Y)"),
+			MustParse("q(X, Y) :- sel(X, Y), res(Y, X)"),
+		},
+	}
+	check := func(stage string) {
+		for _, queries := range unions {
+			want, n := referenceUnionWire(t, db, queries)
+			if n == 0 {
+				t.Fatalf("%s: %v has no answers; the differential proves nothing", stage, queries)
+			}
+			for name, got := range entryPointWires(t, compileAll(t, db, queries)) {
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: %s != EvalReference for %v", stage, name, queries)
+				}
+			}
+		}
+	}
+	check("first use")
+	for _, name := range []string{"res", "proj", "sel"} {
+		r := db.Get(name)
+		d := r.Encoding()
+		if err := r.Insert(relation.Tuple{relation.SV("v1"), relation.SV("fresh")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Insert(relation.Tuple{relation.SV("fresh"), relation.SV("v2")}); err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Encoding(); got != d || got.Len() != r.Len() {
+			t.Fatalf("%s: Insert after first use did not keep the encoding current (same dict %v, %d of %d rows)",
+				name, got == d, got.Len(), r.Len())
+		}
+	}
+	check("after insert")
+}
+
+// TestEncodeOnDemandConcurrentFirstUse has many goroutines make the first
+// use of one shared unencoded relation at once: the check-and-build is
+// atomic, so all of them must join against one dictionary and agree
+// with EvalReference. Run with -race.
+func TestEncodeOnDemandConcurrentFirstUse(t *testing.T) {
+	db := unencodedDB(t)
 	queries := []Query{
-		MustParse("q(X, Y) :- enc(X, Z), enc(Z, Y)"),
-		MustParse("q(X, Y) :- raw(X, Z), raw(Z, Y)"),
+		MustParse("q(X, Y) :- res(X, Z), res(Z, Y)"),
+		MustParse("q(X, Y) :- proj(X, Z), sel(Z, Y)"),
 	}
 	want, _ := referenceUnionWire(t, db, queries)
 	plans := compileAll(t, db, queries)
-	if !plans[0].BatchEligible() {
-		t.Fatal("encoded branch not batch-eligible")
+	const workers = 12
+	var wg sync.WaitGroup
+	got := make([][]byte, workers)
+	dicts := make([]*relation.Dict, workers)
+	start := make(chan struct{})
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			r, err := MaterializeUnion(context.Background(), plans, ExecOptions{Parallelism: 1 + g%2*3})
+			if err != nil {
+				t.Errorf("worker %d: %v", g, err)
+				return
+			}
+			got[g] = sortedWire(r.Rows())
+			dicts[g] = db.Get("res").Encoding()
+		}(g)
 	}
-	if plans[1].BatchEligible() {
-		t.Fatal("unencoded branch claims batch eligibility")
+	close(start)
+	wg.Wait()
+	for g := range got {
+		if !bytes.Equal(got[g], want) {
+			t.Errorf("worker %d: answers differ from EvalReference", g)
+		}
+		if dicts[g] != dicts[0] {
+			t.Errorf("worker %d joined against a different dictionary than worker 0", g)
+		}
 	}
-	var kernels KernelCounts
-	got := runUnionWire(t, plans, ExecOptions{Kernels: &kernels})
-	if !bytes.Equal(got, want) {
-		t.Fatal("mixed-kernel union != reference")
+}
+
+// TestBatchEmptyRelationKeepsOneDict pins the empty dictionary to its
+// relation: executions probing into an empty relation must see the same
+// *Dict every time, or each one mints fresh translation-memo keys in
+// the pooled executor's cache.
+func TestBatchEmptyRelationKeepsOneDict(t *testing.T) {
+	db := unencodedDB(t)
+	empty := relation.New(relation.Schema{Name: "empty",
+		Attrs: []relation.Attribute{relation.Attr("a"), relation.Attr("b")}})
+	db.Put(empty)
+	if d := empty.Encoding(); d == nil || d != empty.Encoding() {
+		t.Fatal("an empty relation handed out two different dictionaries")
 	}
-	if kernels.Batch() != 1 || kernels.Fallback() != 1 {
-		t.Fatalf("kernels = %d batch / %d fallback, want 1/1",
-			kernels.Batch(), kernels.Fallback())
+	plans := compileAll(t, db, []Query{MustParse("q(X, W) :- enc(X, Z), empty(Z, W)")})
+	be := getBatchExec(2, true)
+	defer be.release()
+	clear(be.trans) // a pooled executor may arrive with other tests' memos
+	memos := -1
+	for i := 0; i < 3; i++ {
+		err := be.run(context.Background(), plans[0], nil, func(relation.Tuple) bool {
+			t.Error("a join against an empty relation yielded an answer")
+			return false
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if memos >= 0 && len(be.trans) != memos {
+			t.Fatalf("execution %d grew the memo cache from %d to %d entries", i, memos, len(be.trans))
+		}
+		memos = len(be.trans)
+	}
+	if memos == 0 {
+		t.Fatal("the plan keyed no memo on the empty relation; the test proves nothing")
+	}
+}
+
+// TestBatchZeroAtomPlan runs a plan with no body atoms: it has exactly
+// one answer, the empty tuple, which the kernel's leaf produces from its
+// virtual input row — once per union however many branches repeat it,
+// with Limit and cancellation honoured.
+func TestBatchZeroAtomPlan(t *testing.T) {
+	db := relation.NewDatabase()
+	q := NewQuery("q", nil)
+	want, n := referenceUnionWire(t, db, []Query{q})
+	if n != 1 {
+		t.Fatalf("EvalReference gave %d answers for a zero-atom query, want 1", n)
+	}
+	for _, width := range []int{1, 3} {
+		queries := make([]Query, width)
+		for i := range queries {
+			queries[i] = q
+		}
+		plans := compileAll(t, db, queries)
+		for name, got := range entryPointWires(t, plans) {
+			if !bytes.Equal(got, want) {
+				t.Errorf("width %d: %s != EvalReference", width, name)
+			}
+		}
+		for _, par := range []int{1, 4} {
+			r, err := MaterializeUnion(context.Background(), plans, ExecOptions{Limit: 1, Parallelism: par})
+			if err != nil {
+				t.Fatalf("width %d par %d Limit 1: %v", width, par, err)
+			}
+			if r.Len() != 1 {
+				t.Errorf("width %d par %d Limit 1: %d answers, want 1", width, par, r.Len())
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			err = StreamUnionOpts(ctx, plans, ExecOptions{Parallelism: par}, func(relation.Tuple) bool {
+				t.Errorf("width %d par %d: a cancelled execution yielded", width, par)
+				return true
+			})
+			if err != context.Canceled {
+				t.Errorf("width %d par %d: cancelled execution returned %v, want context.Canceled", width, par, err)
+			}
+		}
 	}
 }
 

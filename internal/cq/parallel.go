@@ -93,8 +93,8 @@ const parallelBatch = 32
 // Protocol:
 //   - Workers claim branch indexes from a shared atomic cursor and run
 //     each branch's join against a branch context derived from ctx.
-//   - Deduplication happens inside the join (streamInto adds to the
-//     shared sharded set before yielding), so each distinct tuple
+//   - Deduplication happens inside the join (the kernel's leaf adds to
+//     the shared sharded set before yielding), so each distinct tuple
 //     surfaces in exactly one worker.
 //   - With a limit, a surfacing tuple claims a delivery slot from the
 //     shared counter; claims beyond the limit are dropped, and the
@@ -134,13 +134,9 @@ func streamUnionParallel(ctx context.Context, plans []*Plan, opts ExecOptions, p
 			}
 			// Per-worker batch kernel state (tuple mode: answers decode
 			// before the shared sharded set, so dedup spans workers),
-			// lazily acquired and reused across this worker's branches.
-			var be *batchExec
-			defer func() {
-				if be != nil {
-					be.release()
-				}
-			}()
+			// reused across this worker's branches.
+			be := getBatchExec(len(plans[0].headSlots), false)
+			defer be.release()
 			for {
 				i := int(nextBranch.Add(1)) - 1
 				if i >= len(plans) || bctx.Err() != nil {
@@ -166,20 +162,7 @@ func streamUnionParallel(ctx context.Context, plans []*Plan, opts ExecOptions, p
 					}
 					return true
 				}
-				ran := false
-				var err error
-				if !opts.ForceTupleAtATime {
-					if be == nil {
-						be = getBatchExec(len(plans[i].headSlots), false)
-					}
-					ran, err = be.run(bctx, plans[i], seen, workerYield)
-				}
-				if err == nil && !ran {
-					opts.Kernels.noteFallback()
-					err = plans[i].streamInto(bctx, seen, workerYield)
-				} else if ran {
-					opts.Kernels.noteBatch()
-				}
+				err := be.run(bctx, plans[i], seen, workerYield)
 				// Flush before looking at err: slot-claiming tuples
 				// buffered by a branch that was then cancelled (limit
 				// filled elsewhere) must still reach the consumer.

@@ -242,12 +242,7 @@ func (p *Plan) Explain() string {
 	case p.forced:
 		mode = "greedy (forced)"
 	}
-	kernel := "tuple-at-a-time (encoding absent)"
-	if p.BatchEligible() {
-		kernel = "batch (dictionary-encoded)"
-	}
-	fmt.Fprintf(&b, "%s — %s, est cost %.1f rows, kernel %s\n",
-		p.query.String(), mode, p.estCost, kernel)
+	fmt.Fprintf(&b, "%s — %s, est cost %.1f rows\n", p.query.String(), mode, p.estCost)
 	for i, ap := range p.atoms {
 		access := "scan"
 		if ap.probeCol >= 0 {

@@ -99,7 +99,6 @@ type Cursor struct {
 
 	rewritings []cq.Query
 	stats      ReformStats
-	kernels    cq.KernelCounts
 	reformTime time.Duration
 	degraded   []DegradedPeer
 	retries    int
@@ -134,15 +133,7 @@ func (c *Cursor) Rewritings() []cq.Query {
 }
 
 // Stats returns the reformulation statistics (available immediately).
-// The execution-side counters — BatchBranches and FallbackBranches —
-// fill in as branches run; read them after draining the cursor for
-// final values.
-func (c *Cursor) Stats() ReformStats {
-	s := c.stats
-	s.BatchBranches = c.kernels.Batch()
-	s.FallbackBranches = c.kernels.Fallback()
-	return s
-}
+func (c *Cursor) Stats() ReformStats { return c.stats }
 
 // Degraded reports the remote peers this request could not freshen and
 // therefore serves from their last-good mirror snapshots, in peer-name
@@ -173,12 +164,9 @@ func (c *Cursor) SyncPaths() []SyncPath {
 }
 
 // Explain renders the compiled execution plan of every rewriting branch
-// — the join order the planner chose, each atom's access path, the cost
-// estimates, and which kernel the branch would ride (batch when every
-// relation it reads has a current dictionary encoding, else the
-// tuple-at-a-time fallback) — without executing anything. Branches
-// print in reformulation order; limited executions run them
-// cheapest-first.
+// — the join order the planner chose, each atom's access path, and the
+// cost estimates — without executing anything. Branches print in
+// reformulation order; limited executions run them cheapest-first.
 func (c *Cursor) Explain() string {
 	if len(c.plans) == 0 {
 		return "no rewriting reaches stored data\n"
@@ -191,11 +179,7 @@ func (c *Cursor) Explain() string {
 	fmt.Fprintf(&b, "union of %d branch(es), est total cost %.1f rows\n",
 		len(c.plans), total)
 	for i, p := range c.plans {
-		kernel := "tuple"
-		if p.BatchEligible() {
-			kernel = "batch"
-		}
-		fmt.Fprintf(&b, "branch %d [kernel=%s]: %s", i, kernel, p.Explain())
+		fmt.Fprintf(&b, "branch %d: %s", i, p.Explain())
 	}
 	for _, sp := range c.syncPaths {
 		fmt.Fprintf(&b, "sync %s.%s via %s\n", sp.Peer, sp.Rel, sp.Path)
@@ -265,7 +249,7 @@ func (c *Cursor) start() {
 		return
 	}
 	c.next, c.stop = iter.Pull2(cq.UnionTuples(c.ctx, c.plans,
-		cq.ExecOptions{Limit: c.limit, Parallelism: c.par, Kernels: &c.kernels}))
+		cq.ExecOptions{Limit: c.limit, Parallelism: c.par}))
 }
 
 // finish records execution time and stops the pull iterator.
@@ -306,7 +290,7 @@ func (c *Cursor) Materialize() (*relation.Relation, error) {
 			// c.schema is plans[0].HeadSchema() whenever plans exist.
 			var err error
 			out, err = cq.MaterializeUnion(c.ctx, c.plans,
-				cq.ExecOptions{Limit: c.limit, Parallelism: c.par, Kernels: &c.kernels})
+				cq.ExecOptions{Limit: c.limit, Parallelism: c.par})
 			if err != nil {
 				c.err = err
 				c.closed = true

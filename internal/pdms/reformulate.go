@@ -66,13 +66,9 @@ type ReformStats struct {
 	// PeersTouched counts distinct peers whose storage the kept
 	// rewritings read — the number of peers contacted at execution.
 	PeersTouched int
-	// BatchBranches counts union branches executed on the columnar batch
-	// kernel. Zero until the cursor has executed (Cursor.Stats fills it
-	// live from the engine's counters).
-	BatchBranches int
-	// FallbackBranches counts union branches executed on the
-	// tuple-at-a-time reference path, typically because a relation they
-	// read has no current dictionary encoding.
+	// FallbackBranches is always zero: there is one executor and nothing
+	// to fall back to. It remains only because the frozen bench/driver.go
+	// reads it; the next benchmark PR retires it.
 	FallbackBranches int
 }
 

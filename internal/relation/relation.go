@@ -55,13 +55,14 @@ func New(schema Schema) *Relation {
 	return &Relation{Schema: schema}
 }
 
-// NewResult creates an empty relation that never maintains column
-// statistics or a dictionary encoding — intended for answer/result
-// relations, which are consumed by the caller rather than joined
-// against again, so per-insert value hashing would be pure overhead on
-// the serving hot path. A planner compiling a query against such a
-// relation falls back to the statistics-free greedy order, and the
-// engine to the tuple-at-a-time kernel.
+// NewResult creates an empty relation that maintains neither column
+// statistics nor a dictionary encoding as rows arrive — intended for
+// answer/result relations, which are consumed by the caller rather than
+// joined against again, so per-insert value hashing would be pure
+// overhead on the serving hot path. A planner compiling a query against
+// such a relation falls back to the statistics-free greedy order; the
+// first plan to join against it builds the encoding in one pass (see
+// Encoding), and Insert maintains it from then on.
 func NewResult(schema Schema) *Relation {
 	return &Relation{Schema: schema, statRows: -1, encRows: -1}
 }

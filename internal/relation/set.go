@@ -1,13 +1,5 @@
 package relation
 
-// TupleAdder is the deduplication interface the join engine streams
-// answers through: Add inserts a tuple and reports whether it was
-// absent. TupleSet implements it for single-goroutine execution;
-// ShardedTupleSet implements it for concurrent union branches.
-type TupleAdder interface {
-	Add(Tuple) bool
-}
-
 // TupleSet is a hash set of tuples used for duplicate elimination on hot
 // paths. It buckets by Tuple.Hash and confirms membership with an exact
 // comparison, so it never allocates per-probe key strings the way a
