@@ -38,6 +38,71 @@ func BenchmarkE1Matching(b *testing.B) {
 	b.ReportMetric(acc, "accuracy")
 }
 
+// e2Chain generates the deterministic E2 chain workload (seed 42) that
+// the serving benchmarks and TestWarmPathAllocCeilings share.
+func e2Chain(tb testing.TB, peers, rowsPerPeer int) *workload.GeneratedNetwork {
+	tb.Helper()
+	g, err := workload.GenNetwork(workload.NetworkSpec{
+		Topology: workload.Chain, Peers: peers, Seed: 42, RowsPerPeer: rowsPerPeer})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g
+}
+
+// e2Served returns the upper half of a 16-peer chain: the peers the
+// E2-remote fixture puts behind a transport.
+func e2Served(g *workload.GeneratedNetwork) []*pdms.Peer {
+	var served []*pdms.Peer
+	for i := 8; i < 16; i++ {
+		served = append(served, g.Net.Peer(workload.PeerName(i)))
+	}
+	return served
+}
+
+// e2RemoteCoordinator rebuilds g's 16-peer chain on a fresh coordinator
+// that holds the lower eight peers itself and reaches e2Served(g)
+// through tr.
+func e2RemoteCoordinator(tb testing.TB, g *workload.GeneratedNetwork, tr pdms.Transport) *pdms.Network {
+	tb.Helper()
+	n := pdms.NewNetwork()
+	for i := 0; i < 16; i++ {
+		name := workload.PeerName(i)
+		if i < 8 {
+			if err := n.AddPeer(g.Net.Peer(name)); err != nil {
+				tb.Fatal(err)
+			}
+			continue
+		}
+		if _, err := n.AddRemotePeer(context.Background(), name, tr); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for _, m := range g.Net.Mappings() {
+		if err := n.AddMapping(m); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return n
+}
+
+// skewedJoinPlans compiles the Zipf-skewed fact ⋈ dim join (seed 42, a
+// few hot dictionary codes and a long tail) once, so its callers
+// measure the batch kernel with reformulation and the network stack out
+// of the loop.
+func skewedJoinPlans(tb testing.TB) []*cq.Plan {
+	tb.Helper()
+	db, q, err := workload.SkewedJoin(workload.SkewedJoinSpec{Seed: 42})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	plan, err := cq.Compile(db, q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return []*cq.Plan{plan}
+}
+
 // BenchmarkE2Transitive measures transitive query answering at several
 // network sizes (the Figure 2 property). A repeated query is the
 // steady-state serving workload: after the first iteration the network
@@ -47,11 +112,7 @@ func BenchmarkE1Matching(b *testing.B) {
 func BenchmarkE2Transitive(b *testing.B) {
 	for _, peers := range []int{4, 8, 16, 32, 64} {
 		b.Run(fmt.Sprintf("peers=%d", peers), func(b *testing.B) {
-			g, err := workload.GenNetwork(workload.NetworkSpec{
-				Topology: workload.Chain, Peers: peers, Seed: 42, RowsPerPeer: 5})
-			if err != nil {
-				b.Fatal(err)
-			}
+			g := e2Chain(b, peers, 5)
 			q := g.TitleQuery(0)
 			b.ResetTimer()
 			answers := 0
@@ -74,11 +135,7 @@ func BenchmarkE2Transitive(b *testing.B) {
 func BenchmarkE2TransitiveCold(b *testing.B) {
 	for _, peers := range []int{4, 8, 16} {
 		b.Run(fmt.Sprintf("peers=%d", peers), func(b *testing.B) {
-			g, err := workload.GenNetwork(workload.NetworkSpec{
-				Topology: workload.Chain, Peers: peers, Seed: 42, RowsPerPeer: 5})
-			if err != nil {
-				b.Fatal(err)
-			}
+			g := e2Chain(b, peers, 5)
 			q := g.TitleQuery(0)
 			b.ResetTimer()
 			answers := 0
@@ -99,18 +156,10 @@ func BenchmarkE2TransitiveCold(b *testing.B) {
 // BenchmarkSkewedJoin measures the engine-level Zipf-skewed fact ⋈ dim
 // join on precompiled plans — the batch kernel's adversarial case (a
 // few hot dictionary codes, a long tail) with reformulation and the
-// network stack out of the loop. The ledger's skewed_join series
-// records the same workload.
+// network stack out of the loop. TestWarmPathAllocCeilings holds the
+// same workload's allocation and answer counts.
 func BenchmarkSkewedJoin(b *testing.B) {
-	db, q, err := workload.SkewedJoin(workload.SkewedJoinSpec{Seed: 42})
-	if err != nil {
-		b.Fatal(err)
-	}
-	plan, err := cq.Compile(db, q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	plans := []*cq.Plan{plan}
+	plans := skewedJoinPlans(b)
 	ctx := context.Background()
 	b.ResetTimer()
 	answers := 0
@@ -131,11 +180,7 @@ func BenchmarkSkewedJoin(b *testing.B) {
 // cached (warmed before the timer), so both sub-benches measure pure
 // execution.
 func BenchmarkE2Limit1(b *testing.B) {
-	g, err := workload.GenNetwork(workload.NetworkSpec{
-		Topology: workload.Chain, Peers: 64, Seed: 42, RowsPerPeer: 5})
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := e2Chain(b, 64, 5)
 	ctx := context.Background()
 	req := pdms.Request{Peer: workload.PeerName(0), Query: g.TitleQuery(0),
 		Reform: pdms.ReformOptions{MaxDepth: 65}}
@@ -186,11 +231,7 @@ func BenchmarkE2Limit1(b *testing.B) {
 // sub-benches measure pure union execution — the acceptance target is
 // the parallel path beating sequential by ≥2x wall-clock.
 func BenchmarkE2Parallel(b *testing.B) {
-	g, err := workload.GenNetwork(workload.NetworkSpec{
-		Topology: workload.Chain, Peers: 64, Seed: 42, RowsPerPeer: 40})
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := e2Chain(b, 64, 40)
 	ctx := context.Background()
 	req := pdms.Request{Peer: workload.PeerName(0), Query: g.TitleQuery(0),
 		Reform: pdms.ReformOptions{MaxDepth: 65}}
@@ -236,15 +277,8 @@ func BenchmarkE2Parallel(b *testing.B) {
 func BenchmarkE2Remote(b *testing.B) {
 	for _, mode := range []string{"loopback", "tcp"} {
 		b.Run(mode, func(b *testing.B) {
-			g, err := workload.GenNetwork(workload.NetworkSpec{
-				Topology: workload.Chain, Peers: 16, Seed: 42, RowsPerPeer: 5})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var served []*pdms.Peer
-			for i := 8; i < 16; i++ {
-				served = append(served, g.Net.Peer(workload.PeerName(i)))
-			}
+			g := e2Chain(b, 16, 5)
+			served := e2Served(g)
 			var tr pdms.Transport
 			if mode == "loopback" {
 				tr = pdms.NewLoopback(served...)
@@ -263,24 +297,7 @@ func BenchmarkE2Remote(b *testing.B) {
 				defer c.Close()
 				tr = c
 			}
-			n := pdms.NewNetwork()
-			for i := 0; i < 16; i++ {
-				name := workload.PeerName(i)
-				if i < 8 {
-					if err := n.AddPeer(g.Net.Peer(name)); err != nil {
-						b.Fatal(err)
-					}
-					continue
-				}
-				if _, err := n.AddRemotePeer(context.Background(), name, tr); err != nil {
-					b.Fatal(err)
-				}
-			}
-			for _, m := range g.Net.Mappings() {
-				if err := n.AddMapping(m); err != nil {
-					b.Fatal(err)
-				}
-			}
+			n := e2RemoteCoordinator(b, g, tr)
 			q := g.TitleQuery(0)
 			opts := pdms.ReformOptions{MaxDepth: 17}
 			if _, err := n.Answer(workload.PeerName(0), q, opts); err != nil {
@@ -305,11 +322,7 @@ func BenchmarkE2Remote(b *testing.B) {
 // already-cached request against one Network and drains the cursor —
 // the singleflight + shared-plan path that a hot serving peer runs.
 func BenchmarkQueryConcurrentClients(b *testing.B) {
-	g, err := workload.GenNetwork(workload.NetworkSpec{
-		Topology: workload.Chain, Peers: 16, Seed: 42, RowsPerPeer: 5})
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := e2Chain(b, 16, 5)
 	ctx := context.Background()
 	req := pdms.Request{Peer: workload.PeerName(0), Query: g.TitleQuery(0),
 		Reform: pdms.ReformOptions{MaxDepth: 17}}
@@ -354,11 +367,7 @@ func BenchmarkE3MappingEffort(b *testing.B) {
 // BenchmarkE4Reformulation compares reformulation with the pruning
 // heuristics on and off (the §3.1.1 ablation).
 func BenchmarkE4Reformulation(b *testing.B) {
-	g, err := workload.GenNetwork(workload.NetworkSpec{
-		Topology: workload.Chain, Peers: 8, Seed: 42, RowsPerPeer: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := e2Chain(b, 8, 2)
 	q := g.TitleQuery(0)
 	for _, cfg := range []struct {
 		name string

@@ -15,7 +15,6 @@
 //	             [-data DIR] [-extra K]
 //	revere query [-seed N] [-peers N] [-rows N] [-par N] [-remote LO:HI=ADDR]...
 //	             [-retry N] [-timeout D] [-stale] [-explain] [-watch D]
-//	revere bench [-out FILE]
 //
 // A serve process hosts the peers in [LO:HI) on a TCP port; a query
 // process runs the E2 title query on a coordinator whose -remote ranges
@@ -41,9 +40,7 @@
 // it via Delta records instead of full rescans (query prints a
 // cumulative "sync scans N deltas M" line to prove it); -extra K
 // inserts K deterministic extra rows per served peer after startup, the
-// knob that forces fingerprint movement. bench measures the serving
-// path (warm, degraded, recovery) and writes the machine-checked perf
-// ledger that CI gates on (the latest BENCH_N.json).
+// knob that forces fingerprint movement.
 package main
 
 import (
@@ -72,8 +69,6 @@ func main() {
 			sub = runServe
 		case "query":
 			sub = runQuery
-		case "bench":
-			sub = runBench
 		}
 		if sub != nil {
 			if err := sub(os.Args[2:]); err != nil {
@@ -90,6 +85,11 @@ func main() {
 	par := flag.Int("par", 0, "query execution parallelism: 0 auto, 1 sequential, N workers")
 	explain := flag.Bool("explain", false, "print the chosen join orders and cost estimates for the PDMS query")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "revere: unknown command %q (want serve or query)\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if err := run(ctx, *seed, *people, *courses, *peers, *par, *explain); err != nil {

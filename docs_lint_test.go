@@ -21,7 +21,6 @@ var docCheckedPackages = []string{
 	"internal/faults",
 	"internal/glav",
 	"internal/pdms",
-	"internal/perfledger",
 	"internal/relation",
 	"internal/store",
 	"internal/transport",

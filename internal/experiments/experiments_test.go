@@ -197,19 +197,23 @@ func TestE7PolicyOrdering(t *testing.T) {
 	}
 }
 
+// TestE8IncrementalFaster holds the §3.1.2 claim in its deterministic
+// form: maintenance work is proportional to the change — every update
+// ships exactly one tuple to every view, however large the base data.
+// The wall-clock speedup over recomputation is logged, not asserted: ten
+// updates take well under a millisecond, so a loaded machine decides it.
 func TestE8IncrementalFaster(t *testing.T) {
-	tab, err := E8Updategrams(42, 10)
+	const updates = 10
+	tab, err := E8Updategrams(42, updates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// With several views the incremental path must win.
-	last := tab.Rows[len(tab.Rows)-1]
-	speedup, err := strconv.ParseFloat(last[4], 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if speedup <= 1 {
-		t.Errorf("no speedup from updategrams at %s views: %v", last[0], speedup)
+	for i := range tab.Rows {
+		views, shipped := cellF(t, tab, i, 0), cellF(t, tab, i, 3)
+		if shipped != updates*views {
+			t.Errorf("%v views: %v tuples shipped for %d updates, want %v", views, shipped, updates, updates*views)
+		}
+		t.Logf("%v views: speedup over recompute %s", views, cell(tab, i, 4))
 	}
 }
 

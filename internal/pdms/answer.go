@@ -180,8 +180,8 @@ func (n *Network) evictReformLocked() {
 // It is the materializing wrapper over the streaming Query path:
 // reformulations and compiled plans are cached per (peer, query,
 // options) until the mapping graph changes, and answers are drained
-// push-style through the compiled slot engine with one shared dedup set
-// across union branches.
+// through the batch kernel with one shared dedup set across union
+// branches.
 func (n *Network) Answer(peer string, q cq.Query, opts ReformOptions) (*AnswerResult, error) {
 	cur, err := n.Query(context.Background(), Request{Peer: peer, Query: q, Reform: opts})
 	if err != nil {

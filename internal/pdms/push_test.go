@@ -281,7 +281,7 @@ func TestPushDifferentialLoopback(t *testing.T) {
 		t.Fatal("raw subscriber never acked")
 	}
 
-	statesBase, scansBase := lb.States(), lb.Scans()
+	statesBase, scansBase, wireBase := lb.States(), lb.Scans(), lb.WireBytes()
 
 	// Identical mutations on the served node and the all-local oracle
 	// (the oracle goes through Publish so its views are maintained by
@@ -350,6 +350,11 @@ func TestPushDifferentialLoopback(t *testing.T) {
 	}
 	if got := lb.Scans(); got != scansBase {
 		t.Errorf("push-live query scanned %d relations", got-scansBase)
+	}
+	// Four one-row changes to the coordinator and the raw subscriber:
+	// the wire carries change records, not relations — far under a frame.
+	if got := lb.WireBytes() - wireBase; got == 0 || got >= 4096 {
+		t.Errorf("pushing 4 one-row changes moved %d wire bytes, want O(changed rows): in (0, 4096)", got)
 	}
 
 	// Three-way view differential, byte-identical under the wire codec:

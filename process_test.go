@@ -180,19 +180,28 @@ func TestE2ThreeProcessChain(t *testing.T) {
 	}
 }
 
-// TestServeRejectsBadRange covers the serve-mode flag validation
-// without booting a listener.
+// TestServeRejectsBadRange covers the command-line validation that
+// needs no listener: an inverted serve range, and a word that is not a
+// subcommand (which must fail with the usage text, not run the demo).
 func TestServeRejectsBadRange(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the binary")
 	}
 	bin := buildRevere(t)
-	out, err := exec.Command(bin, "serve", "-own", "9:3").CombinedOutput()
-	if err == nil {
-		t.Fatalf("inverted -own range accepted:\n%s", out)
-	}
-	var exitErr *exec.ExitError
-	if !errors.As(err, &exitErr) {
-		t.Fatalf("unexpected error kind: %v", err)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"serve", "-own", "9:3"}, `range "9:3"`},
+		{[]string{"bench"}, `unknown command "bench"`},
+	} {
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) {
+			t.Fatalf("revere %v: err = %v, want a non-zero exit:\n%s", tc.args, err, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("revere %v: output lacks %q:\n%s", tc.args, tc.want, out)
+		}
 	}
 }
