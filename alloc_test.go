@@ -30,6 +30,7 @@ func TestWarmPathAllocCeilings(t *testing.T) {
 		Reform: pdms.ReformOptions{MaxDepth: 17}}
 	lb := pdms.NewLoopback(e2Served(g)...)
 	remote := e2RemoteCoordinator(t, g, lb)
+	tcp := e2RemoteCoordinator(t, g, e2TCPTransport(t, g))
 	plans := skewedJoinPlans(t)
 	materialize := func(n *pdms.Network) func() (int, error) {
 		return func() (int, error) {
@@ -65,6 +66,12 @@ func TestWarmPathAllocCeilings(t *testing.T) {
 		// wire: a warm query over current mirrors moves no tuples.
 		{name: "E2/16 upper half behind Loopback", answers: 80, maxAllocs: 123 + 2, states: 8,
 			op: materialize(remote)},
+		// The same eight probes over real sockets: the TCP client's warm
+		// path, which is what bench/'s warm-chain heap_bytes_per_op sees.
+		// The count is process-wide, so it includes the in-process
+		// server's side of each exchange.
+		{name: "E2/16 upper half behind TCP", answers: 80, maxAllocs: 217 + 2,
+			op: materialize(tcp)},
 		{name: "skewed join, precompiled", answers: 664, maxAllocs: 13 + 2,
 			op: func() (int, error) {
 				res, err := cq.MaterializeUnion(ctx, plans, cq.ExecOptions{})

@@ -86,6 +86,26 @@ func e2RemoteCoordinator(tb testing.TB, g *workload.GeneratedNetwork, tr pdms.Tr
 	return n
 }
 
+// e2TCPTransport serves e2Served(g) from an in-process transport.Server
+// on a loopback port and returns a client dialled to it; both close
+// with the test.
+func e2TCPTransport(tb testing.TB, g *workload.GeneratedNetwork) *transport.Client {
+	tb.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv := transport.NewServer(e2Served(g)...)
+	go srv.Serve(ln)
+	tb.Cleanup(func() { srv.Close() })
+	c, err := transport.Dial(ln.Addr().String())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	return c
+}
+
 // skewedJoinPlans compiles the Zipf-skewed fact ⋈ dim join (seed 42, a
 // few hot dictionary codes and a long tail) once, so its callers
 // measure the batch kernel with reformulation and the network stack out
@@ -278,24 +298,9 @@ func BenchmarkE2Remote(b *testing.B) {
 	for _, mode := range []string{"loopback", "tcp"} {
 		b.Run(mode, func(b *testing.B) {
 			g := e2Chain(b, 16, 5)
-			served := e2Served(g)
-			var tr pdms.Transport
-			if mode == "loopback" {
-				tr = pdms.NewLoopback(served...)
-			} else {
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				srv := transport.NewServer(served...)
-				go srv.Serve(ln)
-				defer srv.Close()
-				c, err := transport.Dial(ln.Addr().String())
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer c.Close()
-				tr = c
+			var tr pdms.Transport = pdms.NewLoopback(e2Served(g)...)
+			if mode == "tcp" {
+				tr = e2TCPTransport(b, g)
 			}
 			n := e2RemoteCoordinator(b, g, tr)
 			q := g.TitleQuery(0)

@@ -66,9 +66,12 @@ type Config struct {
 }
 
 // Transport wraps an inner pdms.Transport with the configured fault
-// mix. It is safe for concurrent use; the fault schedule is drawn from
-// one seeded source under a lock, so concurrent runs stay reproducible
-// in aggregate (each op draws the next slice of the schedule).
+// mix: every op passes the same gate (before) and then reaches the
+// inner transport, whose answer — refusals included — is forwarded
+// untouched. It is safe for concurrent use; the fault schedule is drawn
+// from one seeded source under a lock, so concurrent runs stay
+// reproducible in aggregate (each op draws the next slice of the
+// schedule).
 type Transport struct {
 	inner pdms.Transport
 	cfg   Config
@@ -80,7 +83,7 @@ type Transport struct {
 	blackedOut map[string]bool
 
 	// Counters: how many of each fault actually fired (observability
-	// for the chaos suite and the perf ledger).
+	// for the chaos suite).
 	latencies atomic.Uint64
 	errsInj   atomic.Uint64
 	drops     atomic.Uint64
@@ -88,16 +91,7 @@ type Transport struct {
 	scanDrops atomic.Uint64
 }
 
-// compile-time proof the decorator is a pdms.Transport — and a
-// pdms.DeltaTransport and pdms.PlanTransport (it forwards Delta and
-// ExecPlan when the inner transport supports them, degrading typed
-// when it doesn't).
-var (
-	_ pdms.Transport      = (*Transport)(nil)
-	_ pdms.DeltaTransport = (*Transport)(nil)
-	_ pdms.PlanTransport  = (*Transport)(nil)
-	_ pdms.PushTransport  = (*Transport)(nil)
-)
+var _ pdms.Transport = (*Transport)(nil)
 
 // New wraps inner with the given fault configuration.
 func New(inner pdms.Transport, cfg Config) *Transport {
@@ -174,7 +168,7 @@ func (t *Transport) drawScanDrop() bool {
 	return t.rng.Float64() < t.cfg.ScanDropProb
 }
 
-// before runs the pre-op fault gate shared by all three operations:
+// before runs the pre-op fault gate shared by every operation:
 // blackout, injected latency, error frame, drop, or hang. A nil return
 // means the op may proceed to the inner transport.
 func (t *Transport) before(ctx context.Context, op, peer string) error {
@@ -245,23 +239,16 @@ func (t *Transport) Scan(ctx context.Context, peer, rel string, deliver func([]r
 	})
 }
 
-// ExecPlan implements pdms.PlanTransport: the fault gate runs up
-// front, and each delivered answer batch may additionally trip a
-// mid-stream connection drop (the same per-batch schedule Scan uses,
-// so a shipped-plan stream dies exactly like a scan stream). When the
-// inner transport cannot execute plans, every call fails typed as
-// pdms.ErrPlanUnsupported (after the gate), so the wrapped stack falls
-// back to mirroring exactly like an undecorated scan-only transport.
+// ExecPlan implements pdms.Transport: the fault gate runs up front,
+// and each delivered answer batch may additionally trip a mid-stream
+// connection drop (the same per-batch schedule Scan uses, so a
+// shipped-plan stream dies exactly like a scan stream).
 func (t *Transport) ExecPlan(ctx context.Context, peer string, sp relation.SubPlan,
 	deliver func([]relation.Tuple) error) error {
 	if err := t.before(ctx, "execplan", peer); err != nil {
 		return err
 	}
-	pt, can := t.inner.(pdms.PlanTransport)
-	if !can {
-		return fmt.Errorf("%w: inner transport cannot execute plans", pdms.ErrPlanUnsupported)
-	}
-	return pt.ExecPlan(ctx, peer, sp, func(batch []relation.Tuple) error {
+	return t.inner.ExecPlan(ctx, peer, sp, func(batch []relation.Tuple) error {
 		if err := deliver(batch); err != nil {
 			return err
 		}
@@ -273,25 +260,17 @@ func (t *Transport) ExecPlan(ctx context.Context, peer string, sp relation.SubPl
 	})
 }
 
-// Subscribe implements pdms.PushTransport: the fault gate runs up
-// front (a blackout or drop kills the subscription before it starts,
-// exactly like a dead dial), and each delivered push batch may
-// additionally trip a mid-stream connection drop on the same per-batch
-// schedule Scan uses — the slow-network subscriber the resubscribe
-// path exists for. When the inner transport cannot push, every call
-// fails typed as pdms.ErrPushUnsupported (after the gate), so the
-// wrapped stack stays on the poll path exactly like an undecorated
-// scan-only transport.
+// Subscribe implements pdms.Transport: the fault gate runs up front (a
+// blackout or drop kills the subscription before it starts, exactly
+// like a dead dial), and each delivered push batch may additionally
+// trip a mid-stream connection drop on the same per-batch schedule Scan
+// uses — the slow-network subscriber the resubscribe path exists for.
 func (t *Transport) Subscribe(ctx context.Context, peer string, since map[string]uint64,
 	ack func(pdms.PeerState) error, deliver func([]relation.ChangeRecord) error) error {
 	if err := t.before(ctx, "subscribe", peer); err != nil {
 		return err
 	}
-	pt, can := t.inner.(pdms.PushTransport)
-	if !can {
-		return fmt.Errorf("%w: inner transport cannot push", pdms.ErrPushUnsupported)
-	}
-	return pt.Subscribe(ctx, peer, since, ack, func(recs []relation.ChangeRecord) error {
+	return t.inner.Subscribe(ctx, peer, since, ack, func(recs []relation.ChangeRecord) error {
 		if err := deliver(recs); err != nil {
 			return err
 		}
@@ -303,19 +282,12 @@ func (t *Transport) Subscribe(ctx context.Context, peer string, since map[string
 	})
 }
 
-// Delta implements pdms.DeltaTransport with the fault gate in front.
-// When the inner transport cannot ship deltas, every call reports
-// ok=false (after the gate), so the wrapped stack degrades to full
-// scans exactly like an undecorated scan-only transport.
+// Delta implements pdms.Transport with the fault gate in front.
 func (t *Transport) Delta(ctx context.Context, peer, rel string, since uint64) ([]relation.ChangeRecord, bool, error) {
 	if err := t.before(ctx, "delta", peer); err != nil {
 		return nil, false, err
 	}
-	dt, can := t.inner.(pdms.DeltaTransport)
-	if !can {
-		return nil, false, nil
-	}
-	return dt.Delta(ctx, peer, rel, since)
+	return t.inner.Delta(ctx, peer, rel, since)
 }
 
 // Close implements pdms.Transport, closing the inner transport.

@@ -11,8 +11,10 @@ import (
 	"repro/internal/relation"
 )
 
-// stubTransport is a healthy inner transport: every op succeeds and
-// Scan delivers a fixed number of single-tuple batches.
+// stubTransport is a healthy mirror-only inner transport: State,
+// Schemas and Scan succeed (Scan delivers a fixed number of
+// single-tuple batches); Delta, ExecPlan and Subscribe answer with the
+// typed refusals of a node that serves none of them.
 type stubTransport struct {
 	batches int
 	closed  bool
@@ -33,6 +35,19 @@ func (s *stubTransport) Scan(ctx context.Context, peer, rel string, deliver func
 		}
 	}
 	return nil
+}
+
+func (s *stubTransport) Delta(context.Context, string, string, uint64) ([]relation.ChangeRecord, bool, error) {
+	return nil, false, nil
+}
+
+func (s *stubTransport) ExecPlan(context.Context, string, relation.SubPlan, func([]relation.Tuple) error) error {
+	return pdms.ErrPlanUnsupported
+}
+
+func (s *stubTransport) Subscribe(context.Context, string, map[string]uint64,
+	func(pdms.PeerState) error, func([]relation.ChangeRecord) error) error {
+	return pdms.ErrPushUnsupported
 }
 
 func (s *stubTransport) Close() error {
@@ -195,12 +210,20 @@ func TestExecPlanDropCutsMidStream(t *testing.T) {
 }
 
 func TestExecPlanScanOnlyInnerFallsBackTyped(t *testing.T) {
-	// Wrapping a scan-only transport keeps the decorator a PlanTransport,
-	// but every ExecPlan fails as the clean fallback signal.
+	// What the inner node refuses is its answer, not the decorator's:
+	// past the gate, each typed refusal is forwarded untouched, so the
+	// wrapped stack falls back exactly like the undecorated one.
 	ft := New(&stubTransport{batches: 1}, Config{})
-	err := ft.ExecPlan(context.Background(), "p", relation.SubPlan{}, func([]relation.Tuple) error { return nil })
+	ctx := context.Background()
+	err := ft.ExecPlan(ctx, "p", relation.SubPlan{}, func([]relation.Tuple) error { return nil })
 	if !errors.Is(err, pdms.ErrPlanUnsupported) {
-		t.Fatalf("scan-only inner: err = %v, want ErrPlanUnsupported", err)
+		t.Fatalf("scan-only inner: ExecPlan err = %v, want ErrPlanUnsupported", err)
+	}
+	if _, ok, err := ft.Delta(ctx, "p", "R", 0); ok || err != nil {
+		t.Fatalf("scan-only inner: Delta ok=%v err=%v, want a clean ok=false", ok, err)
+	}
+	if err := ft.Subscribe(ctx, "p", nil, nil, nil); !errors.Is(err, pdms.ErrPushUnsupported) {
+		t.Fatalf("scan-only inner: Subscribe err = %v, want ErrPushUnsupported", err)
 	}
 }
 

@@ -20,8 +20,10 @@ import (
 // rewriting the records of Delta responses and failing Scans as if the
 // peer were unreachable — the two faults the never-publish-partial test
 // needs to hold a refused apply still long enough to look at it.
+// ExecPlan and Subscribe are refused (mirrorOnly), so blocking scans
+// blocks every way rows could reach the replica.
 type tamperTransport struct {
-	*Loopback
+	mirrorOnly
 	mu         sync.Mutex
 	mangle     func([]relation.ChangeRecord) []relation.ChangeRecord
 	blockScans bool
@@ -34,7 +36,7 @@ func (tt *tamperTransport) set(mangle func([]relation.ChangeRecord) []relation.C
 }
 
 func (tt *tamperTransport) Delta(ctx context.Context, peer, rel string, since uint64) ([]relation.ChangeRecord, bool, error) {
-	recs, covered, err := tt.Loopback.Delta(ctx, peer, rel, since)
+	recs, covered, err := tt.Transport.Delta(ctx, peer, rel, since)
 	tt.mu.Lock()
 	mangle := tt.mangle
 	tt.mu.Unlock()
@@ -51,7 +53,7 @@ func (tt *tamperTransport) Scan(ctx context.Context, peer, rel string, deliver f
 	if blocked {
 		return fmt.Errorf("%w: scans blocked by the test", ErrPeerUnreachable)
 	}
-	return tt.Loopback.Scan(ctx, peer, rel, deliver)
+	return tt.Transport.Scan(ctx, peer, rel, deliver)
 }
 
 // badRuns are the ways a change run can disagree with the replica it is
@@ -103,7 +105,7 @@ func TestRefusedRunNeverTouchesReplica(t *testing.T) {
 	if err := n.AddPeer(home); err != nil {
 		t.Fatal(err)
 	}
-	tt := &tamperTransport{Loopback: NewLoopback(origin)}
+	tt := &tamperTransport{mirrorOnly: mirrorOnly{NewLoopback(origin)}}
 	rp, err := n.AddRemotePeer(context.Background(), "mit", tt)
 	if err != nil {
 		t.Fatal(err)

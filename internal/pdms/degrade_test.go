@@ -13,6 +13,25 @@ import (
 	"repro/internal/relation"
 )
 
+// mirrorOnly serves State, Schemas and Scan from its inner transport
+// and answers Delta, ExecPlan and Subscribe with the typed refusals of
+// a node that only mirrors. Fakes that fault the mirror ops embed it,
+// so no op reaches the inner transport around their gate.
+type mirrorOnly struct{ Transport }
+
+func (mirrorOnly) Delta(context.Context, string, string, uint64) ([]relation.ChangeRecord, bool, error) {
+	return nil, false, nil
+}
+
+func (mirrorOnly) ExecPlan(context.Context, string, relation.SubPlan, func([]relation.Tuple) error) error {
+	return fmt.Errorf("%w: mirror-only test transport", ErrPlanUnsupported)
+}
+
+func (mirrorOnly) Subscribe(context.Context, string, map[string]uint64,
+	func(PeerState) error, func([]relation.ChangeRecord) error) error {
+	return fmt.Errorf("%w: mirror-only test transport", ErrPushUnsupported)
+}
+
 // flakyTransport wraps a Transport, failing operations against peers
 // marked dead — a tiny in-package stand-in for internal/faults (which
 // this package cannot import without a cycle). kill(peer, true) makes
@@ -20,14 +39,14 @@ import (
 // failure to Scan, modeling a peer that answers probes but dies
 // mid-fetch.
 type flakyTransport struct {
-	Transport
+	mirrorOnly
 	mu        sync.Mutex
 	dead      map[string]bool
 	scansOnly map[string]bool
 }
 
 func newFlaky(inner Transport) *flakyTransport {
-	return &flakyTransport{Transport: inner,
+	return &flakyTransport{mirrorOnly: mirrorOnly{inner},
 		dead: make(map[string]bool), scansOnly: make(map[string]bool)}
 }
 

@@ -11,22 +11,22 @@ import (
 	"repro/internal/store"
 )
 
-// swapTransport delegates to an inner DeltaTransport the test replaces,
+// swapTransport delegates every op to an inner Transport the test replaces,
 // simulating a served node that restarts behind one long-lived
 // coordinator: the Network keeps its transport handle while the peer
 // (and the Loopback serving it) is torn down and rebuilt from disk.
 type swapTransport struct {
 	mu    sync.Mutex
-	inner DeltaTransport
+	inner Transport
 }
 
-func (s *swapTransport) get() DeltaTransport {
+func (s *swapTransport) get() Transport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.inner
 }
 
-func (s *swapTransport) swap(t DeltaTransport) {
+func (s *swapTransport) swap(t Transport) {
 	s.mu.Lock()
 	s.inner = t
 	s.mu.Unlock()
@@ -46,6 +46,16 @@ func (s *swapTransport) Scan(ctx context.Context, peer, rel string, deliver func
 
 func (s *swapTransport) Delta(ctx context.Context, peer, rel string, since uint64) ([]relation.ChangeRecord, bool, error) {
 	return s.get().Delta(ctx, peer, rel, since)
+}
+
+func (s *swapTransport) ExecPlan(ctx context.Context, peer string, sp relation.SubPlan,
+	deliver func([]relation.Tuple) error) error {
+	return s.get().ExecPlan(ctx, peer, sp, deliver)
+}
+
+func (s *swapTransport) Subscribe(ctx context.Context, peer string, since map[string]uint64,
+	ack func(PeerState) error, deliver func([]relation.ChangeRecord) error) error {
+	return s.get().Subscribe(ctx, peer, since, ack, deliver)
 }
 
 func (s *swapTransport) Close() error { return s.get().Close() }

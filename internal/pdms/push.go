@@ -42,10 +42,9 @@ var ErrSubscriptionGap = errors.New("pdms: push subscription gap")
 var ErrFeedClosed = errors.New("pdms: change feed closed")
 
 // ErrPushUnsupported reports a Subscribe against an endpoint that
-// cannot push: the transport does not implement PushTransport, or the
-// serving side has push disabled (including pre-push servers, which
-// answer the unknown op with a bad-request error). The coordinator
-// stays on the poll path — this is terminal, unlike a gap.
+// cannot push: the serving side has push disabled (including pre-push
+// servers, which answer the unknown op with a bad-request error). The
+// coordinator stays on the poll path — this is terminal, unlike a gap.
 var ErrPushUnsupported = errors.New("pdms: push subscription unsupported")
 
 // DefaultFeedQueue is the per-subscriber bounded queue depth: how many
@@ -54,25 +53,6 @@ var ErrPushUnsupported = errors.New("pdms: push subscription unsupported")
 // stalls, shallow enough that one dead subscriber bounds the serving
 // peer's memory.
 const DefaultFeedQueue = 1024
-
-// PushTransport is the optional push extension of Transport: a
-// transport that can register a subscription for every relation the
-// named peer serves. Subscribe blocks for the life of the subscription:
-// it calls ack exactly once with the peer's statistics fingerprint at
-// subscribe time (so the subscriber knows which of its replicas are
-// already stale and must heal through the poll path), then deliver for
-// each pushed change batch in order, and returns when the subscription
-// ends — ctx cancellation, a typed ErrSubscriptionGap eviction, an
-// ErrPushUnsupported refusal, a callback error, or a transport failure.
-// since lists, per relation, the mutation version the subscriber last
-// applied; the serving side preloads catch-up records for every listed
-// relation its durable log still covers, and simply starts from now for
-// the rest.
-type PushTransport interface {
-	Transport
-	Subscribe(ctx context.Context, peer string, since map[string]uint64,
-		ack func(PeerState) error, deliver func([]relation.ChangeRecord) error) error
-}
 
 // ChangeFeed is one subscriber's bounded queue of committed change
 // records. The serving peer appends to it at commit time while holding
@@ -235,16 +215,17 @@ const (
 )
 
 // StartPush launches the push subscription manager for one remote peer:
-// a goroutine that subscribes through the peer's transport (which must
-// implement PushTransport), applies pushed change records to the
-// mirror's replicas through the same verified apply the delta pull
-// path uses, keeps the remote fingerprints current (so queries skip the
-// per-query State probe while the subscription is live — see
-// RemotePeer.PushLive), propagates applied changes through the
-// updategram path into placed materialized views, and resubscribes with
-// backoff after gaps and transport failures. It returns after starting
-// the manager; StopPush (or ctx cancellation) ends it. Starting an
-// already-started peer is an error.
+// a goroutine that subscribes through the peer's transport, applies
+// pushed change records to the mirror's replicas through the same
+// verified apply the delta pull path uses, keeps the remote
+// fingerprints current (so queries skip the per-query State probe while
+// the subscription is live — see RemotePeer.PushLive), propagates
+// applied changes through the updategram path into placed materialized
+// views, and resubscribes with backoff after gaps and transport
+// failures; a serving node that refuses to push (ErrPushUnsupported)
+// ends the manager and the peer stays on the poll path. It returns
+// after starting the manager; StopPush (or ctx cancellation) ends it.
+// Starting an already-started peer is an error.
 func (n *Network) StartPush(ctx context.Context, peer string) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -255,10 +236,6 @@ func (n *Network) StartPush(ctx context.Context, peer string) error {
 	if rp == nil {
 		return fmt.Errorf("pdms: %q is not a remote peer", peer)
 	}
-	pt, can := rp.tr.(PushTransport)
-	if !can {
-		return fmt.Errorf("%w: transport for %q cannot subscribe", ErrPushUnsupported, peer)
-	}
 	rp.pushMu.Lock()
 	if rp.pushDone != nil {
 		rp.pushMu.Unlock()
@@ -268,7 +245,7 @@ func (n *Network) StartPush(ctx context.Context, peer string) error {
 	done := make(chan struct{})
 	rp.pushCancel, rp.pushDone = cancel, done
 	rp.pushMu.Unlock()
-	go n.pushLoop(pctx, rp, pt, done)
+	go n.pushLoop(pctx, rp, done)
 	return nil
 }
 
@@ -307,13 +284,13 @@ func (rp *RemotePeer) PushLive() bool { return rp.pushLive.Load() }
 // are at (the ack plus the poll path heal any distance the gap opened);
 // an ErrPushUnsupported refusal is terminal — the peer stays on the
 // poll path.
-func (n *Network) pushLoop(ctx context.Context, rp *RemotePeer, pt PushTransport, done chan struct{}) {
+func (n *Network) pushLoop(ctx context.Context, rp *RemotePeer, done chan struct{}) {
 	defer close(done)
 	defer rp.pushLive.Store(false)
 	backoff := pushBackoffMin
 	for {
 		since := n.pushSince(rp)
-		err := pt.Subscribe(ctx, rp.name, since,
+		err := rp.tr.Subscribe(ctx, rp.name, since,
 			func(st PeerState) error {
 				backoff = pushBackoffMin // an established subscription resets pacing
 				return n.pushAck(ctx, rp, st)

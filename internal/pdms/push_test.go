@@ -492,13 +492,11 @@ func TestPushResubscribeAfterGap(t *testing.T) {
 	}
 }
 
-// pollOnly hides Subscribe from a push-capable transport, so the
-// PushTransport type assertion fails — the pre-push node.
-type pollOnly struct{ Transport }
-
-// TestStartPushErrors pins the manager's error paths: unknown peers and
-// push-incapable transports fail fast and typed, double starts are
-// rejected, and StopPush is an idempotent no-op without a manager.
+// TestStartPushErrors pins the manager's error paths: unknown peers
+// fail fast, a node that refuses to push ends the manager on its first
+// typed refusal (exactly like a push-disabled TCP server), double
+// starts are rejected, and StopPush is an idempotent no-op without a
+// manager.
 func TestStartPushErrors(t *testing.T) {
 	n, _, _ := remoteChainNetwork(t)
 	ctx := context.Background()
@@ -508,12 +506,18 @@ func TestStartPushErrors(t *testing.T) {
 
 	solo := NewPeer("solo", relation.NewSchema("r", relation.Attr("x")))
 	n2 := NewNetwork()
-	if _, err := n2.AddRemotePeer(ctx, "solo", pollOnly{NewLoopback(solo)}); err != nil {
+	rp, err := n2.AddRemotePeer(ctx, "solo", mirrorOnly{NewLoopback(solo)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n2.StartPush(ctx, "solo"); !errors.Is(err, ErrPushUnsupported) {
-		t.Errorf("StartPush over a poll-only transport: err = %v, want ErrPushUnsupported", err)
+	if err := n2.StartPush(ctx, "solo"); err != nil {
+		t.Fatal(err) // the refusal is the node's answer, discovered live
 	}
+	<-rp.pushDone // the refusal is terminal: no resubscribe loop to wait out
+	if _, _, gaps := n2.PushCounts(); rp.PushLive() || gaps != 0 {
+		t.Errorf("refused subscription: live=%v gaps=%d, want a quiet exit to the poll path", rp.PushLive(), gaps)
+	}
+	n2.StopPush("solo")
 
 	if err := n.StartPush(ctx, "mit"); err != nil {
 		t.Fatal(err)

@@ -658,10 +658,11 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 
 // tryDelta attempts the delta catch-up for one stale replica. used is
 // false (with a nil error) when the cheap path does not apply — the
-// transport cannot ship deltas, the replica has no recorded fingerprint,
-// the serving peer's log no longer covers the range, the records stop
-// short of the fingerprint the State probe promised, or they fail
-// verification — and the caller falls back to a full scan with the
+// replica has no recorded fingerprint, the serving node cannot ship
+// deltas or its log no longer covers the range (ok=false either way),
+// the records stop short of the fingerprint the State probe promised,
+// or they fail verification — and the caller falls back to a full scan
+// with the
 // replica exactly as it was: relation.ApplyChanges checks a run before
 // it touches anything. On success dst is the caught-up replica — job.base
 // itself, advanced in place, unless the run held a delete. A transport
@@ -675,15 +676,14 @@ func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol Retry
 // read snapshots the appends cannot reach.
 func (n *Network) tryDelta(ctx context.Context, pol RetryPolicy, budget *retryBudget,
 	job fetchJob) (dst *relation.Relation, used bool, retries int, err error) {
-	dt, can := job.rp.tr.(DeltaTransport)
-	if !can || job.base == nil {
+	if job.base == nil {
 		return nil, false, 0, nil
 	}
 	var recs []relation.ChangeRecord
 	var covered bool
 	retries, err = retryOp(ctx, pol, budget, func(actx context.Context) error {
 		var derr error
-		recs, covered, derr = dt.Delta(actx, job.rp.name, job.rel, job.base.Version())
+		recs, covered, derr = job.rp.tr.Delta(actx, job.rp.name, job.rel, job.base.Version())
 		return derr
 	})
 	if err != nil {

@@ -234,7 +234,7 @@ func TestRemoteConcurrentQueries(t *testing.T) {
 // cancellingTransport wraps a Transport and cancels a context after the
 // first delivered batch of a scan — a deterministic mid-stream abort.
 type cancellingTransport struct {
-	Transport
+	mirrorOnly
 	cancel context.CancelFunc
 }
 
@@ -265,7 +265,7 @@ func TestRemoteCancelMidFetch(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ct := &cancellingTransport{Transport: NewLoopback(remote), cancel: cancel}
+	ct := &cancellingTransport{mirrorOnly: mirrorOnly{NewLoopback(remote)}, cancel: cancel}
 	if _, err := n.AddRemotePeer(context.Background(), "big", ct); err != nil {
 		t.Fatal(err)
 	}

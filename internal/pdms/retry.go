@@ -40,9 +40,9 @@ var ErrBudgetExhausted = errors.New("pdms: retry budget exhausted")
 // attempts each operation gets, how the delay between them grows, how
 // long one attempt may run, and how many retries one request may spend
 // in total. The zero value means "one attempt, no timeout, unlimited
-// budget" — exactly the pre-policy behavior. The same type drives the
-// transport client's redial compensation, so the old hard-wired
-// one-shot retry is now one instance of this mechanism.
+// budget". This is the only backoff in the distributed tier: the
+// transport client re-dials a dead pooled connection once without
+// sleeping and returns every other failure here, typed.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries per operation
 	// (1 = no retry). Values < 1 mean 1.
@@ -224,11 +224,10 @@ func jitterSleep(ctx context.Context, p RetryPolicy, retry int) error {
 // bounded by OpTimeout, with capped jittered exponential backoff
 // between them, every retry drawn from the request's shared budget.
 // retries reports how many retries actually ran (observability — the
-// perf ledger and the churn harness read the aggregate counter this
-// feeds). The returned error is the last attempt's, wrapped with
-// ErrBudgetExhausted when the pot ran dry, and classified by the
-// caller (remote.go wraps unreachable-class failures with
-// ErrPeerUnreachable).
+// churn harness reads the aggregate counter this feeds). The returned
+// error is the last attempt's, wrapped with ErrBudgetExhausted when the
+// pot ran dry, and classified by the caller (remote.go wraps
+// unreachable-class failures with ErrPeerUnreachable).
 func retryOp(ctx context.Context, p RetryPolicy, budget *retryBudget, op func(context.Context) error) (retries int, err error) {
 	attempts := p.attempts()
 	for attempt := 1; ; attempt++ {

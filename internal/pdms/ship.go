@@ -43,7 +43,8 @@ const (
 	// ShipAlways ships every eligible stale relation regardless of the
 	// statistics model — the deterministic mode the differential tests
 	// pin the ship path with. Ineligible relations (an atom with no
-	// variables, or a transport without PlanTransport) still mirror.
+	// variables) and relations whose serving node refuses the plan
+	// still mirror.
 	ShipAlways
 )
 
@@ -82,22 +83,6 @@ const shipLimitFactor = 64
 // would wrongly exclude rows), so a low-selectivity column never ships
 // a megabyte of values to save a kilobyte of tuples.
 const shipBindingCap = 2048
-
-// PlanTransport is the optional remote-execution extension of
-// Transport: a transport that can ship a conjunctive sub-plan to the
-// serving peer and stream back the distinct result tuples. Transports
-// that cannot simply don't implement the interface; callers probe with
-// a type assertion and fall back to Scan.
-type PlanTransport interface {
-	Transport
-	// ExecPlan executes sp at the serving peer, calling deliver for
-	// each batch of distinct result tuples in order. Failures the
-	// caller should absorb by mirroring instead — an old server, a plan
-	// the peer cannot compile, a row-budget overflow — match
-	// ErrPlanUnsupported via errors.Is; everything else is a real
-	// transport failure.
-	ExecPlan(ctx context.Context, peer string, sp relation.SubPlan, deliver func([]relation.Tuple) error) error
-}
 
 // SyncPath records which refresh path one remote relation took during
 // request preparation: "ship" (remote sub-plan execution), "push"
@@ -286,10 +271,11 @@ func (o overlayCatalog) Get(name string) *relation.Relation {
 
 // planShips decides, per stale relation the fetch path queued, whether
 // to refresh it by remote execution, attaching a shipSpec to the jobs
-// that ship. Eligibility: the peer's transport implements
-// PlanTransport, and every atom referencing the relation carries at
-// least one variable (a reconstructed row needs the variable positions
-// to cover what the pattern's constants don't). Under ShipAuto the
+// that ship. Eligibility: every atom referencing the relation carries
+// at least one variable (a reconstructed row needs the variable
+// positions to cover what the pattern's constants don't); whether the
+// serving node can run a plan at all is its answer to ExecPlan, and a
+// typed refusal mirrors inside the same job. Under ShipAuto the
 // statistics model additionally requires the estimated shipped bytes —
 // result rows plus forwarded binding values — to be well under the
 // relation's row count; relations without per-column distinct
@@ -302,13 +288,7 @@ func (n *Network) planShips(rws []cq.Query, jobs []fetchJob, mode ShipMode,
 	byQName := make(map[string]*fetchJob, len(jobs))
 	for i := range jobs {
 		job := &jobs[i]
-		if _, can := job.rp.tr.(PlanTransport); !can {
-			continue
-		}
 		byQName[glav.QualifiedName(job.rp.name, job.rel)] = job
-	}
-	if len(byQName) == 0 {
-		return
 	}
 	specs := make(map[string]*shipSpec, len(byQName))
 	ineligible := make(map[string]bool)
@@ -535,7 +515,6 @@ func shipWorthIt(parts []shipPart, st relation.Stats) bool {
 // errors flow into the ordinary degradation handling.
 func (n *Network) runShip(ctx context.Context, pol RetryPolicy, budget *retryBudget,
 	job fetchJob) (*relation.Relation, int, error) {
-	pt := job.rp.tr.(PlanTransport)
 	schema := job.rp.mirror.Schema(job.rel)
 	// The overlay replica carries the qualified name the per-request
 	// catalog resolves atoms by (mirror replicas stay unqualified —
@@ -553,7 +532,7 @@ func (n *Network) runShip(ctx context.Context, pol RetryPolicy, budget *retryBud
 		var rows []relation.Tuple
 		r, err := retryOp(ctx, pol, budget, func(actx context.Context) error {
 			rows = rows[:0]
-			return pt.ExecPlan(actx, job.rp.name, part.sp, func(batch []relation.Tuple) error {
+			return job.rp.tr.ExecPlan(actx, job.rp.name, part.sp, func(batch []relation.Tuple) error {
 				for _, h := range batch {
 					if len(h) != len(part.sp.HeadVars) {
 						return fmt.Errorf("shipped answer arity %d, want %d", len(h), len(part.sp.HeadVars))

@@ -18,12 +18,19 @@ import (
 // variable long: in-process vs loopback isolates the encoding, and
 // loopback vs TCP isolates the sockets.
 
-// Transport is how a Network reaches a peer hosted on another node. The
-// three read operations mirror the wire protocol's request kinds
-// (PROTOCOL.md): a cheap statistics fingerprint used to decide whether
-// anything must move, the peer's relation schemas, and a streaming scan
-// of one relation's tuples. Implementations must be safe for concurrent
-// use — the fetch path scans several relations at once.
+// Transport is how a Network reaches a peer hosted on another node: the
+// six request kinds of the wire protocol (PROTOCOL.md). State, Schemas
+// and Scan are the mirror path — a cheap statistics fingerprint used to
+// decide whether anything must move, the peer's relation schemas, and a
+// streaming scan of one relation's tuples. Delta, ExecPlan and Subscribe
+// are the cheaper refresh paths, and whether the remote node offers them
+// is a fact about that node, learned from its answer and never from the
+// Go type: a node that cannot serve one refuses typed (ok=false,
+// ErrPlanUnsupported, ErrPushUnsupported) and the coordinator falls
+// back down the ladder, exactly as a new client meets an old server on
+// the wire. A decorator therefore forwards every method. Implementations
+// must be safe for concurrent use — the fetch path scans several
+// relations at once.
 type Transport interface {
 	// State returns the peer's current statistics fingerprint: its
 	// schema version plus, per relation, row count, mutation version,
@@ -36,27 +43,50 @@ type Transport interface {
 	// deliver for each batch in order. A deliver error or ctx
 	// cancellation aborts the scan with that error.
 	Scan(ctx context.Context, peer, rel string, deliver func([]relation.Tuple) error) error
+	// Delta returns rel's change records with version > since, in log
+	// order, so a mirror holding a replica at that version applies a
+	// handful of records instead of re-scanning the relation. ok=false
+	// (with a nil error) means the serving side cannot cover the range —
+	// the peer is not durable, a checkpoint discarded the records, or
+	// the node predates the Delta request — and the caller falls back to
+	// a full scan. The final record's fingerprint may be newer than the
+	// State probe that motivated the call — the mirror lands on the
+	// fresher state, which is fine.
+	Delta(ctx context.Context, peer, rel string, since uint64) (recs []relation.ChangeRecord, ok bool, err error)
+	// ExecPlan executes the conjunctive sub-plan sp at the serving peer,
+	// calling deliver for each batch of distinct result tuples in order.
+	// Failures the caller should absorb by mirroring instead — an old
+	// server, a plan the peer cannot compile, a row-budget overflow —
+	// match ErrPlanUnsupported via errors.Is; everything else is a real
+	// transport failure.
+	ExecPlan(ctx context.Context, peer string, sp relation.SubPlan, deliver func([]relation.Tuple) error) error
+	// Subscribe registers a push subscription for every relation the
+	// named peer serves and blocks for its life: it calls ack exactly
+	// once with the peer's statistics fingerprint at subscribe time (so
+	// the subscriber knows which of its replicas are already stale and
+	// must heal through the poll path), then deliver for each pushed
+	// change batch in order, and returns when the subscription ends —
+	// ctx cancellation, a typed ErrSubscriptionGap eviction, an
+	// ErrPushUnsupported refusal, a callback error, or a transport
+	// failure. since lists, per relation, the mutation version the
+	// subscriber last applied; the serving side preloads catch-up
+	// records for every listed relation its durable log still covers,
+	// and simply starts from now for the rest.
+	Subscribe(ctx context.Context, peer string, since map[string]uint64,
+		ack func(PeerState) error, deliver func([]relation.ChangeRecord) error) error
 	// Close releases the transport's resources (connections, pools).
 	Close() error
 }
 
-// DeltaTransport is the optional catch-up extension of Transport: a
-// transport that can ship the change records of one relation since a
-// known mutation version, so a mirror holding a replica at that version
-// applies a handful of records instead of re-scanning the relation.
-// ok=false (with a nil error) means the serving side cannot cover the
-// range — the peer is not durable, a checkpoint discarded the records,
-// or the transport predates the Delta request — and the caller falls
-// back to a full scan. Transports that cannot ever serve deltas simply
-// don't implement the interface.
-type DeltaTransport interface {
-	Transport
-	// Delta returns rel's change records with version > since, in log
-	// order. The final record's fingerprint may be newer than the State
-	// probe that motivated the call — the mirror lands on the fresher
-	// state, which is fine.
-	Delta(ctx context.Context, peer, rel string, since uint64) (recs []relation.ChangeRecord, ok bool, err error)
-}
+// DeltaTransport, PlanTransport and PushTransport were optional
+// extensions of Transport discovered by type assertion; their methods
+// are part of Transport now. The names remain only because the frozen
+// bench/trace.go spells them; the next benchmark PR retires them.
+type (
+	DeltaTransport = Transport
+	PlanTransport  = Transport
+	PushTransport  = Transport
+)
 
 // PeerState is a remote peer's statistics fingerprint: everything a
 // coordinator needs to decide whether its cached replicas and plans are
@@ -88,7 +118,6 @@ type Loopback struct {
 
 	peers     map[string]*Peer
 	scans     atomic.Uint64
-	deltas    atomic.Uint64
 	plans     atomic.Uint64
 	states    atomic.Uint64
 	wireBytes atomic.Uint64
@@ -108,19 +137,14 @@ func NewLoopback(peers ...*Peer) *Loopback {
 // queries move no tuples).
 func (l *Loopback) Scans() uint64 { return l.scans.Load() }
 
-// Deltas returns how many delta catch-ups the transport has served —
-// the counterpart of Scans for the cheap path (tests assert a restarted
-// durable peer's mirror caught up via deltas, not scans).
-func (l *Loopback) Deltas() uint64 { return l.deltas.Load() }
-
 // Plans returns how many shipped sub-plans the transport has executed —
 // the counter differential tests use to assert the ship path actually
 // ran (not silently fell back to mirroring).
 func (l *Loopback) Plans() uint64 { return l.plans.Load() }
 
 // States returns how many statistics-fingerprint probes the transport
-// has served — the counter the push-fanout ledger bench uses to prove
-// a live subscription answers watch iterations with zero State probes.
+// has served — the counter tests use to prove a live subscription
+// answers watch iterations with zero State probes.
 func (l *Loopback) States() uint64 { return l.states.Load() }
 
 // WireBytes returns the total payload bytes the transport has moved
@@ -219,7 +243,7 @@ func (l *Loopback) Scan(ctx context.Context, peer, rel string, deliver func([]re
 	return nil
 }
 
-// Delta implements DeltaTransport, round-tripping the records through
+// Delta implements Transport, round-tripping the records through
 // the change-batch frame codec. ok is false when the served peer cannot
 // cover the range from its resident log (not durable, or checkpointed
 // past since).
@@ -241,11 +265,10 @@ func (l *Loopback) Delta(ctx context.Context, peer, rel string, since uint64) ([
 	if err != nil {
 		return nil, false, fmt.Errorf("pdms: loopback delta round trip: %w", err)
 	}
-	l.deltas.Add(1)
 	return decoded, true, nil
 }
 
-// ExecPlan implements PlanTransport: the sub-plan round-trips through
+// ExecPlan implements Transport: the sub-plan round-trips through
 // its wire codec, executes at the served peer under its serving lock,
 // and each answer batch round-trips through the tuple-batch codec on
 // the way back — so loopback plan shipping exercises exactly the bytes
@@ -284,7 +307,7 @@ func (l *Loopback) ExecPlan(ctx context.Context, peer string, sp relation.SubPla
 		})
 }
 
-// Subscribe implements PushTransport: the since-list round-trips
+// Subscribe implements Transport: the since-list round-trips
 // through its wire codec, the served peer registers a bounded change
 // feed, the ack fingerprint round-trips through the stats codec, and
 // every pushed batch round-trips through the change-batch codec — the
@@ -360,11 +383,7 @@ func sinceList(since map[string]uint64) []relation.RelVersion {
 	return out
 }
 
-// compile-time proof the loopback is a PlanTransport.
-var _ PlanTransport = (*Loopback)(nil)
-
-// compile-time proof the loopback is a PushTransport.
-var _ PushTransport = (*Loopback)(nil)
+var _ Transport = (*Loopback)(nil)
 
 // Close implements Transport; a loopback holds no resources.
 func (l *Loopback) Close() error { return nil }

@@ -239,12 +239,6 @@ func (r *Relation) Delete(t Tuple) int {
 	return removed
 }
 
-func (r *Relation) dropIndexes() {
-	r.mu.Lock()
-	r.indexes = nil
-	r.mu.Unlock()
-}
-
 // buildIndexLocked constructs the index for col; r.mu must be held.
 func (r *Relation) buildIndexLocked(col int) {
 	if r.indexes == nil {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sort"
 	"sync"
@@ -31,24 +30,20 @@ const frameOverhead = 5
 // Network.AddRemotePeer exactly like loopback ones. Connections are
 // pooled and handshaken once; requests may run concurrently. A request
 // whose context dies mid-stream poisons its connection (the stream
-// position is unknown) and returns ctx's error. A connection that dies
-// before a single response frame arrives (server restart, dropped
-// session, dial against a rebooting listener) is compensated under
-// Policy: the request redials after a jittered backoff and tries again,
-// up to the policy's attempt count — safe because every op is an
-// idempotent read. Failures carry typed sentinels: connection-level
-// ones match pdms.ErrPeerUnreachable, handshake protocol mismatches
-// match pdms.ErrVersionMismatch (both via errors.Is).
+// position is unknown) and returns ctx's error.
+//
+// The client manages connections and nothing else: it never sleeps and
+// holds no retry policy. Its one compensation is for its own pool — a
+// request that got nothing back on a pooled connection re-dials once,
+// immediately (see do). Every other failure is returned typed to the
+// one backoff implementation, Request.Retry in pdms: connection-level
+// failures match pdms.ErrPeerUnreachable, handshake protocol mismatches
+// match pdms.ErrVersionMismatch (both via errors.Is). What the serving
+// node cannot do is learned from its answer, never from this type: a
+// refused Delta returns ok=false, a refused ExecPlan matches
+// pdms.ErrPlanUnsupported, a refused Subscribe pdms.ErrPushUnsupported.
 type Client struct {
 	addr string
-
-	// Policy declares the redial compensation: attempts per request and
-	// the jittered backoff between them. The zero value means
-	// DefaultClientPolicy. Set before the first request.
-	Policy pdms.RetryPolicy
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 
 	wireBytes atomic.Uint64
 
@@ -63,58 +58,7 @@ type Client struct {
 // assertions read.
 func (c *Client) WireBytes() uint64 { return c.wireBytes.Load() }
 
-// DefaultClientPolicy is the client's built-in redial compensation:
-// one retry (two attempts) after a short jittered delay — the old
-// hard-wired dead-idle-pool retry, now with backoff so a restarting
-// server is not hammered by an immediate redial.
-func DefaultClientPolicy() pdms.RetryPolicy {
-	return pdms.RetryPolicy{
-		MaxAttempts: 2,
-		BaseDelay:   25 * time.Millisecond,
-		MaxDelay:    250 * time.Millisecond,
-		Multiplier:  2,
-		Jitter:      pdms.DefaultRetryJitter,
-	}
-}
-
-// policy returns the effective redial policy.
-func (c *Client) policy() pdms.RetryPolicy {
-	if c.Policy == (pdms.RetryPolicy{}) {
-		return DefaultClientPolicy()
-	}
-	return c.Policy
-}
-
-// backoffSleep sleeps the policy's jittered backoff before the given
-// retry, honoring ctx.
-func (c *Client) backoffSleep(ctx context.Context, pol pdms.RetryPolicy, retry int) error {
-	c.rngMu.Lock()
-	if c.rng == nil {
-		c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
-	d := pol.Backoff(retry, c.rng)
-	c.rngMu.Unlock()
-	if d <= 0 {
-		return ctx.Err()
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// compile-time proof the client is a pdms.Transport, a
-// pdms.DeltaTransport, a pdms.PlanTransport, and a pdms.PushTransport.
-var (
-	_ pdms.Transport      = (*Client)(nil)
-	_ pdms.DeltaTransport = (*Client)(nil)
-	_ pdms.PlanTransport  = (*Client)(nil)
-	_ pdms.PushTransport  = (*Client)(nil)
-)
+var _ pdms.Transport = (*Client)(nil)
 
 // errClientClosed reports a request against a Client after Close —
 // terminal, never retried.
@@ -201,16 +145,18 @@ func (c *Client) dial(ctx context.Context) (*clientConn, error) {
 	return cc, nil
 }
 
-// get pops an idle connection (pooled=true) or dials a fresh one. A
-// pooled connection may have died while idle; do compensates with a
-// one-shot retry when it turns out to be dead.
-func (c *Client) get(ctx context.Context) (cc *clientConn, pooled bool, err error) {
+// get returns the connection one exchange runs on: an idle pooled one
+// when reuse is allowed and the pool has one (pooled=true), a fresh
+// dial otherwise. A pooled connection may have died while idle — that,
+// and only that, is what do's immediate re-dial compensates; a fresh
+// connection's failure is the peer's and is returned to the caller.
+func (c *Client) get(ctx context.Context, reuse bool) (cc *clientConn, pooled bool, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, false, errClientClosed
 	}
-	if n := len(c.idle); n > 0 {
+	if n := len(c.idle); reuse && n > 0 {
 		cc := c.idle[n-1]
 		c.idle = c.idle[:n-1]
 		c.mu.Unlock()
@@ -259,89 +205,110 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// do runs one request/response exchange. handle consumes the response
-// through read (which tracks whether any frame arrived) and reports
-// whether the connection is positioned at a clean request boundary
-// (reusable). Context death mid-exchange poisons the connection via a
-// deadline and surfaces as ctx's error. A connection that turns out to
-// be dead before a single response frame arrives — a pooled conn whose
-// server restarted, or a dial against a listener mid-reboot — is
-// compensated under the client's Policy: every idle conn is dropped
-// (whatever killed one killed its siblings), the request waits a
-// jittered backoff, and redials, up to the policy's attempt count. The
-// three ops are idempotent reads and nothing came back, so the retry
-// cannot duplicate side effects; a request that progressed past the
-// first response frame is never retried here (its deliver callbacks
-// already saw data — op-level retries belong to the caller, who can
-// reset state).
-func (c *Client) do(ctx context.Context, request []byte,
-	handle func(read func() (relation.FrameType, []byte, error)) (reusable bool, err error)) error {
+// exchange is what one op hands the shared request/response loop: the
+// request payload and what to do with the response frames it expects.
+type exchange struct {
+	request []byte
+	// frame consumes one response frame other than an error frame. done
+	// means the response is complete and the connection sits at a clean
+	// request boundary; errUnexpectedFrame means the op does not expect
+	// this frame type here.
+	frame func(typ relation.FrameType, payload []byte) (done bool, err error)
+	// wireErr maps the server's error frame to the op's typed answer
+	// (nil: the *relation.WireError itself is the error).
+	wireErr func(*relation.WireError) error
+	// dedicated runs the exchange on its own fresh connection that is
+	// never pooled and never re-dialled: a subscription owns its
+	// connection for life, and its manager owns resubscribe pacing.
+	dedicated bool
+}
+
+// errUnexpectedFrame is an exchange.frame's verdict on a frame type it
+// does not expect; the loop turns it into the protocol-violation error.
+var errUnexpectedFrame = errors.New("transport: unexpected frame")
+
+// do runs one request/response exchange. A pooled connection that
+// yields nothing — the request could not be written, or the stream
+// ended before one response frame — died while idle, which says
+// nothing about the peer: its idle siblings are dropped (whatever
+// killed one killed them all) and the request runs once more on a
+// fresh dial, immediately. Every op is an idempotent read and no frame
+// reached the op's callbacks, so the second run cannot duplicate
+// anything. A fresh connection that fails, or any exchange that got a
+// frame back, is the peer's answer and returns as is — backoff and
+// further attempts belong to the caller's Request.Retry.
+func (c *Client) do(ctx context.Context, ex exchange) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	pol := c.policy()
-	attempts := pol.MaxAttempts
-	if attempts < 1 {
-		attempts = 1
+	cc, pooled, err := c.get(ctx, !ex.dedicated)
+	if err != nil {
+		return err
 	}
-	for attempt := 1; ; attempt++ {
-		progressed, err := c.doOnce(ctx, request, handle)
-		if err == nil || progressed || attempt >= attempts || ctx.Err() != nil ||
-			errors.Is(err, errClientClosed) || !pdms.Retryable(err) {
-			return err
-		}
-		// Nothing came back on this connection, so its idle siblings are
-		// almost certainly corpses from the same dead server: drop them
-		// all, back off (jittered, so a thundering herd of clients does
-		// not hammer a restarting server in lockstep), then redial fresh.
-		c.dropIdle()
-		if serr := c.backoffSleep(ctx, pol, attempt); serr != nil {
-			return serr
-		}
+	progressed, err := c.doOnce(ctx, cc, ex)
+	if err == nil || !pooled || progressed || ctx.Err() != nil {
+		return err
 	}
+	c.dropIdle()
+	if cc, _, err = c.get(ctx, false); err != nil {
+		return err
+	}
+	_, err = c.doOnce(ctx, cc, ex)
+	return err
 }
 
-// doOnce runs one attempt of a request/response exchange on one
-// connection, reporting whether any response frame arrived (progressed
-// — the boundary past which a retry could duplicate deliveries).
-func (c *Client) doOnce(ctx context.Context, request []byte,
-	handle func(read func() (relation.FrameType, []byte, error)) (reusable bool, err error)) (progressed bool, err error) {
-	cc, _, err := c.get(ctx)
-	if err != nil {
-		return false, err
-	}
-	read := func() (relation.FrameType, []byte, error) {
-		typ, payload, err := relation.ReadFrame(cc.br)
-		if err == nil {
-			progressed = true
-			c.wireBytes.Add(uint64(frameOverhead + len(payload)))
-		} else {
-			// A response stream that dies mid-read — reset, EOF, or a
-			// corrupted frame — is a connection-level failure: typed
-			// unreachable, so callers can errors.Is it and retry policies
-			// can classify it.
-			err = fmt.Errorf("%w: %w", pdms.ErrPeerUnreachable, err)
-		}
-		return typ, payload, err
-	}
+// doOnce runs the exchange on cc and disposes of cc: back to the pool
+// when the response ended at a clean request boundary, closed
+// otherwise. It reports whether any response frame arrived
+// (progressed). Context death mid-exchange poisons the connection via
+// a deadline and surfaces as ctx's error.
+func (c *Client) doOnce(ctx context.Context, cc *clientConn, ex exchange) (progressed bool, err error) {
 	stop := context.AfterFunc(ctx, func() {
 		cc.c.SetDeadline(time.Now()) // unblock any pending read/write
 	})
 	reusable := false
 	err = func() error {
-		if err := relation.WriteFrame(cc.bw, relation.FrameRequest, request); err != nil {
+		if err := relation.WriteFrame(cc.bw, relation.FrameRequest, ex.request); err != nil {
 			return fmt.Errorf("%w: request write: %w", pdms.ErrPeerUnreachable, err)
 		}
 		if err := cc.bw.Flush(); err != nil {
 			return fmt.Errorf("%w: request write: %w", pdms.ErrPeerUnreachable, err)
 		}
-		c.wireBytes.Add(uint64(frameOverhead + len(request)))
-		var herr error
-		reusable, herr = handle(read)
-		return herr
+		c.wireBytes.Add(uint64(frameOverhead + len(ex.request)))
+		for {
+			typ, payload, err := relation.ReadFrame(cc.br)
+			if err != nil {
+				// A response stream that dies mid-read — reset, EOF, or a
+				// corrupted frame — is a connection-level failure: typed
+				// unreachable, so callers can errors.Is it and retry policies
+				// can classify it.
+				return fmt.Errorf("%w: %w", pdms.ErrPeerUnreachable, err)
+			}
+			progressed = true
+			c.wireBytes.Add(uint64(frameOverhead + len(payload)))
+			if typ == relation.FrameError {
+				we, derr := relation.DecodeError(payload)
+				if derr != nil {
+					return derr
+				}
+				reusable = requestLevel(we.Code)
+				if ex.wireErr != nil {
+					return ex.wireErr(we)
+				}
+				return we
+			}
+			done, err := ex.frame(typ, payload)
+			if err == errUnexpectedFrame {
+				err = fmt.Errorf("transport: unexpected frame type %d in response to op %d", typ, ex.request[0])
+			}
+			if done || err != nil {
+				reusable = done
+				return err
+			}
+		}
 	}()
 	if !stop() {
-		// The watchdog fired: whatever handle saw (a deadline error, a
+		// The watchdog fired: whatever the loop saw (a deadline error, a
 		// partial frame) is really a cancellation.
 		cc.c.Close()
 		if cerr := ctx.Err(); cerr != nil {
@@ -349,9 +316,9 @@ func (c *Client) doOnce(ctx context.Context, request []byte,
 		}
 		return progressed, err
 	}
-	if reusable {
+	if reusable && !ex.dedicated {
 		// reusable may hold even when err != nil: request-level error
-		// frames leave the stream at a clean boundary (readErrorFrame).
+		// frames leave the stream at a clean boundary (requestLevel).
 		c.put(cc)
 	} else {
 		cc.c.Close()
@@ -359,49 +326,38 @@ func (c *Client) doOnce(ctx context.Context, request []byte,
 	return progressed, err
 }
 
-// readErrorFrame decodes an error frame into a *relation.WireError and
-// reports whether the connection stays at a clean request boundary.
-// Per PROTOCOL.md only the request-level codes (unknown peer, unknown
-// relation, delta unavailable, plan unsupported, row budget) leave the
-// server's side of the connection open; for every other code the
-// server closes, so pooling the connection would hand a dead socket to
-// a later request.
-func readErrorFrame(payload []byte) (reusable bool, err error) {
-	we, derr := relation.DecodeError(payload)
-	if derr != nil {
-		return false, derr
-	}
-	switch we.Code {
+// requestLevel reports whether an error frame with this code leaves the
+// connection at a clean request boundary. Per PROTOCOL.md only the
+// request-level codes (unknown peer, unknown relation, delta
+// unavailable, plan unsupported, row budget) leave the server's side of
+// the connection open; for every other code the server closes, so
+// pooling the connection would hand a dead socket to a later request.
+func requestLevel(code uint64) bool {
+	switch code {
 	case relation.ErrCodeUnknownPeer, relation.ErrCodeUnknownRelation,
 		relation.ErrCodeDeltaUnavailable, relation.ErrCodePlanUnsupported,
 		relation.ErrCodeRowBudget:
-		reusable = true
+		return true
 	}
-	return reusable, we
+	return false
 }
 
 // State implements pdms.Transport: one OpState round trip for the
 // peer's statistics fingerprint.
 func (c *Client) State(ctx context.Context, peer string) (pdms.PeerState, error) {
 	var st pdms.PeerState
-	err := c.do(ctx, encodeRequest(OpState, peer, ""), func(read func() (relation.FrameType, []byte, error)) (bool, error) {
-		typ, payload, err := read()
-		if err != nil {
-			return false, err
-		}
-		switch typ {
-		case relation.FrameStats:
+	err := c.do(ctx, exchange{request: encodeRequest(OpState, peer, ""),
+		frame: func(typ relation.FrameType, payload []byte) (bool, error) {
+			if typ != relation.FrameStats {
+				return false, errUnexpectedFrame
+			}
 			sv, stats, err := relation.DecodePeerStats(payload)
 			if err != nil {
 				return false, err
 			}
 			st = pdms.PeerState{SchemaVersion: sv, Relations: stats}
 			return true, nil
-		case relation.FrameError:
-			return readErrorFrame(payload)
-		}
-		return false, fmt.Errorf("transport: unexpected frame type %d in state response", typ)
-	})
+		}})
 	return st, err
 }
 
@@ -409,13 +365,8 @@ func (c *Client) State(ctx context.Context, peer string) (pdms.PeerState, error)
 // peer's relation schemas.
 func (c *Client) Schemas(ctx context.Context, peer string) ([]relation.Schema, error) {
 	var out []relation.Schema
-	err := c.do(ctx, encodeRequest(OpSchemas, peer, ""), func(read func() (relation.FrameType, []byte, error)) (bool, error) {
-		out = out[:0] // a retry must not keep frames from the dead attempt
-		for {
-			typ, payload, err := read()
-			if err != nil {
-				return false, err
-			}
+	err := c.do(ctx, exchange{request: encodeRequest(OpSchemas, peer, ""),
+		frame: func(typ relation.FrameType, payload []byte) (bool, error) {
 			switch typ {
 			case relation.FrameSchema:
 				s, err := relation.DecodeSchema(payload)
@@ -423,22 +374,19 @@ func (c *Client) Schemas(ctx context.Context, peer string) ([]relation.Schema, e
 					return false, err
 				}
 				out = append(out, s)
+				return false, nil
 			case relation.FrameEnd:
 				return true, nil
-			case relation.FrameError:
-				return readErrorFrame(payload)
-			default:
-				return false, fmt.Errorf("transport: unexpected frame type %d in schemas response", typ)
 			}
-		}
-	})
+			return false, errUnexpectedFrame
+		}})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// Delta implements pdms.DeltaTransport: one OpDelta round trip for the
+// Delta implements pdms.Transport: one OpDelta round trip for the
 // relation's change records since a mutation version. A request-level
 // ErrCodeDeltaUnavailable answer — the serving peer is not durable, or
 // its log no longer covers the range — returns ok=false with no error
@@ -446,34 +394,66 @@ func (c *Client) Schemas(ctx context.Context, peer string) ([]relation.Schema, e
 func (c *Client) Delta(ctx context.Context, peer, rel string, since uint64) ([]relation.ChangeRecord, bool, error) {
 	var recs []relation.ChangeRecord
 	ok := false
-	err := c.do(ctx, encodeDeltaRequest(peer, rel, since), func(read func() (relation.FrameType, []byte, error)) (bool, error) {
-		recs, ok = nil, false // a retry must not keep a dead attempt's records
-		typ, payload, err := read()
-		if err != nil {
-			return false, err
-		}
-		switch typ {
-		case relation.FrameDelta:
-			batch, derr := relation.DecodeChangeBatch(payload)
-			if derr != nil {
-				return false, derr
+	err := c.do(ctx, exchange{request: encodeDeltaRequest(peer, rel, since),
+		frame: func(typ relation.FrameType, payload []byte) (bool, error) {
+			if typ != relation.FrameDelta {
+				return false, errUnexpectedFrame
+			}
+			batch, err := relation.DecodeChangeBatch(payload)
+			if err != nil {
+				return false, err
 			}
 			recs, ok = batch, true
 			return true, nil
-		case relation.FrameError:
-			reusable, werr := readErrorFrame(payload)
-			var we *relation.WireError
-			if errors.As(werr, &we) && we.Code == relation.ErrCodeDeltaUnavailable {
-				return reusable, nil // a clean "can't cover it": scan instead
+		},
+		wireErr: func(we *relation.WireError) error {
+			if we.Code == relation.ErrCodeDeltaUnavailable {
+				return nil // a clean "can't cover it": scan instead
 			}
-			return reusable, werr
-		}
-		return false, fmt.Errorf("transport: unexpected frame type %d in delta response", typ)
-	})
+			return we
+		}})
 	return recs, ok, err
 }
 
-// ExecPlan implements pdms.PlanTransport: one OpQuery round trip that
+// tupleStream is the response Scan and ExecPlan share: one schema
+// frame, then tuple batches handed to deliver as they arrive, then end.
+// A deliver error abandons the stream (the connection is discarded, not
+// drained).
+func tupleStream(deliver func([]relation.Tuple) error) func(relation.FrameType, []byte) (bool, error) {
+	sawSchema := false
+	return func(typ relation.FrameType, payload []byte) (bool, error) {
+		switch typ {
+		case relation.FrameSchema:
+			if sawSchema {
+				return false, errors.New("transport: duplicate schema frame in tuple stream")
+			}
+			sawSchema = true
+			_, err := relation.DecodeSchema(payload)
+			return false, err
+		case relation.FrameTupleBatch:
+			if !sawSchema {
+				return false, errors.New("transport: batch before schema frame in tuple stream")
+			}
+			batch, err := relation.DecodeTupleBatch(payload)
+			if err != nil {
+				return false, err
+			}
+			return false, deliver(batch)
+		case relation.FrameEnd:
+			return true, nil
+		}
+		return false, errUnexpectedFrame
+	}
+}
+
+// Scan implements pdms.Transport: the relation's tuples stream in as
+// batch frames, each handed to deliver as it arrives.
+func (c *Client) Scan(ctx context.Context, peer, rel string, deliver func([]relation.Tuple) error) error {
+	return c.do(ctx, exchange{request: encodeRequest(OpScan, peer, rel),
+		frame: tupleStream(deliver)})
+}
+
+// ExecPlan implements pdms.Transport: one OpQuery round trip that
 // executes the sub-plan at the serving peer and streams its distinct
 // answers to deliver batch by batch. A server that cannot run the plan
 // — an old binary answering ErrCodeBadRequest for the unknown op, a
@@ -483,69 +463,32 @@ func (c *Client) Delta(ctx context.Context, peer, rel string, since uint64) ([]r
 // mirroring; budget overflows additionally match pdms.ErrPlanBudget.
 func (c *Client) ExecPlan(ctx context.Context, peer string, sp relation.SubPlan,
 	deliver func([]relation.Tuple) error) error {
-	return c.do(ctx, encodeQueryRequest(peer, sp), func(read func() (relation.FrameType, []byte, error)) (bool, error) {
-		sawSchema := false
-		for {
-			typ, payload, err := read()
-			if err != nil {
-				return false, err
+	return c.do(ctx, exchange{request: encodeQueryRequest(peer, sp),
+		frame: tupleStream(deliver),
+		wireErr: func(we *relation.WireError) error {
+			switch we.Code {
+			case relation.ErrCodeRowBudget:
+				return fmt.Errorf("%w: %w", pdms.ErrPlanBudget, we)
+			case relation.ErrCodePlanUnsupported, relation.ErrCodeBadRequest:
+				// ErrCodeBadRequest is how servers predating OpQuery answer
+				// the unknown op (and they close the conn, which requestLevel
+				// already reflects): same clean fallback.
+				return fmt.Errorf("%w: %w", pdms.ErrPlanUnsupported, we)
 			}
-			switch typ {
-			case relation.FrameSchema:
-				if sawSchema {
-					return false, errors.New("transport: duplicate schema frame in query")
-				}
-				if _, err := relation.DecodeSchema(payload); err != nil {
-					return false, err
-				}
-				sawSchema = true
-			case relation.FrameTupleBatch:
-				if !sawSchema {
-					return false, errors.New("transport: batch before schema frame in query")
-				}
-				batch, err := relation.DecodeTupleBatch(payload)
-				if err != nil {
-					return false, err
-				}
-				if err := deliver(batch); err != nil {
-					return false, err
-				}
-			case relation.FrameEnd:
-				return true, nil
-			case relation.FrameError:
-				reusable, werr := readErrorFrame(payload)
-				var we *relation.WireError
-				if errors.As(werr, &we) {
-					switch we.Code {
-					case relation.ErrCodeRowBudget:
-						return reusable, fmt.Errorf("%w: %w", pdms.ErrPlanBudget, we)
-					case relation.ErrCodePlanUnsupported, relation.ErrCodeBadRequest:
-						// ErrCodeBadRequest is how servers predating OpQuery
-						// answer the unknown op (and they close the conn, which
-						// reusable=false already reflects): same clean fallback.
-						return reusable, fmt.Errorf("%w: %w", pdms.ErrPlanUnsupported, we)
-					}
-				}
-				return reusable, werr
-			default:
-				return false, fmt.Errorf("transport: unexpected frame type %d in query response", typ)
-			}
-		}
-	})
+			return we
+		}})
 }
 
-// Subscribe implements pdms.PushTransport: one OpSubscribe exchange on
-// a dedicated connection (never pooled — the subscription owns it for
-// its whole life, and the server closes it when the subscription ends).
-// The server's stats-frame ack reaches ack, then every pushed delta
-// frame's records reach deliver in commit order, until ctx dies, the
-// server ends the subscription, or a callback fails. The error
-// classifies the ending: pdms.ErrPushUnsupported for a push-disabled or
-// pre-push server (terminal — poll instead), pdms.ErrSubscriptionGap
-// for a feed overflow (resubscribe after the poll path heals), and
-// pdms.ErrPeerUnreachable-class for connection failures. The client's
-// redial Policy deliberately does not apply: the subscription manager
-// owns resubscribe pacing.
+// Subscribe implements pdms.Transport: one OpSubscribe exchange on a
+// dedicated connection (the subscription owns it for its whole life,
+// and the server closes it when the subscription ends). The server's
+// stats-frame ack reaches ack, then every pushed delta frame's records
+// reach deliver in commit order, until ctx dies, the server ends the
+// subscription, or a callback fails. The error classifies the ending:
+// pdms.ErrPushUnsupported for a push-disabled or pre-push server
+// (terminal — poll instead), pdms.ErrSubscriptionGap for a feed
+// overflow (resubscribe after the poll path heals), and
+// pdms.ErrPeerUnreachable-class for connection failures.
 func (c *Client) Subscribe(ctx context.Context, peer string, since map[string]uint64,
 	ack func(pdms.PeerState) error, deliver func([]relation.ChangeRecord) error) error {
 	sinceList := make([]relation.RelVersion, 0, len(since))
@@ -553,120 +496,42 @@ func (c *Client) Subscribe(ctx context.Context, peer string, since map[string]ui
 		sinceList = append(sinceList, relation.RelVersion{Rel: rel, Ver: ver})
 	}
 	sort.Slice(sinceList, func(i, j int) bool { return sinceList[i].Rel < sinceList[j].Rel })
-	cc, err := c.dial(ctx)
-	if err != nil {
-		return err
-	}
-	defer cc.c.Close()
-	stop := context.AfterFunc(ctx, func() {
-		cc.c.SetDeadline(time.Now()) // unblock the blocking frame read
-	})
-	defer stop()
-	err = func() error {
-		request := encodeSubscribeRequest(peer, sinceList)
-		if err := relation.WriteFrame(cc.bw, relation.FrameRequest, request); err != nil {
-			return fmt.Errorf("%w: subscribe write: %w", pdms.ErrPeerUnreachable, err)
-		}
-		if err := cc.bw.Flush(); err != nil {
-			return fmt.Errorf("%w: subscribe write: %w", pdms.ErrPeerUnreachable, err)
-		}
-		c.wireBytes.Add(uint64(frameOverhead + len(request)))
-		acked := false
-		for {
-			typ, payload, err := relation.ReadFrame(cc.br)
-			if err != nil {
-				return fmt.Errorf("%w: subscription: %w", pdms.ErrPeerUnreachable, err)
-			}
-			c.wireBytes.Add(uint64(frameOverhead + len(payload)))
+	acked := false
+	return c.do(ctx, exchange{request: encodeSubscribeRequest(peer, sinceList),
+		dedicated: true,
+		frame: func(typ relation.FrameType, payload []byte) (bool, error) {
 			switch typ {
 			case relation.FrameStats:
 				if acked {
-					return errors.New("transport: duplicate stats frame in subscription")
-				}
-				sv, stats, err := relation.DecodePeerStats(payload)
-				if err != nil {
-					return err
-				}
-				if err := ack(pdms.PeerState{SchemaVersion: sv, Relations: stats}); err != nil {
-					return err
+					return false, errors.New("transport: duplicate stats frame in subscription")
 				}
 				acked = true
+				sv, stats, err := relation.DecodePeerStats(payload)
+				if err != nil {
+					return false, err
+				}
+				return false, ack(pdms.PeerState{SchemaVersion: sv, Relations: stats})
 			case relation.FrameDelta:
 				if !acked {
-					return errors.New("transport: delta before stats ack in subscription")
+					return false, errors.New("transport: delta before stats ack in subscription")
 				}
 				recs, err := relation.DecodeChangeBatch(payload)
 				if err != nil {
-					return err
-				}
-				if err := deliver(recs); err != nil {
-					return err
-				}
-			case relation.FrameError:
-				we, derr := relation.DecodeError(payload)
-				if derr != nil {
-					return derr
-				}
-				switch we.Code {
-				case relation.ErrCodeBadRequest:
-					// How push-disabled servers — and pre-push servers, for
-					// which the op itself is unknown — refuse a subscription.
-					return fmt.Errorf("%w: %w", pdms.ErrPushUnsupported, we)
-				case relation.ErrCodeSubscribeGap:
-					return fmt.Errorf("%w: %w", pdms.ErrSubscriptionGap, we)
-				}
-				return we
-			default:
-				return fmt.Errorf("transport: unexpected frame type %d in subscription", typ)
-			}
-		}
-	}()
-	if cerr := ctx.Err(); cerr != nil {
-		// The watchdog poisoned the connection; whatever the read saw is
-		// really a cancellation.
-		return cerr
-	}
-	return err
-}
-
-// Scan implements pdms.Transport: the relation's tuples stream in as
-// batch frames, each handed to deliver as it arrives. A deliver error
-// abandons the stream (the connection is discarded, not drained).
-func (c *Client) Scan(ctx context.Context, peer, rel string, deliver func([]relation.Tuple) error) error {
-	return c.do(ctx, encodeRequest(OpScan, peer, rel), func(read func() (relation.FrameType, []byte, error)) (bool, error) {
-		sawSchema := false
-		for {
-			typ, payload, err := read()
-			if err != nil {
-				return false, err
-			}
-			switch typ {
-			case relation.FrameSchema:
-				if sawSchema {
-					return false, errors.New("transport: duplicate schema frame in scan")
-				}
-				if _, err := relation.DecodeSchema(payload); err != nil {
 					return false, err
 				}
-				sawSchema = true
-			case relation.FrameTupleBatch:
-				if !sawSchema {
-					return false, errors.New("transport: batch before schema frame in scan")
-				}
-				batch, err := relation.DecodeTupleBatch(payload)
-				if err != nil {
-					return false, err
-				}
-				if err := deliver(batch); err != nil {
-					return false, err
-				}
-			case relation.FrameEnd:
-				return true, nil
-			case relation.FrameError:
-				return readErrorFrame(payload)
-			default:
-				return false, fmt.Errorf("transport: unexpected frame type %d in scan response", typ)
+				return false, deliver(recs)
 			}
-		}
-	})
+			return false, errUnexpectedFrame
+		},
+		wireErr: func(we *relation.WireError) error {
+			switch we.Code {
+			case relation.ErrCodeBadRequest:
+				// How push-disabled servers — and pre-push servers, for
+				// which the op itself is unknown — refuse a subscription.
+				return fmt.Errorf("%w: %w", pdms.ErrPushUnsupported, we)
+			case relation.ErrCodeSubscribeGap:
+				return fmt.Errorf("%w: %w", pdms.ErrSubscriptionGap, we)
+			}
+			return we
+		}})
 }

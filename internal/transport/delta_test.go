@@ -61,13 +61,12 @@ func TestDeltaTCPMatchesLoopback(t *testing.T) {
 // TestDeltaUnavailableKeepsConnection covers every fall-back answer:
 // a checkpointed-away range, a non-durable peer, and an unknown
 // relation all yield (nil, false, nil) — a clean "rescan" signal, not an
-// error — and the connection survives to serve the next request even
-// with retries disabled (a closed-but-pooled conn would fail it).
+// error — and the connection survives to serve the next requests (a
+// closed one would cost a fresh dial, which the listener would see).
 func TestDeltaUnavailableKeepsConnection(t *testing.T) {
 	durable := durableServedPeer(t, 4)
-	_, addr := startServer(t, durable)
+	_, addr, ln := startCountingServer(t, durable)
 	c := dialT(t, addr)
-	c.Policy = pdms.RetryPolicy{MaxAttempts: 1}
 	ctx := context.Background()
 
 	if err := durable.Checkpoint(); err != nil {
@@ -87,6 +86,9 @@ func TestDeltaUnavailableKeepsConnection(t *testing.T) {
 	}
 	if _, ok, err := c.Delta(ctx, "served", "ghost", 0); err != nil || ok {
 		t.Fatalf("unknown relation: ok=%v err=%v, want false nil", ok, err)
+	}
+	if got := ln.accepts.Load(); got != 1 {
+		t.Fatalf("%d connections across three exchanges, want the one Dial opened", got)
 	}
 
 	plain := servedPeer(t, 3)

@@ -14,10 +14,24 @@ import (
 	"repro/internal/workload"
 )
 
-// scanOnly hides ExecPlan from a plan-capable transport: the embedded
-// interface is pdms.Transport, so a PlanTransport type assertion fails
-// and the coordinator must mirror — the "old node" in mixed networks.
+// scanOnly is the "old node" in mixed networks: State, Schemas and Scan
+// pass through to a full transport, while Delta, ExecPlan and Subscribe
+// answer with the typed refusals of a node that predates them, so the
+// coordinator must mirror.
 type scanOnly struct{ pdms.Transport }
+
+func (scanOnly) Delta(context.Context, string, string, uint64) ([]relation.ChangeRecord, bool, error) {
+	return nil, false, nil
+}
+
+func (scanOnly) ExecPlan(context.Context, string, relation.SubPlan, func([]relation.Tuple) error) error {
+	return fmt.Errorf("%w: scan-only test transport", pdms.ErrPlanUnsupported)
+}
+
+func (scanOnly) Subscribe(context.Context, string, map[string]uint64,
+	func(pdms.PeerState) error, func([]relation.ChangeRecord) error) error {
+	return fmt.Errorf("%w: scan-only test transport", pdms.ErrPushUnsupported)
+}
 
 // shipRequest is titleRequest with the given ship mode.
 func shipRequest(g *workload.GeneratedNetwork, par int, mode pdms.ShipMode) pdms.Request {
@@ -206,10 +220,10 @@ func TestExecPlanCancelMidStreamTCP(t *testing.T) {
 // the connection pooled — the very next request reuses it.
 func TestExecPlanRequestLevelErrors(t *testing.T) {
 	p := servedPeer(t, 500)
-	srv, addr := startServer(t, p)
+	srv, addr, ln := startCountingServer(t, p)
 	srv.BatchSize = 64
 	c := dialT(t, addr)
-	c.Policy = pdms.RetryPolicy{MaxAttempts: 1} // a closed conn would fail the reuse probe
+	dialled := ln.accepts.Load()
 
 	err := c.ExecPlan(context.Background(), "served", execCourse(10),
 		func([]relation.Tuple) error { return nil })
@@ -230,11 +244,14 @@ func TestExecPlanRequestLevelErrors(t *testing.T) {
 		t.Fatalf("unknown relation: err = %v, must not claim a budget overflow", err)
 	}
 
-	// Both errors were request-level: with retries off, the next request
-	// only succeeds if the connection stayed pooled and healthy.
+	// Both errors were request-level: the next request runs on the same
+	// pooled connection — a closed one would cost a fresh dial.
 	st, err := c.State(context.Background(), "served")
 	if err != nil {
 		t.Fatalf("request after plan errors failed — connection poisoned? %v", err)
+	}
+	if got := ln.accepts.Load(); got != dialled {
+		t.Fatalf("%d connections after two request-level errors, want the pooled %d", got, dialled)
 	}
 	if len(st.Relations) != 1 || st.Relations[0].Stats.Rows != 500 {
 		t.Fatalf("state after plan errors: %+v", st)
@@ -247,10 +264,9 @@ func TestExecPlanRequestLevelErrors(t *testing.T) {
 // network fault — and must not pool the cut connection.
 func TestExecPlanConnectionCut(t *testing.T) {
 	p := servedPeer(t, 500)
-	srv, addr := startServer(t, p)
+	srv, addr, ln := startCountingServer(t, p)
 	srv.BatchSize = 64
 	c := dialT(t, dropProxy(t, addr, 1500))
-	c.Policy = pdms.RetryPolicy{MaxAttempts: 1}
 	rows := 0
 	err := c.ExecPlan(context.Background(), "served", execCourse(0), func(batch []relation.Tuple) error {
 		rows += len(batch)
@@ -268,9 +284,15 @@ func TestExecPlanConnectionCut(t *testing.T) {
 	if rows >= 500 {
 		t.Fatalf("saw all %d rows despite the cut", rows)
 	}
+	if n := idleConns(c); n != 0 {
+		t.Fatalf("%d connections pooled after the cut, want 0", n)
+	}
 	st, err := c.State(context.Background(), "served")
 	if err != nil {
-		t.Fatalf("request after cut failed — poisoned conn pooled? %v", err)
+		t.Fatalf("request after cut failed: %v", err)
+	}
+	if got := ln.accepts.Load(); got != 2 {
+		t.Fatalf("%d connections, want 2: the cut one and one fresh dial", got)
 	}
 	if len(st.Relations) != 1 || st.Relations[0].Stats.Rows != 500 {
 		t.Fatalf("state after cut: %+v", st)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,18 +20,59 @@ import (
 	"repro/internal/workload"
 )
 
-// startServer boots a TCP server for the given peers on an ephemeral
-// port, returning the client address.
-func startServer(t *testing.T, peers ...*pdms.Peer) (*Server, string) {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// countingListener counts the connections a test's own listener
+// accepted. An exchange on a pooled connection leaves the count where
+// it was and a fresh dial moves it by one, so "pooled / not pooled" and
+// "re-dialled once" are asserted without a clock. A successful dial has
+// completed the handshake, so its accept is already counted when the
+// client call returns.
+type countingListener struct {
+	net.Listener
+	accepts atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepts.Add(1)
 	}
+	return c, err
+}
+
+// listenCounting opens a counting listener on addr.
+func listenCounting(t *testing.T, addr string) *countingListener {
+	t.Helper()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatalf("listening on %s: %v", addr, err)
+	}
+	return &countingListener{Listener: ln}
+}
+
+// startCountingServer boots a TCP server for the given peers on an
+// ephemeral port, returning the client address and the listener's
+// accept counter.
+func startCountingServer(t *testing.T, peers ...*pdms.Peer) (*Server, string, *countingListener) {
+	t.Helper()
+	ln := listenCounting(t, "127.0.0.1:0")
 	srv := NewServer(peers...)
 	go srv.Serve(ln)
 	t.Cleanup(func() { srv.Close() })
-	return srv, ln.Addr().String()
+	return srv, ln.Addr().String(), ln
+}
+
+// startServer is startCountingServer for tests that count nothing.
+func startServer(t *testing.T, peers ...*pdms.Peer) (*Server, string) {
+	t.Helper()
+	srv, addr, _ := startCountingServer(t, peers...)
+	return srv, addr
+}
+
+// idleConns reports how many connections sit in the client's pool.
+func idleConns(c *Client) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.idle)
 }
 
 // dialT dials with test cleanup.
@@ -265,15 +307,14 @@ func dropProxy(t *testing.T, target string, limit int64) string {
 // response bytes — the server crashing mid-TupleBatch stream: the scan
 // fails with a typed transport error rather than returning a silent
 // partial answer, and the poisoned connection is never pooled (the next
-// request succeeds on a fresh one even with retries disabled).
+// request dials exactly one fresh one).
 func TestConnectionDropMidScan(t *testing.T) {
 	p := servedPeer(t, 500)
-	srv, addr := startServer(t, p)
+	srv, addr, ln := startCountingServer(t, p)
 	srv.BatchSize = 64
 	// Enough for the handshake, the request's schema frame, and about
 	// one batch — then the wire goes dead.
 	c := dialT(t, dropProxy(t, addr, 1500))
-	c.Policy = pdms.RetryPolicy{MaxAttempts: 1} // a pooled corpse would be fatal below
 	rows := 0
 	err := c.Scan(context.Background(), "served", "course", func(batch []relation.Tuple) error {
 		rows += len(batch)
@@ -288,12 +329,17 @@ func TestConnectionDropMidScan(t *testing.T) {
 	if rows >= 500 {
 		t.Fatalf("saw all %d rows despite the drop", rows)
 	}
-	// The cut connection must not be pooled: with retries off, a State
-	// request only succeeds if it dials fresh (its response fits well
-	// under the proxy's byte limit).
+	// The cut connection must not be pooled: the next State request
+	// dials fresh (its response fits well under the proxy's byte limit).
+	if n := idleConns(c); n != 0 {
+		t.Fatalf("%d connections pooled after the drop, want 0", n)
+	}
 	st, err := c.State(context.Background(), "served")
 	if err != nil {
-		t.Fatalf("request after mid-batch drop failed — poisoned conn pooled? %v", err)
+		t.Fatalf("request after mid-batch drop failed: %v", err)
+	}
+	if got := ln.accepts.Load(); got != 2 {
+		t.Fatalf("%d connections, want 2: the dropped one and one fresh dial", got)
 	}
 	if len(st.Relations) != 1 || st.Relations[0].Stats.Rows != 500 {
 		t.Fatalf("state after drop: %+v", st)
@@ -309,7 +355,7 @@ func TestServerCrashMidHandshake(t *testing.T) {
 	_, addr := startServer(t, servedPeer(t, 5))
 	t.Run("cut", func(t *testing.T) {
 		// Three bytes of hello response, then the wire dies mid-frame.
-		c := &Client{addr: dropProxy(t, addr, 3), Policy: pdms.RetryPolicy{MaxAttempts: 1}}
+		c := &Client{addr: dropProxy(t, addr, 3)}
 		start := time.Now()
 		_, err := c.State(context.Background(), "served")
 		if err == nil {
@@ -328,7 +374,7 @@ func TestServerCrashMidHandshake(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { proxy.Close() })
-		c := &Client{addr: proxy.Addr(), Policy: pdms.RetryPolicy{MaxAttempts: 1}}
+		c := &Client{addr: proxy.Addr()}
 		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 		defer cancel()
 		start := time.Now()
@@ -499,21 +545,19 @@ func TestClientLoopbackEquivalence(t *testing.T) {
 
 // TestStalePooledConnRetries kills the server between two requests and
 // boots a fresh one on the same address: the client's pooled connection
-// is dead, and the one-shot retry must redial transparently instead of
-// failing the request.
+// is dead, which says nothing about the peer, so the client must drop
+// its pool and re-dial exactly once — transparently, immediately —
+// instead of failing the request.
 func TestStalePooledConnRetries(t *testing.T) {
 	p := servedPeer(t, 20)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := listenCounting(t, "127.0.0.1:0")
 	addr := ln.Addr().String()
 	srv1 := NewServer(p)
 	go srv1.Serve(ln)
 	c := dialT(t, addr)
 	// Grow the pool to several connections (concurrent requests each
 	// dial their own): after the restart every one of them is dead, and
-	// the retry must not burn itself popping a second corpse.
+	// the re-dial must not burn itself popping a second corpse.
 	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
@@ -526,20 +570,83 @@ func TestStalePooledConnRetries(t *testing.T) {
 	}
 	wg.Wait()
 	// The server restarts; the pooled connections die with it.
-	srv1.Close()
-	ln2, err := net.Listen("tcp", addr)
-	if err != nil {
-		t.Fatalf("rebinding %s: %v", addr, err)
+	if idleConns(c) < 2 {
+		t.Fatalf("pool holds %d connections, want several corpses-to-be", idleConns(c))
 	}
+	srv1.Close()
+	ln2 := listenCounting(t, addr)
 	srv2 := NewServer(p)
 	go srv2.Serve(ln2)
 	t.Cleanup(func() { srv2.Close() })
 	st, err := c.State(context.Background(), "served")
 	if err != nil {
-		t.Fatalf("request after server restart failed despite retry: %v", err)
+		t.Fatalf("request after server restart failed despite the re-dial: %v", err)
 	}
 	if len(st.Relations) != 1 || st.Relations[0].Stats.Rows != 20 {
 		t.Fatalf("retried state: %+v", st)
+	}
+	if got := ln2.accepts.Load(); got != 1 {
+		t.Fatalf("restarted server accepted %d connections, want exactly the one re-dial", got)
+	}
+	if n := idleConns(c); n != 1 {
+		t.Fatalf("%d connections pooled after the re-dial, want 1 (the corpses dropped)", n)
+	}
+}
+
+// TestFreshConnFailureIsNotRedialled is the other half of the re-dial
+// rule: a server that handshakes, takes the request and hangs up
+// without a byte has answered on a *fresh* connection, which is a fact
+// about the peer. The client returns it typed, after exactly one
+// connection; trying again is Request.Retry's decision.
+func TestFreshConnFailureIsNotRedialled(t *testing.T) {
+	ln := listenCounting(t, "127.0.0.1:0")
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if _, _, err := relation.ReadFrame(conn); err != nil {
+					return
+				}
+				if err := relation.WriteFrame(conn, relation.FrameHello, relation.EncodeHello()); err != nil {
+					return
+				}
+				relation.ReadFrame(conn) // the request; hang up on it
+			}()
+		}
+	}()
+	c := &Client{addr: ln.Addr().String()}
+	_, err := c.State(context.Background(), "served")
+	if !errors.Is(err, pdms.ErrPeerUnreachable) {
+		t.Fatalf("hang-up on a fresh connection: err = %v, want ErrPeerUnreachable class", err)
+	}
+	if got := ln.accepts.Load(); got != 1 {
+		t.Fatalf("%d connections, want exactly 1: a fresh connection's failure is not re-dialled", got)
+	}
+}
+
+// TestSubscribeAfterClose pins that a closed client opens nothing: a
+// push manager still resubscribing after Close would otherwise dial
+// sockets nobody will ever close.
+func TestSubscribeAfterClose(t *testing.T) {
+	served := servedPeer(t, 3)
+	srv, addr, ln := startCountingServer(t, served)
+	srv.Push = true
+	c := dialT(t, addr)
+	c.Close()
+	dialled := ln.accepts.Load()
+	err := c.Subscribe(context.Background(), "served", nil,
+		func(pdms.PeerState) error { t.Error("ack after Close"); return nil },
+		func([]relation.ChangeRecord) error { t.Error("delta after Close"); return nil })
+	if !errors.Is(err, errClientClosed) {
+		t.Fatalf("Subscribe after Close: err = %v, want errClientClosed", err)
+	}
+	if got := ln.accepts.Load(); got != dialled {
+		t.Fatalf("Subscribe after Close opened %d new connections", got-dialled)
 	}
 }
 
