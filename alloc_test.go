@@ -31,6 +31,17 @@ func TestWarmPathAllocCeilings(t *testing.T) {
 	lb := pdms.NewLoopback(e2Served(g)...)
 	remote := e2RemoteCoordinator(t, g, lb)
 	tcp := e2RemoteCoordinator(t, g, e2TCPTransport(t, g))
+	pushed := e2RemoteCoordinator(t, g, lb)
+	for i := 8; i < 16; i++ {
+		peer := workload.PeerName(i)
+		if err := pushed.StartPush(ctx, peer); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { pushed.StopPush(peer) })
+		if err := pushed.WaitPushLive(ctx, peer); err != nil {
+			t.Fatal(err)
+		}
+	}
 	plans := skewedJoinPlans(t)
 	materialize := func(n *pdms.Network) func() (int, error) {
 		return func() (int, error) {
@@ -64,14 +75,19 @@ func TestWarmPathAllocCeilings(t *testing.T) {
 			op: materialize(g.Net)},
 		// One freshness probe per remote peer and nothing else on the
 		// wire: a warm query over current mirrors moves no tuples.
-		{name: "E2/16 upper half behind Loopback", answers: 80, maxAllocs: 123 + 2, states: 8,
+		{name: "E2/16 upper half behind Loopback", answers: 80, maxAllocs: 107 + 2, states: 8,
 			op: materialize(remote)},
 		// The same eight probes over real sockets: the TCP client's warm
 		// path, which is what bench/'s warm-chain heap_bytes_per_op sees.
 		// The count is process-wide, so it includes the in-process
 		// server's side of each exchange.
-		{name: "E2/16 upper half behind TCP", answers: 80, maxAllocs: 217 + 2,
+		{name: "E2/16 upper half behind TCP", answers: 80, maxAllocs: 201 + 2,
 			op: materialize(tcp)},
+		// Live push subscriptions keep the replicas current, so the warm
+		// query sends nothing at all: no probe, no goroutine, no scan —
+		// the query path bench/'s write-push runs.
+		{name: "E2/16 upper half behind Loopback, push-live", answers: 80, maxAllocs: 19 + 2,
+			op: materialize(pushed)},
 		{name: "skewed join, precompiled", answers: 664, maxAllocs: 13 + 2,
 			op: func() (int, error) {
 				res, err := cq.MaterializeUnion(ctx, plans, cq.ExecOptions{})

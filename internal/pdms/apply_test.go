@@ -82,7 +82,7 @@ var badRuns = []struct {
 // replica and fingerprint exactly as they were. For every kind of bad
 // run, on the push path and on the delta path: the run arrives while
 // scans are blocked, so the refusal cannot be papered over; the
-// replica's rows, its own (version, rows) and rp.fetched must be
+// replica's rows, its own (version, rows) and its synced bit must be
 // byte-identical to before; a stale-tolerant query must answer from
 // that last-good replica, never a half-applied one; and once scans are
 // back the next query heals by scan and lands on the origin.
@@ -125,17 +125,17 @@ func TestRefusedRunNeverTouchesReplica(t *testing.T) {
 	// image is everything a reader could observe of the replica.
 	image := func() string {
 		replica := rp.mirror.Store.Get("subject")
-		return fmt.Sprintf("%p v%d n%d fetched%v rows%x", replica, replica.Version(), replica.Len(),
-			rp.fetched["subject"], relation.EncodeTupleBatch(replica.Rows()))
+		return fmt.Sprintf("%p v%d n%d synced%v rows%x", replica, replica.Version(), replica.Len(),
+			rp.rels["subject"].synced, relation.EncodeTupleBatch(replica.Rows()))
 	}
 	// checkCurrent asserts the invariant's positive half after a heal.
 	checkCurrent := func(when string) {
 		t.Helper()
 		replica, src := rp.mirror.Store.Get("subject"), origin.Store.Get("subject")
-		fp := remoteFP{ver: src.Version(), rows: src.Len()}
-		if rp.fetched["subject"] != fp || replica.Version() != fp.ver || replica.Len() != fp.rows {
-			t.Errorf("%s: fetched %v, replica (v%d, %d rows), origin %v", when,
-				rp.fetched["subject"], replica.Version(), replica.Len(), fp)
+		synced, current := rp.replica("subject")
+		if synced != replica || !current || replica.Version() != src.Version() || replica.Len() != src.Len() {
+			t.Errorf("%s: synced %v, current %v, replica (v%d, %d rows), origin (v%d, %d rows)", when,
+				synced != nil, current, replica.Version(), replica.Len(), src.Version(), src.Len())
 		}
 		if !bytes.Equal(sortedWire(replica.Rows()), sortedWire(src.Rows())) {
 			t.Errorf("%s: replica rows differ from the origin's", when)
@@ -321,10 +321,10 @@ func TestApplyPathsDifferential(t *testing.T) {
 			}
 		}
 		src := origin.Store.Get("subject")
-		want, wantFP := sortedWire(src.Rows()), remoteFP{ver: src.Version(), rows: src.Len()}
+		want, wantVer, wantRows := sortedWire(src.Rows()), src.Version(), src.Len()
 		wantRels := fmt.Sprint(origin.RelationNames())
 
-		if err := pushNet.WaitPushApplied(ctx, "mit", "subject", wantFP.ver); err != nil {
+		if err := pushNet.WaitPushApplied(ctx, "mit", "subject", wantVer); err != nil {
 			t.Fatalf("seed %d: push never caught up: %v", seed, err)
 		}
 		pushNet.StopPush("mit") // joins the applier: the mirror is ours to read
@@ -359,8 +359,9 @@ func TestApplyPathsDifferential(t *testing.T) {
 			if !bytes.Equal(sortedWire(got.Rows()), want) {
 				t.Errorf("seed %d: %s landed on different rows than the origin (%d vs %d)", seed, name, got.Len(), src.Len())
 			}
-			if fp := (remoteFP{ver: got.Version(), rows: got.Len()}); fp != wantFP {
-				t.Errorf("seed %d: %s landed on fingerprint %v, origin is at %v", seed, name, fp, wantFP)
+			if got.Version() != wantVer || got.Len() != wantRows {
+				t.Errorf("seed %d: %s landed on fingerprint (v%d, %d rows), origin is at (v%d, %d rows)",
+					seed, name, got.Version(), got.Len(), wantVer, wantRows)
 			}
 			if d := got.Encoding(); d == nil || d.Len() != got.Len() {
 				t.Errorf("seed %d: %s lost its dictionary encoding", seed, name)

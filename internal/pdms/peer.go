@@ -363,13 +363,11 @@ type Network struct {
 	remotes  map[string]*RemotePeer
 	remoteMu sync.RWMutex
 
-	// remoteScans, remoteDeltas, and remoteShips count replica refreshes
-	// by full scan, by delta catch-up, and by shipped sub-plan — the
-	// counters RemoteSyncCounts exposes so harnesses can prove a rejoin
-	// moved records, not relations, and that plan shipping actually ran.
-	remoteScans  atomic.Uint64
-	remoteDeltas atomic.Uint64
-	remoteShips  atomic.Uint64
+	// syncCounts counts replica refreshes per sync-ladder rung (ship,
+	// delta, scan) — the counters RemoteSyncCounts exposes so harnesses
+	// can prove a rejoin moved records, not relations, and that plan
+	// shipping actually ran.
+	syncCounts [len(ladder)]atomic.Uint64
 
 	// pushBatches, pushRecords, and pushGaps count the push-replication
 	// traffic the subscription managers applied — delivered change
@@ -434,12 +432,12 @@ func (n *Network) bumpTopology() {
 }
 
 // InvalidateCaches drops every cached reformulation, compiled plan,
-// global snapshot, memoized containment verdict, and remote replica
-// fingerprint (so the next query re-fetches the remote relations it
-// references). Topology and data changes — local or observed remotely
-// through the per-query fingerprint sync — invalidate automatically;
-// this exists for out-of-band situations (and for benchmarking the
-// cold path).
+// global snapshot, memoized containment verdict, and every remote
+// replica's synced mark (so the next query re-fetches, by full scan,
+// the remote relations it references). Topology and data changes —
+// local or observed remotely through the fingerprint sync — invalidate
+// automatically; this exists for out-of-band situations (and for
+// benchmarking the cold path).
 func (n *Network) InvalidateCaches() {
 	n.topoVersion.Add(1)
 	n.mu.Lock()
@@ -447,7 +445,11 @@ func (n *Network) InvalidateCaches() {
 	n.globalDB, n.globalFP, n.globalSnaps = nil, nil, nil
 	n.mu.Unlock()
 	n.remoteMu.Lock()
-	n.invalidateRemotesLocked()
+	for _, rp := range n.remotes {
+		for _, rec := range rp.rels {
+			rec.synced = false
+		}
+	}
 	n.remoteMu.Unlock()
 	resetContainCache()
 }

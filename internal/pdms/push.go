@@ -13,20 +13,20 @@ import (
 	"repro/internal/view"
 )
 
-// This file implements push-based replication (ROADMAP item 2): instead
-// of every query polling the serving peers with a State probe, a
-// coordinator registers a subscription and the serving side pushes each
-// committed change record to all subscribers — one-to-many fan-out for
-// read scaling. The serving half is the ChangeFeed (a per-subscriber
-// bounded queue fed at commit time under the serving write lock, never
-// blocking it) plus Peer.FeedSubscribe; the coordinator half is
-// Network.StartPush, whose loop applies pushed records to mirror
-// replicas through the same verified apply the delta pull path uses,
-// keeps the remote fingerprints current so queries skip the State probe
-// entirely, and propagates applied changes through the dormant
-// updategram path into placed materialized views. A subscriber that
-// drains too slowly is evicted (typed ErrSubscriptionGap) back to the
-// poll path and may resubscribe once its replicas healed.
+// This file implements push-based replication: instead of every query
+// polling the serving peers with a State probe, a coordinator registers
+// a subscription and the serving side pushes each committed change
+// record to all subscribers — one-to-many fan-out for read scaling. The
+// serving half is the ChangeFeed (a per-subscriber bounded queue fed at
+// commit time under the serving write lock, never blocking it) plus
+// Peer.FeedSubscribe; the coordinator half is Network.StartPush, whose
+// loop applies pushed records to mirror replicas through the same
+// verified apply the delta rung uses, keeps the relation records
+// (remote.go's relSync) current so queries skip the State probe
+// entirely, and propagates applied changes through the updategram path
+// into placed materialized views. A subscriber that drains too slowly
+// is evicted (typed ErrSubscriptionGap) back to the poll path and may
+// resubscribe once its replicas healed.
 
 // ErrSubscriptionGap reports a push subscription whose change feed
 // overflowed: the serving side evicted the subscriber rather than block
@@ -319,28 +319,33 @@ func (n *Network) pushLoop(ctx context.Context, rp *RemotePeer, done chan struct
 	}
 }
 
-// pushSince snapshots the mirror's applied fingerprints — the
-// subscription's catch-up request. Only relations with a replica are
-// listed: replica-less relations need no catch-up records, they start
+// pushSince snapshots the versions of the mirror's synced replicas —
+// the subscription's catch-up request. Only relations with a synced
+// replica are listed: the rest need no catch-up records, they start
 // from the subscription point.
 func (n *Network) pushSince(rp *RemotePeer) map[string]uint64 {
 	n.remoteMu.RLock()
 	defer n.remoteMu.RUnlock()
-	out := make(map[string]uint64, len(rp.fetched))
-	for rel, fp := range rp.fetched {
-		out[rel] = fp.ver
+	out := make(map[string]uint64, len(rp.rels))
+	for rel := range rp.rels {
+		if r, _ := rp.replica(rel); r != nil {
+			out[rel] = r.Version()
+		}
 	}
 	return out
 }
 
 // pushAck handles the subscription's acknowledging fingerprint: it
-// anchors the remote fingerprints at the subscribe point (from here on
+// anchors the relation records at the subscribe point (from here on
 // pushed records keep them current), folds remote schema growth into
 // the mirror, resurrects a down peer, and flips the peer to push-live
 // so queries skip the State probe.
 func (n *Network) pushAck(ctx context.Context, rp *RemotePeer, st PeerState) error {
+	n.remoteMu.RLock()
+	synced := rp.schemaVer // the Schemas round trip below must not hold the lock
+	n.remoteMu.RUnlock()
 	var schemas []relation.Schema
-	if st.SchemaVersion != rp.schemaVerLoad(n) {
+	if st.SchemaVersion != synced {
 		var err error
 		if schemas, err = rp.tr.Schemas(ctx, rp.name); err != nil {
 			return err
@@ -349,15 +354,10 @@ func (n *Network) pushAck(ctx context.Context, rp *RemotePeer, st PeerState) err
 	n.remoteMu.Lock()
 	defer n.remoteMu.Unlock()
 	defer n.wakePushWaiters()
-	for _, s := range schemas {
-		if !rp.mirror.HasRelation(s.Name) {
-			rp.mirror.AddSchema(s)
-		}
-	}
 	if schemas != nil {
-		rp.schemaVer = st.SchemaVersion
+		rp.foldSchemas(st.SchemaVersion, schemas...)
 	}
-	rp.latestStats = latestStatsMap(st)
+	rp.observe(st)
 	rp.lastSync = time.Now()
 	rp.lastErr = nil
 	rp.down.Store(false)
@@ -365,31 +365,23 @@ func (n *Network) pushAck(ctx context.Context, rp *RemotePeer, st PeerState) err
 	return nil
 }
 
-// schemaVerLoad reads the mirror's synced schema version under the
-// network's remote lock (the field itself is remoteMu-guarded).
-func (rp *RemotePeer) schemaVerLoad(n *Network) uint64 {
-	n.remoteMu.RLock()
-	defer n.remoteMu.RUnlock()
-	return rp.schemaVer
-}
-
 // applyPushBatch applies one pushed change batch under the remote lock:
-// schema records grow the mirror, data records advance the remote
-// fingerprints, and each relation's records advance its replica through
-// the one verified apply (relation.ApplyChanges) — verify, then apply:
-// a run of inserts is checked against the replica's own (version, rows)
-// and then appended in place, O(records); a run holding a delete is
-// applied to an O(1) snapshot that replaces the replica only once every
-// record landed on its fingerprint. A run that fails verification
-// leaves the replica and its recorded fingerprint exactly as they were
-// — still a true image of the origin at that fingerprint, which the
-// advanced latest fingerprint now marks stale — so the next query
-// re-fetches it through the poll path. Applied changes then flow
-// through the updategram path into placed materialized views, relation
-// by relation: one global pre-state is taken per batch, and relation
-// k's post-state serves as relation k+1's pre-state — incremental
-// maintenance instead of re-derivation, with a full refresh as the
-// correctness fallback.
+// schema records grow the mirror, data records advance the relation
+// records' latest statistics, and each relation's records advance its
+// synced replica through the one verified apply (relation.ApplyChanges)
+// — verify, then apply: a run of inserts is checked against the
+// replica's own (version, rows) and then appended in place,
+// O(records); a run holding a delete is applied to an O(1) snapshot
+// that replaces the replica only once every record landed on its
+// fingerprint. A run that fails verification leaves the replica
+// exactly as it was — still a true image of the origin at its own
+// fingerprint, which the advanced latest statistics now mark stale —
+// so the next query re-fetches it through the poll path. Applied
+// changes then flow through the updategram path into placed
+// materialized views, relation by relation: one global pre-state is
+// taken per batch, and relation k's post-state serves as relation
+// k+1's pre-state — incremental maintenance instead of re-derivation,
+// with a full refresh as the correctness fallback.
 func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) error {
 	n.pushBatches.Add(1)
 	n.pushRecords.Add(uint64(len(recs)))
@@ -402,12 +394,9 @@ func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) e
 	byRel := make(map[string][]relation.ChangeRecord)
 	for _, rec := range recs {
 		if rec.Op == relation.ChangeSchema {
-			if !rp.mirror.HasRelation(rec.Schema.Name) {
-				rp.mirror.AddSchema(rec.Schema)
-			}
-			if rec.Ver > rp.schemaVer {
-				rp.schemaVer = rec.Ver
-			}
+			// Catch-up records may replay a schema the ack already
+			// covered: the version never moves back.
+			rp.foldSchemas(max(rp.schemaVer, rec.Ver), rec.Schema)
 			continue
 		}
 		if byRel[rec.Rel] == nil {
@@ -420,40 +409,37 @@ func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) e
 	for _, rel := range order {
 		relRecs := byRel[rel]
 		last := relRecs[len(relRecs)-1]
-		fp := remoteFP{ver: last.Ver, rows: last.Rows}
-		st := rp.latestStats[rel]
-		st.Rows, st.Version = last.Rows, last.Ver
-		rp.latestStats[rel] = st
-		have, hasReplica := rp.fetched[rel]
-		if !hasReplica {
-			continue // fingerprint-only relation: nothing local to maintain
+		state := rp.rel(rel)
+		state.latest.Rows, state.latest.Version = last.Rows, last.Ver
+		replica, current := rp.replica(rel)
+		if replica == nil {
+			continue // statistics-only relation: nothing local to maintain
 		}
 		// Skip records the replica already reflects (catch-up overlap
 		// after a resubscribe), then apply the rest verified.
 		todo := relRecs
-		for len(todo) > 0 && todo[0].Ver <= have.ver {
+		for len(todo) > 0 && todo[0].Ver <= replica.Version() {
 			todo = todo[1:]
 		}
 		if len(todo) == 0 {
-			if have == fp {
-				rp.pushFresh[rel] = true
+			if current {
+				state.pushed = true
 			}
 			continue
 		}
 		if maintainViews && pre == nil {
 			pre = n.globalSnapshot()
 		}
-		replica, err := rp.mirror.Store.Get(rel).ApplyChanges(todo)
+		replica, err := replica.ApplyChanges(todo)
 		if err != nil {
 			// Inconsistent with the replica (e.g. the subscription started
 			// past a gap the replica predates): nothing was touched, the
-			// fingerprints now disagree, and the poll path heals it.
-			delete(rp.pushFresh, rel)
+			// replica now reads as stale, and the poll path heals it.
+			state.pushed = false
 			continue
 		}
 		rp.mirror.Store.Put(replica) // a no-op unless a delete built a replacement
-		rp.fetched[rel] = remoteFP{ver: replica.Version(), rows: replica.Len()}
-		rp.pushFresh[rel] = true
+		state.pushed = true
 		if pre != nil {
 			u := view.Updategram{Relation: glav.QualifiedName(rp.name, rel)}
 			for _, rec := range todo {
@@ -553,7 +539,12 @@ func (n *Network) WaitPushApplied(ctx context.Context, peer, rel string, ver uin
 		rp := n.remotes[peer]
 		var cur uint64
 		if rp != nil {
-			cur = max(rp.fetched[rel].ver, rp.latestStats[rel].Version)
+			if rec := rp.rels[rel]; rec != nil {
+				cur = rec.latest.Version
+			}
+			if r, _ := rp.replica(rel); r != nil {
+				cur = max(cur, r.Version())
+			}
 		}
 		n.remoteMu.RUnlock()
 		if rp == nil {

@@ -594,28 +594,26 @@ func clampNet(t *testing.T, factRows int) (*Network, *budgetTap) {
 	return n, tap
 }
 
-func clampRequest(limit, shipBudget int) Request {
+func clampRequest(limit int) Request {
 	return Request{
-		Peer:          "home",
-		Query:         cq.MustParse("q(P, L) :- fact(K, P), dim(K, L)"),
-		Reform:        ReformOptions{MaxDepth: 3},
-		Ship:          ShipAlways,
-		Limit:         limit,
-		ShipRowBudget: shipBudget,
+		Peer:   "home",
+		Query:  cq.MustParse("q(P, L) :- fact(K, P), dim(K, L)"),
+		Reform: ReformOptions{MaxDepth: 3},
+		Ship:   ShipAlways,
+		Limit:  limit,
 	}
 }
 
 // TestShipLimitClampsRowBudget is the regression pin for the Limit →
 // RowBudget clamp: a limited query ships its sub-plans with budget
 // Limit × shipLimitFactor, an unlimited query ships the default budget,
-// a huge Limit never raises the budget past it, and an explicit
-// ShipRowBudget combines with the clamp by taking the minimum.
+// and a huge Limit never raises the budget past it.
 func TestShipLimitClampsRowBudget(t *testing.T) {
 	n, tap := clampNet(t, 50) // ~15 rows per 3-key ship: well under every budget
-	run := func(limit, shipBudget int, want uint64) {
+	run := func(limit int, want uint64) {
 		t.Helper()
 		n.InvalidateCaches()
-		cur, err := n.Query(context.Background(), clampRequest(limit, shipBudget))
+		cur, err := n.Query(context.Background(), clampRequest(limit))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -625,22 +623,18 @@ func TestShipLimitClampsRowBudget(t *testing.T) {
 		cur.Close()
 		budgets := tap.taken()
 		if len(budgets) == 0 {
-			t.Fatalf("limit=%d budget=%d: no sub-plan shipped", limit, shipBudget)
+			t.Fatalf("limit=%d: no sub-plan shipped", limit)
 		}
 		for _, got := range budgets {
 			if got != want {
-				t.Errorf("limit=%d budget=%d: shipped RowBudget = %d, want %d",
-					limit, shipBudget, got, want)
+				t.Errorf("limit=%d: shipped RowBudget = %d, want %d", limit, got, want)
 			}
 		}
 	}
-	run(1, 0, shipLimitFactor)          // Limit 1 clamps to 1 × factor
-	run(3, 0, 3*shipLimitFactor)        // clamp scales with Limit
-	run(0, 0, DefaultShipRowBudget)     // unlimited: the default backstop
-	run(1<<20, 0, DefaultShipRowBudget) // huge Limit never raises the budget
-	run(1, 100, shipLimitFactor)        // explicit budget: clamp wins when tighter
-	run(10, 100, 100)                   // explicit budget wins when tighter
-	run(10, -1, 10*shipLimitFactor)     // unlimited budget: only the clamp caps
+	run(1, shipLimitFactor)          // Limit 1 clamps to 1 × factor
+	run(3, 3*shipLimitFactor)        // clamp scales with Limit
+	run(0, DefaultShipRowBudget)     // unlimited: the default backstop
+	run(1<<20, DefaultShipRowBudget) // huge Limit never raises the budget
 }
 
 // TestShipLimitClampOverflowFallsBack pins the clamp's soundness: when
@@ -650,7 +644,7 @@ func TestShipLimitClampsRowBudget(t *testing.T) {
 // a member of the unclamped oracle's answer set.
 func TestShipLimitClampOverflowFallsBack(t *testing.T) {
 	n, tap := clampNet(t, 1000) // ~300 rows per 3-key ship: overflows Limit 1's budget of 64
-	cur, err := n.Query(context.Background(), clampRequest(1, 0))
+	cur, err := n.Query(context.Background(), clampRequest(1))
 	if err != nil {
 		t.Fatal(err)
 	}

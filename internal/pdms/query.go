@@ -63,15 +63,6 @@ type Request struct {
 	// every eligible relation). Which path each relation actually took
 	// is reported by Cursor.SyncPaths.
 	Ship ShipMode
-	// ShipRowBudget caps a shipped sub-plan's distinct answers
-	// (DefaultShipRowBudget when 0, unlimited when negative). A plan
-	// that overflows its budget is not truncated — the serving peer
-	// fails it typed (ErrPlanBudget) and the coordinator falls back to
-	// mirroring the relation. When Limit is set, the effective budget
-	// is further clamped to Limit × shipLimitFactor, so an existence
-	// query never licenses a serving peer to stream a huge sub-plan
-	// result; the fail-not-truncate contract keeps the clamp sound.
-	ShipRowBudget int
 }
 
 // Cursor streams the deduplicated answers of one Query call. Tuples are
@@ -325,12 +316,12 @@ func (c *Cursor) Materialize() (*relation.Relation, error) {
 // fetches, and — through the cursor — execution itself.
 //
 // On a network with remote peers the preparation phase additionally
-// syncs their statistics fingerprints (one cheap State round trip per
-// remote peer — remote schema growth invalidates caches through the
-// same topoVersion path a local AddSchema takes) and lazily re-fetches
-// the remote relations the rewritings reference whose fingerprints
-// moved, streaming tuple batches on a bounded worker pool. Remote
-// preparation is serialized per network; execution still runs
+// probes every remote peer without a live push subscription (one cheap
+// State round trip each — remote schema growth invalidates caches
+// through the same topoVersion path a local AddSchema takes), then
+// sends each referenced remote relation whose replica is not current
+// down the sync ladder — ship, delta, scan — on a bounded fan-out.
+// Remote preparation is serialized per network; execution still runs
 // unlocked over the immutable snapshot. An all-local network skips all
 // of this — the fast path is unchanged.
 func (n *Network) Query(ctx context.Context, req Request) (*Cursor, error) {
@@ -340,20 +331,13 @@ func (n *Network) Query(ctx context.Context, req Request) (*Cursor, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	var (
-		budget   *retryBudget
-		degraded map[string]*DegradedPeer
-		retries  int
-	)
+	var rs *remoteSync
 	if len(n.remotes) > 0 {
 		n.remoteMu.Lock()
 		defer n.remoteMu.Unlock()
 		defer n.wakePushWaiters() // probes and fetches move the fingerprints waiters watch
-		budget = newRetryBudget(req.Retry)
-		degraded = make(map[string]*DegradedPeer)
-		r, err := n.syncRemotes(ctx, req.Retry, budget, req.AllowStale, degraded)
-		retries += r
-		if err != nil {
+		rs = &remoteSync{pol: req.Retry, budget: newRetryBudget(req.Retry), allowStale: req.AllowStale}
+		if err := n.syncRemotes(ctx, rs); err != nil {
 			return nil, err
 		}
 	}
@@ -374,8 +358,10 @@ func (n *Network) Query(ctx context.Context, req Request) (*Cursor, error) {
 		stats:      e.stats,
 	}
 	finishRemote := func() {
-		c.retries = retries
-		c.degraded = flattenDegraded(degraded)
+		if rs != nil {
+			c.retries = int(rs.retried.Load())
+			c.degraded = flattenDegraded(rs.degraded)
+		}
 	}
 	if len(e.rws) == 0 {
 		// No rewriting reaches stored data: the cursor is empty but its
@@ -388,29 +374,18 @@ func (n *Network) Query(ctx context.Context, req Request) (*Cursor, error) {
 	}
 	var ships map[string]*relation.Relation
 	if len(n.remotes) > 0 {
-		shipBudget := uint64(DefaultShipRowBudget)
-		switch {
-		case req.ShipRowBudget > 0:
-			shipBudget = uint64(req.ShipRowBudget)
-		case req.ShipRowBudget < 0:
-			shipBudget = 0
-		}
 		// A limited query needs at most Limit answers, so cap what any
 		// shipped sub-plan may stream back. Sound because budgets fail
 		// typed rather than truncate: a too-tight clamp falls back to
 		// mirroring, never drops answers.
+		shipBudget := uint64(DefaultShipRowBudget)
 		if req.Limit > 0 {
-			if lim := uint64(req.Limit) * shipLimitFactor; shipBudget == 0 || lim < shipBudget {
-				shipBudget = lim
-			}
+			shipBudget = min(shipBudget, uint64(req.Limit)*shipLimitFactor)
 		}
-		r, sh, paths, err := n.fetchReferenced(ctx, e.rws, req.Retry, budget,
-			req.AllowStale, degraded, req.Ship, shipBudget)
-		retries += r
+		ships, c.syncPaths, err = n.fetchReferenced(ctx, rs, e.rws, req.Ship, shipBudget)
 		if err != nil {
 			return nil, err
 		}
-		ships, c.syncPaths = sh, paths
 	}
 	// globalSnapshot, not GlobalDB: on the remote path this goroutine
 	// already holds remoteMu.

@@ -1,11 +1,13 @@
 package pdms
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,13 +22,11 @@ import (
 // mirror — the remote schemas plus lazily synced replica relations — so
 // reformulation, cost-based planning, and the compiled engine run
 // unchanged: they see ordinary relations whose rows happen to have
-// streamed in over the wire. Freshness is fingerprint-driven: every
-// Query starts with one cheap State round trip per remote peer, schema
-// growth flows into the same atomic topoVersion path local AddSchema
-// uses (so cached reformulations die exactly like they do for local
-// topology changes), and only referenced relations whose remote
-// (version, rows) fingerprint moved are re-scanned — warm queries move
-// no tuples.
+// streamed in over the wire. What the coordinator knows of each mirrored
+// relation is one relSync record. A query refreshes the records by
+// probing (syncRemotes) unless a push subscription keeps them current
+// (push.go), then sends each referenced relation whose replica is not
+// current down the sync ladder — ship, delta, scan (fetchReferenced).
 
 // RemotePeer is a network participant served over a Transport. Its
 // mirror peer carries the remote schemas and replica relations; the
@@ -39,18 +39,9 @@ type RemotePeer struct {
 	mirror *Peer
 	// schemaVer is the last remote schema version synced into the mirror.
 	schemaVer uint64
-	// fetched maps relation name → the remote fingerprint its replica
-	// stands at, which is also the replica's own (Version, Len): a scan
-	// stamps it on, the verified apply lands on it. Guarded by the owning
-	// Network's remoteMu.
-	fetched map[string]remoteFP
-	// latestStats holds the per-relation statistics of the most recent
-	// State call, kept current by pushed records while a subscription is
-	// live: their (Version, Rows) is the fingerprint a replica must match
-	// to be fresh (latestFP), and the ship-vs-mirror cost model reads the
-	// per-column distinct estimates. Guarded by the owning Network's
-	// remoteMu.
-	latestStats map[string]relation.Stats
+	// rels holds the record of every relation the remote has reported
+	// statistics for. Guarded by the owning Network's remoteMu.
+	rels map[string]*relSync
 	// lastSync is when the last successful freshness probe completed;
 	// lastErr is the failure that marked the peer down. Both guarded by
 	// the owning Network's remoteMu.
@@ -68,15 +59,10 @@ type RemotePeer struct {
 	proberMu   sync.Mutex
 	proberStop chan struct{}
 	// pushLive marks an established push subscription: pushed records
-	// keep latest/fetched current, so queries skip the State probe
-	// entirely. Atomic because the subscription manager flips it while
-	// queries read it under remoteMu.
+	// keep the relation records and replicas current, so queries skip
+	// the State probe entirely. Atomic because the subscription manager
+	// flips it while queries read it under remoteMu.
 	pushLive atomic.Bool
-	// pushFresh marks, per relation, that the push path refreshed the
-	// replica since the last query referenced it — the flag behind the
-	// "push" entry in Cursor.SyncPaths. Guarded by the owning Network's
-	// remoteMu.
-	pushFresh map[string]bool
 	// pushMu guards the push subscription manager's lifecycle handles
 	// (StartPush/StopPush); its own mutex because StopPush joins the
 	// manager goroutine, which itself takes remoteMu.
@@ -198,34 +184,99 @@ func degradable(ctx context.Context, err error) bool {
 		errors.Is(err, context.DeadlineExceeded) || Retryable(err)
 }
 
-// remoteFP is the freshness fingerprint of one remote relation.
-type remoteFP struct {
-	ver  uint64
-	rows int
-}
-
 // Name returns the remote peer's name.
 func (rp *RemotePeer) Name() string { return rp.name }
 
-// fetchParallelism bounds how many relation scans the fetch path runs
-// concurrently — the remote analogue of the PR 3 union worker pool's
-// GOMAXPROCS cap (fetches are network-bound, so a small multiple).
-func fetchParallelism(jobs int) int {
-	par := 2 * runtime.GOMAXPROCS(0)
-	if par > jobs {
-		par = jobs
+// relSync is the coordinator's one record of a relation a remote peer
+// serves. Freshness is computed, never stored (see replica). Guarded by
+// the owning Network's remoteMu.
+type relSync struct {
+	// latest is the remote's most recent statistics: from the last State
+	// probe, or from a subscription ack advanced by each pushed record.
+	latest relation.Stats
+	// synced marks a mirror replica the sync ladder or the push path
+	// filled. InvalidateCaches clears it.
+	synced bool
+	// pushed marks a replica the push path refreshed since the last
+	// query referenced it: Cursor.SyncPaths reports "push" once.
+	pushed bool
+}
+
+// rel returns the record of the named relation, creating an empty one.
+func (rp *RemotePeer) rel(name string) *relSync {
+	rec := rp.rels[name]
+	if rec == nil {
+		rec = &relSync{}
+		rp.rels[name] = rec
 	}
-	if par < 1 {
-		par = 1
+	return rec
+}
+
+// observe records a State response — a probe or a subscription ack —
+// as the latest statistics of every relation it lists.
+func (rp *RemotePeer) observe(st PeerState) {
+	for _, ns := range st.Relations {
+		rp.rel(ns.Name).latest = ns.Stats
 	}
-	return par
+}
+
+// replica returns rel's mirror replica when the sync ladder or the push
+// path filled it (nil otherwise), and whether it is current: its own
+// (Version, Len) equals the latest (Version, Rows). A scan stamps the
+// probed version onto rows that may have been read after a later
+// commit; such a replica reads as stale, the conservative answer.
+// Caller holds the owning Network's remoteMu.
+func (rp *RemotePeer) replica(rel string) (r *relation.Relation, current bool) {
+	rec := rp.rels[rel]
+	if rec == nil || !rec.synced {
+		return nil, false
+	}
+	r = rp.mirror.Store.Get(rel)
+	return r, r.Version() == rec.latest.Version && r.Len() == rec.latest.Rows
+}
+
+// foldSchemas grows the mirror by every schema it lacks — through
+// Peer.AddSchema, whose topoVersion bump retires reformulations cached
+// before the remote change — and records ver as the remote schema
+// version the mirror reflects. Caller holds the owning Network's
+// remoteMu write side.
+func (rp *RemotePeer) foldSchemas(ver uint64, schemas ...relation.Schema) {
+	for _, s := range schemas {
+		if !rp.mirror.HasRelation(s.Name) {
+			rp.mirror.AddSchema(s)
+		}
+	}
+	rp.schemaVer = ver
+}
+
+// fanOut calls do(i) for every i in [0, n) on a bounded pool — the
+// remote analogue of the PR 3 union worker pool's GOMAXPROCS cap (remote
+// operations are network-bound, so a small multiple) — and returns once
+// every call has returned. A single item runs inline: no goroutine.
+func fanOut(n int, do func(i int)) {
+	if n == 1 {
+		do(0)
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(n, 2*runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				do(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // AddRemotePeer registers a peer whose data is served by tr under the
 // given name: the remote schemas are fetched and mirrored locally, and
 // from then on Network.Query keeps the mirror's replicas fresh,
 // fetching lazily — only relations the query's rewritings actually
-// reference, only when their remote fingerprint moved. Like AddPeer it
+// reference, only when their replica is not current. Like AddPeer it
 // requires external synchronization with readers. The transport is
 // owned by the caller (one transport may serve many peers); RemovePeer
 // does not close it.
@@ -249,15 +300,14 @@ func (n *Network) AddRemotePeer(ctx context.Context, name string, tr Transport) 
 		return nil, err
 	}
 	rp := &RemotePeer{
-		name:        name,
-		tr:          tr,
-		mirror:      mirror,
-		schemaVer:   st.SchemaVersion,
-		fetched:     make(map[string]remoteFP),
-		latestStats: latestStatsMap(st),
-		lastSync:    time.Now(),
-		pushFresh:   make(map[string]bool),
+		name:      name,
+		tr:        tr,
+		mirror:    mirror,
+		schemaVer: st.SchemaVersion,
+		rels:      make(map[string]*relSync, len(st.Relations)),
+		lastSync:  time.Now(),
 	}
+	rp.observe(st)
 	if n.remotes == nil {
 		n.remotes = make(map[string]*RemotePeer)
 	}
@@ -265,446 +315,350 @@ func (n *Network) AddRemotePeer(ctx context.Context, name string, tr Transport) 
 	return rp, nil
 }
 
-// latestFP returns the freshest known remote fingerprint of rel, and
-// whether the remote serves it at all. Caller holds the owning
-// Network's remoteMu.
-func (rp *RemotePeer) latestFP(rel string) (remoteFP, bool) {
-	st, known := rp.latestStats[rel]
-	return remoteFP{ver: st.Version, rows: st.Rows}, known
+// remoteSync is one request's remote preparation: the retry policy and
+// shared budget its remote operations run under, the retries they
+// spent, whether it may serve stale mirrors, and the peers it degraded
+// (nil until the first).
+type remoteSync struct {
+	pol        RetryPolicy
+	budget     *retryBudget
+	allowStale bool
+	degraded   map[string]*DegradedPeer
+	retried    atomic.Int64
 }
 
-// latestStatsMap extracts the per-relation statistics of a State
-// response: the freshness fingerprints and the ship-vs-mirror cost
-// model's input.
-func latestStatsMap(st PeerState) map[string]relation.Stats {
-	out := make(map[string]relation.Stats, len(st.Relations))
-	for _, ns := range st.Relations {
-		out[ns.Name] = ns.Stats
+// addDegraded records that the request serves rp from its last-good
+// mirror because of err.
+func (rs *remoteSync) addDegraded(rp *RemotePeer, err error) {
+	if rs.degraded == nil {
+		rs.degraded = make(map[string]*DegradedPeer)
 	}
-	return out
+	rs.degraded[rp.name] = &DegradedPeer{Peer: rp.name, Err: err, LastSync: rp.lastSync}
 }
 
-// syncRemotes refreshes every remote peer's fingerprint with one State
-// round trip each (retried under the request's policy), and folds
-// remote schema growth into the mirror via Peer.AddSchema — which
-// notifies the joined networks through the same atomic topoVersion
-// bump a local schema change takes, so reformulation cache keys
-// derived before the remote change can never be reused.
-//
-// Failure handling is where the request's degradation contract lives:
-// a peer whose probe exhausts its retries fails the whole request
-// unless allowStale is set, in which case the peer is recorded in
-// degraded, marked down (the background prober takes over), and its
-// mirror serves whatever the last successful sync left behind. Peers
-// already down are not probed at all on the stale-tolerant path —
-// their queries pay zero retry latency. retries reports how many
-// retries the probes actually spent. Caller holds n.remoteMu.
-func (n *Network) syncRemotes(ctx context.Context, pol RetryPolicy, budget *retryBudget,
-	allowStale bool, degraded map[string]*DegradedPeer) (retries int, err error) {
-	names := make([]string, 0, len(n.remotes))
-	for name := range n.remotes {
-		rp := n.remotes[name]
+// retry runs op under the request's retry policy and budget, counting
+// the retries it spent. Safe for concurrent use.
+func (rs *remoteSync) retry(ctx context.Context, op func(context.Context) error) error {
+	r, err := retryOp(ctx, rs.pol, rs.budget, op)
+	rs.retried.Add(int64(r))
+	return err
+}
+
+// degrade absorbs a failed remote operation against rp by serving rp's
+// last-good mirror, when the request allows stale answers and err is
+// degradation-class: rp joins the request's degraded set (once) and is
+// marked down, so the background prober takes over. It reports whether
+// err was absorbed. Caller holds n.remoteMu and serializes calls.
+func (n *Network) degrade(ctx context.Context, rs *remoteSync, rp *RemotePeer, err error) bool {
+	if !rs.allowStale || !degradable(ctx, err) {
+		return false
+	}
+	if rs.degraded[rp.name] == nil {
+		rs.addDegraded(rp, err)
+		n.markDown(rp, err)
+	}
+	return true
+}
+
+// syncRemotes refreshes the relation records of every remote peer
+// without a live push subscription with one State round trip each, and
+// folds remote schema growth into the mirror. A peer whose probe
+// exhausts its retries fails the whole request unless it degrades
+// (n.degrade); peers already down are not probed at all on the
+// stale-tolerant path — their queries pay zero retry latency. Caller
+// holds n.remoteMu.
+func (n *Network) syncRemotes(ctx context.Context, rs *remoteSync) error {
+	// names is allocated on first use: when every peer is push-live, the
+	// query probes nothing and allocates nothing here.
+	var names []string
+	for name, rp := range n.remotes {
 		if rp.pushLive.Load() {
 			// Live push subscription: pushed records keep this peer's
-			// fingerprints (and schema) current, so the probe would learn
+			// records (and schema) current, so the probe would learn
 			// nothing — the watch path's zero-State-probe property.
 			continue
 		}
-		if allowStale && rp.down.Load() {
+		if rs.allowStale && rp.down.Load() {
 			// Known-down peer: skip the probe, serve the last-good mirror.
-			degraded[name] = &DegradedPeer{Peer: name, Err: rp.lastErr, LastSync: rp.lastSync}
+			rs.addDegraded(rp, rp.lastErr)
 			continue
+		}
+		if names == nil {
+			names = make([]string, 0, len(n.remotes))
 		}
 		names = append(names, name)
 	}
-	sort.Strings(names)
+	if len(names) == 0 {
+		return nil
+	}
+	slices.Sort(names)
 	// Probe concurrently: the States are independent reads of distinct
 	// peers, and serializing them would make every query's prepare
-	// latency linear in remote peers × round-trip time. The bounded
-	// fan-out mirrors fetchReferenced's pool; mirror mutation stays on
-	// this goroutine (which holds remoteMu's write side).
+	// latency linear in remote peers × round-trip time. Mirror mutation
+	// stays on this goroutine (which holds remoteMu's write side).
 	states := make([]PeerState, len(names))
 	errs := make([]error, len(names))
-	var retried atomic.Int64
-	probe := func(i int) {
+	fanOut(len(names), func(i int) {
 		rp := n.remotes[names[i]]
-		r, perr := retryOp(ctx, pol, budget, func(actx context.Context) error {
-			st, serr := rp.tr.State(actx, names[i])
-			if serr == nil {
-				states[i] = st
-			}
-			return serr
+		errs[i] = rs.retry(ctx, func(actx context.Context) error {
+			var err error
+			states[i], err = rp.tr.State(actx, names[i])
+			return err
 		})
-		retried.Add(int64(r))
-		errs[i] = perr
-	}
-	if len(names) == 1 {
-		probe(0)
-	} else {
-		work := make(chan int, len(names))
-		for i := range names {
-			work <- i
-		}
-		close(work)
-		var wg sync.WaitGroup
-		for w := 0; w < fetchParallelism(len(names)); w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range work {
-					probe(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	retries = int(retried.Load())
+	})
 	for i, name := range names {
-		rp, st, perr := n.remotes[name], states[i], errs[i]
-		if perr == nil && st.SchemaVersion != rp.schemaVer {
+		rp, st, err := n.remotes[name], states[i], errs[i]
+		if err == nil && st.SchemaVersion != rp.schemaVer {
 			var schemas []relation.Schema
-			r, serr := retryOp(ctx, pol, budget, func(actx context.Context) error {
-				var e error
-				schemas, e = rp.tr.Schemas(actx, name)
-				return e
+			err = rs.retry(ctx, func(actx context.Context) error {
+				var serr error
+				schemas, serr = rp.tr.Schemas(actx, name)
+				return serr
 			})
-			retries += r
-			if serr != nil {
-				perr = serr
-			} else {
-				for _, s := range schemas {
-					if !rp.mirror.HasRelation(s.Name) {
-						rp.mirror.AddSchema(s)
-					}
-				}
-				rp.schemaVer = st.SchemaVersion
+			if err == nil {
+				rp.foldSchemas(st.SchemaVersion, schemas...)
 			}
 		}
-		if perr != nil {
-			if allowStale && degradable(ctx, perr) {
-				degraded[name] = &DegradedPeer{Peer: name, Err: perr, LastSync: rp.lastSync}
-				n.markDown(rp, perr)
+		if err != nil {
+			if n.degrade(ctx, rs, rp, err) {
 				continue
 			}
-			return retries, fmt.Errorf("pdms: sync remote peer %s: %w", name, perr)
+			return fmt.Errorf("pdms: sync remote peer %s: %w", name, err)
 		}
-		rp.latestStats = latestStatsMap(st)
+		rp.observe(st)
 		rp.lastSync = time.Now()
 		rp.down.Store(false) // a successful probe resurrects a down peer
 	}
-	return retries, nil
+	return nil
 }
 
-// fetchJob names one stale replica to refresh. When the mirror already
-// holds a replica with a recorded fingerprint, base carries that replica
-// — whose own (Version, Len) is the fingerprint it was recorded at — so
-// the worker can try a delta catch-up before falling back to a full
-// scan; base is captured while the caller holds remoteMu, because
-// workers must not read the mirror store concurrently with the drain
-// loop's replica publishes.
+// fetchJob is one relation the sync ladder must refresh. base is the
+// replica the ladder or the push path last filled (nil when none has),
+// captured while the caller holds remoteMu, because workers must not
+// read the mirror store concurrently with replica publishes; its own
+// Version is where a delta catch-up starts from.
 type fetchJob struct {
 	rp   *RemotePeer
 	rel  string
-	want remoteFP
+	rec  *relSync
 	base *relation.Relation
-	// ship, when set, tells the worker to refresh the relation by remote
-	// sub-plan execution — streaming O(answers) bytes into a per-request
-	// overlay replica — before considering the delta and scan paths.
+	// ship, when planShips set it, puts the ship rung on the job's
+	// ladder: the relation's bound sub-plans, run at the serving peer.
 	ship *shipSpec
+}
+
+// The sync ladder: the refresh paths a stale relation climbs down, in
+// order. A rung refreshes the job's relation (ok), declines so the next
+// rung tries (ok=false with a nil error: the serving node refused typed,
+// or the cheap path does not apply), or fails the job with an error. A
+// rung's index names its SyncPath and selects its RemoteSyncCounts
+// counter.
+const (
+	rungShip = iota
+	rungDelta
+	rungScan
+)
+
+var ladder = [...]struct {
+	path string
+	run  func(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Relation, bool, error)
+}{
+	rungShip:  {"ship", shipRung},
+	rungDelta: {"delta", deltaRung},
+	rungScan:  {"scan", scanRung},
+}
+
+// climb runs job down its ladder — from the ship rung when planShips
+// elected it, from the delta rung otherwise — and returns the index of
+// the rung that refreshed it or failed. The scan rung never declines.
+func (job *fetchJob) climb(ctx context.Context, rs *remoteSync) (int, *relation.Relation, error) {
+	i := rungDelta
+	if job.ship != nil {
+		i = rungShip
+	}
+	for ; ; i++ {
+		rel, ok, err := ladder[i].run(ctx, rs, job)
+		if ok || err != nil {
+			return i, rel, err
+		}
+	}
 }
 
 // RemoteSyncCounts reports how many replica refreshes the network has
 // performed by full relation scan, by delta catch-up, and by shipped
-// sub-plan since creation — the observability the durability tests (and
-// revere query's sync line) use to prove a restarted durable peer
-// rejoined without re-scans, and the differential tests use to prove
-// the ship path actually ran.
+// sub-plan since creation — one counter per sync-ladder rung, the
+// observability the durability tests (and revere query's sync line) use
+// to prove a restarted durable peer rejoined without re-scans, and the
+// differential tests use to prove the ship path actually ran.
 func (n *Network) RemoteSyncCounts() (scans, deltas, ships uint64) {
-	return n.remoteScans.Load(), n.remoteDeltas.Load(), n.remoteShips.Load()
+	return n.syncCounts[rungScan].Load(), n.syncCounts[rungDelta].Load(), n.syncCounts[rungShip].Load()
 }
 
-// fetchReferenced brings every remote relation referenced by the
-// rewritings up to date with the fingerprints syncRemotes just
-// recorded. Stale replicas are re-scanned concurrently on a bounded
-// worker pool (the PR 3 fan-out shape: a job channel, first
-// non-absorbable error cancels the rest), each scan retried under the
-// request's policy and streaming tuple batches into a fresh relation
-// built through Insert so column statistics accrue and the cost-based
-// planner orders joins from remote cardinalities. A failed attempt
-// discards its partial relation — a replica is replaced only by a
-// complete scan, atomically, from this goroutine, or advanced by a
-// delta catch-up that verified before it applied (tryDelta); either
+// fetchReferenced brings every remote relation the rewritings reference
+// up to the latest statistics syncRemotes or the push path recorded:
+// each one whose replica is not current becomes a job that climbs the
+// sync ladder. A replica is replaced only by a complete scan, or
+// advanced by a delta catch-up that verified before it applied; either
 // moves the global snapshot fingerprint, so plans compiled from the
-// stale replica are recompiled, never reused.
+// stale replica are recompiled, never reused. Degraded peers are
+// skipped: their replicas deliberately stay at the last-good snapshot.
+// Caller holds n.remoteMu.
 //
-// Peers already recorded in degraded are skipped (their replicas
-// deliberately stay at the last-good snapshot), and when allowStale
-// is set, a peer whose scan exhausts its retries mid-query joins them
-// instead of failing the request — covering peers that die between
-// the freshness probe and the fetch. Caller holds n.remoteMu.
-//
-// mode and shipBudget select the plan-shipping tier (ship.go): a stale
-// relation the mode elects ships its atoms as bound sub-plans and the
-// resulting partial replica is returned in ships (keyed by qualified
-// name) for a per-request catalog overlay — never published to the
-// mirror, whose replicas must stay complete. A ship the serving side
-// rejects (ErrPlanUnsupported-class, including row-budget overflows)
-// falls back to the delta/scan paths inside the same job. paths
-// records, per refreshed relation, which path won.
-func (n *Network) fetchReferenced(ctx context.Context, rws []cq.Query, pol RetryPolicy,
-	budget *retryBudget, allowStale bool, degraded map[string]*DegradedPeer,
-	mode ShipMode, shipBudget uint64) (retries int, ships map[string]*relation.Relation, paths []SyncPath, err error) {
+// mode and shipBudget decide which jobs get the ship rung (planShips).
+// A shipped relation's partial replica is returned in ships (keyed by
+// qualified name) for a per-request catalog overlay — never published
+// to the mirror, whose replicas must stay complete. paths records, per
+// refreshed relation, which path won, in (peer, relation) order.
+func (n *Network) fetchReferenced(ctx context.Context, rs *remoteSync, rws []cq.Query,
+	mode ShipMode, shipBudget uint64) (ships map[string]*relation.Relation, paths []SyncPath, err error) {
 	var jobs []fetchJob
 	queued := make(map[string]bool)
 	for _, rw := range rws {
 		for _, a := range rw.Body {
 			peer, rel := glav.SplitQualified(a.Pred)
-			if peer == "" || queued[a.Pred] {
-				continue
-			}
 			rp := n.remotes[peer]
-			if rp == nil {
-				continue // local peer: the global snapshot already has it
+			if rp == nil || queued[a.Pred] {
+				continue // local peer (the global snapshot already has it), or queued
 			}
-			if degraded[peer] != nil {
+			if rs.degraded[peer] != nil {
 				continue // degraded peer: its last-good replicas serve as-is
 			}
 			queued[a.Pred] = true
-			want, known := rp.latestFP(rel)
-			if !known {
+			rec := rp.rels[rel]
+			if rec == nil {
 				continue // mirror schema exists but remote serves no data yet
 			}
-			job := fetchJob{rp: rp, rel: rel, want: want}
-			if got, ok := rp.fetched[rel]; ok {
-				if got == want {
-					if rp.pushFresh[rel] {
-						// The push path refreshed this replica since the last
-						// query referenced it: report it, once.
-						delete(rp.pushFresh, rel)
-						paths = append(paths, SyncPath{Peer: peer, Rel: rel, Path: "push"})
-					}
-					continue // replica already matches the remote fingerprint
+			base, current := rp.replica(rel)
+			if current {
+				if rec.pushed {
+					rec.pushed = false
+					paths = append(paths, SyncPath{Peer: peer, Rel: rel, Path: "push"})
 				}
-				delete(rp.pushFresh, rel) // stale replica: any push-fresh mark predates it
-				// Stale but known: hand the worker the current replica so it
-				// can catch up from the serving peer's change log instead of
-				// re-scanning.
-				job.base = rp.mirror.Store.Get(rel)
+				continue
 			}
-			jobs = append(jobs, job)
+			rec.pushed = false // stale replica: any push mark predates it
+			jobs = append(jobs, fetchJob{rp: rp, rel: rel, rec: rec, base: base})
 		}
 	}
-	if len(jobs) == 0 {
-		sort.Slice(paths, func(i, j int) bool {
-			if paths[i].Peer != paths[j].Peer {
-				return paths[i].Peer < paths[j].Peer
-			}
-			return paths[i].Rel < paths[j].Rel
-		})
-		return 0, nil, paths, nil
+	if len(jobs) > 0 {
+		n.planShips(rws, jobs, mode, shipBudget, rs.degraded)
+		var refreshed []SyncPath
+		ships, refreshed, err = n.runJobs(ctx, rs, jobs)
+		paths = append(paths, refreshed...)
 	}
-	n.planShips(rws, jobs, mode, shipBudget, degraded)
-
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type fetchResult struct {
-		job fetchJob
-		rel *relation.Relation
-		// got is the fingerprint the refreshed replica stands at — want
-		// for a scan, possibly fresher for a delta that caught records
-		// written after the State probe.
-		got remoteFP
-		// viaDelta marks a replica advanced by change records rather than
-		// rebuilt by a full scan (feeds the RemoteSyncCounts observability).
-		viaDelta bool
-		// overlay marks a partial replica built by shipped sub-plan
-		// execution: it goes into the per-request ships overlay, never the
-		// mirror store.
-		overlay bool
-		err     error
-	}
-	work := make(chan fetchJob, len(jobs))
-	for _, job := range jobs {
-		work <- job
-	}
-	close(work)
-	results := make(chan fetchResult)
-	var retried atomic.Int64
-	for w := 0; w < fetchParallelism(len(jobs)); w++ {
-		go func() {
-			for job := range work {
-				if err := fctx.Err(); err != nil {
-					results <- fetchResult{job: job, err: err}
-					continue
-				}
-				if job.rp.down.Load() {
-					// The peer went down while this job queued (another of
-					// its scans exhausted retries): don't spend ours too.
-					results <- fetchResult{job: job,
-						err: fmt.Errorf("%w: peer %s marked down", ErrPeerUnreachable, job.rp.name)}
-					continue
-				}
-				if job.ship != nil {
-					// Plan shipping first: execute the relation's bound
-					// sub-plans at the serving peer and reassemble a partial
-					// replica from the answers. A rejection the serving side
-					// types as ErrPlanUnsupported — old server, uncompilable
-					// plan, row-budget overflow — falls through to the mirror
-					// paths below on the same connection; any other failure is
-					// the job's failure, like a failed scan.
-					dst, r, serr := n.runShip(fctx, pol, budget, job)
-					retried.Add(int64(r))
-					if serr == nil {
-						results <- fetchResult{job: job, rel: dst, got: job.want, overlay: true}
-						continue
-					}
-					if !errors.Is(serr, ErrPlanUnsupported) {
-						results <- fetchResult{job: job, err: serr}
-						continue
-					}
-				}
-				// Cheap path first: when the replica's last-synced fingerprint
-				// is known and the transport can ship change records, catch up
-				// from the serving peer's log instead of re-reading the
-				// relation. A transport failure here is the job's failure (a
-				// scan against the same peer would fare no better); an
-				// uncovered or inconsistent delta falls through to the scan.
-				dst, viaDelta, r, err := n.tryDelta(fctx, pol, budget, job)
-				retried.Add(int64(r))
-				if err != nil {
-					results <- fetchResult{job: job, err: err}
-					continue
-				}
-				if viaDelta {
-					results <- fetchResult{job: job, rel: dst, viaDelta: true,
-						got: remoteFP{ver: dst.Version(), rows: dst.Len()}}
-					continue
-				}
-				r, err = retryOp(fctx, pol, budget, func(actx context.Context) error {
-					// Fresh destination per attempt: a dropped scan's partial
-					// tuples must never leak into the retry.
-					dst = relation.New(job.rp.mirror.Schema(job.rel))
-					return job.rp.tr.Scan(actx, job.rp.name, job.rel, func(batch []relation.Tuple) error {
-						for _, t := range batch {
-							if err := dst.Insert(t); err != nil {
-								return err
-							}
-						}
-						return nil
-					})
-				})
-				retried.Add(int64(r))
-				if err == nil {
-					// The replica carries the fingerprint it is recorded at,
-					// which is where the next catch-up starts from.
-					dst.RestoreVersion(job.want.ver)
-				}
-				results <- fetchResult{job: job, rel: dst, got: job.want, err: err}
-			}
-		}()
-	}
-	// Every queued job yields exactly one result, so draining is
-	// deadlock-free even when an error cancels the stragglers.
-	var firstErr error
-	for pending := len(jobs); pending > 0; pending-- {
-		res := <-results
-		if res.err != nil {
-			if allowStale && degradable(ctx, res.err) {
-				name := res.job.rp.name
-				if degraded[name] == nil {
-					degraded[name] = &DegradedPeer{Peer: name, Err: res.err, LastSync: res.job.rp.lastSync}
-					n.markDown(res.job.rp, res.err)
-				}
-				continue // last-good replica keeps serving; don't cancel the rest
-			}
-			if firstErr == nil {
-				firstErr = fmt.Errorf("pdms: fetch %s.%s: %w", res.job.rp.name, res.job.rel, res.err)
-				cancel() // abort the remaining scans, PR 3 style
-			}
-			continue
-		}
-		if res.overlay {
-			if firstErr == nil {
-				if ships == nil {
-					ships = make(map[string]*relation.Relation)
-				}
-				ships[glav.QualifiedName(res.job.rp.name, res.job.rel)] = res.rel
-				n.remoteShips.Add(1)
-				paths = append(paths, SyncPath{Peer: res.job.rp.name, Rel: res.job.rel, Path: "ship"})
-			}
-			continue
-		}
-		// A completed refresh is recorded even when a sibling's failure
-		// fails the request: a delta catch-up has already advanced the
-		// replica in place, and its recorded fingerprint must move with it.
-		res.job.rp.mirror.Store.Put(res.rel)
-		res.job.rp.fetched[res.job.rel] = res.got
-		if res.viaDelta {
-			n.remoteDeltas.Add(1)
-			paths = append(paths, SyncPath{Peer: res.job.rp.name, Rel: res.job.rel, Path: "delta"})
-		} else {
-			n.remoteScans.Add(1)
-			paths = append(paths, SyncPath{Peer: res.job.rp.name, Rel: res.job.rel, Path: "scan"})
-		}
-	}
-	sort.Slice(paths, func(i, j int) bool {
-		if paths[i].Peer != paths[j].Peer {
-			return paths[i].Peer < paths[j].Peer
-		}
-		return paths[i].Rel < paths[j].Rel
+	slices.SortFunc(paths, func(a, b SyncPath) int {
+		return cmp.Or(strings.Compare(a.Peer, b.Peer), strings.Compare(a.Rel, b.Rel))
 	})
-	return int(retried.Load()), ships, paths, firstErr
+	return ships, paths, err
 }
 
-// tryDelta attempts the delta catch-up for one stale replica. used is
-// false (with a nil error) when the cheap path does not apply — the
-// replica has no recorded fingerprint, the serving node cannot ship
-// deltas or its log no longer covers the range (ok=false either way),
-// the records stop short of the fingerprint the State probe promised,
-// or they fail verification — and the caller falls back to a full scan
-// with the
-// replica exactly as it was: relation.ApplyChanges checks a run before
-// it touches anything. On success dst is the caught-up replica — job.base
-// itself, advanced in place, unless the run held a delete. A transport
-// error is returned as err: a scan against the same unreachable peer
-// would only spend more retries, so the failure flows into the request's
-// ordinary degradation handling.
-//
-// Workers call this while the request holds remoteMu's write side, one
-// job per relation, so the in-place advance races with nothing: other
-// readers of the mirror wait on the lock, and cursors already running
-// read snapshots the appends cannot reach.
-func (n *Network) tryDelta(ctx context.Context, pol RetryPolicy, budget *retryBudget,
-	job fetchJob) (dst *relation.Relation, used bool, retries int, err error) {
+// runJobs climbs every job down its ladder on the fan-out and handles
+// each result as it lands, under one lock: a peer whose job fails
+// mid-query degrades (covering peers that die between the probe and the
+// fetch) and is marked down before its queued siblings start, so they
+// do not spend retries too; the first failure that cannot degrade
+// cancels the jobs still running.
+func (n *Network) runJobs(ctx context.Context, rs *remoteSync, jobs []fetchJob) (ships map[string]*relation.Relation, paths []SyncPath, firstErr error) {
+	fctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var mu sync.Mutex
+	fanOut(len(jobs), func(i int) {
+		job := &jobs[i]
+		rung, rel, err := 0, (*relation.Relation)(nil), fctx.Err()
+		if err == nil && job.rp.down.Load() {
+			// The peer went down while this job queued (another of its
+			// jobs exhausted retries): don't spend ours too.
+			err = fmt.Errorf("%w: peer %s marked down", ErrPeerUnreachable, job.rp.name)
+		}
+		if err == nil {
+			rung, rel, err = job.climb(fctx, rs)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case err != nil:
+			if !n.degrade(ctx, rs, job.rp, err) && firstErr == nil {
+				firstErr = fmt.Errorf("pdms: fetch %s.%s: %w", job.rp.name, job.rel, err)
+				cancel()
+			}
+			return
+		case rung == rungShip:
+			if firstErr != nil {
+				return
+			}
+			if ships == nil {
+				ships = make(map[string]*relation.Relation)
+			}
+			ships[glav.QualifiedName(job.rp.name, job.rel)] = rel
+		default:
+			// A completed refresh is recorded even when a sibling's failure
+			// fails the request: a delta catch-up has already advanced the
+			// replica in place, and its record must move with it.
+			job.rp.mirror.Store.Put(rel)
+			job.rec.synced = true
+		}
+		n.syncCounts[rung].Add(1)
+		paths = append(paths, SyncPath{Peer: job.rp.name, Rel: job.rel, Path: ladder[rung].path})
+	})
+	return ships, paths, firstErr
+}
+
+// deltaRung catches a synced replica up from the serving peer's change
+// log instead of re-reading the relation. It declines when there is no
+// synced replica (so an un-synced relation costs no Delta call), the
+// serving node cannot cover the range, the records stop short of the
+// probed version, or they fail verification — relation.ApplyChanges
+// checks a run before it touches anything, so the scan rung finds the
+// replica exactly as it was. On success the replica is job.base advanced
+// in place, unless the run held a delete. A transport error fails the
+// job: a scan against the same unreachable peer would only spend more
+// retries. The in-place advance races with nothing: the request holds
+// remoteMu's write side and each relation has one job, and cursors
+// already running read snapshots the appends cannot reach.
+func deltaRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Relation, bool, error) {
 	if job.base == nil {
-		return nil, false, 0, nil
+		return nil, false, nil
 	}
 	var recs []relation.ChangeRecord
 	var covered bool
-	retries, err = retryOp(ctx, pol, budget, func(actx context.Context) error {
-		var derr error
-		recs, covered, derr = job.rp.tr.Delta(actx, job.rp.name, job.rel, job.base.Version())
-		return derr
-	})
+	if err := rs.retry(ctx, func(actx context.Context) error {
+		var err error
+		recs, covered, err = job.rp.tr.Delta(actx, job.rp.name, job.rel, job.base.Version())
+		return err
+	}); err != nil {
+		return nil, false, err
+	}
+	if !covered || len(recs) == 0 || recs[len(recs)-1].Ver < job.rec.latest.Version {
+		return nil, false, nil
+	}
+	dst, err := job.base.ApplyChanges(recs)
 	if err != nil {
-		return nil, false, retries, err
+		return nil, false, nil // inconsistent records: the scan is the truth
 	}
-	if !covered || len(recs) == 0 || recs[len(recs)-1].Ver < job.want.ver {
-		return nil, false, retries, nil
-	}
-	dst, aerr := job.base.ApplyChanges(recs)
-	if aerr != nil {
-		return nil, false, retries, nil // inconsistent records: the scan is the truth
-	}
-	return dst, true, retries, nil
+	return dst, true, nil
 }
 
-// invalidateRemotesLocked drops every replica fingerprint so the next
-// query re-fetches whatever it references, InvalidateCaches's
-// out-of-band hammer extended to the distributed tier. Caller holds
-// n.remoteMu.
-func (n *Network) invalidateRemotesLocked() {
-	for _, rp := range n.remotes {
-		rp.fetched = make(map[string]remoteFP)
+// scanRung re-reads the whole relation into a fresh replica built
+// through Insert, so column statistics accrue and the cost-based planner
+// orders joins from remote cardinalities. Every attempt starts from an
+// empty relation: a dropped scan's partial tuples never leak into the
+// retry. The replica is stamped with the probed version — the
+// fingerprint it is recorded at, where the next catch-up starts from.
+func scanRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Relation, bool, error) {
+	var dst *relation.Relation
+	if err := rs.retry(ctx, func(actx context.Context) error {
+		dst = relation.New(job.rp.mirror.Schema(job.rel))
+		return job.rp.tr.Scan(actx, job.rp.name, job.rel, func(batch []relation.Tuple) error {
+			for _, t := range batch {
+				if err := dst.Insert(t); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}); err != nil {
+		return nil, false, err
 	}
+	dst.RestoreVersion(job.rec.latest.Version)
+	return dst, true, nil
 }

@@ -20,10 +20,11 @@ import (
 // bound-parameter shipping. The coordinator forwards the distinct
 // binding values its exactly-current local relations already hold for
 // the shipped atoms' join variables, so the remote side filters before
-// sending. Which path a stale relation takes — ship, delta catch-up,
-// or full mirror scan — is the per-relation decision Request.Ship
-// selects, driven by the statistics model when set to ShipAuto, and
-// every path is reported per relation through Cursor.SyncPaths.
+// sending. Shipping is the top rung of the sync ladder (remote.go):
+// Request.Ship — through the statistics model when set to ShipAuto —
+// decides per stale relation whether the ship rung is on its ladder, a
+// typed refusal falls to the delta and scan rungs, and the rung that
+// won is reported per relation through Cursor.SyncPaths.
 
 // ShipMode selects how a request refreshes stale remote relations.
 type ShipMode int
@@ -62,10 +63,13 @@ var ErrPlanUnsupported = errors.New("pdms: remote plan execution unsupported")
 // for this specific cause with errors.Is(err, ErrPlanBudget).
 var ErrPlanBudget = fmt.Errorf("%w: row budget exceeded", ErrPlanUnsupported)
 
-// DefaultShipRowBudget caps a shipped sub-plan's distinct answers when
-// Request.ShipRowBudget is zero. Generous — the budget is a backstop
-// against a cost-model miss streaming a near-full relation through the
-// answer path, not a tuning knob.
+// DefaultShipRowBudget caps a shipped sub-plan's distinct answers (a
+// limited query clamps it further, see shipLimitFactor). A plan that
+// overflows its budget is not truncated: the serving peer fails it
+// typed (ErrPlanBudget) and the relation falls to the mirror rungs.
+// Generous — the budget is a backstop against a cost-model miss
+// streaming a near-full relation through the answer path, not a tuning
+// knob.
 const DefaultShipRowBudget = 1 << 20
 
 // shipLimitFactor converts a query's answer Limit into a shipped
@@ -270,8 +274,8 @@ func (o overlayCatalog) Get(name string) *relation.Relation {
 }
 
 // planShips decides, per stale relation the fetch path queued, whether
-// to refresh it by remote execution, attaching a shipSpec to the jobs
-// that ship. Eligibility: every atom referencing the relation carries
+// the ship rung is on its ladder, attaching a shipSpec to the jobs that
+// ship. Eligibility: every atom referencing the relation carries
 // at least one variable (a reconstructed row needs the variable
 // positions to cover what the pattern's constants don't); whether the
 // serving node can run a plan at all is its answer to ExecPlan, and a
@@ -287,50 +291,43 @@ func (n *Network) planShips(rws []cq.Query, jobs []fetchJob, mode ShipMode,
 	}
 	byQName := make(map[string]*fetchJob, len(jobs))
 	for i := range jobs {
-		job := &jobs[i]
-		byQName[glav.QualifiedName(job.rp.name, job.rel)] = job
+		byQName[glav.QualifiedName(jobs[i].rp.name, jobs[i].rel)] = &jobs[i]
 	}
-	specs := make(map[string]*shipSpec, len(byQName))
 	ineligible := make(map[string]bool)
-	partSeen := make(map[string]map[string]bool)
+	// partSeen keys a relation's queued parts by their deterministic wire
+	// encoding (bindings are sorted by construction), so identical
+	// (pattern, bindings) pairs referenced by several rewritings ship once.
+	partSeen := make(map[string]bool)
 	for _, rw := range rws {
 		for ai, a := range rw.Body {
 			job := byQName[a.Pred]
 			if job == nil || ineligible[a.Pred] {
 				continue
 			}
-			vars := a.Vars()
-			if len(vars) == 0 {
+			if len(a.Vars()) == 0 {
 				// A constant-only atom reconstructs no rows: the whole
 				// relation falls back to mirroring.
 				ineligible[a.Pred] = true
-				delete(specs, a.Pred)
+				job.ship = nil
 				continue
 			}
 			part := n.buildShipPart(rw, ai, rowBudget, degraded)
-			key := partKey(part.sp)
-			if partSeen[a.Pred] == nil {
-				partSeen[a.Pred] = make(map[string]bool)
+			if key := a.Pred + "\x00" + string(relation.EncodeSubPlan(part.sp)); !partSeen[key] {
+				partSeen[key] = true
+				if job.ship == nil {
+					job.ship = &shipSpec{}
+				}
+				job.ship.parts = append(job.ship.parts, part)
 			}
-			if partSeen[a.Pred][key] {
-				continue
-			}
-			partSeen[a.Pred][key] = true
-			if specs[a.Pred] == nil {
-				specs[a.Pred] = &shipSpec{}
-			}
-			specs[a.Pred].parts = append(specs[a.Pred].parts, part)
 		}
 	}
-	for qname, spec := range specs {
-		job := byQName[qname]
-		if mode == ShipAuto {
-			st, ok := job.rp.latestStats[job.rel]
-			if !ok || st.Distinct == nil || !shipWorthIt(spec.parts, st) {
-				continue
+	if mode == ShipAuto {
+		for i := range jobs {
+			if job := &jobs[i]; job.ship != nil &&
+				(job.rec.latest.Distinct == nil || !shipWorthIt(job.ship.parts, job.rec.latest)) {
+				job.ship = nil
 			}
 		}
-		job.ship = spec
 	}
 }
 
@@ -424,16 +421,15 @@ func (n *Network) currentSource(pred string, degraded map[string]*DegradedPeer) 
 	if degraded[peer] != nil {
 		return nil
 	}
-	want, known := rp.latestFP(rel)
-	if !known {
+	if rp.rels[rel] == nil {
 		// The remote serves no data for rel: the mirror's empty replica
 		// is trivially current.
 		return rp.mirror.Store.Get(rel)
 	}
-	if got, ok := rp.fetched[rel]; !ok || got != want {
-		return nil
+	if r, current := rp.replica(rel); current {
+		return r
 	}
-	return rp.mirror.Store.Get(rel)
+	return nil
 }
 
 // distinctColumn returns the sorted distinct values of one column, or
@@ -454,13 +450,6 @@ func distinctColumn(r *relation.Relation, col, cap_ int) []relation.Value {
 		return relation.Tuple{out[i]}.Less(relation.Tuple{out[j]})
 	})
 	return out
-}
-
-// partKey is the dedup key of a shipped sub-plan: its deterministic
-// wire encoding (bindings are sorted by construction), so identical
-// (pattern, bindings) pairs referenced by several rewritings ship once.
-func partKey(sp relation.SubPlan) string {
-	return string(relation.EncodeSubPlan(sp))
 }
 
 // shipWorthIt is the ShipAuto statistics model: ship when twice the
@@ -503,18 +492,19 @@ func shipWorthIt(parts []shipPart, st relation.Stats) bool {
 	return 2*total <= rows
 }
 
-// runShip executes one relation's shipped sub-plans and reassembles
-// the partial replica: per part, the returned head tuples fill the
-// atom pattern back into full-width rows, and the union across parts
-// is deduplicated (the engine's answers are distinct per part, not
-// across parts) into a fresh relation built through Insert so column
-// statistics accrue for the planner. Each part retries under the
-// request's policy into a per-attempt buffer, so a dropped stream's
-// partial tuples never leak into the replica. Errors that match
-// ErrPlanUnsupported tell the caller to fall back to mirroring; other
-// errors flow into the ordinary degradation handling.
-func (n *Network) runShip(ctx context.Context, pol RetryPolicy, budget *retryBudget,
-	job fetchJob) (*relation.Relation, int, error) {
+// shipRung, the sync ladder's top rung, executes one relation's shipped
+// sub-plans and reassembles the partial replica: per part, the returned
+// head tuples fill the atom pattern back into full-width rows, and the
+// union across parts is deduplicated (the engine's answers are distinct
+// per part, not across parts) into a fresh relation built through
+// Insert so column statistics accrue for the planner. Each part retries
+// under the request's policy into a per-attempt buffer, so a dropped
+// stream's partial tuples never leak into the replica. A refusal the
+// serving side types as ErrPlanUnsupported — old server, uncompilable
+// plan, row-budget overflow — declines, and the relation falls to the
+// mirror rungs on the same connection; any other failure is the job's,
+// like a failed scan.
+func shipRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Relation, bool, error) {
 	schema := job.rp.mirror.Schema(job.rel)
 	// The overlay replica carries the qualified name the per-request
 	// catalog resolves atoms by (mirror replicas stay unqualified —
@@ -523,14 +513,13 @@ func (n *Network) runShip(ctx context.Context, pol RetryPolicy, budget *retryBud
 	schema.Name = glav.QualifiedName(job.rp.name, job.rel)
 	dst := relation.New(schema)
 	seen := relation.NewTupleSet(64)
-	retries := 0
 	for _, part := range job.ship.parts {
 		headPos := make(map[string]int, len(part.sp.HeadVars))
 		for i, v := range part.sp.HeadVars {
 			headPos[v] = i
 		}
 		var rows []relation.Tuple
-		r, err := retryOp(ctx, pol, budget, func(actx context.Context) error {
+		err := rs.retry(ctx, func(actx context.Context) error {
 			rows = rows[:0]
 			return job.rp.tr.ExecPlan(actx, job.rp.name, part.sp, func(batch []relation.Tuple) error {
 				for _, h := range batch {
@@ -550,17 +539,19 @@ func (n *Network) runShip(ctx context.Context, pol RetryPolicy, budget *retryBud
 				return nil
 			})
 		})
-		retries += r
+		if errors.Is(err, ErrPlanUnsupported) {
+			return nil, false, nil
+		}
 		if err != nil {
-			return nil, retries, err
+			return nil, false, err
 		}
 		for _, row := range rows {
 			if seen.Add(row) {
 				if err := dst.Insert(row); err != nil {
-					return nil, retries, err
+					return nil, false, err
 				}
 			}
 		}
 	}
-	return dst, retries, nil
+	return dst, true, nil
 }
