@@ -18,15 +18,16 @@ import (
 //	oxford:   offering(label, seats)
 func chainNetwork(t *testing.T) *Network {
 	t.Helper()
-	n := NewNetwork()
+	return chainNetworkOver(t, chainPeers(t)...)
+}
+
+// chainPeers returns berkeley, mit and oxford holding the chain's seed
+// rows, in that order.
+func chainPeers(t *testing.T) []*Peer {
+	t.Helper()
 	b := NewPeer("berkeley", relation.NewSchema("course", relation.Attr("title"), relation.IntAttr("size")))
 	m := NewPeer("mit", relation.NewSchema("subject", relation.Attr("name"), relation.IntAttr("enrollment")))
 	o := NewPeer("oxford", relation.NewSchema("offering", relation.Attr("label"), relation.IntAttr("seats")))
-	for _, p := range []*Peer{b, m, o} {
-		if err := n.AddPeer(p); err != nil {
-			t.Fatal(err)
-		}
-	}
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -37,14 +38,36 @@ func chainNetwork(t *testing.T) *Network {
 	must(b.Insert("course", relation.Tuple{relation.SV("Databases"), relation.IV(60)}))
 	must(m.Insert("subject", relation.Tuple{relation.SV("AI"), relation.IV(80)}))
 	must(o.Insert("offering", relation.Tuple{relation.SV("Greek Philosophy"), relation.IV(15)}))
+	return []*Peer{b, m, o}
+}
 
+// chainNetworkOver joins the chain's peers, all in-process, into a new
+// network and links them; a peer may belong to other networks too.
+func chainNetworkOver(t *testing.T, peers ...*Peer) *Network {
+	t.Helper()
+	n := NewNetwork()
+	for _, p := range peers {
+		if err := n.AddPeer(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	linkChain(t, n)
+	return n
+}
+
+// linkChain adds the chain's GAV mappings to a network holding (or
+// mirroring) berkeley, mit and oxford.
+func linkChain(t *testing.T, n *Network) {
+	t.Helper()
 	addGAV := func(id, srcPeer, srcQ, tgtPeer, tgtQ string) {
 		t.Helper()
 		mp := glav.MustNew(id, srcPeer, cq.MustParse(srcQ), tgtPeer, cq.MustParse(tgtQ))
 		if !mp.IsGAV() {
 			t.Fatalf("mapping %s should be GAV", id)
 		}
-		must(n.AddMapping(mp))
+		if err := n.AddMapping(mp); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// Berkeley data visible at MIT and vice versa.
 	addGAV("b2m", "berkeley", "m(T, S) :- course(T, S)", "mit", "m(T, S) :- subject(T, S)")
@@ -52,7 +75,6 @@ func chainNetwork(t *testing.T) *Network {
 	// MIT ↔ Oxford.
 	addGAV("m2o", "mit", "m(T, S) :- subject(T, S)", "oxford", "m(T, S) :- offering(T, S)")
 	addGAV("o2m", "oxford", "m(T, S) :- offering(T, S)", "mit", "m(T, S) :- subject(T, S)")
-	return n
 }
 
 func TestLocalAnswer(t *testing.T) {

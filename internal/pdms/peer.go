@@ -8,7 +8,9 @@ package pdms
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,11 +30,12 @@ type Peer struct {
 	Store  *relation.Database
 	schema map[string]relation.Schema
 	// nets are the networks this peer has joined; AddSchema notifies
-	// them so cached reformulations derived from the old schema die.
-	// Mutated only under the single-writer contract (AddPeer/RemovePeer/
-	// AddSchema require external synchronization). A network is unlinked
-	// by RemovePeer — a peer that outlives its network must be removed
-	// from it, or the network (and its caches) stays reachable here.
+	// them so stale cached reformulations die, and commits maintain their
+	// placed views. Mutated only under the single-writer contract
+	// (AddPeer/RemovePeer/AddSchema require external synchronization). A
+	// network is unlinked by RemovePeer — a peer that outlives its
+	// network must be removed from it, or the network (and its caches)
+	// stays reachable here.
 	nets map[*Network]struct{}
 	// schemaVer counts AddSchema calls. Transports serve it in the
 	// peer's statistics fingerprint so a coordinator mirroring this peer
@@ -42,17 +45,17 @@ type Peer struct {
 	schemaVer atomic.Uint64
 	// serveMu makes serving this peer over a transport safe against the
 	// node's own mutations — exactly the live-freshness scenario the
-	// wire protocol's fingerprint probe exists for. Insert, Delete, and
-	// AddSchema take the write side; the Serving* accessors (what
-	// Loopback and the TCP server read) take the read side. In-process
-	// readers (queries through a Network) keep the pre-existing
-	// contract: they are synchronized by the network's caches and
-	// fingerprints, not by this lock.
+	// wire protocol's fingerprint probe exists for. Commits (Insert,
+	// Delete, Publish) and AddSchema take the write side; the Serving*
+	// accessors (what Loopback and the TCP server read) take the read
+	// side. In-process readers (queries through a Network) keep the
+	// pre-existing contract: they are synchronized by the network's
+	// caches and fingerprints, not by this lock.
 	serveMu sync.RWMutex
 	// persist, when non-nil, is the durable snapshot+WAL store backing
-	// Store: mutations through Insert/Delete/AddSchema are logged to it
-	// under serveMu, and ServingDelta serves catch-up records from its
-	// resident log. Nil for ordinary in-memory peers. See OpenDurablePeer.
+	// Store: commits and AddSchema are logged to it under serveMu, and
+	// ServingDelta serves catch-up records from its resident log. Nil
+	// for ordinary in-memory peers. See OpenDurablePeer.
 	persist *store.Store
 	// feeds are the live push subscriptions fanning this peer's change
 	// records out (FeedSubscribe registers them). Mutated and iterated
@@ -81,7 +84,7 @@ func NewPeer(name string, schemas ...relation.Schema) *Peer {
 // nothing to re-fetch. Schemas already recovered from the store are kept
 // as-is; schemas in the argument list that the store does not know yet
 // are added (and logged) — so the same call serves both a fresh start
-// and a restart. Mutations through Insert, Delete, and AddSchema are
+// and a restart. Commits (Insert, Delete, Publish) and AddSchema are
 // logged to the store; Checkpoint folds the log into a fresh snapshot,
 // and ClosePersist releases the store on shutdown.
 func OpenDurablePeer(name, dir string, schemas ...relation.Schema) (*Peer, error) {
@@ -205,53 +208,92 @@ func (p *Peer) RelationNames() []string {
 	return out
 }
 
-// Insert stores a tuple locally. It is safe against concurrent serving
-// of this peer over a transport (not against concurrent in-process
-// readers, which keep the single-writer contract). On a durable peer
-// the insert is additionally logged to the write-ahead log before
-// returning; a log failure is the call's error (the tuple is in memory
-// but not durable).
+// Insert stores a tuple through the peer's one commit path (see
+// commit): safe against concurrent serving of this peer over a
+// transport (not against concurrent in-process readers, which keep the
+// single-writer contract), pushed to feed subscribers, and folded into
+// every placed view over rel on the networks the peer joined. On a
+// durable peer a log failure is the call's error (the tuple is in
+// memory but not durable).
 func (p *Peer) Insert(rel string, t relation.Tuple) error {
-	if !p.HasRelation(rel) {
-		return fmt.Errorf("pdms: peer %s has no relation %q", p.Name, rel)
-	}
-	p.serveMu.Lock()
-	defer p.serveMu.Unlock()
-	if err := p.Store.Insert(rel, t); err != nil {
-		return err
-	}
-	if p.persist != nil || len(p.feeds) > 0 {
-		r := p.Store.Get(rel)
-		rec := relation.ChangeRecord{Op: relation.ChangeInsert,
-			Rel: rel, Ver: r.Version(), Rows: r.Len(), Tuple: t}
-		p.fanout(rec)
-		if p.persist != nil {
-			return p.persist.Append(rec)
-		}
-	}
-	return nil
+	_, err := p.commit(rel, nil, []relation.Tuple{t}, nil)
+	return err
 }
 
-// Delete removes every stored tuple of rel equal to t, reporting how
-// many were removed. Like Insert it is safe against concurrent serving,
-// and on a durable peer an effective delete (removed > 0) is logged.
+// Delete removes every stored tuple of rel equal to t through the same
+// commit path, reporting how many were removed; a delete that removes
+// nothing is neither logged, pushed, nor shown to placed views.
 func (p *Peer) Delete(rel string, t relation.Tuple) (int, error) {
-	if !p.HasRelation(rel) {
+	return p.commit(rel, []relation.Tuple{t}, nil, nil)
+}
+
+// commit is the one way stored data changes: Insert, Delete and
+// Network.Publish all reduce to it. It applies one batch to rel,
+// deletes before inserts (a tuple in both ends up present), and checks
+// the whole batch first, so a refused batch touches nothing. Under the
+// serving write lock each effective change is mutated first, then
+// fanned out to the push feeds and logged; the records are
+// byte-identical to what the same sequence of single Insert/Delete
+// calls writes. After the lock is released the records reach every
+// placed view over rel on the networks p joined (maintainViews). Only
+// those networks' pre-states are taken, before the commit, so a peer
+// with no view over rel builds no record its log and feeds do not
+// consume. stats, when non-nil, accumulates the view work. It returns
+// the rows deleted and the first log failure.
+func (p *Peer) commit(rel string, dels, ins []relation.Tuple, stats *PublishStats) (removed int, err error) {
+	r := p.Store.Get(rel)
+	if r == nil {
 		return 0, fmt.Errorf("pdms: peer %s has no relation %q", p.Name, rel)
 	}
-	p.serveMu.Lock()
-	defer p.serveMu.Unlock()
-	r := p.Store.Get(rel)
-	removed := r.Delete(t)
-	if removed > 0 && (p.persist != nil || len(p.feeds) > 0) {
-		rec := relation.ChangeRecord{Op: relation.ChangeDelete,
-			Rel: rel, Ver: r.Version(), Rows: r.Len(), Tuple: t}
-		p.fanout(rec)
-		if p.persist != nil {
-			return removed, p.persist.Append(rec)
+	for _, t := range ins {
+		if err := r.Schema.Compatible(t); err != nil {
+			return 0, err
 		}
 	}
-	return removed, nil
+	var nets []*Network           // joined networks with a placed view over rel
+	var pres []*relation.Database // and their pre-states
+	for n := range p.nets {
+		if n.viewsOver(p.Name, rel) {
+			nets, pres = append(nets, n), append(pres, n.GlobalDB())
+		}
+	}
+	var recs []relation.ChangeRecord
+	p.serveMu.Lock()
+	for i := range len(dels) + len(ins) {
+		rec := relation.ChangeRecord{Op: relation.ChangeDelete, Rel: rel}
+		if i < len(dels) {
+			rec.Tuple = dels[i]
+			k := r.Delete(rec.Tuple)
+			if k == 0 {
+				continue // nothing removed: no record, no view tuple
+			}
+			removed += k
+		} else {
+			rec.Op, rec.Tuple = relation.ChangeInsert, ins[i-len(dels)]
+			_ = r.Insert(rec.Tuple) // cannot fail: the batch was checked above
+		}
+		if p.persist == nil && len(p.feeds) == 0 && nets == nil {
+			continue
+		}
+		rec.Ver, rec.Rows = r.Version(), r.Len()
+		p.fanout(rec)
+		if p.persist != nil {
+			if lerr := p.persist.Append(rec); err == nil {
+				err = lerr
+			}
+		}
+		if nets != nil {
+			recs = append(recs, rec)
+		}
+	}
+	p.serveMu.Unlock()
+	if len(recs) > 0 {
+		qualified := glav.QualifiedName(p.Name, rel)
+		for i, n := range nets {
+			n.maintainViews(pres[i], n.GlobalDB(), qualified, recs, stats)
+		}
+	}
+	return removed, err
 }
 
 // ServingState returns, under the serving lock, the peer's schema
@@ -300,9 +342,11 @@ func (p *Peer) ServingScan(rel string) *relation.Relation {
 // Concurrency: read-side operations (Answer, LocalAnswer, GlobalDB,
 // EstimateCost) may run concurrently with each other — the caches and
 // shared snapshots they touch are synchronized. Mutations (AddPeer,
-// AddMapping, RemovePeer, Peer.Insert, Publish, Subscribe) require
-// external synchronization with respect to readers and each other, the
-// same single-writer contract the underlying relations have.
+// AddMapping, RemovePeer, Subscribe, and every commit — Peer.Insert,
+// Peer.Delete, Publish — which also maintains the placed views over the
+// committed relation) require external synchronization with respect to
+// readers and each other, the same single-writer contract the
+// underlying relations have.
 type Network struct {
 	peers    map[string]*Peer
 	order    []string
@@ -577,14 +621,7 @@ func (n *Network) RemovePeer(name string) error {
 		if sub.AtPeer == name {
 			continue
 		}
-		mentions := false
-		for _, pred := range sub.MV.View.Def.Predicates() {
-			if len(pred) >= len(prefix) && pred[:len(prefix)] == prefix {
-				mentions = true
-				break
-			}
-		}
-		if mentions {
+		if slices.ContainsFunc(sub.MV.View.Def.Predicates(), func(pred string) bool { return strings.HasPrefix(pred, prefix) }) {
 			continue
 		}
 		keptSubs = append(keptSubs, sub)

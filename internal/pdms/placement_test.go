@@ -100,15 +100,17 @@ func TestCopiesStayFreshThroughPublish(t *testing.T) {
 		t.Errorf("copy went stale after publish: %v vs %v",
 			direct.Answers.Rows(), viaCopies.Answers.Rows())
 	}
-	// Bypassing Publish leaves the copy stale — the documented contract.
+	// A plain Peer.Insert is the same commit, so the copy follows it too:
+	// there is no write that bypasses the updategram path.
 	if err := n.Peer("berkeley").Insert("course",
 		relation.Tuple{relation.SV("Smuggled"), relation.IV(1)}); err != nil {
 		t.Fatal(err)
 	}
 	direct2, _ := n.Answer("oxford", q, ReformOptions{})
 	via2, _ := n.AnswerUsingCopies("oxford", q, ReformOptions{})
-	if direct2.Answers.Equal(via2.Answers) {
-		t.Error("expected staleness when updates bypass updategrams")
+	if !direct2.Answers.Equal(via2.Answers) {
+		t.Errorf("copy went stale after Peer.Insert: %v vs %v",
+			direct2.Answers.Rows(), via2.Answers.Rows())
 	}
 }
 

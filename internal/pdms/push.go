@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/glav"
 	"repro/internal/relation"
-	"repro/internal/view"
 )
 
 // This file implements push-based replication: instead of every query
@@ -377,11 +376,11 @@ func (n *Network) pushAck(ctx context.Context, rp *RemotePeer, st PeerState) err
 // exactly as it was — still a true image of the origin at its own
 // fingerprint, which the advanced latest statistics now mark stale —
 // so the next query re-fetches it through the poll path. Applied
-// changes then flow through the updategram path into placed
-// materialized views, relation by relation: one global pre-state is
-// taken per batch, and relation k's post-state serves as relation
-// k+1's pre-state — incremental maintenance instead of re-derivation,
-// with a full refresh as the correctness fallback.
+// changes then flow into placed materialized views, relation by
+// relation, through maintainViews — the records → view-updategram step
+// the commit path shares: one global pre-state is taken per batch, when
+// the first relation a placed view mentions is about to move, and
+// relation k's post-state serves as relation k+1's pre-state.
 func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) error {
 	n.pushBatches.Add(1)
 	n.pushRecords.Add(uint64(len(recs)))
@@ -404,8 +403,7 @@ func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) e
 		}
 		byRel[rec.Rel] = append(byRel[rec.Rel], rec)
 	}
-	maintainViews := n.hasSubs()
-	var pre *relation.Database // the updategram pre-state; nil until a replica is about to move
+	var pre *relation.Database // the updategram pre-state; nil until a replica with views is about to move
 	for _, rel := range order {
 		relRecs := byRel[rel]
 		last := relRecs[len(relRecs)-1]
@@ -427,7 +425,7 @@ func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) e
 			}
 			continue
 		}
-		if maintainViews && pre == nil {
+		if pre == nil && n.viewsOver(rp.name, rel) {
 			pre = n.globalSnapshot()
 		}
 		replica, err := replica.ApplyChanges(todo)
@@ -441,19 +439,8 @@ func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) e
 		rp.mirror.Store.Put(replica) // a no-op unless a delete built a replacement
 		state.pushed = true
 		if pre != nil {
-			u := view.Updategram{Relation: glav.QualifiedName(rp.name, rel)}
-			for _, rec := range todo {
-				switch rec.Op {
-				case relation.ChangeInsert:
-					u.Inserts = append(u.Inserts, rec.Tuple)
-				case relation.ChangeDelete:
-					u.Deletes = append(u.Deletes, rec.Tuple)
-				}
-			}
 			post := n.globalSnapshot()
-			if err := n.fanoutViews(pre, post, u, &PublishStats{}); err != nil {
-				n.refreshViews(post) // full re-derivation is the fallback truth
-			}
+			n.maintainViews(pre, post, glav.QualifiedName(rp.name, rel), todo, nil)
 			pre = post
 		}
 	}

@@ -206,13 +206,14 @@ func TestFeedSubscribeCatchUp(t *testing.T) {
 // State probes and zero re-scans, the query's sync paths report "push",
 // and three extents agree byte-identically under the sorted wire
 // encoding — the push-maintained view, a full re-derivation over the
-// coordinator's global database, and the all-local oracle maintained
-// through the in-process Publish path. A second raw subscriber on the
-// same serving peer checks the one-to-many fan-out delivers every
-// record.
+// coordinator's global database, and the all-local oracle. The oracle
+// is built over the very peers lb serves, so each change is written
+// once: the commit both feeds the push subscribers and maintains the
+// oracle's placed views. A second raw subscriber on the same serving
+// peer checks the one-to-many fan-out delivers every record.
 func TestPushDifferentialLoopback(t *testing.T) {
-	local := chainNetwork(t)
 	n, lb, served := remoteChainNetwork(t)
+	local := chainNetworkOver(t, n.Peer("berkeley"), served["mit"], served["oxford"])
 	q := cq.MustParse("q(T) :- course(T, S)")
 
 	// Baseline query fills the replicas (cold scans), so view refreshes
@@ -283,18 +284,15 @@ func TestPushDifferentialLoopback(t *testing.T) {
 
 	statesBase, scansBase, wireBase := lb.States(), lb.Scans(), lb.WireBytes()
 
-	// Identical mutations on the served node and the all-local oracle
-	// (the oracle goes through Publish so its views are maintained by
-	// the in-process updategram path).
+	// One write per change, on the served node through the oracle: the
+	// inserts through Publish, the delete through Peer.Delete — the same
+	// commit either way.
 	inserts := []relation.Tuple{
 		{relation.SV("Robotics"), relation.IV(25)},
 		{relation.SV("Databases"), relation.IV(60)}, // joins berkeley.course in w
 		{relation.SV("Compilers"), relation.IV(45)},
 	}
 	for _, row := range inserts {
-		if err := served["mit"].Insert("subject", row); err != nil {
-			t.Fatal(err)
-		}
 		if _, err := local.InsertAndPublish("mit", "subject", row); err != nil {
 			t.Fatal(err)
 		}
@@ -302,10 +300,6 @@ func TestPushDifferentialLoopback(t *testing.T) {
 	del := relation.Tuple{relation.SV("AI"), relation.IV(80)}
 	if removed, err := served["mit"].Delete("subject", del); err != nil || removed != 1 {
 		t.Fatalf("served delete removed %d (%v), want 1", removed, err)
-	}
-	if _, err := local.Publish("mit", "subject", view.Updategram{Relation: "subject",
-		Deletes: []relation.Tuple{del}}); err != nil {
-		t.Fatal(err)
 	}
 
 	if err := n.WaitPushApplied(wctx, "mit", "subject", served["mit"].Store.Get("subject").Version()); err != nil {

@@ -19,37 +19,18 @@ import (
 func remoteChainNetwork(t *testing.T) (*Network, *Loopback, map[string]*Peer) {
 	t.Helper()
 	n := NewNetwork()
-	b := NewPeer("berkeley", relation.NewSchema("course", relation.Attr("title"), relation.IntAttr("size")))
-	m := NewPeer("mit", relation.NewSchema("subject", relation.Attr("name"), relation.IntAttr("enrollment")))
-	o := NewPeer("oxford", relation.NewSchema("offering", relation.Attr("label"), relation.IntAttr("seats")))
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
+	peers := chainPeers(t)
+	b, m, o := peers[0], peers[1], peers[2]
+	lb := NewLoopback(m, o)
+	if err := n.AddPeer(b); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"mit", "oxford"} {
+		if _, err := n.AddRemotePeer(context.Background(), name, lb); err != nil {
 			t.Fatal(err)
 		}
 	}
-	must(b.Insert("course", relation.Tuple{relation.SV("Ancient History"), relation.IV(40)}))
-	must(b.Insert("course", relation.Tuple{relation.SV("Databases"), relation.IV(60)}))
-	must(m.Insert("subject", relation.Tuple{relation.SV("AI"), relation.IV(80)}))
-	must(o.Insert("offering", relation.Tuple{relation.SV("Greek Philosophy"), relation.IV(15)}))
-
-	lb := NewLoopback(m, o)
-	must(n.AddPeer(b))
-	if _, err := n.AddRemotePeer(context.Background(), "mit", lb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := n.AddRemotePeer(context.Background(), "oxford", lb); err != nil {
-		t.Fatal(err)
-	}
-	addGAV := func(id, srcPeer, srcQ, tgtPeer, tgtQ string) {
-		t.Helper()
-		mp := glav.MustNew(id, srcPeer, cq.MustParse(srcQ), tgtPeer, cq.MustParse(tgtQ))
-		must(n.AddMapping(mp))
-	}
-	addGAV("b2m", "berkeley", "m(T, S) :- course(T, S)", "mit", "m(T, S) :- subject(T, S)")
-	addGAV("m2b", "mit", "m(T, S) :- subject(T, S)", "berkeley", "m(T, S) :- course(T, S)")
-	addGAV("m2o", "mit", "m(T, S) :- subject(T, S)", "oxford", "m(T, S) :- offering(T, S)")
-	addGAV("o2m", "oxford", "m(T, S) :- offering(T, S)", "mit", "m(T, S) :- subject(T, S)")
+	linkChain(t, n)
 	return n, lb, map[string]*Peer{"mit": m, "oxford": o}
 }
 

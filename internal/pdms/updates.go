@@ -2,6 +2,7 @@ package pdms
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cq"
 	"repro/internal/glav"
@@ -58,32 +59,67 @@ type PublishStats struct {
 	TuplesShipped int
 }
 
-// Publish applies an updategram to a peer's stored relation and
-// propagates incremental view updategrams to every affected
-// subscription. "Updategrams on base data can be combined to create
-// updategrams for views."
+// Publish commits an updategram to a peer's stored relation through the
+// peer's one commit path (see Peer.Insert): the batch is checked whole,
+// its deletes and then its inserts are applied under the serving lock,
+// logged on a durable peer and pushed to feed subscribers, and the
+// committed changes propagate as incremental view updategrams into every
+// affected subscription — on every network the peer joined, which the
+// returned stats count. "Updategrams on base data can be combined to
+// create updategrams for views."
 func (n *Network) Publish(peer, rel string, u view.Updategram) (*PublishStats, error) {
 	p := n.Peer(peer)
 	if p == nil {
 		return nil, errUnknownPeer(peer)
 	}
-	if !p.HasRelation(rel) {
-		return nil, fmt.Errorf("pdms: peer %s has no relation %q", peer, rel)
-	}
-	qualified := glav.QualifiedName(peer, rel)
-	pre := n.GlobalDB()
-	// Apply locally.
-	local := view.Updategram{Relation: rel, Inserts: u.Inserts, Deletes: u.Deletes}
-	if err := local.Apply(p.Store); err != nil {
-		return nil, err
-	}
-	post := n.GlobalDB()
 	stats := &PublishStats{}
-	qu := view.Updategram{Relation: qualified, Inserts: u.Inserts, Deletes: u.Deletes}
-	if err := n.fanoutViews(pre, post, qu, stats); err != nil {
+	if _, err := p.commit(rel, u.Deletes, u.Inserts, stats); err != nil {
 		return nil, err
 	}
 	return stats, nil
+}
+
+// viewsOver reports whether a placed view's definition mentions peer's
+// rel — whether a commit there has views to maintain. It builds no
+// qualified name, so a commit on a network without such views costs one
+// uncontended lock and a scan of the view definitions.
+func (n *Network) viewsOver(peer, rel string) bool {
+	n.subMu.Lock()
+	defer n.subMu.Unlock()
+	return slices.ContainsFunc(n.subs, func(sub *Subscription) bool {
+		return slices.ContainsFunc(sub.MV.View.Def.Body, func(a cq.Atom) bool { return qualifiedAs(a.Pred, peer, rel) })
+	})
+}
+
+// maintainViews is the one place committed change records become a view
+// updategram: one relation's records (qualified is its "peer.rel" name)
+// fold, in commit order, into a base updategram that propagates into
+// every placed view over the relation between the pre and post states.
+// The commit path (the in-process single writer) and the push applier
+// (its own goroutine) both call it, so the extents are guarded by
+// subMu. stats may be nil.
+func (n *Network) maintainViews(pre, post *relation.Database, qualified string, recs []relation.ChangeRecord, stats *PublishStats) {
+	u := view.Updategram{Relation: qualified}
+	for _, rec := range recs {
+		switch rec.Op {
+		case relation.ChangeInsert:
+			u.Inserts = append(u.Inserts, rec.Tuple)
+		case relation.ChangeDelete:
+			u.Deletes = append(u.Deletes, rec.Tuple)
+		}
+	}
+	if stats == nil {
+		stats = &PublishStats{}
+	}
+	n.subMu.Lock()
+	defer n.subMu.Unlock()
+	if err := n.fanoutViews(pre, post, u, stats); err != nil {
+		// Full re-derivation is the fallback truth. A view whose refresh
+		// fails keeps its old extent; the next propagation retries.
+		for _, sub := range n.subs {
+			_ = sub.MV.Refresh(post)
+		}
+	}
 }
 
 // fanoutViews propagates one qualified base updategram into every
@@ -92,22 +128,11 @@ func (n *Network) Publish(peer, rel string, u view.Updategram) (*PublishStats, e
 // combined to create updategrams for views". The prepared update
 // (scratch databases with the delta installed) is shared by every
 // affected subscription — built lazily on the first one instead of
-// rebuilt per view. Shared by Publish (the in-process single-writer
-// path) and the push applier (a concurrent goroutine), so the views'
-// extents are guarded by subMu.
+// rebuilt per view. The caller holds subMu.
 func (n *Network) fanoutViews(pre, post *relation.Database, qu view.Updategram, stats *PublishStats) error {
-	n.subMu.Lock()
-	defer n.subMu.Unlock()
 	var prepared *view.PreparedUpdate
 	for _, sub := range n.subs {
-		mentions := false
-		for _, a := range sub.MV.View.Def.Body {
-			if a.Pred == qu.Relation {
-				mentions = true
-				break
-			}
-		}
-		if !mentions {
+		if !slices.ContainsFunc(sub.MV.View.Def.Body, func(a cq.Atom) bool { return a.Pred == qu.Relation }) {
 			continue
 		}
 		stats.ViewsTouched++
@@ -129,28 +154,6 @@ func (n *Network) fanoutViews(pre, post *relation.Database, qu view.Updategram, 
 	return nil
 }
 
-// refreshViews recomputes every placed view's extent from scratch
-// against db — the correctness fallback when incremental propagation
-// fails. A view whose refresh fails keeps its old extent (the next
-// propagation retries).
-func (n *Network) refreshViews(db *relation.Database) {
-	n.subMu.Lock()
-	defer n.subMu.Unlock()
-	for _, sub := range n.subs {
-		if err := sub.MV.Refresh(db); err != nil {
-			continue
-		}
-	}
-}
-
-// hasSubs reports whether any materialized views are placed, under
-// subMu (the push applier reads it concurrently with Subscribe).
-func (n *Network) hasSubs() bool {
-	n.subMu.Lock()
-	defer n.subMu.Unlock()
-	return len(n.subs) > 0
-}
-
 // ViewExtent returns a race-free snapshot (clone) of a placed view's
 // current extent. The push applier maintains extents from its own
 // goroutine, so direct Extent reads while a subscription is live would
@@ -167,31 +170,4 @@ func (n *Network) ViewExtent(sub *Subscription) *relation.Relation {
 // InsertAndPublish is a convenience wrapper publishing a single insert.
 func (n *Network) InsertAndPublish(peer, rel string, t relation.Tuple) (*PublishStats, error) {
 	return n.Publish(peer, rel, view.Updategram{Relation: rel, Inserts: []relation.Tuple{t}})
-}
-
-// PublishThroughView updates base data *through* a placed view — the
-// §3.1.2 extension update_through.go implements, wired into the
-// network's publish fan-out: the view-level updategram is translated
-// into base-relation updategrams (rejecting ambiguous or side-effecting
-// translations), each applied through Publish so the change propagates
-// into every other placed view exactly like a direct base update.
-func (n *Network) PublishThroughView(sub *Subscription, u view.Updategram) (*PublishStats, error) {
-	baseUpdates, err := view.TranslateUpdate(sub.MV.View, n.GlobalDB(), u)
-	if err != nil {
-		return nil, err
-	}
-	total := &PublishStats{}
-	for _, bu := range baseUpdates {
-		peer, rel := glav.SplitQualified(bu.Relation)
-		if peer == "" {
-			return nil, fmt.Errorf("pdms: view %s over unqualified relation %q", sub.MV.View.Name, bu.Relation)
-		}
-		st, err := n.Publish(peer, rel, view.Updategram{Relation: rel, Inserts: bu.Inserts, Deletes: bu.Deletes})
-		if err != nil {
-			return nil, err
-		}
-		total.ViewsTouched += st.ViewsTouched
-		total.TuplesShipped += st.TuplesShipped
-	}
-	return total, nil
 }

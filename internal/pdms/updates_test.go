@@ -1,6 +1,8 @@
 package pdms
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -9,12 +11,20 @@ import (
 	"repro/internal/view"
 )
 
+// updatesR is peer a's relation in the updates fixtures.
+var updatesR = relation.NewSchema("r", relation.Attr("name"), relation.IntAttr("n"))
+
 // updatesNetwork builds a two-peer network: a holds r(name, n), b holds
 // s(name, label), both local.
 func updatesNetwork(t *testing.T) *Network {
 	t.Helper()
+	return updatesNetworkOver(t, NewPeer("a", updatesR))
+}
+
+// updatesNetworkOver is updatesNetwork with a caller-built (empty) peer a.
+func updatesNetworkOver(t *testing.T, a *Peer) *Network {
+	t.Helper()
 	n := NewNetwork()
-	a := NewPeer("a", relation.NewSchema("r", relation.Attr("name"), relation.IntAttr("n")))
 	b := NewPeer("b", relation.NewSchema("s", relation.Attr("name"), relation.Attr("label")))
 	for _, p := range []*Peer{a, b} {
 		if err := n.AddPeer(p); err != nil {
@@ -123,19 +133,61 @@ func TestPublishPropagatesUpdategrams(t *testing.T) {
 	}
 }
 
-// TestPublishValidation pins Publish's error paths: unknown peer and
-// unknown relation fail without mutating anything.
+// TestPublishValidation pins Publish's error paths: unknown peer,
+// unknown relation, and a batch whose insert does not fit the schema
+// after a valid delete all fail without mutating anything — a refused
+// batch leaves the relation's rows and version, the durable log and the
+// push feed as they were.
 func TestPublishValidation(t *testing.T) {
-	n := updatesNetwork(t)
-	u := view.Updategram{Relation: "r", Inserts: []relation.Tuple{{relation.SV("q"), relation.IV(9)}}}
-	if _, err := n.Publish("ghost", "r", u); err == nil || !strings.Contains(err.Error(), "ghost") {
-		t.Errorf("publish at unknown peer: err = %v", err)
+	dir := t.TempDir()
+	a, err := OpenDurablePeer("a", dir, updatesR)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := n.Publish("a", "ghost", u); err == nil || !strings.Contains(err.Error(), "ghost") {
-		t.Errorf("publish to unknown relation: err = %v", err)
+	defer a.ClosePersist()
+	n := updatesNetworkOver(t, a)
+	feed, _, _ := a.FeedSubscribe(nil, 0)
+	defer feed.Close()
+	r := n.Peer("a").Store.Get("r")
+	ver := r.Version()
+	walBefore, err := os.Stat(filepath.Join(dir, "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := view.Updategram{Relation: "r", Inserts: []relation.Tuple{{relation.SV("q"), relation.IV(9)}}}
+	for _, c := range []struct {
+		peer, rel string
+		u         view.Updategram
+		want      string
+	}{
+		{"ghost", "r", u, "ghost"},
+		{"a", "ghost", u, "ghost"},
+		{"a", "r", view.Updategram{Relation: "r",
+			Deletes: []relation.Tuple{{relation.SV("x"), relation.IV(1)}},
+			Inserts: []relation.Tuple{{relation.SV("q")}}}, "arity"},
+	} {
+		if _, err := n.Publish(c.peer, c.rel, c.u); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("publish to %s.%s: err = %v, want one naming %q", c.peer, c.rel, err, c.want)
+		}
 	}
 	if n.Peer("a").Store.Get("r").Len() != 2 {
 		t.Error("failed publish mutated the base relation")
+	}
+	if r.Version() != ver {
+		t.Errorf("failed publish moved the version %d → %d", ver, r.Version())
+	}
+	walAfter, err := os.Stat(filepath.Join(dir, "wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if walAfter.Size() != walBefore.Size() {
+		t.Errorf("failed publish wrote to the log: %d → %d bytes", walBefore.Size(), walAfter.Size())
+	}
+	feed.mu.Lock()
+	pushed := len(feed.buf)
+	feed.mu.Unlock()
+	if pushed != 0 {
+		t.Errorf("failed publish pushed %d records", pushed)
 	}
 }
 

@@ -16,11 +16,12 @@ import (
 // may serve many peers (a node runs one listener, not one per peer).
 // Reads happen on connection goroutines concurrently with each other
 // and — through the peers' Serving* accessors, which snapshot under the
-// peer's serving lock — safely against the node's own Peer.Insert and
-// Peer.AddSchema calls, so a served peer may keep mutating live (the
-// scenario the protocol's freshness probe exists for). Mutations that
-// bypass Peer (direct Store/relation manipulation, updategram
-// application) still require external synchronization with serving.
+// peer's serving lock — safely against the node's own commits
+// (Peer.Insert, Peer.Delete, Network.Publish) and Peer.AddSchema calls,
+// so a served peer may keep mutating live (the scenario the protocol's
+// freshness probe exists for). Mutations that bypass Peer (direct
+// Store/relation manipulation, view.ApplyThroughView on a peer's Store)
+// still require external synchronization with serving.
 type Server struct {
 	// BatchSize is the number of tuples per scan batch frame
 	// (pdms.DefaultScanBatch when zero). Set before Serve.

@@ -43,9 +43,8 @@ func (u Updategram) Apply(db *relation.Database) error {
 // MaterializedView holds the extent of a view definition over some base
 // database, supporting full refresh and incremental delta application.
 type MaterializedView struct {
-	View    View
-	Extent  *relation.Relation
-	fullLen int // rows at last full refresh, for staleness accounting
+	View   View
+	Extent *relation.Relation
 }
 
 // NewMaterialized creates an unpopulated materialized view.
@@ -60,7 +59,6 @@ func (m *MaterializedView) Refresh(db *relation.Database) error {
 		return err
 	}
 	m.Extent = r
-	m.fullLen = r.Len()
 	return nil
 }
 
