@@ -2,10 +2,12 @@ package repro
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/cq"
 	"repro/internal/pdms"
+	"repro/internal/relation"
 	"repro/internal/workload"
 )
 
@@ -124,5 +126,58 @@ func TestWarmPathAllocCeilings(t *testing.T) {
 				t.Errorf("%d Scans over %d warm ops, want 0", got, ops)
 			}
 		})
+	}
+}
+
+// TestBulkLoadAllocs holds the bulk-load claim in bytes: building the
+// eight served relations of the 200-rows-per-peer chain — the replicas
+// a cold coordinator scans (arity 7, five columns 50–188 values wide) —
+// through one InsertBatch each must allocate at most 0.6× what an Insert
+// per row allocates for the same rows. Both are measured here, over the
+// same tuples, so the ratio does not depend on the machine.
+func TestBulkLoadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on its own")
+	}
+	g := e2Chain(t, 16, 200)
+	var rels []*relation.Relation
+	for _, p := range e2Served(g) {
+		rels = append(rels, p.Store.Relations()...)
+	}
+	rows := 0
+	for _, r := range rels {
+		rows += r.Len()
+	}
+	measure := func(build func(r *relation.Relation) *relation.Relation) float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		const rounds = 20
+		for i := 0; i < rounds; i++ {
+			for _, r := range rels {
+				if got := build(r); got.Len() != r.Len() {
+					t.Fatalf("%s: built %d rows, want %d", r.Schema.Name, got.Len(), r.Len())
+				}
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(rounds*rows)
+	}
+	loop := measure(func(r *relation.Relation) *relation.Relation {
+		out := relation.New(r.Schema)
+		for _, t := range r.Rows() {
+			out.Insert(t)
+		}
+		return out
+	})
+	bulk := measure(func(r *relation.Relation) *relation.Relation {
+		out := relation.New(r.Schema)
+		out.InsertBatch(r.Rows())
+		return out
+	})
+	t.Logf("%d relations, %d rows: Insert loop %.0f B/row, InsertBatch %.0f B/row (%.2f×)",
+		len(rels), rows, loop, bulk, bulk/loop)
+	if bulk > 0.6*loop {
+		t.Errorf("InsertBatch allocates %.0f B/row, over 0.6× the Insert loop's %.0f", bulk, loop)
 	}
 }

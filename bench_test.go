@@ -322,6 +322,83 @@ func BenchmarkE2Remote(b *testing.B) {
 	}
 }
 
+// BenchmarkColdSyncLoopback is the cold-sync shape in process: caches
+// and replica marks dropped before every query, so each iteration
+// re-reformulates, re-compiles and re-scans the upper half of the
+// 200-rows-per-peer chain (eight relations, 1 600 rows) through the
+// Loopback wire codecs, building every replica with one bulk load.
+func BenchmarkColdSyncLoopback(b *testing.B) {
+	g := e2Chain(b, 16, 200)
+	lb := pdms.NewLoopback(e2Served(g)...)
+	n := e2RemoteCoordinator(b, g, lb)
+	req := pdms.Request{Peer: workload.PeerName(0), Query: g.TitleQuery(0),
+		Reform: pdms.ReformOptions{MaxDepth: 17}}
+	ctx := context.Background()
+	answers := 0
+	for i := 0; i < b.N; i++ {
+		n.InvalidateCaches()
+		cur, err := n.Query(ctx, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := cur.Materialize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		answers = res.Len()
+	}
+	b.ReportMetric(float64(lb.Scans())/float64(b.N), "scans/op")
+	b.ReportMetric(float64(answers), "answers")
+}
+
+// BenchmarkOpenDurablePeer measures a durable node's recovery in the
+// rejoin shape: a 50 000-row fact relation in the snapshot plus 4 000
+// one-row writes in the log, reopened (snapshot bulk-loaded, log
+// replayed, nothing checkpointed) and closed every iteration.
+func BenchmarkOpenDurablePeer(b *testing.B) {
+	const walRecords = 4000
+	db, _, err := workload.SkewedJoin(workload.SkewedJoinSpec{FactRows: 50000, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	fact := db.Get("fact")
+	dir := b.TempDir()
+	p, err := pdms.OpenDurablePeer("src", dir, fact.Schema)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, row := range fact.Rows() {
+		if err := p.Insert("fact", row); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := p.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	for k := 0; k < walRecords; k++ {
+		row := relation.Tuple{relation.SV(fmt.Sprintf("k%d", k%64)), relation.SV(fmt.Sprintf("pushed%d", k))}
+		if err := p.Insert("fact", row); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := p.ClosePersist(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := pdms.OpenDurablePeer("src", dir, fact.Schema)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := p.Persist().Recovered().Replayed; got != walRecords {
+			b.Fatalf("replayed %d records, want %d", got, walRecords)
+		}
+		if err := p.ClosePersist(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkQueryConcurrentClients measures warm-cache serving
 // throughput under concurrent clients: every goroutine issues the same
 // already-cached request against one Network and drains the cursor —

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -132,5 +133,71 @@ func TestSyncLadder(t *testing.T) {
 				t.Errorf("%d Delta calls after InvalidateCaches, want 0: an un-synced replica scans", got)
 			}
 		})
+	}
+}
+
+// inflatedState is a remote node that lies about its size: every
+// relation's State row count reads claim, whatever its scan then sends.
+type inflatedState struct {
+	mirrorOnly
+	claim int
+}
+
+func (f inflatedState) State(ctx context.Context, peer string) (PeerState, error) {
+	st, err := f.Transport.State(ctx, peer)
+	for i := range st.Relations {
+		st.Relations[i].Stats.Rows = f.claim
+	}
+	return st, err
+}
+
+// TestScanPresizeIgnoresClaimedRows: a State probe that claims 1<<40
+// rows for a relation whose scan streams three must not size anything
+// by the claim. The query gets the three rows, the replica holds them,
+// and because they do not match the claimed fingerprint the next query
+// treats the replica as stale and scans again — all within a few
+// hundred kilobytes.
+func TestScanPresizeIgnoresClaimedRows(t *testing.T) {
+	fact := relation.NewSchema("fact", relation.Attr("k"), relation.Attr("p"))
+	src := NewPeer("src", fact)
+	for i := 0; i < 3; i++ {
+		if err := src.Insert("fact", relation.Tuple{relation.SV(fmt.Sprintf("k%d", i)), relation.SV(fmt.Sprintf("p%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lb := NewLoopback(src)
+	n := NewNetwork()
+	if err := n.AddPeer(NewPeer("home", fact)); err != nil {
+		t.Fatal(err)
+	}
+	rp, err := n.AddRemotePeer(context.Background(), "src", inflatedState{mirrorOnly{lb}, 1 << 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.AddMapping(glav.MustNew("s2h", "src", cq.MustParse("m(K, P) :- fact(K, P)"),
+		"home", cq.MustParse("m(K, P) :- fact(K, P)"))); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Peer: "home", Query: cq.MustParse("q(K, P) :- fact(K, P)")}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	got, _ := answerRows(t, n, req)
+	runtime.ReadMemStats(&after)
+	if delta := after.TotalAlloc - before.TotalAlloc; delta >= 4<<20 {
+		t.Errorf("query against a 1<<40-row claim allocated %d bytes, want under 4 MiB", delta)
+	}
+	if got.Len() != 3 {
+		t.Fatalf("answers = %d, want 3", got.Len())
+	}
+	if r := rp.mirror.Store.Get("fact"); r == nil || r.Len() != 3 {
+		t.Fatalf("replica = %v, want 3 rows", r)
+	}
+	scans := lb.Scans()
+	if got, _ := answerRows(t, n, req); got.Len() != 3 {
+		t.Fatalf("second answers = %d, want 3", got.Len())
+	}
+	if lb.Scans() != scans+1 {
+		t.Fatalf("second query scanned %d times, want 1: a replica short of the claim is stale", lb.Scans()-scans)
 	}
 }

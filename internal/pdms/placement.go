@@ -79,9 +79,13 @@ func (n *Network) EstimateCost(peer string, q cq.Query, cm CostModel) (float64, 
 }
 
 // localCopies returns, per qualified relation name, an identity-view
-// subscription hosted at the peer (if any).
+// subscription hosted at the peer (if any). It reads the subscriptions
+// under subMu; a caller holding remoteMu takes it second (lock order
+// remoteMu → subMu).
 func (n *Network) localCopies(peer string) map[string]*Subscription {
 	out := make(map[string]*Subscription)
+	n.subMu.Lock()
+	defer n.subMu.Unlock()
 	for _, sub := range n.subs {
 		if sub.AtPeer != peer {
 			continue

@@ -1,6 +1,7 @@
 package pdms
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cq"
@@ -155,5 +156,78 @@ func TestPlacementBudget(t *testing.T) {
 	}
 	if len(placements) != 1 {
 		t.Errorf("budget ignored: %v", placements)
+	}
+}
+
+// TestSubscriptionsReadUnderSubMu runs the subscription list's writers
+// against its readers; under -race it fails if either reader touches
+// n.subs without subMu. Subscribe races EstimateCost (whose localCopies
+// ranges over the list) and Subscriptions; RemovePeer, which compacts
+// the list in place, races Subscriptions. RemovePeer is kept away from
+// EstimateCost: it also rewrites the peer and mapping tables, a topology
+// change the single-writer contract orders against every query.
+func TestSubscriptionsReadUnderSubMu(t *testing.T) {
+	n := chainNetwork(t)
+	const hosts = 16
+	for i := 0; i < hosts; i++ {
+		if err := n.AddPeer(NewPeer(fmt.Sprintf("host%d", i), relation.NewSchema("h", relation.Attr("x")))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q := cq.MustParse("q(L) :- offering(L, S)")
+	read := func(stop <-chan struct{}, estimate bool) <-chan error {
+		errc := make(chan error, 1)
+		go func() {
+			defer close(errc)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, sub := range n.Subscriptions() {
+					if sub.AtPeer == "" {
+						errc <- fmt.Errorf("subscription without a host")
+						return
+					}
+				}
+				if estimate {
+					if _, err := n.EstimateCost("oxford", q, CostModel{}); err != nil {
+						errc <- err
+						return
+					}
+				}
+			}
+		}()
+		return errc
+	}
+	stop := make(chan struct{})
+	errc := read(stop, true)
+	for i := 0; i < hosts; i++ {
+		if _, err := n.Subscribe(fmt.Sprintf("host%d", i), fmt.Sprintf("copy%d", i),
+			cq.MustParse("v(T, S) :- berkeley.course(T, S)")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := n.MaterializeRemote("oxford", "berkeley", "course"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	stop = make(chan struct{})
+	errc = read(stop, false)
+	for i := 0; i < hosts; i++ {
+		if err := n.RemovePeer(fmt.Sprintf("host%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	if got := len(n.Subscriptions()); got != hosts {
+		t.Fatalf("%d subscriptions left, want the %d oxford copies", got, hosts)
 	}
 }

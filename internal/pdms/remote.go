@@ -638,27 +638,37 @@ func deltaRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Re
 	return dst, true, nil
 }
 
-// scanRung re-reads the whole relation into a fresh replica built
-// through Insert, so column statistics accrue and the cost-based planner
-// orders joins from remote cardinalities. Every attempt starts from an
-// empty relation: a dropped scan's partial tuples never leak into the
-// retry. The replica is stamped with the probed version — the
+// scanRung re-reads the whole relation into a fresh replica. Each
+// attempt buffers the streamed tuples and, once the stream has ended,
+// builds the replica with one InsertBatch — a bulk load that sizes the
+// rows, sketches and dictionary once, so column statistics accrue and
+// the cost-based planner orders joins from remote cardinalities. A cut
+// stream builds nothing, and a retry starts from an empty buffer: a
+// dropped scan's partial tuples never leak into the replica. The buffer
+// is presized from the probed row count, capped at scanPresizeRows
+// because the remote party chose that number; past the cap it grows by
+// append. The replica is stamped with the probed version — the
 // fingerprint it is recorded at, where the next catch-up starts from.
 func scanRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Relation, bool, error) {
+	rows := make([]relation.Tuple, 0, min(max(job.rec.latest.Rows, 0), scanPresizeRows))
 	var dst *relation.Relation
 	if err := rs.retry(ctx, func(actx context.Context) error {
-		dst = relation.New(job.rp.mirror.Schema(job.rel))
-		return job.rp.tr.Scan(actx, job.rp.name, job.rel, func(batch []relation.Tuple) error {
-			for _, t := range batch {
-				if err := dst.Insert(t); err != nil {
-					return err
-				}
-			}
+		rows = rows[:0]
+		if err := job.rp.tr.Scan(actx, job.rp.name, job.rel, func(batch []relation.Tuple) error {
+			rows = append(rows, batch...)
 			return nil
-		})
+		}); err != nil {
+			return err
+		}
+		dst = relation.New(job.rp.mirror.Schema(job.rel))
+		return dst.InsertBatch(rows)
 	}); err != nil {
 		return nil, false, err
 	}
 	dst.RestoreVersion(job.rec.latest.Version)
 	return dst, true, nil
 }
+
+// scanPresizeRows caps how many rows of a scan buffer a State probe's
+// claimed row count may reserve ahead of the bytes that carry them.
+const scanPresizeRows = 1 << 16

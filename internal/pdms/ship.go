@@ -496,14 +496,14 @@ func shipWorthIt(parts []shipPart, st relation.Stats) bool {
 // sub-plans and reassembles the partial replica: per part, the returned
 // head tuples fill the atom pattern back into full-width rows, and the
 // union across parts is deduplicated (the engine's answers are distinct
-// per part, not across parts) into a fresh relation built through
-// Insert so column statistics accrue for the planner. Each part retries
-// under the request's policy into a per-attempt buffer, so a dropped
-// stream's partial tuples never leak into the replica. A refusal the
-// serving side types as ErrPlanUnsupported — old server, uncompilable
-// plan, row-budget overflow — declines, and the relation falls to the
-// mirror rungs on the same connection; any other failure is the job's,
-// like a failed scan.
+// per part, not across parts) and the distinct rows are bulk-loaded
+// into a fresh relation by one InsertBatch, so column statistics accrue
+// for the planner. Each part retries under the request's policy into a
+// per-attempt buffer, so a dropped stream's partial tuples never leak
+// into the replica. A refusal the serving side types as
+// ErrPlanUnsupported — old server, uncompilable plan, row-budget
+// overflow — declines, and the relation falls to the mirror rungs on the
+// same connection; any other failure is the job's, like a failed scan.
 func shipRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Relation, bool, error) {
 	schema := job.rp.mirror.Schema(job.rel)
 	// The overlay replica carries the qualified name the per-request
@@ -511,7 +511,7 @@ func shipRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Rel
 	// globalSnapshot qualifies them on the way out; the overlay bypasses
 	// that path).
 	schema.Name = glav.QualifiedName(job.rp.name, job.rel)
-	dst := relation.New(schema)
+	var out []relation.Tuple
 	seen := relation.NewTupleSet(64)
 	for _, part := range job.ship.parts {
 		headPos := make(map[string]int, len(part.sp.HeadVars))
@@ -547,11 +547,13 @@ func shipRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Rel
 		}
 		for _, row := range rows {
 			if seen.Add(row) {
-				if err := dst.Insert(row); err != nil {
-					return nil, false, err
-				}
+				out = append(out, row)
 			}
 		}
+	}
+	dst := relation.New(schema)
+	if err := dst.InsertBatch(out); err != nil {
+		return nil, false, err
 	}
 	return dst, true, nil
 }

@@ -47,8 +47,13 @@ func (n *Network) Subscribe(atPeer, name string, def cq.Query) (*Subscription, e
 	return sub, nil
 }
 
-// Subscriptions returns all placed views.
-func (n *Network) Subscriptions() []*Subscription { return n.subs }
+// Subscriptions returns all placed views: a copy taken under subMu, so
+// a concurrent Subscribe or RemovePeer never changes what it returned.
+func (n *Network) Subscriptions() []*Subscription {
+	n.subMu.Lock()
+	defer n.subMu.Unlock()
+	return slices.Clone(n.subs)
+}
 
 // PublishStats reports update-propagation work.
 type PublishStats struct {

@@ -9,13 +9,16 @@ import "sync"
 // relation. Equality probes and duplicate elimination then compare and
 // hash ints instead of 40-byte Value structs. The encoding follows the
 // statistics lifecycle (see stats.go): it is updated incrementally on
-// Insert — one map probe and one append per column — and rebuilt in one
-// pass when rows are removed or reordered (Delete, Dedup, SortRows).
-// Relations that are not maintaining one — NewResult answer relations,
-// and Project/Select results whose rows were appended without Insert —
-// pay nothing until a plan first joins against them: Encoding then
-// builds the dictionary in one pass under the relation's lock, and
-// Insert keeps it current from there on.
+// Insert — one map probe and one append per column — and built in one
+// sized pass over a whole run of rows by InsertBatch, and rebuilt the
+// same way when rows are removed or reordered (Delete, Dedup,
+// SortRows). A sized pass reserves each column's code vector once and
+// allocates its decode table and encode map once, at the distinct-value
+// count the column sketch estimates. Relations that are not maintaining
+// one — NewResult answer relations, and Project/Select results whose
+// rows were appended without Insert — pay nothing until a plan first
+// joins against them: Encoding then builds the dictionary in one pass
+// under the relation's lock, and Insert keeps it current from there on.
 
 // colDict is one column's dictionary: the columnar code vector (row id
 // → code) and the decode table (code → value). Codes are dense: the
@@ -173,25 +176,52 @@ func (d *Dict) Code(col int, v Value) (int32, bool) {
 	return code, ok && int(code) < len(c.vals)
 }
 
-// encode appends one row's codes, growing the column dictionaries (and
-// the lineage's encode maps) for values not seen before. Only the
-// lineage's owner calls it, under the relation's write lock.
-func (d *Dict) encode(t Tuple) {
+// extend appends the codes of a run of rows — the rows right after the
+// ones already encoded — growing the column dictionaries (and the
+// lineage's encode maps) for values not seen before. widths, when not
+// nil, holds each column's expected final width (see widthHintsLocked).
+// Only the lineage's owner calls it, under the relation's write lock.
+func (d *Dict) extend(rows []Tuple, widths []int) {
 	for col := range d.cols {
-		c := &d.cols[col]
-		var m map[Value]int32
-		if d.lin != nil {
-			m = d.lin.cols[col].m
+		width := 0
+		if widths != nil {
+			width = widths[col]
 		}
+		d.extendCol(col, rows, width)
+	}
+	d.n += len(rows)
+}
+
+// extendCol is the one per-column dictionary builder behind Insert,
+// InsertBatch and every rebuild. The code vector grows once for the
+// whole run; the decode table grows once to width, and an encode map it
+// creates is sized to width, so a run whose width is known ahead
+// allocates each of them exactly once. Growth past width falls back to
+// append. The encode map comes into existence exactly when an Insert
+// loop over the same rows would create it: on the first row that finds
+// smallDictWidth values already in the table. A map created here stays
+// private until the run ends, since no snapshot reads it: every snapshot
+// of a column without a map is at most smallDictWidth wide, so it scans
+// its decode table. A map the lineage already holds is written under
+// the lineage's lock, as the snapshots sharing it read it concurrently.
+func (d *Dict) extendCol(col int, rows []Tuple, width int) {
+	c := &d.cols[col]
+	c.codes = reserve(c.codes, len(rows))
+	if width > len(c.vals) {
+		c.vals = reserve(c.vals, width-len(c.vals))
+	}
+	var m map[Value]int32
+	if d.lin != nil {
+		m = d.lin.cols[col].m
+	}
+	private := false
+	for _, t := range rows {
 		if m == nil && len(c.vals) >= smallDictWidth {
-			m = make(map[Value]int32, len(c.vals))
+			m = make(map[Value]int32, max(width, len(c.vals)))
 			for i, v := range c.vals {
 				m[v] = int32(i)
 			}
-			lin := d.lineage()
-			lin.mu.Lock()
-			lin.cols[col].m = m
-			lin.mu.Unlock()
+			private = true
 		}
 		v := t[col]
 		var code int32
@@ -204,7 +234,10 @@ func (d *Dict) encode(t Tuple) {
 		if !ok {
 			code = int32(len(c.vals))
 			c.vals = append(c.vals, v)
-			if m != nil {
+			switch {
+			case private:
+				m[v] = code
+			case m != nil:
 				d.lin.mu.Lock()
 				m[v] = code
 				d.lin.mu.Unlock()
@@ -212,7 +245,12 @@ func (d *Dict) encode(t Tuple) {
 		}
 		c.codes = append(c.codes, code)
 	}
-	d.n++
+	if private {
+		lin := d.lineage()
+		lin.mu.Lock()
+		lin.cols[col].m = m
+		lin.mu.Unlock()
+	}
 }
 
 // clone snapshots the encoding in O(arity) (nil stays nil). The code
@@ -268,15 +306,17 @@ func (r *Relation) ensureEncodingLocked() {
 	}
 }
 
-// addEncodingLocked folds one inserted tuple into the dictionary
-// encoding if it has tracked every prior row; id is the row's index. A
-// snapshot's dictionary being inserted into first leaves its source's
-// lineage: the vectors reallocate on append (they are capped), and from
-// then on its rows diverge from what the shared indexes describe. The
-// relation's cached code-index views go stale (their tail just grew);
-// the lineage's packed indexes stay. Caller holds r.mu.
-func (r *Relation) addEncodingLocked(t Tuple, id int) {
-	if r.encRows != id {
+// addEncodingLocked folds the rows from index from on into the
+// dictionary encoding if it has tracked every row before it — one
+// inserted row for Insert (widths nil: grow by append), a whole run for
+// InsertBatch (widths from widthHintsLocked). A snapshot's dictionary
+// being inserted into first leaves its source's lineage: the vectors
+// reallocate on append (they are capped), and from then on its rows
+// diverge from what the shared indexes describe. The relation's cached
+// code-index views go stale (their tail just grew); the lineage's
+// packed indexes stay. Caller holds r.mu.
+func (r *Relation) addEncodingLocked(from int, widths []int) {
+	if r.encRows != from {
 		return // not maintained (NewResult, raw appends) until first joined
 	}
 	if r.dict == nil {
@@ -284,20 +324,20 @@ func (r *Relation) addEncodingLocked(t Tuple, id int) {
 	} else if !r.dict.owns {
 		r.dict.lin, r.dict.owns = nil, true
 	}
-	r.dict.encode(t)
-	r.encRows = id + 1
+	r.dict.extend(r.rows[from:], widths)
+	r.encRows = len(r.rows)
 	r.codeIdx = nil
 }
 
 // rebuildEncodingLocked recomputes the dictionary encoding from the
 // current rows (after a removal or reorder invalidated the incremental
-// one) into fresh vectors and a fresh lineage, leaving whatever the old
-// ones share with snapshots untouched. Caller holds r.mu.
+// one, or on a relation's first join) into fresh vectors and a fresh
+// lineage, leaving whatever the old ones share with snapshots
+// untouched. It is one sized pass wherever statistics are maintained.
+// Caller holds r.mu.
 func (r *Relation) rebuildEncodingLocked() {
 	r.dict = newDict(r.Schema.Arity())
-	for _, row := range r.rows {
-		r.dict.encode(row)
-	}
+	r.dict.extend(r.rows, r.widthHintsLocked())
 	r.encRows = len(r.rows)
 	r.codeIdx = nil
 }

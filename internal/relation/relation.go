@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -150,8 +151,8 @@ func (r *Relation) Insert(t Tuple) error {
 	for col, idx := range r.indexes {
 		idx[t[col]] = append(idx[t[col]], id)
 	}
-	r.addStatsLocked(t, id)
-	r.addEncodingLocked(t, id)
+	r.addStatsLocked(id)
+	r.addEncodingLocked(id, nil)
 	r.mu.Unlock()
 	return nil
 }
@@ -163,35 +164,72 @@ func (r *Relation) MustInsert(vals ...Value) {
 	}
 }
 
-// InsertBatch appends a run of tuples under one lock acquisition,
-// with the same per-row validation, index, statistics, and encoding
-// maintenance as Insert. Materializing consumers that buffer streamed
-// answers use it to amortize the locking and slice-growth cost of
-// row-at-a-time appends.
+// InsertBatch appends a run of tuples under one lock acquisition and
+// leaves the relation as an Insert per tuple would have: the same rows
+// in the same order, the same column statistics, and the same
+// dictionary codes and decode tables. Every tuple is validated first; a
+// batch with one incompatible tuple returns its error and changes
+// nothing. The version moves once per batch (callers that restore a
+// fingerprint call RestoreVersion after it), and an empty batch is no
+// mutation. The caller's slice is never retained; its tuples are.
+//
+// On a relation that maintains statistics or an encoding — every
+// relation made by New — the batch is a bulk load: the row slice grows
+// once, the batch is folded into the column sketches, and each column's
+// dictionary is then extended in one pass, its code vector reserved
+// once and its decode table and encode map allocated once at the
+// distinct-value count the folded sketch estimates. Replicas, recovered
+// snapshots and shipped overlays are built this way. A NewResult
+// relation maintains neither, so the answer buffers cq streams into it
+// only append, growing the row slice by half again when it fills.
 func (r *Relation) InsertBatch(ts []Tuple) error {
 	for _, t := range ts {
 		if err := r.Schema.Compatible(t); err != nil {
 			return err
 		}
 	}
+	if len(ts) == 0 {
+		return nil
+	}
 	r.mu.Lock()
-	if need := len(r.rows) + len(ts); cap(r.rows) < need {
-		grown := make([]Tuple, len(r.rows), need+need/2)
+	defer r.mu.Unlock()
+	from := len(r.rows)
+	maintained := r.statRows == from || r.encRows == from
+	switch need := from + len(ts); {
+	case maintained:
+		r.rows = reserve(r.rows, len(ts))
+	case cap(r.rows) < need:
+		grown := make([]Tuple, from, need+need/2)
 		copy(grown, r.rows)
 		r.rows = grown
 	}
-	for _, t := range ts {
-		id := len(r.rows)
-		r.rows = append(r.rows, t)
-		for col, idx := range r.indexes {
-			idx[t[col]] = append(idx[t[col]], id)
-		}
-		r.addStatsLocked(t, id)
-		r.addEncodingLocked(t, id)
-	}
+	r.rows = append(r.rows, ts...)
 	r.version++
-	r.mu.Unlock()
+	for col, idx := range r.indexes {
+		for i, t := range ts {
+			idx[t[col]] = append(idx[t[col]], from+i)
+		}
+	}
+	r.addStatsLocked(from)
+	if r.encRows == from {
+		r.addEncodingLocked(from, r.widthHintsLocked())
+	}
 	return nil
+}
+
+// reserve returns s with room for n more elements. A run loaded into an
+// empty slice gets exactly n — its size is known, and the first append
+// after it pays the one growth any append does. Anything else grows as
+// append would: a run onto existing elements stays amortized O(1) per
+// element, and a single element (Insert) allocates exactly as append.
+func reserve[S ~[]E, E any](s S, n int) S {
+	switch {
+	case n <= cap(s)-len(s):
+		return s
+	case len(s) == 0 && n > 1:
+		return make(S, 0, n)
+	}
+	return slices.Grow(s, n)
 }
 
 // Delete removes all tuples equal to t and reports how many were removed.

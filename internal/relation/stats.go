@@ -9,8 +9,11 @@ import (
 // join planner (internal/cq): a row count plus a per-column distinct-
 // value estimate from a small fixed-size KMV (k-minimum-values) sketch.
 // The sketches are updated incrementally on Insert — one hash and one
-// bounded sorted-insert per column — and rebuilt in one pass when rows
-// are removed (Delete, Dedup), so Stats is always O(columns) to read.
+// bounded sorted-insert per column — folded over a whole run in one
+// column-at-a-time pass by InsertBatch, and rebuilt in one pass when
+// rows are removed (Delete), so Stats is always O(columns) to read.
+// A KMV sketch keeps the smallest distinct hashes whatever order they
+// arrive in, so all three leave the same sketch bits for the same rows.
 // Relations whose rows were appended without going through Insert
 // (Project, Select results) carry no sketches; Stats reports that by
 // returning a nil Distinct slice and the planner falls back to the
@@ -149,31 +152,59 @@ func (r *Relation) HasStats() bool {
 	return r.statRows == len(r.rows)
 }
 
-// addStatsLocked folds one inserted tuple into the column sketches if
-// they have tracked every prior row; id is the row's index. Caller
-// holds r.mu.
-func (r *Relation) addStatsLocked(t Tuple, id int) {
-	if r.statRows != id {
-		return // row bypassed Insert earlier, or NewResult: stay invalid
+// addStatsLocked folds the rows from index from on into the column
+// sketches if they have tracked every row before it — one inserted row
+// for Insert, a whole run for InsertBatch. Caller holds r.mu.
+func (r *Relation) addStatsLocked(from int) {
+	if r.statRows != from {
+		return // rows bypassed Insert earlier, or NewResult: stay invalid
 	}
 	if r.sketches == nil {
 		r.sketches = make([]colSketch, r.Schema.Arity())
 	}
+	rows := r.rows[from:]
 	for col := range r.sketches {
-		r.sketches[col].add(t[col].Hash())
+		s := &r.sketches[col]
+		for _, t := range rows {
+			s.add(t[col].Hash())
+		}
 	}
-	r.statRows = id + 1
+	r.statRows = len(r.rows)
 }
 
 // rebuildStatsLocked recomputes every column sketch from the current
 // rows (after a removal invalidated the incremental ones). Caller holds
 // r.mu.
 func (r *Relation) rebuildStatsLocked() {
-	r.sketches = make([]colSketch, r.Schema.Arity())
-	for _, row := range r.rows {
-		for col := range r.sketches {
-			r.sketches[col].add(row[col].Hash())
-		}
+	r.sketches, r.statRows = nil, 0
+	r.addStatsLocked(0)
+}
+
+// width returns how many distinct values a decode table should be
+// sized for: the exact count while the sketch holds every distinct hash,
+// and otherwise the estimate padded by two relative standard errors
+// (1/sqrt(sketchK-2) ≈ 13% each, so a quarter), because an estimate
+// that falls short makes the table grow — and double — on the last few
+// values.
+func (s *colSketch) width() int {
+	d := s.distinct()
+	if len(s.hs) == sketchK {
+		d += d / 4
 	}
-	r.statRows = len(r.rows)
+	return int(math.Ceil(d))
+}
+
+// widthHintsLocked returns, per column, the decode-table width the
+// sketches call for (see colSketch.width), capped at the row count: the
+// size a bulk encoding pass allocates each decode table and encode map
+// at. It is nil when statistics are not maintained. Caller holds r.mu.
+func (r *Relation) widthHintsLocked() []int {
+	if r.statRows != len(r.rows) || len(r.sketches) != r.Schema.Arity() {
+		return nil
+	}
+	widths := make([]int, len(r.sketches))
+	for col := range r.sketches {
+		widths[col] = min(r.sketches[col].width(), len(r.rows))
+	}
+	return widths
 }

@@ -183,8 +183,10 @@ func readSnapshot(dir string) (db *relation.Database, schemaVer uint64, base map
 			return nil, 0, nil, 0, fmt.Errorf("store: truncated snapshot row count")
 		}
 		rest = rest[sz:]
-		r := relation.New(schema)
-		for uint64(r.Len()) < want {
+		// want is the file's claim: it sizes nothing beyond the bytes
+		// left, since every tuple takes at least one.
+		tuples := make([]relation.Tuple, 0, min(want, uint64(len(rest))))
+		for uint64(len(tuples)) < want && len(rest) > 0 {
 			cln, sz := binary.Uvarint(rest)
 			if sz <= 0 || cln > uint64(len(rest)-sz) {
 				return nil, 0, nil, 0, fmt.Errorf("store: truncated snapshot tuple chunk")
@@ -195,16 +197,16 @@ func readSnapshot(dir string) (db *relation.Database, schemaVer uint64, base map
 			}
 			rest = rest[sz+int(cln):]
 			if len(batch) == 0 {
-				return nil, 0, nil, 0, fmt.Errorf("store: empty snapshot tuple chunk before row %d of %s", r.Len(), schema.Name)
+				return nil, 0, nil, 0, fmt.Errorf("store: empty snapshot tuple chunk before row %d of %s", len(tuples), schema.Name)
 			}
-			for _, t := range batch {
-				if err := r.Insert(t); err != nil {
-					return nil, 0, nil, 0, err
-				}
-			}
+			tuples = append(tuples, batch...)
 		}
-		if uint64(r.Len()) != want {
-			return nil, 0, nil, 0, fmt.Errorf("store: snapshot relation %s has %d rows, header says %d", schema.Name, r.Len(), want)
+		if uint64(len(tuples)) != want {
+			return nil, 0, nil, 0, fmt.Errorf("store: snapshot relation %s has %d rows, header says %d", schema.Name, len(tuples), want)
+		}
+		r := relation.New(schema)
+		if err := r.InsertBatch(tuples); err != nil {
+			return nil, 0, nil, 0, err
 		}
 		r.RestoreVersion(ver)
 		db.Put(r)

@@ -1,8 +1,13 @@
 package store
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -459,5 +464,42 @@ func TestDigestOrderInsensitive(t *testing.T) {
 	rb.Delete(row("B", "ee")) // removes both duplicates
 	if Digest(a) == Digest(b) {
 		t.Error("digest ignores row multiplicity")
+	}
+}
+
+// TestSnapshotRowClaimSizesNothing: a snapshot whose checksum is valid
+// but whose header claims 1<<60 rows for a relation holding one chunk
+// must be refused with the row-count mismatch, and the claim must size
+// nothing: the loader's buffer is bounded by the bytes that arrived.
+func TestSnapshotRowClaimSizesNothing(t *testing.T) {
+	dir := t.TempDir()
+	const claim = 1 << 60
+	img := append([]byte(nil), snapshotMagic[:]...)
+	img = binary.AppendUvarint(img, snapshotFormat)
+	img = binary.AppendUvarint(img, 1) // schema version
+	img = binary.AppendUvarint(img, 1) // relations
+	enc := relation.EncodeSchema(courseSchema("course"))
+	img = binary.AppendUvarint(img, uint64(len(enc)))
+	img = append(img, enc...)
+	img = binary.AppendUvarint(img, 7) // relation version
+	img = binary.AppendUvarint(img, claim)
+	chunk := relation.EncodeTupleBatch([]relation.Tuple{row("Databases", "cs"), row("Ethics", "phil")})
+	img = binary.AppendUvarint(img, uint64(len(chunk)))
+	img = append(img, chunk...)
+	img = binary.BigEndian.AppendUint32(img, crc32.ChecksumIEEE(img))
+	if err := os.WriteFile(filepath.Join(dir, snapshotName), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := Open(dir)
+	runtime.ReadMemStats(&after)
+	want := fmt.Sprintf("has 2 rows, header says %d", uint64(claim))
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open = %v, want the %q refusal", err, want)
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta >= 4<<20 {
+		t.Errorf("Open allocated %d bytes against a 1<<60-row claim, want under 4 MiB", delta)
 	}
 }
