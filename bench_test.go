@@ -456,7 +456,7 @@ func BenchmarkE4Reformulation(b *testing.B) {
 		opts pdms.ReformOptions
 	}{
 		{"pruned", pdms.ReformOptions{MaxDepth: 9}},
-		{"unpruned", pdms.ReformOptions{MaxDepth: 9, NoContainmentPruning: true, MaxRewritings: 4096}},
+		{"unpruned", pdms.ReformOptions{MaxDepth: 9, NoVisitedPruning: true, NoContainmentPruning: true, MaxRewritings: 4096}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			var kept int
@@ -469,6 +469,33 @@ func BenchmarkE4Reformulation(b *testing.B) {
 				kept = len(rws)
 			}
 			b.ReportMetric(float64(kept), "rewritings")
+		})
+	}
+}
+
+// BenchmarkReformulateTopologies reformulates the title query at every
+// peer of 8-peer E2 graphs at depth 3, one op per sweep of the eight
+// peers, and reports the expansion states the search visits per op.
+func BenchmarkReformulateTopologies(b *testing.B) {
+	for _, topo := range []workload.Topology{workload.Chain, workload.Star, workload.Tree, workload.Random} {
+		b.Run(string(topo), func(b *testing.B) {
+			g, err := workload.GenNetwork(workload.NetworkSpec{
+				Topology: topo, Peers: 8, Seed: 42, RowsPerPeer: 5, ExtraEdgeProb: 0.15})
+			if err != nil {
+				b.Fatal(err)
+			}
+			states := 0
+			for i := 0; i < b.N; i++ {
+				for p := 0; p < 8; p++ {
+					rf := pdms.NewReformulator(g.Net, pdms.ReformOptions{MaxDepth: 3})
+					_, stats, err := rf.Reformulate(context.Background(), workload.PeerName(p), g.TitleQuery(p))
+					if err != nil {
+						b.Fatal(err)
+					}
+					states += stats.Explored
+				}
+			}
+			b.ReportMetric(float64(states)/float64(b.N), "states/op")
 		})
 	}
 }

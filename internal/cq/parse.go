@@ -13,7 +13,9 @@ import (
 //	q(X, Y) :- course(X, I, S), person(I, Y, 'cs')
 //
 // Identifiers starting with an uppercase letter (or underscore) are
-// variables; single-quoted strings and numbers are constants.
+// variables; single-quoted strings and numbers are constants. Names and
+// unquoted constants may not contain ( ) , or ', and quoted ones may
+// not contain '.
 func Parse(s string) (Query, error) {
 	head, body, ok := strings.Cut(s, ":-")
 	if !ok {
@@ -104,6 +106,9 @@ func parseAtom(s string) (Atom, error) {
 	if pred == "" {
 		return Atom{}, fmt.Errorf("cq: atom with empty predicate: %q", s)
 	}
+	if strings.ContainsAny(pred, delimiters) {
+		return Atom{}, fmt.Errorf("cq: predicate %q contains one of %s", pred, delimiters)
+	}
 	argsStr := s[open+1 : len(s)-1]
 	var args []Term
 	if strings.TrimSpace(argsStr) != "" {
@@ -112,7 +117,11 @@ func parseAtom(s string) (Atom, error) {
 			return Atom{}, err
 		}
 		for _, p := range parts {
-			args = append(args, parseTerm(p))
+			t, err := parseTerm(p)
+			if err != nil {
+				return Atom{}, err
+			}
+			args = append(args, t)
 		}
 	}
 	return Atom{Pred: pred, Args: args}, nil
@@ -145,14 +154,30 @@ func splitArgs(s string) ([]string, error) {
 	return parts, nil
 }
 
-func parseTerm(s string) Term {
+// delimiters are the characters that frame atoms and arguments. String
+// writes names and constants without escaping, so Parse refuses a
+// delimiter inside a name or a bare word, and a quote inside a quoted
+// constant: whatever it accepts reads back as itself.
+const delimiters = "(),'"
+
+func parseTerm(s string) (Term, error) {
+	if len(s) >= 2 && s[0] == '\'' && s[len(s)-1] == '\'' && !strings.Contains(s[1:len(s)-1], "'") {
+		return CS(s[1 : len(s)-1]), nil
+	}
+	if strings.ContainsAny(s, delimiters) {
+		return Term{}, fmt.Errorf("cq: argument %q contains one of %s", s, delimiters)
+	}
 	r := rune(s[0])
 	if unicode.IsUpper(r) || r == '_' {
-		return V(s)
+		return V(s), nil
 	}
-	if r == '\'' || unicode.IsDigit(r) || r == '-' {
-		return C(relation.ParseValue(s))
+	if unicode.IsDigit(r) || r == '-' {
+		v := relation.ParseValue(s)
+		if v.Kind == relation.TFloat && v.F == 0 {
+			v.F = 0 // -0 would render as "-0" and read back as the int 0
+		}
+		return C(v), nil
 	}
 	// Lowercase bare word: treat as a string constant, datalog-style.
-	return C(relation.SV(s))
+	return CS(s), nil
 }

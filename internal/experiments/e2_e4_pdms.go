@@ -137,7 +137,7 @@ func E4Reformulation(seed int64, maxChain int) (*Table, error) {
 		Title:  "Reformulation cost vs chain length, pruning on/off",
 		Header: []string{"chain", "pruned_states", "pruned_kept", "pruned_us", "nopruning_states", "nopruning_kept", "nopruning_us"},
 		Notes: []string{
-			"pruning = visited-mapping + containment heuristics (§3.1.1)",
+			"pruning = visited-mapping rule, sub-search memo and containment (§3.1.1)",
 		},
 	}
 	for n := 2; n <= maxChain; n += 2 {
@@ -155,7 +155,7 @@ func E4Reformulation(seed int64, maxChain int) (*Table, error) {
 		withTime := time.Since(t0)
 		t1 := time.Now()
 		noP, err := g.Net.Answer(workload.PeerName(0), q, pdms.ReformOptions{
-			MaxDepth: n + 1, NoContainmentPruning: true, MaxRewritings: 4096})
+			MaxDepth: n + 1, NoVisitedPruning: true, NoContainmentPruning: true, MaxRewritings: 4096})
 		if err != nil {
 			return nil, err
 		}

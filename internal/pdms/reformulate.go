@@ -1,15 +1,19 @@
 package pdms
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/cq"
 	"repro/internal/glav"
+	"repro/internal/relation"
 	"repro/internal/view"
 )
 
@@ -23,8 +27,9 @@ type ReformOptions struct {
 	MaxDepth int
 	// MaxRewritings caps the number of final rewritings (0 → default 256).
 	MaxRewritings int
-	// NoVisitedPruning disables the heuristic that forbids reusing a
-	// mapping along one derivation branch (guards against cycles).
+	// NoVisitedPruning disables the redundant-path heuristics: the rule
+	// that forbids reusing a mapping along one derivation branch (guards
+	// against cycles) and the memo of completed sub-searches.
 	NoVisitedPruning bool
 	// NoContainmentPruning disables dropping rewritings contained in an
 	// already-kept rewriting.
@@ -59,6 +64,9 @@ type ReformStats struct {
 	Kept int
 	// PrunedVisited counts expansions skipped by the visited-mapping rule.
 	PrunedVisited int
+	// PrunedSubsumed counts visits skipped because a completed visit to
+	// the same state had at least as much depth and no more used mappings.
+	PrunedSubsumed int
 	// PrunedContained counts rewritings dropped by containment.
 	PrunedContained int
 	// PrunedDuplicate counts syntactically duplicate rewritings dropped.
@@ -83,6 +91,38 @@ type Reformulator struct {
 	ctx     context.Context
 	done    <-chan struct{}
 	steps   uint
+
+	// bit numbers the mappings of one Reformulate call for used sets.
+	bit map[string]int
+	// memo records the completed sub-searches of one Reformulate call
+	// by stateKey; nil under NoVisitedPruning.
+	memo map[string][]memoEntry
+	// keyBuf is stateKey's scratch.
+	keyBuf []byte
+}
+
+// memoEntry is one completed sub-search of a state: it had depth hops
+// of budget left and could not use the mappings in used.
+type memoEntry struct {
+	depth int
+	used  bitset
+}
+
+// bitset is a set of mapping numbers (Reformulator.bit).
+type bitset []uint64
+
+func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
+func (b bitset) set(i int)      { b[i/64] |= 1 << (i % 64) }
+func (b bitset) clear(i int)    { b[i/64] &^= 1 << (i % 64) }
+
+// covers reports whether b is a superset of c.
+func (b bitset) covers(c bitset) bool {
+	for i, w := range c {
+		if b[i]&w != w {
+			return false
+		}
+	}
+	return true
 }
 
 // NewReformulator builds a reformulator over the network.
@@ -158,10 +198,21 @@ func (rf *Reformulator) Reformulate(ctx context.Context, peer string, q cq.Query
 		}
 	}
 
+	rf.bit = make(map[string]int, len(rf.net.mappings))
+	for _, m := range rf.net.mappings {
+		if _, ok := rf.bit[m.ID]; !ok {
+			rf.bit[m.ID] = len(rf.bit)
+		}
+	}
+	rf.memo = nil
+	if !rf.opts.NoVisitedPruning {
+		rf.memo = make(map[string][]memoEntry)
+	}
+	used := make(bitset, (len(rf.bit)+63)/64)
 	var kept []cq.Query
 	seen := make(map[string]bool)
 	for _, st := range states {
-		if err := rf.expand(st.q, 0, st.depth, make(map[string]bool), stats, seen, &kept); err != nil {
+		if err := rf.expand(st.q, 0, st.depth, used, stats, seen, &kept); err != nil {
 			return nil, nil, err
 		}
 		if len(kept) >= rf.opts.maxRewritings() {
@@ -181,8 +232,18 @@ func (rf *Reformulator) Reformulate(ctx context.Context, peer string, q cq.Query
 }
 
 // expand resolves pending atoms left to right. Index idx is the first
-// unresolved atom; atoms before idx are final (stored) atoms.
-func (rf *Reformulator) expand(q cq.Query, idx, depth int, used map[string]bool,
+// unresolved atom; atoms before idx are final (stored) atoms. used holds
+// the mappings this derivation branch already traversed.
+//
+// A visit whose state (q, idx) already had a completed visit with at
+// least as much depth and no more used mappings is skipped: what a
+// sub-search emits only grows with depth and only shrinks as mappings
+// are used, so the earlier visit emitted everything this one could, up
+// to the names of the fresh variables it minted. Visits are recorded
+// when they return, never on entry, so everything a skipped visit could
+// emit was emitted before it, and the kept rewritings and their order
+// do not change.
+func (rf *Reformulator) expand(q cq.Query, idx, depth int, used bitset,
 	stats *ReformStats, seen map[string]bool, out *[]cq.Query) error {
 	if len(*out) >= rf.opts.maxRewritings() {
 		return nil
@@ -190,8 +251,8 @@ func (rf *Reformulator) expand(q cq.Query, idx, depth int, used map[string]bool,
 	if err := rf.tick(); err != nil {
 		return err
 	}
-	stats.Explored++
 	if idx >= len(q.Body) {
+		stats.Explored++
 		key := canonicalKey(q)
 		if seen[key] {
 			stats.PrunedDuplicate++
@@ -202,6 +263,18 @@ func (rf *Reformulator) expand(q cq.Query, idx, depth int, used map[string]bool,
 		*out = append(*out, q)
 		return nil
 	}
+	var key string
+	if rf.memo != nil {
+		kb := rf.stateKey(q, idx)
+		for _, e := range rf.memo[string(kb)] {
+			if depth <= e.depth && used.covers(e.used) {
+				stats.PrunedSubsumed++
+				return nil
+			}
+		}
+		key = string(kb)
+	}
+	stats.Explored++
 	atom := q.Body[idx]
 	peerName, rel := glav.SplitQualified(atom.Pred)
 	p := rf.net.Peer(peerName)
@@ -218,7 +291,8 @@ func (rf *Reformulator) expand(q cq.Query, idx, depth int, used map[string]bool,
 	if depth > 0 {
 		defs := rf.net.gavDefs[atom.Pred]
 		for mi, m := range rf.net.byTargetRel[atom.Pred] {
-			if !rf.opts.NoVisitedPruning && used[m.ID] {
+			b := rf.bit[m.ID]
+			if !rf.opts.NoVisitedPruning && used.has(b) {
 				stats.PrunedVisited++
 				continue
 			}
@@ -226,13 +300,16 @@ func (rf *Reformulator) expand(q cq.Query, idx, depth int, used map[string]bool,
 			if err != nil {
 				continue
 			}
-			used[m.ID] = true
+			used.set(b)
 			err = rf.expand(expanded, idx, depth-1, used, stats, seen, out)
-			delete(used, m.ID)
+			used.clear(b)
 			if err != nil {
 				return err
 			}
 		}
+	}
+	if rf.memo != nil {
+		rf.memo[key] = append(rf.memo[key], memoEntry{depth, slices.Clone(used)})
 	}
 	return nil
 }
@@ -319,7 +396,7 @@ func resetContainCache() {
 // cachedContains answers cq.Contains(k, r) through the cache. The
 // callers supply the precomputed canonical keys.
 func cachedContains(k, r cq.Query, kKey, rKey string) bool {
-	ck := kKey + "\x02" + rKey
+	ck := strconv.Itoa(len(kKey)) + ":" + kKey + rKey
 	containCache.RLock()
 	v, ok := containCache.m[ck]
 	containCache.RUnlock()
@@ -390,23 +467,73 @@ func countPeers(rws []cq.Query) int {
 	return len(peers)
 }
 
+// The keys below are injective: every string is length-prefixed, every
+// list count-prefixed and every constant tagged with its kind, so each
+// encoding is self-delimiting and no two distinct queries share a key
+// however their names and constants are spelled.
+
+// canonicalKey identifies a rewriting up to the order of its body atoms.
 func canonicalKey(q cq.Query) string {
-	parts := make([]string, len(q.Body))
+	buf := make([]byte, 0, 64*len(q.Body))
+	atoms := make([][]byte, len(q.Body))
 	for i, a := range q.Body {
-		parts[i] = a.String()
+		start := len(buf)
+		buf = appendKeyAtom(buf, a)
+		atoms[i] = buf[start:len(buf):len(buf)]
 	}
-	sort.Strings(parts)
-	var b strings.Builder
-	b.WriteString(q.HeadPred)
-	b.WriteByte('(')
+	sort.Slice(atoms, func(i, j int) bool { return bytes.Compare(atoms[i], atoms[j]) < 0 })
+	b := appendKeyHead(make([]byte, 0, len(buf)+32), q)
+	b = binary.AppendUvarint(b, uint64(len(atoms)))
+	for _, a := range atoms {
+		b = append(b, a...)
+	}
+	return string(b)
+}
+
+// stateKey encodes the expansion state (q, idx) into rf.keyBuf for the
+// sub-search memo. Body order is kept, since it decides the order of
+// emission.
+func (rf *Reformulator) stateKey(q cq.Query, idx int) []byte {
+	b := appendKeyHead(binary.AppendUvarint(rf.keyBuf[:0], uint64(idx)), q)
+	b = binary.AppendUvarint(b, uint64(len(q.Body)))
+	for _, a := range q.Body {
+		b = appendKeyAtom(b, a)
+	}
+	rf.keyBuf = b
+	return b
+}
+
+func appendKeyHead(b []byte, q cq.Query) []byte {
+	b = appendKeyString(b, q.HeadPred)
+	b = binary.AppendUvarint(b, uint64(len(q.HeadVars)))
 	for _, v := range q.HeadVars {
-		b.WriteString(v)
-		b.WriteByte(',')
+		b = appendKeyString(b, v)
 	}
-	b.WriteByte(')')
-	for _, p := range parts {
-		b.WriteString(p)
-		b.WriteByte(';')
+	return b
+}
+
+func appendKeyAtom(b []byte, a cq.Atom) []byte {
+	b = appendKeyString(b, a.Pred)
+	b = binary.AppendUvarint(b, uint64(len(a.Args)))
+	for _, t := range a.Args {
+		if t.IsVar {
+			b = appendKeyString(append(b, 'v'), t.Var)
+			continue
+		}
+		v := t.Const
+		b = append(b, 'c', byte(v.Kind))
+		switch v.Kind {
+		case relation.TString:
+			b = appendKeyString(b, v.S)
+		case relation.TInt:
+			b = binary.AppendVarint(b, v.I)
+		case relation.TFloat:
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F))
+		}
 	}
-	return b.String()
+	return b
+}
+
+func appendKeyString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
