@@ -5,8 +5,10 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -135,4 +137,170 @@ func receiverName(recv *ast.FieldList) string {
 			return ""
 		}
 	}
+}
+
+// docNameFiles are the documents whose backticked Go names must name
+// live declarations. bench/README.md is left out: it records the
+// benchmark's tables as they were measured.
+var docNameFiles = []string{"DESIGN.md", "README.md", "PROTOCOL.md"}
+
+var (
+	// backticked matches one inline code span.
+	backticked = regexp.MustCompile("`([^`]+)`")
+	// goName matches a span that is a Go name or dotted selector chain,
+	// optionally called or instantiated: `Peer.Insert`, `Stats()`,
+	// `ExecOptions{Limit: N}`. The capture is the name itself.
+	goName = regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)(?:\(.*\)|\{.*\})?$`)
+	// camelCase matches a bare exported name with at least one lower-
+	// case letter, so all-caps words (`WAL`, `N`) read as prose.
+	camelCase = regexp.MustCompile(`^[A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*$`)
+)
+
+// TestDocsNameLiveIdentifiers fails for every backticked name in the
+// checked documents that no longer resolves: a bare CamelCase name must
+// be declared somewhere in the module, and in `X.Y` where X is one of
+// the module's packages or types, Y must be declared in X (a package
+// member, or a method or field of the type). Selectors on names the
+// module does not declare — standard-library packages, local variables
+// — are prose and are skipped. PROTOCOL.md names frame types by their
+// wire names, so a bare `X` also resolves to a FrameX declaration.
+func TestDocsNameLiveIdentifiers(t *testing.T) {
+	decls := moduleDecls(t)
+	for _, doc := range docNameFiles {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Blank fenced blocks (shell, not names) line for line, so
+		// offsets still give line numbers; inline spans may wrap.
+		lines := strings.Split(string(raw), "\n")
+		fenced := false
+		for i, l := range lines {
+			if strings.HasPrefix(strings.TrimSpace(l), "```") {
+				fenced = !fenced
+				lines[i] = ""
+			} else if fenced {
+				lines[i] = ""
+			}
+		}
+		text := strings.Join(lines, "\n")
+		for _, m := range backticked.FindAllStringSubmatchIndex(text, -1) {
+			span := strings.Join(strings.Fields(text[m[2]:m[3]]), " ")
+			if name, ok := decls.dead(span); ok {
+				line := strings.Count(text[:m[0]], "\n") + 1
+				t.Errorf("%s:%d: `%s`: %s is not declared in the module", doc, line, span, name)
+			}
+		}
+	}
+}
+
+// declIndex is every name the module declares, including its tests.
+type declIndex struct {
+	any     map[string]bool            // every declared name
+	pkgs    map[string]map[string]bool // package name → top-level names
+	members map[string]map[string]bool // type name → method and field names
+}
+
+// dead resolves span and, when it names a module declaration that does
+// not exist, returns the part that fails.
+func (d declIndex) dead(span string) (string, bool) {
+	m := goName.FindStringSubmatch(span)
+	if m == nil {
+		return "", false
+	}
+	parts := strings.Split(m[1], ".")
+	if len(parts) == 1 {
+		name := parts[0]
+		return name, camelCase.MatchString(name) && !d.any[name] && !d.any["Frame"+name]
+	}
+	typ := parts[0]
+	if top, ok := d.pkgs[parts[0]]; ok {
+		if !top[parts[1]] {
+			return parts[0] + "." + parts[1], true
+		}
+		if len(parts) == 2 {
+			return "", false
+		}
+		typ, parts = parts[1], parts[1:]
+	}
+	members, ok := d.members[typ]
+	if !ok {
+		return "", false
+	}
+	return typ + "." + parts[1], !members[parts[1]]
+}
+
+// moduleDecls parses every Go file in the repository, tests and the
+// bench module included, into a declIndex.
+func moduleDecls(t *testing.T) declIndex {
+	t.Helper()
+	d := declIndex{any: map[string]bool{}, pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}}
+	add := func(set map[string]map[string]bool, key, name string) {
+		if set[key] == nil {
+			set[key] = map[string]bool{}
+		}
+		set[key][name] = true
+		d.any[name] = true
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if path != "." && (strings.HasPrefix(e.Name(), ".") || e.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := f.Name.Name
+		for _, decl := range f.Decls {
+			switch x := decl.(type) {
+			case *ast.FuncDecl:
+				if x.Recv != nil {
+					add(d.members, receiverName(x.Recv), x.Name.Name)
+				} else {
+					add(d.pkgs, pkg, x.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range x.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						add(d.pkgs, pkg, s.Name.Name)
+						var fields *ast.FieldList
+						switch ty := s.Type.(type) {
+						case *ast.StructType:
+							fields = ty.Fields
+						case *ast.InterfaceType:
+							fields = ty.Methods
+						}
+						if fields == nil {
+							continue
+						}
+						for _, fl := range fields.List {
+							for _, n := range fl.Names {
+								add(d.members, s.Name.Name, n.Name)
+							}
+						}
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							add(d.pkgs, pkg, n.Name)
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

@@ -217,36 +217,40 @@ func TestBatchDifferentialLimits(t *testing.T) {
 	}
 }
 
-// unencodedDB builds the three kinds of relation that carry no
-// dictionary encoding until a plan first joins against them — a
-// NewResult relation, a Project product and a Select product — beside
-// an ordinary encoded one, all over one small value domain.
+// unencodedDB builds relations that carry no dictionary encoding until
+// a plan first joins against them — NewResult relations, one filled
+// row by row and two in one batch each — beside an ordinary encoded
+// one, all over one small value domain.
 func unencodedDB(t *testing.T) *relation.Database {
 	t.Helper()
 	ab := []relation.Attribute{relation.Attr("a"), relation.Attr("b")}
 	enc := relation.New(relation.Schema{Name: "enc", Attrs: ab})
 	res := relation.NewResult(relation.Schema{Name: "res", Attrs: ab})
-	wide := relation.New(relation.Schema{Name: "proj",
-		Attrs: []relation.Attribute{relation.Attr("a"), relation.Attr("pad"), relation.Attr("b")}})
+	proj := relation.NewResult(relation.Schema{Name: "proj",
+		Attrs: []relation.Attribute{relation.Attr("b"), relation.Attr("a")}})
+	sel := relation.NewResult(relation.Schema{Name: "sel", Attrs: ab})
+	var projRows, selRows []relation.Tuple
 	for i := 0; i < 40; i++ {
 		a := relation.SV(fmt.Sprintf("v%d", i%5))
 		b := relation.SV(fmt.Sprintf("v%d", (i*3+1)%7))
 		for _, err := range []error{
 			enc.Insert(relation.Tuple{a, b}),
 			res.Insert(relation.Tuple{b, a}),
-			wide.Insert(relation.Tuple{a, relation.SV("pad"), b}),
 		} {
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
+		projRows = append(projRows, relation.Tuple{b, a})
+		if a != relation.SV("v0") {
+			selRows = append(selRows, relation.Tuple{a, b})
+		}
 	}
-	proj, err := wide.Project("b", "a")
-	if err != nil {
-		t.Fatal(err)
+	for _, err := range []error{proj.InsertBatch(projRows), sel.InsertBatch(selRows)} {
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
-	sel := enc.Select(func(row relation.Tuple) bool { return row[0] != relation.SV("v0") })
-	sel.Schema.Name = "sel"
 	db := relation.NewDatabase()
 	for _, r := range []*relation.Relation{enc, res, proj, sel} {
 		db.Put(r)
@@ -280,8 +284,8 @@ func entryPointWires(t *testing.T, plans []*Plan) map[string][]byte {
 }
 
 // TestEncodeOnDemandDifferential joins against relations that were not
-// maintaining an encoding — NewResult, Project and Select products, alone
-// and mixed with an encoded relation — and holds every entry point to
+// maintaining an encoding — NewResult relations, alone and mixed with
+// an encoded relation — and holds every entry point to
 // EvalReference. An Insert after the first use must keep the encoding
 // current, so the same plans see the new row.
 func TestEncodeOnDemandDifferential(t *testing.T) {

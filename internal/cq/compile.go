@@ -39,7 +39,7 @@ type slotOp struct {
 // an optional index column (probeCol >= 0), and the column ops.
 type atomPlan struct {
 	rel        *relation.Relation
-	probeCol   int // column to probe via hash index, -1 → full scan
+	probeCol   int // column to probe via code index, -1 → full scan
 	probeSlot  int // slot holding the probe value when probeIsVar
 	probeVal   relation.Value
 	probeIsVar bool

@@ -97,8 +97,9 @@ func pickNextAtom(atoms []Atom, bindings []map[string]relation.Value) int {
 // joinAtom extends each binding with matching rows of the atom's relation.
 func joinAtom(db Catalog, atom Atom, bindings []map[string]relation.Value) []map[string]relation.Value {
 	rel := db.Get(atom.Pred)
-	// Choose an index column: first arg position that is a constant or a
-	// variable bound in all bindings (bindings share a bound-var set).
+	// Choose a probe column: first arg position that is a constant or a
+	// variable bound in all bindings (bindings share a bound-var set),
+	// and hash the relation's rows on it for this call only.
 	idxCol := -1
 	if len(bindings) > 0 {
 		for col, t := range atom.Args {
@@ -112,8 +113,12 @@ func joinAtom(db Catalog, atom Atom, bindings []map[string]relation.Value) []map
 			}
 		}
 	}
-	if idxCol >= 0 && rel.Len() > 16 {
-		rel.EnsureIndex(idxCol)
+	var idx map[relation.Value][]int
+	if idxCol >= 0 {
+		idx = make(map[relation.Value][]int)
+		for i, row := range rel.Rows() {
+			idx[row[idxCol]] = append(idx[row[idxCol]], i)
+		}
 	}
 	var out []map[string]relation.Value
 	for _, b := range bindings {
@@ -125,7 +130,7 @@ func joinAtom(db Catalog, atom Atom, bindings []map[string]relation.Value) []map
 			} else {
 				v = probe.Const
 			}
-			for _, id := range rel.Lookup(idxCol, v) {
+			for _, id := range idx[v] {
 				if nb, ok := matchRow(atom, rel.Row(id), b); ok {
 					out = append(out, nb)
 				}

@@ -13,8 +13,8 @@ import (
 // distinct-value sketches, maintained incrementally on insert) and a
 // greedy cost-based join orderer that picks the atom order — and the
 // probe index per atom — by estimated intermediate-result size. When
-// any body relation lacks statistics (rows appended without Insert:
-// Project/Select products), or when CompileOptions.ForceGreedy asks for
+// any body relation lacks statistics (a NewResult relation, or a copy
+// of one), or when CompileOptions.ForceGreedy asks for
 // it, compilation falls back to the statistics-free greedy order the
 // engine has always used, so the planner never needs stats to be
 // correct — only to be fast. Differential tests pin cost-based ≡

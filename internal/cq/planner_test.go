@@ -86,16 +86,17 @@ func TestCostBasedPicksSmallDriver(t *testing.T) {
 	}
 }
 
-// TestPlannerFallsBackWithoutStats pins the fallback: a relation whose
-// rows bypassed Insert (a projection) compiles to a greedy plan.
+// TestPlannerFallsBackWithoutStats pins the fallback: a relation that
+// maintains no statistics (a NewResult relation) compiles to a greedy
+// plan.
 func TestPlannerFallsBackWithoutStats(t *testing.T) {
 	db, _ := skewedDB(100)
-	proj, err := db.Get("big").Project("x", "y")
-	if err != nil {
+	derived := relation.NewResult(relation.NewSchema("derived",
+		relation.Attr("x"), relation.Attr("y")))
+	if err := derived.InsertBatch(db.Get("big").Rows()); err != nil {
 		t.Fatal(err)
 	}
-	proj.Schema.Name = "derived"
-	db.Put(proj)
+	db.Put(derived)
 	p, err := Compile(db, MustParse("q(Y) :- derived(X, Y), small(X, Z)"))
 	if err != nil {
 		t.Fatal(err)

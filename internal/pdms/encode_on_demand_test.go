@@ -36,7 +36,7 @@ func cursorRows(t *testing.T, n *Network, req Request) (pulled, materialized []r
 }
 
 // TestCursorEncodeOnDemand stores relations that maintain no dictionary
-// encoding — NewResult relations, a Project product, a Select product —
+// encoding — NewResult relations filled row by row and in a batch —
 // directly in two mapped peers' databases and joins them through the
 // cursor, at parallelism 1 and 4: the one executor builds their
 // encodings on first use, and the answers equal EvalReference's over
@@ -44,22 +44,27 @@ func cursorRows(t *testing.T, n *Network, req Request) (pulled, materialized []r
 // its single empty tuple.
 func TestCursorEncodeOnDemand(t *testing.T) {
 	ab := []relation.Attribute{relation.Attr("a"), relation.Attr("b")}
-	src := relation.New(relation.Schema{Name: "src", Attrs: ab})
 	res := relation.NewResult(relation.Schema{Name: "res", Attrs: ab})
 	far := relation.NewResult(relation.Schema{Name: "far", Attrs: ab})
+	proj := relation.NewResult(relation.Schema{Name: "proj",
+		Attrs: []relation.Attribute{relation.Attr("b"), relation.Attr("a")}})
+	sel := relation.NewResult(relation.Schema{Name: "sel", Attrs: ab})
+	var projRows, selRows []relation.Tuple
 	for i := 0; i < 40; i++ {
 		a, b := relation.SV(string(rune('a'+i%5))), relation.SV(string(rune('a'+(i*3+1)%7)))
-		src.MustInsert(a, b)
 		res.MustInsert(b, a)
 		far.MustInsert(relation.SV(string(rune('a'+i%6))), a)
+		projRows = append(projRows, relation.Tuple{b, a})
+		if a != relation.SV("a") {
+			selRows = append(selRows, relation.Tuple{a, b})
+		}
 	}
-	proj, err := src.Project("b", "a")
-	if err != nil {
+	if err := proj.InsertBatch(projRows); err != nil {
 		t.Fatal(err)
 	}
-	proj.Schema.Name = "proj"
-	sel := src.Select(func(row relation.Tuple) bool { return row[0] != relation.SV("a") })
-	sel.Schema.Name = "sel"
+	if err := sel.InsertBatch(selRows); err != nil {
+		t.Fatal(err)
+	}
 
 	near := NewPeer("near", res.Schema, proj.Schema, sel.Schema)
 	for _, r := range []*relation.Relation{res, proj, sel} {
@@ -103,7 +108,7 @@ func TestCursorEncodeOnDemand(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := want.Union(r); err != nil {
+				if err := want.InsertBatch(r.Rows()); err != nil {
 					t.Fatal(err)
 				}
 			}

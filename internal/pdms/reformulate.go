@@ -1,11 +1,9 @@
 package pdms
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -13,7 +11,6 @@ import (
 
 	"repro/internal/cq"
 	"repro/internal/glav"
-	"repro/internal/relation"
 	"repro/internal/view"
 )
 
@@ -253,7 +250,7 @@ func (rf *Reformulator) expand(q cq.Query, idx, depth int, used bitset,
 	}
 	if idx >= len(q.Body) {
 		stats.Explored++
-		key := canonicalKey(q)
+		key := cq.CanonicalKey(q)
 		if seen[key] {
 			stats.PrunedDuplicate++
 			return nil
@@ -425,7 +422,7 @@ func pruneContained(ctx context.Context, rws []cq.Query, stats *ReformStats) ([]
 	sort.SliceStable(rws, func(i, j int) bool { return len(rws[i].Body) < len(rws[j].Body) })
 	keys := make([]string, len(rws))
 	for i, r := range rws {
-		keys[i] = canonicalKey(r)
+		keys[i] = cq.CanonicalKey(r)
 	}
 	var kept []cq.Query
 	var keptKeys []string
@@ -467,73 +464,10 @@ func countPeers(rws []cq.Query) int {
 	return len(peers)
 }
 
-// The keys below are injective: every string is length-prefixed, every
-// list count-prefixed and every constant tagged with its kind, so each
-// encoding is self-delimiting and no two distinct queries share a key
-// however their names and constants are spelled.
-
-// canonicalKey identifies a rewriting up to the order of its body atoms.
-func canonicalKey(q cq.Query) string {
-	buf := make([]byte, 0, 64*len(q.Body))
-	atoms := make([][]byte, len(q.Body))
-	for i, a := range q.Body {
-		start := len(buf)
-		buf = appendKeyAtom(buf, a)
-		atoms[i] = buf[start:len(buf):len(buf)]
-	}
-	sort.Slice(atoms, func(i, j int) bool { return bytes.Compare(atoms[i], atoms[j]) < 0 })
-	b := appendKeyHead(make([]byte, 0, len(buf)+32), q)
-	b = binary.AppendUvarint(b, uint64(len(atoms)))
-	for _, a := range atoms {
-		b = append(b, a...)
-	}
-	return string(b)
-}
-
 // stateKey encodes the expansion state (q, idx) into rf.keyBuf for the
 // sub-search memo. Body order is kept, since it decides the order of
 // emission.
 func (rf *Reformulator) stateKey(q cq.Query, idx int) []byte {
-	b := appendKeyHead(binary.AppendUvarint(rf.keyBuf[:0], uint64(idx)), q)
-	b = binary.AppendUvarint(b, uint64(len(q.Body)))
-	for _, a := range q.Body {
-		b = appendKeyAtom(b, a)
-	}
-	rf.keyBuf = b
-	return b
-}
-
-func appendKeyHead(b []byte, q cq.Query) []byte {
-	b = appendKeyString(b, q.HeadPred)
-	b = binary.AppendUvarint(b, uint64(len(q.HeadVars)))
-	for _, v := range q.HeadVars {
-		b = appendKeyString(b, v)
-	}
-	return b
-}
-
-func appendKeyAtom(b []byte, a cq.Atom) []byte {
-	b = appendKeyString(b, a.Pred)
-	b = binary.AppendUvarint(b, uint64(len(a.Args)))
-	for _, t := range a.Args {
-		if t.IsVar {
-			b = appendKeyString(append(b, 'v'), t.Var)
-			continue
-		}
-		v := t.Const
-		b = append(b, 'c', byte(v.Kind))
-		switch v.Kind {
-		case relation.TString:
-			b = appendKeyString(b, v.S)
-		case relation.TInt:
-			b = binary.AppendVarint(b, v.I)
-		case relation.TFloat:
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F))
-		}
-	}
-	return b
-}
-
-func appendKeyString(b []byte, s string) []byte {
-	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+	rf.keyBuf = cq.AppendKey(binary.AppendUvarint(rf.keyBuf[:0], uint64(idx)), q)
+	return rf.keyBuf
 }

@@ -15,9 +15,8 @@ import "sync"
 // SortRows). A sized pass reserves each column's code vector once and
 // allocates its decode table and encode map once, at the distinct-value
 // count the column sketch estimates. Relations that are not maintaining
-// one — NewResult answer relations, and Project/Select results whose
-// rows were appended without Insert — pay nothing until a plan first
-// joins against them: Encoding then builds the dictionary in one pass
+// one — NewResult answer relations and copies of them — pay nothing
+// until a plan first joins against them: Encoding then builds the dictionary in one pass
 // under the relation's lock, and Insert keeps it current from there on.
 
 // colDict is one column's dictionary: the columnar code vector (row id
@@ -276,11 +275,11 @@ func (d *Dict) clone() *Dict {
 }
 
 // Encoding returns the relation's dictionary encoding, covering exactly
-// the current rows. A relation that is not maintaining one — rows were
-// appended without Insert, a NewResult relation opted out, or nothing
-// was inserted yet — builds it here in one pass and keeps it, so
-// repeated calls on an unchanged relation return the same Dict. The
-// check-and-build is atomic, like EnsureIndex, so concurrent readers
+// the current rows. A relation that is not maintaining one — a
+// NewResult relation (or a copy of one) opted out, or nothing was
+// inserted yet — builds it here in one pass and keeps it, so repeated
+// calls on an unchanged relation return the same Dict. The
+// check-and-build is atomic, like EnsureCodeIndex, so concurrent readers
 // sharing a relation may make the first call together; reading the
 // returned Dict concurrently with mutations requires external
 // synchronization, like Rows.
@@ -343,8 +342,8 @@ func (r *Relation) rebuildEncodingLocked() {
 }
 
 // CodeIndex is a code → row-ids index over one dictionary-encoded
-// column, the batch kernel's counterpart of the Value-keyed hash index:
-// a probe is an array access on the probe code, no hashing. It has two
+// column, the one index a relation keeps: a probe is an array access
+// on the probe code, no hashing. It has two
 // parts. The packed part (Rows) is a CSR layout over the relation's
 // first rows, shared along the source → snapshot lineage; the tail
 // (Tail) is the column's raw codes for the rows appended since the

@@ -71,25 +71,31 @@ func TestDictLifecycle(t *testing.T) {
 }
 
 // TestEncodeOnDemand covers the relations that maintain no encoding as
-// rows arrive — NewResult, Project and Select products, and a relation
-// nothing was inserted into yet: the first Encoding call builds it in
+// rows arrive — NewResult relations filled row by row and in a batch,
+// and a relation nothing was inserted into yet: the first Encoding call builds it in
 // one pass, the relation keeps it (same *Dict on every later call), and
 // Insert maintains it in place from then on.
 func TestEncodeOnDemand(t *testing.T) {
-	src := New(dictSchema())
 	res := NewResult(dictSchema())
+	swapped := NewResult(NewSchema("swapped", IntAttr("b"), Attr("a")))
+	batch := NewResult(dictSchema())
+	var swappedRows, batchRows []Tuple
 	for i := 0; i < 20; i++ {
 		row := Tuple{SV(fmt.Sprintf("k%d", i%3)), IV(int64(i % 5))}
-		src.MustInsert(row...)
 		res.MustInsert(row...)
+		swappedRows = append(swappedRows, Tuple{row[1], row[0]})
+		if row[1] != IV(0) {
+			batchRows = append(batchRows, row)
+		}
 	}
-	proj, err := src.Project("b", "a")
-	if err != nil {
+	if err := swapped.InsertBatch(swappedRows); err != nil {
 		t.Fatal(err)
 	}
-	sel := src.Select(func(row Tuple) bool { return row[1] != IV(0) })
+	if err := batch.InsertBatch(batchRows); err != nil {
+		t.Fatal(err)
+	}
 	for name, r := range map[string]*Relation{
-		"NewResult": res, "Project": proj, "Select": sel, "empty": New(dictSchema()),
+		"NewResult": res, "swapped": swapped, "batch": batch, "empty": New(dictSchema()),
 	} {
 		if r.dict != nil {
 			t.Errorf("%s: paid for an encoding before anything asked for one", name)
@@ -99,7 +105,7 @@ func TestEncodeOnDemand(t *testing.T) {
 			t.Errorf("%s: second Encoding call returned a different Dict", name)
 		}
 		row := Tuple{SV("late"), IV(7)}
-		if name == "Project" {
+		if name == "swapped" {
 			row = Tuple{IV(7), SV("late")}
 		}
 		r.MustInsert(row...)
@@ -179,7 +185,12 @@ func TestCodeIndex(t *testing.T) {
 	}
 	d := r.Encoding()
 	for code := int32(0); int(code) < d.Width(0); code++ {
-		want := r.Lookup(0, d.Value(0, code))
+		var want []int
+		for i, row := range r.Rows() {
+			if row[0] == d.Value(0, code) {
+				want = append(want, i)
+			}
+		}
 		got := ci.Rows(code)
 		if len(got) != len(want) {
 			t.Fatalf("code %d: %d rows, want %d", code, len(got), len(want))

@@ -2,6 +2,8 @@ package relation
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -85,5 +87,87 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		// Frame parsing over the same bytes: header + bounded payload.
 		ReadFrame(bytes.NewReader(data))
+	})
+}
+
+// FuzzInsertBatch holds the bulk load to its contract on relations the
+// input shapes. The input's first byte picks an arity of 1–3 and a type
+// per column, the second how many rows are inserted one by one before
+// the batch, and the third whether one batch tuple is swapped for an
+// incompatible one (odd) and where; the fourth picks that tuple's
+// fault, and every later byte is one value. A compatible batch must
+// leave the relation exactly as an Insert per row leaves it — rows,
+// statistics, codes, decode tables and code indexes, as
+// TestInsertBatchMatchesInsert compares them. A batch with an
+// incompatible tuple must return an error and change nothing: not the
+// length, not the version, not the encoding. The committed corpus
+// (testdata/fuzz/FuzzInsertBatch) seeds each shape: all three value
+// kinds, columns on both sides of smallDictWidth, a per-row prefix, and
+// both faults.
+func FuzzInsertBatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		arity := 1 + int(data[0]%3)
+		attrs := make([]Attribute, arity)
+		kinds := int(data[0] / 3)
+		for c := range attrs {
+			attrs[c] = Attribute{Name: fmt.Sprintf("c%d", c), Type: Type(kinds % 3)}
+			kinds /= 3
+		}
+		s := NewSchema("fuzz", attrs...)
+		var rows []Tuple
+		for vals := data[4:]; len(vals) >= arity; vals = vals[arity:] {
+			row := make(Tuple, arity)
+			for c := range row {
+				row[c] = bulkValue(attrs[c].Type, int(vals[c]))
+			}
+			rows = append(rows, row)
+		}
+		prefix := min(int(data[1]), len(rows))
+		inc, bulk := New(s), New(s)
+		for _, row := range rows[:prefix] {
+			inc.MustInsert(row...)
+			bulk.MustInsert(row...)
+		}
+		batch := rows[prefix:]
+		if data[2]%2 == 0 {
+			for _, row := range batch {
+				inc.MustInsert(row...)
+			}
+			if err := bulk.InsertBatch(batch); err != nil {
+				t.Fatalf("compatible batch refused: %v", err)
+			}
+			sameRelation(t, "batch", inc, bulk, false)
+			return
+		}
+		bad := make(Tuple, arity)
+		for c := range bad {
+			bad[c] = bulkValue(attrs[c].Type, 0)
+		}
+		if data[3]%2 == 0 {
+			bad = append(bad, IV(0)) // one column too many
+		} else {
+			c := int(data[3]/2) % arity
+			bad[c] = Value{Kind: (attrs[c].Type + 1) % 3} // the wrong kind
+		}
+		batch = slices.Clone(batch)
+		if len(batch) == 0 {
+			batch = append(batch, bad)
+		} else {
+			batch[int(data[2]/2)%len(batch)] = bad
+		}
+		want := bulk.SnapshotAs("want")
+		n, ver, dict := bulk.Len(), bulk.Version(), bulk.dict
+		if err := bulk.InsertBatch(batch); err == nil {
+			t.Fatalf("batch holding %v accepted", bad)
+		}
+		if bulk.Len() != n || bulk.Version() != ver || bulk.dict != dict ||
+			bulk.encRows != n || bulk.statRows != n {
+			t.Fatalf("refused batch changed the length, version or encoding")
+		}
+		want.RestoreVersion(ver)
+		sameRelation(t, "refused", want, bulk, true)
 	})
 }

@@ -8,29 +8,27 @@ import (
 )
 
 // Relation is an in-memory bag of tuples conforming to a schema, with
-// optional per-column hash indexes used by the join evaluator and
-// incrementally maintained statistics (see Stats) used by the cost-
-// based join planner. Indexes key directly on Value (a comparable
-// struct), so probes allocate nothing — no per-lookup key-string
-// construction.
+// incrementally maintained column statistics (see Stats) for the cost-
+// based join planner and a per-column dictionary encoding (see dict.go)
+// for the columnar batch kernel, whose packed code indexes are the
+// relation's only indexes.
 //
-// Concurrency: reads (Lookup, Contains, Rows, EnsureIndex, Stats) may
-// run concurrently with each other — index construction is
-// synchronized, so concurrent readers lazily indexing a shared relation
-// are safe. Mutations (Insert, Delete, Dedup, SortRows) require
-// external synchronization with respect to readers, with one carve-out:
-// Stats may run concurrently with Insert (the statistics fields and
-// row count are exchanged under the lock).
+// Concurrency: reads (Contains, Rows, Stats, Encoding, EnsureCodeIndex)
+// may run concurrently with each other — lazy encoding and code-index
+// construction are synchronized, so concurrent readers of a shared
+// relation are safe. Mutations (Insert, Delete, Dedup, SortRows)
+// require external synchronization with respect to readers, with one
+// carve-out: Stats may run concurrently with Insert (the statistics
+// fields and row count are exchanged under the lock).
 type Relation struct {
 	Schema  Schema
 	rows    []Tuple
-	mu      sync.RWMutex            // guards indexes, sketches, rows len vs Insert
-	indexes map[int]map[Value][]int // column -> value -> row ids
-	version uint64                  // bumped on every mutation; see Version
+	mu      sync.RWMutex // guards sketches, encoding, rows len vs Insert
+	version uint64       // bumped on every mutation; see Version
 	// sketches holds one distinct-count sketch per column; statRows is
 	// how many rows they have absorbed. Statistics are valid iff
-	// statRows == len(rows) — rows appended without Insert (Project,
-	// Select) desynchronize the count and disable stats. See stats.go.
+	// statRows == len(rows) — a NewResult relation, or a copy of one,
+	// never absorbs its rows and so has no stats. See stats.go.
 	sketches []colSketch
 	statRows int
 	// dict is the per-column dictionary encoding behind the columnar
@@ -139,7 +137,7 @@ func (r *Relation) Rows() []Tuple { return r.rows }
 func (r *Relation) Row(i int) Tuple { return r.rows[i] }
 
 // Insert appends a tuple after validating it against the schema and
-// updates any existing indexes and column statistics.
+// updates the column statistics and dictionary encoding it maintains.
 func (r *Relation) Insert(t Tuple) error {
 	if err := r.Schema.Compatible(t); err != nil {
 		return err
@@ -148,9 +146,6 @@ func (r *Relation) Insert(t Tuple) error {
 	id := len(r.rows)
 	r.rows = append(r.rows, t)
 	r.version++
-	for col, idx := range r.indexes {
-		idx[t[col]] = append(idx[t[col]], id)
-	}
 	r.addStatsLocked(id)
 	r.addEncodingLocked(id, nil)
 	r.mu.Unlock()
@@ -205,11 +200,6 @@ func (r *Relation) InsertBatch(ts []Tuple) error {
 	}
 	r.rows = append(r.rows, ts...)
 	r.version++
-	for col, idx := range r.indexes {
-		for i, t := range ts {
-			idx[t[col]] = append(idx[t[col]], from+i)
-		}
-	}
 	r.addStatsLocked(from)
 	if r.encRows == from {
 		r.addEncodingLocked(from, r.widthHintsLocked())
@@ -233,7 +223,7 @@ func reserve[S ~[]E, E any](s S, n int) S {
 }
 
 // Delete removes all tuples equal to t and reports how many were removed.
-// Indexes are rebuilt lazily on next use; column statistics and the
+// Code indexes are rebuilt lazily on next use; column statistics and the
 // dictionary encoding are rebuilt eagerly (the pass is already O(rows)).
 // The rows compact in place unless a snapshot shares their backing.
 func (r *Relation) Delete(t Tuple) int {
@@ -264,7 +254,6 @@ func (r *Relation) Delete(t Tuple) int {
 	r.rows = kept
 	r.mu.Lock()
 	r.shared = false
-	r.indexes = nil
 	r.codeIdx = nil
 	r.version++
 	if statsValid {
@@ -277,91 +266,8 @@ func (r *Relation) Delete(t Tuple) int {
 	return removed
 }
 
-// buildIndexLocked constructs the index for col; r.mu must be held.
-func (r *Relation) buildIndexLocked(col int) {
-	if r.indexes == nil {
-		r.indexes = make(map[int]map[Value][]int)
-	}
-	idx := make(map[Value][]int, len(r.rows))
-	for i, row := range r.rows {
-		idx[row[col]] = append(idx[row[col]], i)
-	}
-	r.indexes[col] = idx
-}
-
-// BuildIndex constructs (or rebuilds) a hash index on the given column.
-func (r *Relation) BuildIndex(col int) {
-	if col < 0 || col >= r.Schema.Arity() {
-		return
-	}
-	r.mu.Lock()
-	r.buildIndexLocked(col)
-	r.mu.Unlock()
-}
-
-// EnsureIndex builds the index on col if it does not exist yet. The
-// check-and-build is atomic, so concurrent readers sharing a relation
-// (e.g. queries over a cached snapshot) may call it safely.
-func (r *Relation) EnsureIndex(col int) {
-	if col < 0 || col >= r.Schema.Arity() {
-		return
-	}
-	r.mu.Lock()
-	if _, ok := r.indexes[col]; !ok {
-		r.buildIndexLocked(col)
-	}
-	r.mu.Unlock()
-}
-
-// Lookup returns the row ids whose column col equals v, using an index if
-// present and scanning otherwise.
-func (r *Relation) Lookup(col int, v Value) []int {
-	r.mu.RLock()
-	idx, ok := r.indexes[col]
-	var ids []int
-	if ok {
-		ids = idx[v]
-	}
-	r.mu.RUnlock()
-	if ok {
-		return ids
-	}
-	var out []int
-	for i, row := range r.rows {
-		if row[col] == v {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// HasIndex reports whether column col is indexed.
-func (r *Relation) HasIndex(col int) bool {
-	r.mu.RLock()
-	_, ok := r.indexes[col]
-	r.mu.RUnlock()
-	return ok
-}
-
 // Contains reports whether the relation contains a tuple equal to t.
 func (r *Relation) Contains(t Tuple) bool {
-	if len(r.rows) > 0 && len(t) > 0 {
-		r.mu.RLock()
-		idx, ok := r.indexes[0]
-		var ids []int
-		if ok {
-			ids = idx[t[0]]
-		}
-		r.mu.RUnlock()
-		if ok {
-			for _, i := range ids {
-				if r.rows[i].Equal(t) {
-					return true
-				}
-			}
-			return false
-		}
-	}
 	for _, row := range r.rows {
 		if row.Equal(t) {
 			return true
@@ -395,7 +301,6 @@ func (r *Relation) Dedup() *Relation {
 	r.rows = kept
 	r.mu.Lock()
 	r.shared = false
-	r.indexes = nil
 	r.codeIdx = nil
 	r.version++
 	if statsValid {
@@ -423,7 +328,6 @@ func (r *Relation) SortRows() *Relation {
 	sort.Slice(r.rows, func(i, j int) bool { return r.rows[i].Less(r.rows[j]) })
 	r.mu.Lock()
 	r.shared = false
-	r.indexes = nil
 	r.codeIdx = nil
 	if encValid {
 		r.rebuildEncodingLocked()
@@ -435,8 +339,7 @@ func (r *Relation) SortRows() *Relation {
 
 // Clone returns a private mutable copy: its own schema, row slice and
 // tuples (O(rows) allocations), for callers that hand the copy out or
-// edit it freely. Hash indexes are not copied; statistics are; the
-// dictionary encoding is snapshotted as SnapshotAs does it, and detaches
+// edit it freely. Statistics are copied; the dictionary encoding is snapshotted as SnapshotAs does it, and detaches
 // on the copy's first mutation. Paths that only need a stable read view
 // — snapshots, replica applies — use SnapshotAs, which copies nothing
 // per row.
@@ -457,54 +360,6 @@ func (r *Relation) Clone() *Relation {
 	}
 	r.mu.Unlock()
 	return out
-}
-
-// Project returns a new relation keeping only the named attributes.
-func (r *Relation) Project(attrNames ...string) (*Relation, error) {
-	cols := make([]int, len(attrNames))
-	attrs := make([]Attribute, len(attrNames))
-	for i, n := range attrNames {
-		c := r.Schema.AttrIndex(n)
-		if c < 0 {
-			return nil, fmt.Errorf("project: no attribute %q in %s", n, r.Schema.Name)
-		}
-		cols[i] = c
-		attrs[i] = r.Schema.Attrs[c]
-	}
-	out := New(Schema{Name: r.Schema.Name, Attrs: attrs})
-	for _, row := range r.rows {
-		t := make(Tuple, len(cols))
-		for i, c := range cols {
-			t[i] = row[c]
-		}
-		out.rows = append(out.rows, t)
-	}
-	return out, nil
-}
-
-// Select returns a new relation with rows satisfying pred.
-func (r *Relation) Select(pred func(Tuple) bool) *Relation {
-	out := New(r.Schema.Clone())
-	for _, row := range r.rows {
-		if pred(row) {
-			out.rows = append(out.rows, row.Clone())
-		}
-	}
-	return out
-}
-
-// Union appends (bag union) the rows of other; schemas must have equal
-// arity and types.
-func (r *Relation) Union(other *Relation) error {
-	if r.Schema.Arity() != other.Schema.Arity() {
-		return fmt.Errorf("union: arity mismatch %d vs %d", r.Schema.Arity(), other.Schema.Arity())
-	}
-	for _, row := range other.rows {
-		if err := r.Insert(row.Clone()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Equal reports set equality of tuples (order-insensitive, duplicates

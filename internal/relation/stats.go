@@ -14,10 +14,9 @@ import (
 // rows are removed (Delete), so Stats is always O(columns) to read.
 // A KMV sketch keeps the smallest distinct hashes whatever order they
 // arrive in, so all three leave the same sketch bits for the same rows.
-// Relations whose rows were appended without going through Insert
-// (Project, Select results) carry no sketches; Stats reports that by
-// returning a nil Distinct slice and the planner falls back to the
-// statistics-free greedy order.
+// NewResult relations, and copies of them, carry no sketches; Stats
+// reports that by returning a nil Distinct slice and the planner falls
+// back to the statistics-free greedy order.
 
 // sketchK is the number of minimum hash values each column sketch
 // retains. 64 gives a relative standard error of about 1/sqrt(62) ≈ 13%
@@ -111,8 +110,7 @@ func cloneSketches(src []colSketch) []colSketch {
 // statistics a plan was built from are still current).
 //
 // Distinct is nil when the relation's statistics are not maintained —
-// its rows were produced without going through Insert (Project, Select
-// results). Planners treat that as "statistics absent" and fall back to
+// it was made by NewResult, or copied from such a relation. Planners treat that as "statistics absent" and fall back to
 // cardinality-free heuristics.
 type Stats struct {
 	// Rows is the tuple count (bag semantics, duplicates included).
@@ -134,7 +132,7 @@ func (r *Relation) Stats() Stats {
 	defer r.mu.RUnlock()
 	st := Stats{Rows: len(r.rows), Version: r.version}
 	if r.statRows != len(r.rows) {
-		return st // rows bypassed Insert: statistics not maintained
+		return st // NewResult lineage: statistics not maintained
 	}
 	st.Distinct = make([]float64, r.Schema.Arity())
 	for col := range r.sketches {
@@ -144,8 +142,8 @@ func (r *Relation) Stats() Stats {
 }
 
 // HasStats reports whether distinct-value statistics are maintained for
-// this relation (every row was inserted through Insert, or the sketches
-// were rebuilt after a removal).
+// this relation (every row was absorbed on insert, or the sketches were
+// rebuilt after a removal).
 func (r *Relation) HasStats() bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -157,7 +155,7 @@ func (r *Relation) HasStats() bool {
 // for Insert, a whole run for InsertBatch. Caller holds r.mu.
 func (r *Relation) addStatsLocked(from int) {
 	if r.statRows != from {
-		return // rows bypassed Insert earlier, or NewResult: stay invalid
+		return // NewResult lineage: stay invalid
 	}
 	if r.sketches == nil {
 		r.sketches = make([]colSketch, r.Schema.Arity())

@@ -55,24 +55,29 @@ func TestStatsMaintainedOnInsert(t *testing.T) {
 	}
 }
 
+// TestStatsAbsentWhenRowsBypassInsert covers the rows that reach a
+// relation without being sketched: a NewResult relation's batch, and
+// the copies SnapshotAs and Clone write directly. None of them may
+// report statistics, and no later Delete or Dedup may resurrect them.
 func TestStatsAbsentWhenRowsBypassInsert(t *testing.T) {
-	r := New(statsSchema())
+	res := NewResult(statsSchema())
+	var rows []Tuple
 	for i := 0; i < 20; i++ {
-		r.MustInsert(SV(fmt.Sprintf("a%d", i)), SV("b"))
+		rows = append(rows, Tuple{SV(fmt.Sprintf("a%d", i%10)), SV("b")})
 	}
-	proj, err := r.Project("a")
-	if err != nil {
+	if err := res.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}
-	if st := proj.Stats(); st.Distinct != nil {
-		t.Fatalf("projection stats = %+v, want absent (nil Distinct)", st)
-	}
-	sel := r.Select(func(Tuple) bool { return true })
-	if st := sel.Stats(); st.Distinct != nil {
-		t.Fatalf("selection stats = %+v, want absent", st)
-	}
-	if r.Stats().Distinct == nil {
-		t.Fatal("source relation lost its stats")
+	snap, clone := res.SnapshotAs("snap"), res.Clone()
+	for name, r := range map[string]*Relation{"batch": res, "SnapshotAs": snap, "Clone": clone} {
+		if st := r.Stats(); st.Distinct != nil || st.Rows != 20 {
+			t.Fatalf("%s stats = %+v, want 20 rows and absent (nil Distinct)", name, st)
+		}
+		r.Delete(Tuple{SV("a0"), SV("b")})
+		r.Dedup()
+		if r.HasStats() {
+			t.Fatalf("%s: Delete or Dedup resurrected stats", name)
+		}
 	}
 }
 

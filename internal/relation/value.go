@@ -1,5 +1,5 @@
 // Package relation is REVERE's relational substrate: typed values,
-// schemas, in-memory relations with hash indexes, and databases. The
+// schemas, in-memory relations with code indexes, and databases. The
 // paper stores MANGROVE annotations "in a relational database using a
 // simple graph representation" and Piazza reformulates queries down to
 // "stored relations"; this package is that storage layer.

@@ -231,19 +231,17 @@ func derivable(db *relation.Database, def cq.Query, t relation.Tuple) (bool, err
 	return r.Contains(t), nil
 }
 
+// dedupTuples drops repeated tuples in place, keeping first occurrences.
 func dedupTuples(ts []relation.Tuple) []relation.Tuple {
 	if len(ts) < 2 {
 		return ts
 	}
-	seen := make(map[string]bool, len(ts))
+	seen := relation.NewTupleSet(len(ts))
 	out := ts[:0]
 	for _, t := range ts {
-		k := t.Key()
-		if seen[k] {
-			continue
+		if seen.Add(t) {
+			out = append(out, t)
 		}
-		seen[k] = true
-		out = append(out, t)
 	}
 	return out
 }

@@ -81,7 +81,7 @@ func Rewrite(q cq.Query, views []View, opts RewriteOptions) ([]Rewriting, error)
 			if !ok {
 				return true
 			}
-			key := canonicalKey(rw)
+			key := cq.CanonicalKey(rw)
 			if seen[key] {
 				return true
 			}
@@ -275,17 +275,4 @@ func assembleRewriting(q cq.Query, chosen []bucketEntry) (cq.Query, bool) {
 		}
 	}
 	return cq.Query{HeadPred: q.HeadPred, HeadVars: append([]string(nil), q.HeadVars...), Body: body}, true
-}
-
-func canonicalKey(q cq.Query) string {
-	parts := make([]string, len(q.Body))
-	for i, a := range q.Body {
-		parts[i] = a.String()
-	}
-	sort.Strings(parts)
-	key := ""
-	for _, p := range parts {
-		key += p + ";"
-	}
-	return key
 }

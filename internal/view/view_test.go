@@ -122,6 +122,37 @@ func TestRewriteWithConstant(t *testing.T) {
 	}
 }
 
+// TestRewriteKeepsDistinctRewritings covers two same-shaped views over
+// one relation answering a query with two subgoals. Each of the four
+// ways to cover the subgoals is a distinct rewriting, and all four must
+// survive the dedup of rewritings already seen. Two constant pairs
+// render the "v for the first, w for the second" rewriting exactly
+// like the swapped one: 1 and 1.0 print alike, and the string
+// "a');w(X, 'a" spells a second w atom.
+func TestRewriteKeepsDistinctRewritings(t *testing.T) {
+	v := NewView("v", cq.MustParse("v(A, B) :- p(A, B)"))
+	w := NewView("w", cq.MustParse("w(A, B) :- p(A, B)"))
+	for name, pair := range map[string][2]relation.Value{
+		"int vs float":   {relation.IV(1), relation.FV(1)},
+		"spelled atom":   {relation.SV("a"), relation.SV("a');w(X, 'a")},
+		"plain constant": {relation.SV("a"), relation.SV("b")},
+	} {
+		q := cq.NewQuery("q", []string{"X"},
+			cq.NewAtom("p", cq.V("X"), cq.C(pair[0])),
+			cq.NewAtom("p", cq.V("X"), cq.C(pair[1])))
+		rws, err := Rewrite(q, []View{v, w}, RewriteOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rws) != 4 {
+			t.Errorf("%s: %d rewritings, want 4:", name, len(rws))
+			for _, rw := range rws {
+				t.Logf("  %s", rw.Query)
+			}
+		}
+	}
+}
+
 func TestRewriteViewWithConstantSelection(t *testing.T) {
 	// View restricted to halevy cannot answer an unrestricted query
 	// equivalently, but is a contained rewriting... our coverGoal rejects
