@@ -67,12 +67,13 @@ func main() {
 	fmt.Printf("answers via local copies: %d (oracle %d)\n",
 		res.Answers.Len(), len(g.AllTitles)+1)
 
-	// Update through a view: delete a hub course through the selection
-	// view a coordinator actually sees.
+	// Update through a view: delete a hub course through a selection
+	// view over its qualified relation. The delete commits at the hub
+	// like any other write, so the copy placed above follows it.
 	fmt.Println("\nupdate through a view:")
 	titleAttr := g.TitleAttr[0]
 	col := hub.Schema.AttrIndex(titleAttr)
-	victim := g.Net.Peer(workload.PeerName(0)).Store.Get(hub.Schema.Name).Row(0).Clone()
+	victim := net.Peer(workload.PeerName(0)).Store.Get(hub.Schema.Name).Row(0).Clone()
 	vars := make([]cq.Term, hub.Schema.Arity())
 	head := make([]string, hub.Schema.Arity())
 	for i := range vars {
@@ -80,14 +81,16 @@ func main() {
 		vars[i] = cq.V(v)
 		head[i] = v
 	}
+	hubRel := workload.PeerName(0) + "." + hub.Schema.Name
 	allView := view.NewView("hub_courses", cq.Query{HeadPred: "v", HeadVars: head,
-		Body: []cq.Atom{{Pred: hub.Schema.Name, Args: vars}}})
-	hubStore := g.Net.Peer(workload.PeerName(0)).Store
-	if err := view.ApplyThroughView(allView, hubStore, view.Updategram{
-		Relation: "hub_courses", Deletes: []relation.Tuple{victim}}); err != nil {
+		Body: []cq.Atom{{Pred: hubRel, Args: vars}}})
+	stats, err = net.UpdateThroughView(allView, view.Updategram{
+		Relation: "hub_courses", Deletes: []relation.Tuple{victim}})
+	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  deleted %q through view %s\n", victim[col], allView.Name)
+	fmt.Printf("  deleted %q through view %s: %d views touched\n",
+		victim[col], allView.Name, stats.ViewsTouched)
 
 	// A peer leaves; the rest keeps answering — streamed through a
 	// cursor, so answers arrive as the union's join trees produce them.

@@ -16,3 +16,19 @@ type Catalog interface {
 
 // compile-time proof that the concrete database is a Catalog.
 var _ Catalog = (*relation.Database)(nil)
+
+// Overlay is a Catalog whose Over relations shadow Base's by name: a
+// request's shipped partial replicas over the global snapshot, or a
+// view delta installed beside the database it joins against.
+type Overlay struct {
+	Base Catalog
+	Over map[string]*relation.Relation
+}
+
+// Get implements Catalog.
+func (o Overlay) Get(name string) *relation.Relation {
+	if r := o.Over[name]; r != nil {
+		return r
+	}
+	return o.Base.Get(name)
+}

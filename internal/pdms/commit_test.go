@@ -17,8 +17,8 @@ import (
 // TestOneWritePath is the write-path differential. One durable peer is
 // at once joined to a network with a placed view over it, served
 // through a Loopback, and push-subscribed by a coordinator; a seeded
-// script writes to it through Publish batches, Peer.Insert and
-// Peer.Delete. Every write goes through the one commit, so after every
+// script writes to it through Publish batches, Peer.Insert,
+// Peer.Delete and UpdateThroughView on a selection view. Every write goes through the one commit, so after every
 // step (i) the placed view's extent equals a fresh Refresh over
 // GlobalDB, and (ii) once the push is applied the coordinator's answer
 // equals the origin relation; at the end (iii) reopening the durable
@@ -68,6 +68,7 @@ func TestOneWritePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ones := view.NewView("ones", cq.MustParse("ones(N) :- a.r(N, 1)"))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -117,7 +118,7 @@ func TestOneWritePath(t *testing.T) {
 			p, rel = b, "s"
 		}
 		var op string
-		switch rng.Intn(3) {
+		switch rng.Intn(4) {
 		case 0:
 			op = "publish"
 			u := view.Updategram{Relation: rel}
@@ -131,9 +132,19 @@ func TestOneWritePath(t *testing.T) {
 		case 1:
 			op = "insert"
 			err = p.Insert(rel, randRow(rel))
-		default:
+		case 2:
 			op = "delete"
 			_, err = p.Delete(rel, someRow(p, rel))
+		default:
+			op, p, rel = "view", a, "r"
+			u := view.Updategram{Relation: ones.Name}
+			name := randRow(rel)[:1]
+			if rng.Intn(2) == 0 {
+				u.Inserts = append(u.Inserts, name)
+			} else {
+				u.Deletes = append(u.Deletes, name)
+			}
+			_, err = net.UpdateThroughView(ones, u)
 		}
 		if err != nil {
 			t.Fatalf("step %d (%s %s.%s): %v", step, op, p.Name, rel, err)

@@ -63,6 +63,10 @@ type Peer struct {
 	// extra lock; feeds found closed are dropped lazily. Nil until the
 	// first subscription.
 	feeds map[*ChangeFeed]struct{}
+	// mirror marks a coordinator's local replica of a remote peer
+	// (AddRemotePeer): its data belongs to the origin, so commit refuses
+	// it rather than fork the replica from what the origin holds.
+	mirror bool
 }
 
 // NewPeer creates a peer with the given relation schemas; stored
@@ -239,8 +243,12 @@ func (p *Peer) Delete(rel string, t relation.Tuple) (int, error) {
 // those networks' pre-states are taken, before the commit, so a peer
 // with no view over rel builds no record its log and feeds do not
 // consume. stats, when non-nil, accumulates the view work. It returns
-// the rows deleted and the first log failure.
+// the rows deleted and the first log failure. A remote peer's mirror
+// refuses every commit: the write belongs at the origin.
 func (p *Peer) commit(rel string, dels, ins []relation.Tuple, stats *PublishStats) (removed int, err error) {
+	if p.mirror {
+		return 0, fmt.Errorf("pdms: peer %s is a mirror of a remote peer; commit to %s.%s at its origin", p.Name, p.Name, rel)
+	}
 	r := p.Store.Get(rel)
 	if r == nil {
 		return 0, fmt.Errorf("pdms: peer %s has no relation %q", p.Name, rel)

@@ -393,10 +393,13 @@ func (n *Network) Query(ctx context.Context, req Request) (*Cursor, error) {
 	var err2 error
 	if len(ships) > 0 {
 		// Shipped partial replicas shadow the global snapshot through a
-		// per-request overlay catalog. They bypass the plan cache: the
-		// overlay's relations are request-specific, so a cached plan
-		// compiled against them could never be reused safely anyway.
-		cat := overlayCatalog{base: n.globalSnapshot(), over: ships}
+		// per-request overlay catalog — per request because shipped
+		// results never enter the mirror store: they are only guaranteed
+		// sufficient for the request's own rewritings. They bypass the
+		// plan cache: the overlay's relations are request-specific, so a
+		// cached plan compiled against them could never be reused safely
+		// anyway.
+		cat := cq.Overlay{Base: n.globalSnapshot(), Over: ships}
 		plans = make([]*cq.Plan, len(e.rws))
 		for i, rw := range e.rws {
 			plans[i], err2 = cq.Compile(cat, rw)

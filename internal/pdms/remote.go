@@ -296,6 +296,7 @@ func (n *Network) AddRemotePeer(ctx context.Context, name string, tr Transport) 
 		return nil, fmt.Errorf("pdms: remote peer %s schemas: %w", name, err)
 	}
 	mirror := NewPeer(name, schemas...)
+	mirror.mirror = true
 	if err := n.AddPeer(mirror); err != nil {
 		return nil, err
 	}

@@ -50,15 +50,9 @@ type RetryPolicy struct {
 	// BaseDelay is the backoff before the first retry
 	// (DefaultRetryBaseDelay when zero and a retry happens).
 	BaseDelay time.Duration
-	// MaxDelay caps the exponential backoff (DefaultRetryMaxDelay when
-	// zero).
+	// MaxDelay caps the backoff, which doubles per retry
+	// (DefaultRetryMaxDelay when zero).
 	MaxDelay time.Duration
-	// Multiplier grows the delay per attempt (2 when zero).
-	Multiplier float64
-	// Jitter is the fraction of each delay that is randomized, in
-	// [0, 1]: the actual sleep is uniform in [d·(1−J), d]. Zero keeps
-	// DefaultRetryJitter; use a negative value to force no jitter.
-	Jitter float64
 	// OpTimeout bounds one attempt (0 = no per-attempt timeout). An
 	// attempt that exceeds it counts as retryable — a hung peer must
 	// not hang the query.
@@ -69,13 +63,15 @@ type RetryPolicy struct {
 	Budget int
 }
 
-// Defaults for RetryPolicy fields left zero when a retry actually runs.
+// Defaults for RetryPolicy fields left zero when a retry actually runs,
+// and the share of each backoff delay that is randomized.
 const (
 	// DefaultRetryBaseDelay is the first backoff delay.
 	DefaultRetryBaseDelay = 25 * time.Millisecond
 	// DefaultRetryMaxDelay caps the exponential backoff.
 	DefaultRetryMaxDelay = 1 * time.Second
-	// DefaultRetryJitter randomizes half of each delay.
+	// DefaultRetryJitter is the fraction of each delay that is
+	// randomized: half.
 	DefaultRetryJitter = 0.5
 )
 
@@ -87,8 +83,6 @@ func DefaultRetryPolicy() RetryPolicy {
 		MaxAttempts: 3,
 		BaseDelay:   DefaultRetryBaseDelay,
 		MaxDelay:    DefaultRetryMaxDelay,
-		Multiplier:  2,
-		Jitter:      DefaultRetryJitter,
 		OpTimeout:   2 * time.Second,
 		Budget:      8,
 	}
@@ -104,22 +98,21 @@ func (p RetryPolicy) attempts() int {
 
 // Backoff returns the jittered delay before retry number retry
 // (1-based: the delay between attempt N and attempt N+1 is
-// Backoff(N)). rnd supplies the jitter; nil means no jitter, so seeded
-// callers (the fault-injection suites) stay deterministic.
+// Backoff(N)): BaseDelay doubled per retry up to MaxDelay, then scaled
+// uniformly into [d·(1−DefaultRetryJitter), d]. rnd supplies the
+// jitter; nil means no jitter, so seeded callers (the fault-injection
+// suites) stay deterministic.
 func (p RetryPolicy) Backoff(retry int, rnd *rand.Rand) time.Duration {
-	base, maxd, mult := p.BaseDelay, p.MaxDelay, p.Multiplier
+	base, maxd := p.BaseDelay, p.MaxDelay
 	if base <= 0 {
 		base = DefaultRetryBaseDelay
 	}
 	if maxd <= 0 {
 		maxd = DefaultRetryMaxDelay
 	}
-	if mult < 1 {
-		mult = 2
-	}
 	d := float64(base)
 	for i := 1; i < retry; i++ {
-		d *= mult
+		d *= 2
 		if d >= float64(maxd) {
 			break
 		}
@@ -127,15 +120,8 @@ func (p RetryPolicy) Backoff(retry int, rnd *rand.Rand) time.Duration {
 	if d > float64(maxd) {
 		d = float64(maxd)
 	}
-	jitter := p.Jitter
-	if jitter == 0 {
-		jitter = DefaultRetryJitter
-	}
-	if jitter > 0 && rnd != nil {
-		if jitter > 1 {
-			jitter = 1
-		}
-		d *= 1 - jitter*rnd.Float64()
+	if rnd != nil {
+		d *= 1 - DefaultRetryJitter*rnd.Float64()
 	}
 	return time.Duration(d)
 }

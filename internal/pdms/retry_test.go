@@ -12,19 +12,17 @@ import (
 )
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond,
-		Multiplier: 2, Jitter: -1} // no jitter: exact values
+	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 80 * time.Millisecond}
 	want := []time.Duration{10, 20, 40, 80, 80, 80}
 	for i, w := range want {
-		if got := p.Backoff(i+1, nil); got != w*time.Millisecond {
+		if got := p.Backoff(i+1, nil); got != w*time.Millisecond { // nil rnd: no jitter
 			t.Errorf("Backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
 		}
 	}
 }
 
 func TestBackoffJitterStaysInRange(t *testing.T) {
-	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second,
-		Multiplier: 2, Jitter: 0.5}
+	p := RetryPolicy{BaseDelay: 100 * time.Millisecond, MaxDelay: time.Second}
 	rnd := rand.New(rand.NewSource(7))
 	for i := 0; i < 100; i++ {
 		d := p.Backoff(1, rnd)

@@ -256,23 +256,6 @@ type shipPart struct {
 	atom cq.Atom
 }
 
-// overlayCatalog resolves relations for plan compilation: shipped
-// partial replicas shadow the global snapshot by qualified name. It is
-// per-request — shipped results never enter the mirror store, because
-// they are only guaranteed sufficient for the request's own rewritings.
-type overlayCatalog struct {
-	base cq.Catalog
-	over map[string]*relation.Relation
-}
-
-// Get implements cq.Catalog.
-func (o overlayCatalog) Get(name string) *relation.Relation {
-	if r := o.over[name]; r != nil {
-		return r
-	}
-	return o.base.Get(name)
-}
-
 // planShips decides, per stale relation the fetch path queued, whether
 // the ship rung is on its ladder, attaching a shipSpec to the jobs that
 // ship. Eligibility: every atom referencing the relation carries

@@ -84,6 +84,27 @@ func (n *Network) Publish(peer, rel string, u view.Updategram) (*PublishStats, e
 	return stats, nil
 }
 
+// UpdateThroughView commits an update expressed against a view — the
+// paper's "updating of data through views" (§3.1.2). Like a Subscribe
+// definition, v names qualified stored relations ("peer.rel").
+// view.TranslateUpdate turns u into a base updategram over the global
+// snapshot, refusing up front a translation that is ambiguous or would
+// change other view tuples, and Publish commits it at the relation's
+// peer — checked whole, logged, pushed and folded into the placed views
+// like every other write.
+func (n *Network) UpdateThroughView(v view.View, u view.Updategram) (*PublishStats, error) {
+	bases, err := view.TranslateUpdate(v, n.GlobalDB(), u)
+	if err != nil {
+		return nil, err
+	}
+	if len(bases) == 0 { // the update changes nothing
+		return &PublishStats{}, nil
+	}
+	// A select/project view has one base relation, so one updategram.
+	peer, rel := glav.SplitQualified(bases[0].Relation)
+	return n.Publish(peer, rel, bases[0])
+}
+
 // viewsOver reports whether a placed view's definition mentions peer's
 // rel — whether a commit there has views to maintain. It builds no
 // qualified name, so a commit on a network without such views costs one
@@ -130,10 +151,10 @@ func (n *Network) maintainViews(pre, post *relation.Database, qualified string, 
 // fanoutViews propagates one qualified base updategram into every
 // placed materialized view whose definition mentions the relation —
 // the one-to-many half of §3.1.2's "updategrams on base data can be
-// combined to create updategrams for views". The prepared update
-// (scratch databases with the delta installed) is shared by every
-// affected subscription — built lazily on the first one instead of
-// rebuilt per view. The caller holds subMu.
+// combined to create updategrams for views". The prepared update (the
+// delta relation installed over the pre and post states) is shared by
+// every affected subscription — built lazily on the first one instead
+// of rebuilt per view. The caller holds subMu.
 func (n *Network) fanoutViews(pre, post *relation.Database, qu view.Updategram, stats *PublishStats) error {
 	var prepared *view.PreparedUpdate
 	for _, sub := range n.subs {

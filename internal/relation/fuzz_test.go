@@ -171,3 +171,136 @@ func FuzzInsertBatch(f *testing.F) {
 		sameRelation(t, "refused", want, bulk, true)
 	})
 }
+
+// FuzzApplyChanges holds the one verified apply to its all-or-nothing
+// contract on runs the input shapes. The first byte picks an arity of
+// 1–2 and a kind per column, the second how many rows are inserted one
+// by one before the run, the third which record (if any) is faulted and
+// the fourth how: a foreign relation name, a version that does not
+// advance, a row count off by one, an unexpected op, or a tuple one
+// column too wide. Every later 1+arity bytes are one record: its op
+// (insert or delete), how far its version advances, and its tuple;
+// unfaulted records carry the row count the run honestly leaves. The
+// oracle applies the run record by record — Insert or Delete on a
+// clone, checking each record's name, version, op, tuple and count —
+// and ApplyChanges must agree with it: a refused run leaves the
+// relation's rows, length, version, statistics and encoding as they
+// were; an accepted one lands on the last record's (version, rows) and
+// equals the clone, in place for an insert-only run and on a new
+// relation, the receiver untouched, for a run that holds a delete. The
+// committed corpus (testdata/fuzz/FuzzApplyChanges) seeds insert-only
+// and mixed runs, every fault, and deletes that remove nothing.
+func FuzzApplyChanges(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		arity := 1 + int(data[0]%2)
+		attrs := make([]Attribute, arity)
+		kinds := int(data[0] / 2)
+		for c := range attrs {
+			attrs[c] = Attribute{Name: fmt.Sprintf("c%d", c), Type: Type(kinds % 3)}
+			kinds /= 3
+		}
+		r := New(NewSchema("fuzz", attrs...))
+		value := func(c int, b byte) Value { return bulkValue(attrs[c].Type, int(b%4)) }
+		for i := range int(data[1] % 8) {
+			row := make(Tuple, arity)
+			for c := range row {
+				row[c] = value(c, byte(i+c))
+			}
+			r.MustInsert(row...)
+		}
+
+		// The honest run, with each record's count from a clone.
+		honest := r.Clone()
+		var recs []ChangeRecord
+		ver := r.Version()
+		for vals := data[4:]; len(vals) > arity; vals = vals[1+arity:] {
+			rec := ChangeRecord{Op: ChangeInsert, Rel: "fuzz", Tuple: make(Tuple, arity)}
+			for c := range rec.Tuple {
+				rec.Tuple[c] = value(c, vals[1+c])
+			}
+			if vals[0]%2 == 1 {
+				rec.Op = ChangeDelete
+				honest.Delete(rec.Tuple)
+			} else {
+				honest.MustInsert(rec.Tuple...)
+			}
+			ver += 1 + uint64(vals[0]/2%3)
+			rec.Ver, rec.Rows = ver, honest.Len()
+			recs = append(recs, rec)
+		}
+		if len(recs) == 0 {
+			return
+		}
+		if i := int(data[2]) % (len(recs) + 1); i < len(recs) {
+			rec := &recs[i]
+			switch data[3] % 5 {
+			case 0:
+				rec.Rel = "other"
+			case 1:
+				rec.Ver = r.Version()
+				if i > 0 {
+					rec.Ver = recs[i-1].Ver
+				}
+			case 2:
+				rec.Rows += 1 - 2*int(data[3]/5%2)
+			case 3:
+				rec.Op = ChangeSchema
+			case 4:
+				rec.Tuple = append(rec.Tuple[:arity:arity], IV(0))
+			}
+		}
+
+		// The oracle: record by record on a clone.
+		model, ok := r.Clone(), true
+		prev, hasDelete := r.Version(), false
+		for _, rec := range recs {
+			ok = ok && rec.Rel == "fuzz" && rec.Ver > prev
+			prev = rec.Ver
+			switch rec.Op {
+			case ChangeInsert:
+				ok = ok && model.Insert(rec.Tuple) == nil
+			case ChangeDelete:
+				hasDelete = true
+				model.Delete(rec.Tuple)
+			default:
+				ok = false
+			}
+			ok = ok && model.Len() == rec.Rows
+		}
+
+		before := r.SnapshotAs("fuzz")
+		n, v, dict, enc := r.Len(), r.Version(), r.dict, EncodeTupleBatch(r.Rows())
+		got, err := r.ApplyChanges(recs)
+		if (err == nil) != ok {
+			t.Fatalf("ApplyChanges err = %v, oracle accepts: %v (records %+v)", err, ok, recs)
+		}
+		untouched := func(label string) {
+			t.Helper()
+			if r.Len() != n || r.Version() != v || r.dict != dict || !bytes.Equal(enc, EncodeTupleBatch(r.Rows())) {
+				t.Fatalf("%s: receiver's length, version or encoding changed", label)
+			}
+			before.RestoreVersion(v)
+			sameRelation(t, label, before, r, true)
+		}
+		if err != nil {
+			untouched("refused")
+			return
+		}
+		last := recs[len(recs)-1]
+		if got.Version() != last.Ver || got.Len() != last.Rows {
+			t.Fatalf("accepted run left (%d, %d), last record says (%d, %d)", got.Version(), got.Len(), last.Ver, last.Rows)
+		}
+		sameRelation(t, "accepted", model, got, false)
+		if hasDelete {
+			if got == r {
+				t.Fatalf("a run holding a delete was applied in place")
+			}
+			untouched("delete run")
+		} else if got != r {
+			t.Fatalf("an insert-only run was not applied in place")
+		}
+	})
+}

@@ -17,11 +17,11 @@ import (
 // Reads happen on connection goroutines concurrently with each other
 // and — through the peers' Serving* accessors, which snapshot under the
 // peer's serving lock — safely against the node's own commits
-// (Peer.Insert, Peer.Delete, Network.Publish) and Peer.AddSchema calls,
-// so a served peer may keep mutating live (the scenario the protocol's
-// freshness probe exists for). Mutations that bypass Peer (direct
-// Store/relation manipulation, view.ApplyThroughView on a peer's Store)
-// still require external synchronization with serving.
+// (Peer.Insert, Peer.Delete, Network.Publish, Network.UpdateThroughView)
+// and Peer.AddSchema calls, so a served peer may keep mutating live (the
+// scenario the protocol's freshness probe exists for). Direct
+// Store/relation manipulation bypasses Peer and still requires external
+// synchronization with serving.
 type Server struct {
 	// BatchSize is the number of tuples per scan batch frame
 	// (pdms.DefaultScanBatch when zero). Set before Serve.

@@ -2,6 +2,7 @@ package view
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cq"
 	"repro/internal/relation"
@@ -21,24 +22,6 @@ func (u Updategram) IsEmpty() bool { return len(u.Inserts) == 0 && len(u.Deletes
 
 // Size returns the number of changed tuples.
 func (u Updategram) Size() int { return len(u.Inserts) + len(u.Deletes) }
-
-// Apply replays the updategram against a database. Deletes are applied
-// before inserts so a tuple present in both ends up present.
-func (u Updategram) Apply(db *relation.Database) error {
-	r := db.Get(u.Relation)
-	if r == nil {
-		return fmt.Errorf("view: updategram for unknown relation %q", u.Relation)
-	}
-	for _, t := range u.Deletes {
-		r.Delete(t)
-	}
-	for _, t := range u.Inserts {
-		if err := r.Insert(t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // MaterializedView holds the extent of a view definition over some base
 // database, supporting full refresh and incremental delta application.
@@ -62,40 +45,20 @@ func (m *MaterializedView) Refresh(db *relation.Database) error {
 	return nil
 }
 
-// ViewDelta computes the updategram on the view induced by base-relation
-// updategram u, given the post-update database state. It uses the
-// standard delta rule for select-project-join views:
+// PreparedUpdate is the per-base-update evaluation state every view
+// affected by one updategram shares: the delta tuples installed as a
+// relation over the pre and post states, built once. A view's delta is
+// the standard rule for select-project-join views, with Δ on R:
 //
-//	Δ(V) over body a1..an with Δ on relation R =
-//	   ⋃ over occurrences of R:  a1 ⋈ .. ⋈ ΔR ⋈ .. ⋈ an
+//	Δ(V) over body a1..an = ⋃ over occurrences of R:  a1 ⋈ .. ⋈ ΔR ⋈ .. ⋈ an
 //
-// evaluated with deletes against the pre-state and inserts against the
-// post-state. For simplicity (and correctness under set semantics) this
-// implementation computes the delta by evaluating the view body with the
-// changed atom's relation replaced by the delta tuples; a final
-// existence check against the other state removes spurious deletes.
-//
-// When one base update fans out to many views (the data-placement case),
-// prepare the update once with PrepareUpdate and call DeltaFrom per
-// view instead — ViewDelta rebuilds the shared scratch state per call.
-func (m *MaterializedView) ViewDelta(pre, post *relation.Database, u Updategram) (Updategram, error) {
-	p, err := PrepareUpdate(pre, post, u)
-	if err != nil {
-		return Updategram{Relation: m.View.Name}, err
-	}
-	return m.DeltaFrom(p)
-}
-
-// PreparedUpdate is the per-base-update evaluation state shared by every
-// view affected by one updategram: the pre/post databases plus scratch
-// databases with the delta tuples installed as a relation, built once
-// and reused by each affected view's DeltaFrom. Without it, propagating
-// one update to N subscriptions rebuilds N identical scratch databases.
+// with deletes against the pre-state and inserts against the post-state;
+// a deleted tuple still derivable in the post-state stays.
 type PreparedUpdate struct {
 	u         Updategram
 	post      *relation.Database
-	insDB     *relation.Database // post state with Δ installed; nil without inserts
-	delDB     *relation.Database // pre state with Δ installed; nil without deletes
+	insCat    cq.Catalog // post state with Δ installed; nil without inserts
+	delCat    cq.Catalog // pre state with Δ installed; nil without deletes
 	deltaName string
 }
 
@@ -105,54 +68,42 @@ func PrepareUpdate(pre, post *relation.Database, u Updategram) (*PreparedUpdate,
 	p := &PreparedUpdate{u: u, post: post, deltaName: "\x00delta_" + u.Relation}
 	var err error
 	if len(u.Inserts) > 0 {
-		if p.insDB, err = deltaDB(post, u.Relation, p.deltaName, u.Inserts); err != nil {
+		if p.insCat, err = deltaOverlay(post, u.Relation, p.deltaName, u.Inserts); err != nil {
 			return nil, err
 		}
 	}
 	if len(u.Deletes) > 0 {
-		if p.delDB, err = deltaDB(pre, u.Relation, p.deltaName, u.Deletes); err != nil {
+		if p.delCat, err = deltaOverlay(pre, u.Relation, p.deltaName, u.Deletes); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
 }
 
-// deltaDB returns db plus the delta tuples installed under deltaName
-// with the updated relation's schema.
-func deltaDB(db *relation.Database, relName, deltaName string, tuples []relation.Tuple) (*relation.Database, error) {
+// deltaOverlay returns db with the delta tuples installed over it as
+// deltaName, a relation with the updated relation's schema whose
+// sketches let the planner order delta joins as for a stored relation.
+func deltaOverlay(db *relation.Database, relName, deltaName string, tuples []relation.Tuple) (cq.Catalog, error) {
 	base := db.Get(relName)
 	if base == nil {
 		return nil, fmt.Errorf("view: unknown relation %q", relName)
 	}
-	scratch := relation.NewDatabase()
-	for _, r := range db.Relations() {
-		scratch.Put(r)
-	}
 	dr := relation.New(relation.Schema{Name: deltaName, Attrs: base.Schema.Attrs})
-	for _, t := range tuples {
-		if err := dr.Insert(t); err != nil {
-			return nil, err
-		}
+	if err := dr.InsertBatch(tuples); err != nil {
+		return nil, err
 	}
-	scratch.Put(dr)
-	return scratch, nil
+	return cq.Overlay{Base: db, Over: map[string]*relation.Relation{deltaName: dr}}, nil
 }
 
 // DeltaFrom computes this view's updategram from a shared prepared
-// update — the fan-out form of ViewDelta.
+// update: the tuples the delta adds to or removes from the extent.
 func (m *MaterializedView) DeltaFrom(p *PreparedUpdate) (Updategram, error) {
 	out := Updategram{Relation: m.View.Name}
-	occurrences := 0
-	for _, a := range m.View.Def.Body {
-		if a.Pred == p.u.Relation {
-			occurrences++
-		}
-	}
-	if occurrences == 0 {
+	if !slices.ContainsFunc(m.View.Def.Body, func(a cq.Atom) bool { return a.Pred == p.u.Relation }) {
 		return out, nil
 	}
 	if len(p.u.Inserts) > 0 {
-		ins, err := deltaEval(p.insDB, m.View.Def, p.u.Relation, p.deltaName)
+		ins, err := deltaEval(p.insCat, m.View.Def, p.u.Relation, p.deltaName)
 		if err != nil {
 			return out, err
 		}
@@ -163,7 +114,7 @@ func (m *MaterializedView) DeltaFrom(p *PreparedUpdate) (Updategram, error) {
 		}
 	}
 	if len(p.u.Deletes) > 0 {
-		dels, err := deltaEval(p.delDB, m.View.Def, p.u.Relation, p.deltaName)
+		dels, err := deltaEval(p.delCat, m.View.Def, p.u.Relation, p.deltaName)
 		if err != nil {
 			return out, err
 		}
@@ -179,8 +130,6 @@ func (m *MaterializedView) DeltaFrom(p *PreparedUpdate) (Updategram, error) {
 			}
 		}
 	}
-	out.Inserts = dedupTuples(out.Inserts)
-	out.Deletes = dedupTuples(out.Deletes)
 	return out, nil
 }
 
@@ -202,24 +151,23 @@ func (m *MaterializedView) ApplyDelta(d Updategram) error {
 	return nil
 }
 
-// deltaEval evaluates the view body against a prepared scratch database
-// (base state plus delta relation), substituting the delta for one
-// occurrence of relName at a time and unioning the results.
-func deltaEval(scratch *relation.Database, def cq.Query, relName, deltaName string) ([]relation.Tuple, error) {
-	var results []relation.Tuple
+// deltaEval evaluates the view body against a prepared catalog (base
+// state plus delta relation), substituting the delta for one occurrence
+// of relName at a time, as one deduplicated union.
+func deltaEval(cat cq.Catalog, def cq.Query, relName, deltaName string) ([]relation.Tuple, error) {
+	var qs []cq.Query
 	for i, a := range def.Body {
-		if a.Pred != relName {
-			continue
+		if a.Pred == relName {
+			q := def.Clone()
+			q.Body[i].Pred = deltaName
+			qs = append(qs, q)
 		}
-		q := def.Clone()
-		q.Body[i].Pred = deltaName
-		r, err := cq.Eval(scratch, q)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, r.Rows()...)
 	}
-	return results, nil
+	r, err := cq.EvalUnion(cat, qs)
+	if err != nil {
+		return nil, err
+	}
+	return r.Rows(), nil
 }
 
 // derivable reports whether tuple t is an answer of def over db.
@@ -229,19 +177,4 @@ func derivable(db *relation.Database, def cq.Query, t relation.Tuple) (bool, err
 		return false, err
 	}
 	return r.Contains(t), nil
-}
-
-// dedupTuples drops repeated tuples in place, keeping first occurrences.
-func dedupTuples(ts []relation.Tuple) []relation.Tuple {
-	if len(ts) < 2 {
-		return ts
-	}
-	seen := relation.NewTupleSet(len(ts))
-	out := ts[:0]
-	for _, t := range ts {
-		if seen.Add(t) {
-			out = append(out, t)
-		}
-	}
-	return out
 }

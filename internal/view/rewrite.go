@@ -32,10 +32,6 @@ func NewView(name string, def cq.Query) View {
 type RewriteOptions struct {
 	// MaxRewritings caps the number of returned rewritings (0 = no cap).
 	MaxRewritings int
-	// RequireEquivalent keeps only rewritings equivalent to the query
-	// (after expansion); otherwise maximally-contained rewritings are
-	// also returned.
-	RequireEquivalent bool
 }
 
 // Rewriting is one candidate rewriting together with its expansion.
@@ -95,9 +91,6 @@ func Rewrite(q cq.Query, views []View, opts RewriteOptions) ([]Rewriting, error)
 				return true // unsound combination
 			}
 			eq := cq.Contains(exp, q)
-			if opts.RequireEquivalent && !eq {
-				return true
-			}
 			out = append(out, Rewriting{Query: rw, Expansion: exp, Equivalent: eq})
 			return opts.MaxRewritings == 0 || len(out) < opts.MaxRewritings
 		}

@@ -19,6 +19,12 @@ import (
 // unknowable); inserts through a selection fill in the selection
 // constants. Deletes remove every base tuple that derives the deleted
 // view tuple, which requires the current base state.
+//
+// Each translated base tuple derives exactly the view tuple it came
+// from, so the result changes the view by exactly u — except for a view
+// repeating a head variable (v(A, A) :- r(A)) asked for a tuple whose
+// repeated positions differ, which is refused up front. Equal victims
+// repeat; deleting one removes every equal row.
 func TranslateUpdate(v View, db *relation.Database, u Updategram) ([]Updategram, error) {
 	def := v.Def
 	if len(def.Body) != 1 {
@@ -41,8 +47,8 @@ func TranslateUpdate(v View, db *relation.Database, u Updategram) ([]Updategram,
 	out := Updategram{Relation: atom.Pred}
 
 	for _, t := range u.Inserts {
-		if len(t) != len(def.HeadVars) {
-			return nil, fmt.Errorf("view: insert arity %d, view arity %d", len(t), len(def.HeadVars))
+		if err := checkViewTuple("insert", v, headPos, t); err != nil {
+			return nil, err
 		}
 		baseTuple := make(relation.Tuple, len(atom.Args))
 		for col, arg := range atom.Args {
@@ -65,8 +71,8 @@ func TranslateUpdate(v View, db *relation.Database, u Updategram) ([]Updategram,
 	}
 
 	for _, t := range u.Deletes {
-		if len(t) != len(def.HeadVars) {
-			return nil, fmt.Errorf("view: delete arity %d, view arity %d", len(t), len(def.HeadVars))
+		if err := checkViewTuple("delete", v, headPos, t); err != nil {
+			return nil, err
 		}
 		// Delete every base tuple matching the pattern.
 		for _, row := range base.Rows() {
@@ -75,11 +81,25 @@ func TranslateUpdate(v View, db *relation.Database, u Updategram) ([]Updategram,
 			}
 		}
 	}
-	out.Deletes = dedupTuples(out.Deletes)
 	if out.IsEmpty() {
 		return nil, nil
 	}
 	return []Updategram{out}, nil
+}
+
+// checkViewTuple refuses a view tuple no base tuple derives: wrong
+// arity, or differing values under one repeated head variable.
+func checkViewTuple(op string, v View, headPos map[string]int, t relation.Tuple) error {
+	if len(t) != len(v.Def.HeadVars) {
+		return fmt.Errorf("view: %s arity %d, view arity %d", op, len(t), len(v.Def.HeadVars))
+	}
+	for i, hv := range v.Def.HeadVars {
+		if j := headPos[hv]; j != i && t[i] != t[j] {
+			return fmt.Errorf("view: %s %v through %s: columns %d and %d both export %s but differ",
+				op, t, v.Name, j, i, hv)
+		}
+	}
+	return nil
 }
 
 // matchesPattern reports whether a base row derives the given view tuple.
@@ -106,57 +126,4 @@ func matchesPattern(atom cq.Atom, headVars []string, headPos map[string]int, row
 		}
 	}
 	return true
-}
-
-// ApplyThroughView translates and applies a view update in one step,
-// verifying afterwards that the view's new extent reflects exactly the
-// requested change (no unexpected side effects) — if verification fails,
-// the base changes are rolled back and an error returned.
-func ApplyThroughView(v View, db *relation.Database, u Updategram) error {
-	mv := NewMaterialized(v)
-	if err := mv.Refresh(db); err != nil {
-		return err
-	}
-	before := mv.Extent.Clone()
-	baseUpdates, err := TranslateUpdate(v, db, u)
-	if err != nil {
-		return err
-	}
-	snapshot := db.Clone()
-	for _, bu := range baseUpdates {
-		if err := bu.Apply(db); err != nil {
-			restore(db, snapshot)
-			return err
-		}
-	}
-	if err := mv.Refresh(db); err != nil {
-		restore(db, snapshot)
-		return err
-	}
-	// Expected extent: before minus deletes plus inserts.
-	want := before.Clone()
-	for _, t := range u.Deletes {
-		want.Delete(t)
-	}
-	for _, t := range u.Inserts {
-		if !want.Contains(t) {
-			if err := want.Insert(t); err != nil {
-				restore(db, snapshot)
-				return err
-			}
-		}
-	}
-	if !mv.Extent.Equal(want) {
-		restore(db, snapshot)
-		return fmt.Errorf("view: update through %s has side effects (extent %v, want %v)",
-			v.Name, mv.Extent.Rows(), want.Rows())
-	}
-	return nil
-}
-
-// restore copies snapshot's relations back into db.
-func restore(db, snapshot *relation.Database) {
-	for _, r := range snapshot.Relations() {
-		db.Put(r)
-	}
 }

@@ -1,6 +1,8 @@
 package view
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cq"
@@ -98,46 +100,6 @@ func TestTranslateArityAndUnknownBase(t *testing.T) {
 	}
 }
 
-func TestApplyThroughViewRoundTrip(t *testing.T) {
-	db := updDB()
-	v := NewView("cs", cq.MustParse("v(T, I) :- course(T, I, 'cs')"))
-	err := ApplyThroughView(v, db, Updategram{
-		Relation: "cs",
-		Inserts:  []relation.Tuple{{relation.SV("ML"), relation.SV("domingos")}},
-		Deletes:  []relation.Tuple{{relation.SV("DB"), relation.SV("halevy")}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := db.Get("course")
-	if !c.Contains(relation.Tuple{relation.SV("ML"), relation.SV("domingos"), relation.SV("cs")}) {
-		t.Error("insert not applied to base")
-	}
-	if c.Contains(relation.Tuple{relation.SV("DB"), relation.SV("halevy"), relation.SV("cs")}) {
-		t.Error("delete not applied to base")
-	}
-	// Non-CS rows untouched.
-	if !c.Contains(relation.Tuple{relation.SV("Anatomy"), relation.SV("gray"), relation.SV("med")}) {
-		t.Error("unrelated row disturbed")
-	}
-}
-
-func TestApplyThroughViewRollsBackOnError(t *testing.T) {
-	db := updDB()
-	v := NewView("titles", cq.MustParse("v(T) :- course(T, I, D)"))
-	before := db.Get("course").Clone()
-	err := ApplyThroughView(v, db, Updategram{
-		Relation: "titles",
-		Inserts:  []relation.Tuple{{relation.SV("ML")}},
-	})
-	if err == nil {
-		t.Fatal("projection insert should fail")
-	}
-	if !db.Get("course").Equal(before) {
-		t.Error("failed update mutated the base")
-	}
-}
-
 func TestTranslateDeleteRespectsSelection(t *testing.T) {
 	// Deleting "cs" rows through a med-selection view touches nothing.
 	db := updDB()
@@ -174,4 +136,137 @@ func TestTranslateRepeatedVariable(t *testing.T) {
 	if !ups[0].Deletes[0].Equal(relation.Tuple{relation.SV("x"), relation.SV("x")}) {
 		t.Errorf("deleted %v", ups[0].Deletes[0])
 	}
+}
+
+// TestTranslateRepeatedHeadRefused pins the one translation that would
+// change other view tuples: v(A, A) asked to insert or delete (x, y).
+func TestTranslateRepeatedHeadRefused(t *testing.T) {
+	db := updDB()
+	v := NewView("twice", cq.MustParse("v(T, T) :- course(T, I, D)"))
+	for _, u := range []Updategram{
+		{Inserts: []relation.Tuple{{relation.SV("DB"), relation.SV("AI")}}},
+		{Deletes: []relation.Tuple{{relation.SV("DB"), relation.SV("AI")}}},
+	} {
+		if _, err := TranslateUpdate(v, db, u); err == nil {
+			t.Errorf("%+v through a repeated head variable accepted", u)
+		}
+	}
+	ups, err := TranslateUpdate(v, db, Updategram{
+		Deletes: []relation.Tuple{{relation.SV("DB"), relation.SV("DB")}}})
+	if err != nil || len(ups) != 1 || len(ups[0].Deletes) != 1 {
+		t.Errorf("agreeing delete: %+v, %v", ups, err)
+	}
+}
+
+// TestTranslateUpdateNoSideEffects holds TranslateUpdate to its promise
+// over random single-atom views — selection constants, repeated body
+// and head variables, projections — and random updategrams: either the
+// translation is refused, or applying it to the base (deletes, then
+// inserts) leaves the view's extent at exactly its old extent minus the
+// requested deletes plus the requested inserts.
+func TestTranslateUpdateNoSideEffects(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	domain := []relation.Value{relation.SV("a"), relation.SV("b"), relation.IV(1), relation.IV(2)}
+	pick := func() relation.Value { return domain[rng.Intn(len(domain))] }
+	const cases = 10000
+	accepted := 0
+	for c := range cases {
+		arity := 1 + rng.Intn(3)
+		attrs := make([]relation.Attribute, arity)
+		for i := range attrs {
+			attrs[i] = relation.Attr(fmt.Sprintf("c%d", i))
+			if rng.Intn(2) == 0 {
+				attrs[i] = relation.IntAttr(attrs[i].Name)
+			}
+		}
+		base := relation.New(relation.NewSchema("r", attrs...))
+		typed := func(col int) relation.Value {
+			if attrs[col].Type == relation.TInt {
+				return relation.IV(int64(1 + rng.Intn(2)))
+			}
+			return relation.SV(string(rune('a' + rng.Intn(2))))
+		}
+		for range rng.Intn(7) {
+			row := make(relation.Tuple, arity)
+			for i := range row {
+				row[i] = typed(i)
+			}
+			base.MustInsert(row...)
+		}
+		db := relation.NewDatabase()
+		db.Put(base)
+
+		args := make([]cq.Term, arity)
+		var bodyVars []string
+		for i := range args {
+			if rng.Intn(3) == 0 {
+				args[i] = cq.C(typed(i))
+				continue
+			}
+			name := []string{"X", "Y", "Z"}[rng.Intn(3)]
+			args[i] = cq.V(name)
+			bodyVars = append(bodyVars, name)
+		}
+		if len(bodyVars) == 0 {
+			args[0] = cq.V("X")
+			bodyVars = append(bodyVars, "X")
+		}
+		head := make([]string, 1+rng.Intn(3))
+		for i := range head {
+			head[i] = bodyVars[rng.Intn(len(bodyVars))]
+		}
+		v := NewView("v", cq.NewQuery("v", head, cq.NewAtom("r", args...)))
+
+		before := NewMaterialized(v)
+		if err := before.Refresh(db); err != nil {
+			t.Fatal(err)
+		}
+		viewTuple := func() relation.Tuple {
+			if rows := before.Extent.Rows(); len(rows) > 0 && rng.Intn(2) == 0 {
+				return rows[rng.Intn(len(rows))].Clone()
+			}
+			tu := make(relation.Tuple, len(head))
+			for i := range tu {
+				tu[i] = pick()
+			}
+			return tu
+		}
+		u := Updategram{Relation: "v"}
+		for range rng.Intn(3) {
+			u.Inserts = append(u.Inserts, viewTuple())
+		}
+		for range rng.Intn(3) {
+			u.Deletes = append(u.Deletes, viewTuple())
+		}
+
+		ups, err := TranslateUpdate(v, db, u)
+		if err != nil {
+			continue
+		}
+		accepted++
+		for _, bu := range ups {
+			applyBase(t, db, bu)
+		}
+		after := NewMaterialized(v)
+		if err := after.Refresh(db); err != nil {
+			t.Fatal(err)
+		}
+		want := before.Extent.Clone()
+		for _, tu := range u.Deletes {
+			want.Delete(tu)
+		}
+		for _, tu := range u.Inserts {
+			if !want.Contains(tu) {
+				want.MustInsert(tu...)
+			}
+		}
+		if !after.Extent.Equal(want) {
+			t.Fatalf("case %d: %s with %+v: extent %v, want %v",
+				c, v.Def, u, after.Extent.Rows(), want.Rows())
+		}
+	}
+	if accepted < cases/4 {
+		t.Errorf("only %d of %d updates accepted: the oracle saw too few translations", accepted, cases)
+	}
+	t.Logf("%d of %d random updates translated and checked", accepted, cases)
 }

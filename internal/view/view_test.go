@@ -103,12 +103,12 @@ func TestRewriteJoinAcrossViews(t *testing.T) {
 func TestRewriteWithConstant(t *testing.T) {
 	v := NewView("v_all", cq.MustParse("v(T, I, S) :- course(T, I, S)"))
 	q := cq.MustParse("q(T) :- course(T, 'halevy', S)")
-	rws, err := Rewrite(q, []View{v}, RewriteOptions{RequireEquivalent: true})
+	rws, err := Rewrite(q, []View{v}, RewriteOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rws) == 0 {
-		t.Fatal("no rewriting")
+	if len(rws) == 0 || !rws[0].Equivalent {
+		t.Fatalf("no equivalent rewriting: %+v", rws)
 	}
 	// Constant must be pushed into the view atom.
 	found := false
@@ -182,7 +182,6 @@ func TestRewriteMaxRewritings(t *testing.T) {
 }
 
 func TestUpdategramApply(t *testing.T) {
-	db := baseDB()
 	u := Updategram{
 		Relation: "course",
 		Inserts:  []relation.Tuple{{relation.SV("ML"), relation.SV("domingos"), relation.IV(70)}},
@@ -191,20 +190,32 @@ func TestUpdategramApply(t *testing.T) {
 	if u.IsEmpty() || u.Size() != 2 {
 		t.Error("Size/IsEmpty broken")
 	}
-	if err := u.Apply(db); err != nil {
+	if !(Updategram{Relation: "course"}).IsEmpty() {
+		t.Error("an updategram without changes is not empty")
+	}
+}
+
+// applyBase commits a base updategram to db the way a peer's commit
+// does: deletes (every equal row) first, then inserts.
+func applyBase(t *testing.T, db *relation.Database, u Updategram) {
+	t.Helper()
+	r := db.Get(u.Relation)
+	for _, tu := range u.Deletes {
+		r.Delete(tu)
+	}
+	if err := r.InsertBatch(u.Inserts); err != nil {
 		t.Fatal(err)
 	}
-	c := db.Get("course")
-	if c.Len() != 3 {
-		t.Errorf("Len = %d", c.Len())
+}
+
+// viewDelta is the view's updategram for base update u between pre and
+// post, through the same prepared update a network shares across views.
+func viewDelta(m *MaterializedView, pre, post *relation.Database, u Updategram) (Updategram, error) {
+	p, err := PrepareUpdate(pre, post, u)
+	if err != nil {
+		return Updategram{}, err
 	}
-	if c.Contains(relation.Tuple{relation.SV("OS"), relation.SV("levy"), relation.IV(30)}) {
-		t.Error("delete not applied")
-	}
-	bad := Updategram{Relation: "nope"}
-	if err := bad.Apply(db); err == nil {
-		t.Error("unknown relation should fail")
-	}
+	return m.DeltaFrom(p)
 }
 
 func TestMaterializedRefreshAndDelta(t *testing.T) {
@@ -224,10 +235,8 @@ func TestMaterializedRefreshAndDelta(t *testing.T) {
 	pre := db.Clone()
 	u := Updategram{Relation: "course",
 		Inserts: []relation.Tuple{{relation.SV("ML"), relation.SV("halevy"), relation.IV(70)}}}
-	if err := u.Apply(db); err != nil {
-		t.Fatal(err)
-	}
-	d, err := m.ViewDelta(pre, db, u)
+	applyBase(t, db, u)
+	d, err := viewDelta(m, pre, db, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,10 +266,8 @@ func TestMaterializedDeleteDelta(t *testing.T) {
 	pre := db.Clone()
 	u := Updategram{Relation: "course",
 		Deletes: []relation.Tuple{{relation.SV("DB"), relation.SV("halevy"), relation.IV(40)}}}
-	if err := u.Apply(db); err != nil {
-		t.Fatal(err)
-	}
-	d, err := m.ViewDelta(pre, db, u)
+	applyBase(t, db, u)
+	d, err := viewDelta(m, pre, db, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,10 +302,8 @@ func TestMaterializedDeleteWithAlternateDerivation(t *testing.T) {
 	pre := db.Clone()
 	u := Updategram{Relation: "r",
 		Deletes: []relation.Tuple{{relation.SV("x"), relation.SV("p")}}}
-	if err := u.Apply(db); err != nil {
-		t.Fatal(err)
-	}
-	d, err := m.ViewDelta(pre, db, u)
+	applyBase(t, db, u)
+	d, err := viewDelta(m, pre, db, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,10 +336,8 @@ func TestIncrementalEqualsRecomputeProperty(t *testing.T) {
 			} else if r.Len() > 0 {
 				u.Deletes = []relation.Tuple{r.Row(rnd.Intn(r.Len())).Clone()}
 			}
-			if err := u.Apply(db); err != nil {
-				t.Fatal(err)
-			}
-			d, err := m.ViewDelta(pre, db, u)
+			applyBase(t, db, u)
+			d, err := viewDelta(m, pre, db, u)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -366,7 +369,7 @@ func TestViewDeltaUnrelatedRelation(t *testing.T) {
 	}
 	u := Updategram{Relation: "person",
 		Inserts: []relation.Tuple{{relation.SV("new"), relation.SV("cs")}}}
-	d, err := m.ViewDelta(db, db, u)
+	d, err := viewDelta(m, db, db, u)
 	if err != nil {
 		t.Fatal(err)
 	}
