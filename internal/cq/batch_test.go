@@ -508,7 +508,7 @@ func TestBatchCancelMidStream(t *testing.T) {
 
 // TestDictGrowthRace executes batched queries over snapshots while the
 // base relation keeps growing its dictionary, and runs two executors
-// over the same shared snapshot — the encode map and packed code
+// over the same shared snapshot — the encode table and packed code
 // indexes the snapshots share with the growing base must keep this
 // race-detector clean. A second phase takes a snapshot every few
 // inserts, so most of them probe the lineage's packed index plus a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -432,4 +433,38 @@ func TestParallelUnionTuplesEarlyBreak(t *testing.T) {
 		t.Errorf("iterated %d tuples, want 5", got)
 	}
 	waitGoroutines(t, base, "after iterator break")
+}
+
+// TestParallelUnionSignedZero: a union whose branches read +0 and -0
+// from two relations must answer alike sequentially (code-mode dedup
+// through the output encoder, which compares with ==) and in parallel
+// (tuple-mode dedup through the sharded set, which hashes): +0 == -0,
+// so each path yields the two answers {0, 1.5}, not three.
+func TestParallelUnionSignedZero(t *testing.T) {
+	db := relation.NewDatabase()
+	for name, zero := range map[string]float64{"fpos": 0, "fneg": math.Copysign(0, -1)} {
+		r := relation.New(relation.NewSchema(name, relation.FloatAttr("x")))
+		r.MustInsert(relation.FV(zero))
+		r.MustInsert(relation.FV(1.5))
+		db.Put(r)
+	}
+	plans := compileUnion(t, db, []Query{MustParse("q(X) :- fpos(X)"), MustParse("q(X) :- fneg(X)")})
+	seq := relation.NewTupleSet(2)
+	for _, tup := range drainUnion(t, plans, ExecOptions{Parallelism: 1}) {
+		seq.Add(tup)
+	}
+	if seq.Len() != 2 {
+		t.Fatalf("sequential union: %d distinct answers, want 2", seq.Len())
+	}
+	for _, par := range []int{2, 4} {
+		got := drainUnion(t, plans, ExecOptions{Parallelism: par})
+		if len(got) != seq.Len() {
+			t.Fatalf("P=%d yielded %v, sequential yields %d answers", par, got, seq.Len())
+		}
+		for _, tup := range got {
+			if !seq.Contains(tup) {
+				t.Fatalf("P=%d answer %v not in the sequential answer", par, tup)
+			}
+		}
+	}
 }

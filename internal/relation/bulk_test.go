@@ -66,17 +66,30 @@ func bulkRows(rng *rand.Rand, s Schema, widths []int, n int) []Tuple {
 	return rows
 }
 
-// encodeMap returns the column's encode map, nil when none was made.
-func encodeMap(d *Dict, col int) map[Value]int32 {
-	if d.lin == nil {
+// encodeContent returns what the column's encode table maps, as this
+// dictionary reads it — each value to its code, codes at or above the
+// dictionary's width left out — and nil when no table was made. Two
+// tables with the same content may lay their slots out differently
+// (one sized ahead, one grown by doubling), so sameRelation compares
+// this, not the slots.
+func encodeContent(d *Dict, col int) map[Value]int32 {
+	if d.lin == nil || d.lin.cols[col].enc == nil {
 		return nil
 	}
-	return d.lin.cols[col].m
+	vals := d.cols[col].vals
+	m := make(map[Value]int32)
+	for _, s := range d.lin.cols[col].enc {
+		if code := s - 1; s != 0 && int(code) < len(vals) {
+			m[vals[code]] = code
+		}
+	}
+	return m
 }
 
 // sameRelation fails unless got holds exactly what want holds: rows,
 // statistics (sketch bits included), dictionary codes, decode tables
-// and encode maps, Code answers for present and absent values, and the
+// and encode table contents, Code answers for present and absent values
+// (every value of the decode table and bulkValue probes past it), and the
 // code indexes. Versions are compared only when withVersion is set.
 func sameRelation(t *testing.T, label string, want, got *Relation, withVersion bool) {
 	t.Helper()
@@ -103,9 +116,14 @@ func sameRelation(t *testing.T, label string, want, got *Relation, withVersion b
 			!reflect.DeepEqual(wd.cols[col].vals, gd.cols[col].vals) {
 			t.Fatalf("%s: column %d codes or decode table differ", label, col)
 		}
-		wm, gm := encodeMap(wd, col), encodeMap(gd, col)
+		wm, gm := encodeContent(wd, col), encodeContent(gd, col)
 		if (wm == nil) != (gm == nil) || !reflect.DeepEqual(wm, gm) {
-			t.Fatalf("%s: column %d encode map %v, want %v", label, col, gm, wm)
+			t.Fatalf("%s: column %d encode table maps %v, want %v", label, col, gm, wm)
+		}
+		for code, v := range wd.cols[col].vals {
+			if c, ok := gd.Code(col, v); !ok || int(c) != code {
+				t.Fatalf("%s: Code(%d, %v) = %d,%v, want %d,true", label, col, v, c, ok, code)
+			}
 		}
 		for i := 0; i < 210; i++ {
 			v := bulkValue(want.Schema.Attrs[col].Type, i)

@@ -9,31 +9,35 @@ import "sync"
 // relation. Equality probes and duplicate elimination then compare and
 // hash ints instead of 40-byte Value structs. The encoding follows the
 // statistics lifecycle (see stats.go): it is updated incrementally on
-// Insert — one map probe and one append per column — and built in one
+// Insert — one table probe and one append per column — and built in one
 // sized pass over a whole run of rows by InsertBatch, and rebuilt the
 // same way when rows are removed or reordered (Delete, Dedup,
 // SortRows). A sized pass reserves each column's code vector once and
-// allocates its decode table and encode map once, at the distinct-value
-// count the column sketch estimates. Relations that are not maintaining
-// one — NewResult answer relations and copies of them — pay nothing
-// until a plan first joins against them: Encoding then builds the dictionary in one pass
-// under the relation's lock, and Insert keeps it current from there on.
+// allocates its decode table and encode table once, at the
+// distinct-value count the column sketch estimates. An encode table is
+// an open-addressing []int32 of code+1 per slot (the layout in set.go):
+// a probe compares against the decode table, so the value → code index
+// costs 4 bytes a slot instead of a map entry holding a 40-byte Value.
+// Relations that are not maintaining one — NewResult answer relations
+// and copies of them — pay nothing until a plan first joins against
+// them: Encoding then builds the dictionary in one pass under the
+// relation's lock, and Insert keeps it current from there on.
 
 // colDict is one column's dictionary: the columnar code vector (row id
 // → code) and the decode table (code → value). Codes are dense: the
 // column's kth distinct value, in first-appearance order, has code k-1.
 // Both slices are append-only, so snapshot clones share their backing
-// arrays capped at the lengths they saw. The encode map (value → code)
+// arrays capped at the lengths they saw. The encode table (value → code)
 // lives in the lineage, shared with every snapshot.
 type colDict struct {
 	codes []int32
 	vals  []Value
 }
 
-// smallDictWidth is the column width below which the encode map is not
-// worth its allocation: encode and lookup linear-scan the decode table
-// instead. The many tiny delta relations flowing through updategram
-// propagation never grow past it, so they never pay for a map.
+// smallDictWidth is the column width below which the encode table is
+// not worth its allocation: encode and lookup linear-scan the decode
+// table instead. The many tiny delta relations flowing through
+// updategram propagation never grow past it, so they never pay for one.
 const smallDictWidth = 8
 
 // repackFraction bounds the unindexed tail a shared packed code index
@@ -45,31 +49,64 @@ const smallDictWidth = 8
 const repackFraction = 64
 
 // lineage is the index state shared by a dictionary and every snapshot
-// cloned from it: the per-column value → code maps and packed code
+// cloned from it: the per-column value → code tables and packed code
 // indexes. Sharing is sound because only the lineage's owner — the one
 // dictionary still allowed to append — ever adds to it, and everything
 // it adds describes codes and rows past what any snapshot can see: a
-// snapshot discards map hits at or above its own width and reads a
+// snapshot treats a slot naming a code at or above its own width as a
+// miss (it never reads the owner's decode table past its own) and reads a
 // packed index only up to the row count it was packed at. A dictionary
 // that rewrites its vectors (Delete, Dedup, SortRows) or that is a
 // snapshot being inserted into leaves for a lineage of its own.
 type lineage struct {
-	// mu guards the encode maps: the owner adds values under the write
-	// side (and reads without it — it is the only writer), snapshots look
-	// values up under the read side.
+	// mu guards the encode tables: the owner adds values and swaps in
+	// grown tables under the write side (and reads without it — it is the
+	// only writer), snapshots look values up under the read side.
 	mu sync.RWMutex
 	// idxMu serializes packed-index builds and guards cols[i].packed.
 	idxMu sync.Mutex
 	cols  []lineageCol
 }
 
-// lineageCol is one column's shared index state. m is nil until the
-// owner's column reaches smallDictWidth, and from then on holds every
+// lineageCol is one column's shared index state. enc is nil until the
+// owner's column reaches smallDictWidth, and from then on indexes every
 // value of the owner's decode table. packed is the newest packed code
 // index any member of the lineage built.
 type lineageCol struct {
-	m      map[Value]int32
+	enc    encodeTable
 	packed *packedIndex
+}
+
+// encodeTable is a column's value → code index: slot s != 0 names code
+// s-1, whose value is the decode table's entry, so the table stores no
+// values of its own. Values sit at their Hash's home slot (set.go), so
+// == values — +0 and -0 — share a probe sequence.
+type encodeTable []int32
+
+// newEncodeTable indexes every value of a decode table in a table of
+// the given size (a power of two the values fill less than 3/4 of).
+func newEncodeTable(vals []Value, size int) encodeTable {
+	t := make(encodeTable, size)
+	for code, v := range vals {
+		place(t, v.Hash(), int32(code+1))
+	}
+	return t
+}
+
+// find returns v's code among the decode table vals — a slot naming a
+// code at or above len(vals) is passed over, as a snapshot must — or,
+// on a miss, the empty slot where v belongs. h is v.Hash().
+func (t encodeTable) find(vals []Value, v Value, h uint64) (slot int, code int32, ok bool) {
+	mask := len(t) - 1
+	for i := homeSlot(h, len(t)); ; i = (i + 1) & mask {
+		s := t[i]
+		if s == 0 {
+			return i, 0, false
+		}
+		if c := s - 1; int(c) < len(vals) && vals[c] == v {
+			return i, c, true
+		}
+	}
 }
 
 // packedIndex is a CSR code → row-ids index over the first n rows of a
@@ -162,22 +199,23 @@ func (d *Dict) Value(col int, code int32) Value { return d.cols[col].vals[code] 
 // Code returns the column's code for v and whether v appears in the
 // column at all — a miss means no row of the relation holds v there.
 // Small columns linear-scan the decode table; wider ones probe the
-// lineage's shared encode map, discarding codes the owner assigned
+// lineage's shared encode table, passing over codes the owner assigned
 // after this dictionary was snapshotted.
 func (d *Dict) Code(col int, v Value) (int32, bool) {
 	c := &d.cols[col]
 	if len(c.vals) <= smallDictWidth {
 		return c.scan(v)
 	}
+	h := v.Hash()
 	d.lin.mu.RLock()
-	code, ok := d.lin.cols[col].m[v]
+	_, code, ok := d.lin.cols[col].enc.find(c.vals, v, h)
 	d.lin.mu.RUnlock()
-	return code, ok && int(code) < len(c.vals)
+	return code, ok
 }
 
 // extend appends the codes of a run of rows — the rows right after the
 // ones already encoded — growing the column dictionaries (and the
-// lineage's encode maps) for values not seen before. widths, when not
+// lineage's encode tables) for values not seen before. widths, when not
 // nil, holds each column's expected final width (see widthHintsLocked).
 // Only the lineage's owner calls it, under the relation's write lock.
 func (d *Dict) extend(rows []Tuple, widths []int) {
@@ -193,52 +231,61 @@ func (d *Dict) extend(rows []Tuple, widths []int) {
 
 // extendCol is the one per-column dictionary builder behind Insert,
 // InsertBatch and every rebuild. The code vector grows once for the
-// whole run; the decode table grows once to width, and an encode map it
-// creates is sized to width, so a run whose width is known ahead
-// allocates each of them exactly once. Growth past width falls back to
-// append. The encode map comes into existence exactly when an Insert
-// loop over the same rows would create it: on the first row that finds
-// smallDictWidth values already in the table. A map created here stays
-// private until the run ends, since no snapshot reads it: every snapshot
-// of a column without a map is at most smallDictWidth wide, so it scans
-// its decode table. A map the lineage already holds is written under
-// the lineage's lock, as the snapshots sharing it read it concurrently.
+// whole run; the decode table grows once to width, and an encode table
+// it creates is sized to take width values, so a run whose width is
+// known ahead allocates each of them exactly once. Growth past width
+// falls back to append, and to doubling the encode table — one O(width)
+// rehash per doubling. The encode table comes into existence exactly
+// when an Insert loop over the same rows would create it: on the first
+// row that finds smallDictWidth values already in the decode table. A
+// table created here stays private until the run ends, since no
+// snapshot reads it: every snapshot of a column without one is at most
+// smallDictWidth wide, so it scans its decode table. A table the lineage
+// already holds is written, and replaced when it grows, under the
+// lineage's lock, as the snapshots sharing it read it concurrently.
 func (d *Dict) extendCol(col int, rows []Tuple, width int) {
 	c := &d.cols[col]
 	c.codes = reserve(c.codes, len(rows))
 	if width > len(c.vals) {
 		c.vals = reserve(c.vals, width-len(c.vals))
 	}
-	var m map[Value]int32
+	var enc encodeTable
 	if d.lin != nil {
-		m = d.lin.cols[col].m
+		enc = d.lin.cols[col].enc
 	}
 	private := false
 	for _, t := range rows {
-		if m == nil && len(c.vals) >= smallDictWidth {
-			m = make(map[Value]int32, max(width, len(c.vals)))
-			for i, v := range c.vals {
-				m[v] = int32(i)
-			}
+		v := t[col]
+		if enc == nil && len(c.vals) >= smallDictWidth {
+			enc = newEncodeTable(c.vals, tableSlots(max(width, len(c.vals))))
 			private = true
 		}
-		v := t[col]
-		var code int32
-		var ok bool
-		if m != nil {
-			code, ok = m[v]
-		} else {
-			code, ok = c.scan(v)
+		if enc == nil {
+			code, ok := c.scan(v)
+			if !ok {
+				code = int32(len(c.vals))
+				c.vals = append(c.vals, v)
+			}
+			c.codes = append(c.codes, code)
+			continue
 		}
+		slot, code, ok := enc.find(c.vals, v, v.Hash())
 		if !ok {
 			code = int32(len(c.vals))
 			c.vals = append(c.vals, v)
 			switch {
+			case full(len(c.vals), len(enc)):
+				enc = newEncodeTable(c.vals, 2*len(enc))
+				if !private {
+					d.lin.mu.Lock()
+					d.lin.cols[col].enc = enc
+					d.lin.mu.Unlock()
+				}
 			case private:
-				m[v] = code
-			case m != nil:
+				enc[slot] = code + 1
+			default:
 				d.lin.mu.Lock()
-				m[v] = code
+				enc[slot] = code + 1
 				d.lin.mu.Unlock()
 			}
 		}
@@ -247,7 +294,7 @@ func (d *Dict) extendCol(col int, rows []Tuple, width int) {
 	if private {
 		lin := d.lineage()
 		lin.mu.Lock()
-		lin.cols[col].m = m
+		lin.cols[col].enc = enc
 		lin.mu.Unlock()
 	}
 }
@@ -257,7 +304,7 @@ func (d *Dict) extendCol(col int, rows []Tuple, width int) {
 // shares their backing arrays, capped at the current lengths: a later
 // append by the source writes past the clone's cap (or reallocates) and
 // never aliases what the clone can read. The clone joins the source's
-// lineage without owning it, so encode maps and packed code indexes
+// lineage without owning it, so encode tables and packed code indexes
 // built on either side serve both.
 func (d *Dict) clone() *Dict {
 	if d == nil {

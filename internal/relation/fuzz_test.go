@@ -3,6 +3,7 @@ package relation
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 )
@@ -85,8 +86,20 @@ func FuzzWireDecode(f *testing.F) {
 				t.Fatalf("sub-plan round trip: %+v -> %+v (%v)", sp, sp2, err)
 			}
 		}
-		// Frame parsing over the same bytes: header + bounded payload.
-		ReadFrame(bytes.NewReader(data))
+		// Frame parsing over the same bytes: header + bounded payload,
+		// the same frames whether read fresh or into a reused buffer.
+		fresh, reused := bytes.NewReader(data), bytes.NewReader(data)
+		var buf []byte
+		for {
+			ft, fp, ferr := ReadFrame(fresh, nil)
+			rt, rp, rerr := ReadFrame(reused, &buf)
+			if ft != rt || !bytes.Equal(fp, rp) || (ferr == nil) != (rerr == nil) {
+				t.Fatalf("reused buffer read %d/%x/%v, fresh read %d/%x/%v", rt, rp, rerr, ft, fp, ferr)
+			}
+			if ferr != nil {
+				break
+			}
+		}
 	})
 }
 
@@ -302,5 +315,153 @@ func FuzzApplyChanges(f *testing.F) {
 		} else if got != r {
 			t.Fatalf("an insert-only run was not applied in place")
 		}
+	})
+}
+
+// dictFuzzValue is the k-th value of a FuzzDictEncode column of the
+// given kind: floats cycle through +0, -0 and NaN among ordinary values,
+// ints share their low ten bits, and every kind has hundreds of
+// distinct values, enough to grow an encode table several times.
+func dictFuzzValue(kind Type, k int) Value {
+	switch kind {
+	case TFloat:
+		switch k % 8 {
+		case 0:
+			return FV(0)
+		case 1:
+			return FV(math.Copysign(0, -1))
+		case 2:
+			return FV(math.NaN())
+		}
+		return FV(float64(k) / 4)
+	case TInt:
+		return IV(int64(k-128) << 10)
+	}
+	return SV(fmt.Sprintf("s%d", k))
+}
+
+// FuzzDictEncode is the differential for the dictionary's encode
+// tables. The first byte picks an arity of 1–2 and a kind per column;
+// every later byte starts one operation on the relation, its snapshots
+// and the lookups, reading its operands from the bytes after it:
+// Insert one row, InsertBatch a run of up to 128 rows of consecutive
+// values, take a snapshot (at most three stay live), Delete a row
+// (which rebuilds the owner's dictionary), Insert into the newest
+// snapshot (which leaves the shared lineage), or probe one row's
+// values; operations past the 64th are ignored, which bounds an
+// input's cost. After every operation, on the owner and on each live
+// snapshot, Code must answer, for every decode-table value, every value
+// the operation named, and +0, -0, NaN and a value never inserted,
+// exactly what a map[Value]int32 built from that dictionary's own
+// decode table answers: first-appearance codes, == equality (+0 and -0
+// are one value, NaN is never found), and nothing the owner encoded
+// after the snapshot was taken. After the last operation every code
+// must also decode to its row's value. The committed corpus
+// (testdata/fuzz/FuzzDictEncode) seeds each kind, ±0 and NaN, and runs
+// that resize the table.
+func FuzzDictEncode(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 1 {
+			return
+		}
+		arity := 1 + int(data[0]%2)
+		attrs := make([]Attribute, arity)
+		kinds := int(data[0] / 2)
+		for c := range attrs {
+			attrs[c] = Attribute{Name: fmt.Sprintf("c%d", c), Type: Type(kinds % 3)}
+			kinds /= 3
+		}
+		r := New(NewSchema("fuzz", attrs...))
+		var snaps []*Relation
+		row := func(k int) Tuple {
+			tup := make(Tuple, arity)
+			for c := range tup {
+				tup[c] = dictFuzzValue(attrs[c].Type, k+c)
+			}
+			return tup
+		}
+		check := func(label string, rel *Relation, probes []Tuple, decodeRows bool) {
+			t.Helper()
+			d := rel.Encoding()
+			for c := range attrs {
+				ref := make(map[Value]int32)
+				for code := int32(0); int(code) < d.Width(c); code++ {
+					if _, dup := ref[d.Value(c, code)]; !dup {
+						ref[d.Value(c, code)] = code
+					}
+				}
+				if len(ref) != d.Width(c) {
+					t.Fatalf("%s: column %d decode table holds == values twice", label, c)
+				}
+				for i, code := range d.Codes(c) {
+					if !decodeRows {
+						break
+					}
+					if v, w := d.Value(c, code), rel.Rows()[i][c]; v != w && !(v.F != v.F && w.F != w.F) {
+						t.Fatalf("%s: row %d column %d decodes to %v, holds %v", label, i, c, v, w)
+					}
+				}
+				probe := func(v Value) {
+					want, wantOK := ref[v]
+					if got, ok := d.Code(c, v); got != want || ok != wantOK {
+						t.Fatalf("%s: Code(%d, %v) = %d,%v, reference %d,%v (width %d)", label, c, v, got, ok, want, wantOK, d.Width(c))
+					}
+				}
+				for code := int32(0); int(code) < d.Width(c); code++ {
+					probe(d.Value(c, code))
+				}
+				for _, tup := range probes {
+					probe(tup[c])
+				}
+				for _, v := range []Value{FV(0), FV(math.Copysign(0, -1)), FV(math.NaN()), IV(1), SV("never")} {
+					probe(v)
+				}
+			}
+		}
+		checkAll := func(probes []Tuple, decodeRows bool) {
+			check("owner", r, probes, decodeRows)
+			for i, s := range snaps {
+				check(fmt.Sprintf("snapshot %d", i), s, probes, decodeRows)
+			}
+		}
+		for n, ops := 0, data[1:]; n < 64 && len(ops) > 0; n++ {
+			op, args := ops[0]%6, ops[1:]
+			need := map[byte]int{0: 1, 1: 2, 3: 1, 4: 1, 5: 1}[op]
+			if len(args) < need {
+				break
+			}
+			ops = args[need:]
+			var probes []Tuple
+			switch op {
+			case 0:
+				probes = append(probes, row(int(args[0])))
+				r.MustInsert(probes[0]...)
+			case 1:
+				start := int(args[0]) + 256*int(args[1]%2)
+				for i := range 1 + int(args[1]/2) {
+					probes = append(probes, row(start+i))
+				}
+				if err := r.InsertBatch(probes); err != nil {
+					t.Fatal(err)
+				}
+			case 2:
+				snaps = append(snaps, r.SnapshotAs("snap"))
+				if len(snaps) > 3 {
+					snaps = snaps[1:]
+				}
+			case 3:
+				probes = append(probes, row(int(args[0])))
+				r.Delete(probes[0])
+			case 4:
+				probes = append(probes, row(int(args[0])))
+				if len(snaps) > 0 {
+					snaps[len(snaps)-1].MustInsert(probes[0]...)
+				}
+			case 5:
+				probes = append(probes, row(int(args[0])))
+			}
+			checkAll(probes, false)
+		}
+		checkAll(nil, true)
 	})
 }

@@ -105,7 +105,7 @@ func (r *Relation) RestoreVersion(v uint64) {
 // Only the source may keep appending in place; an Insert into the
 // snapshot reallocates. Operations that would rewrite a shared backing
 // — Delete, Dedup, SortRows, on either side — copy first. The snapshot
-// also joins the source's dictionary lineage, so encode maps and packed
+// also joins the source's dictionary lineage, so encode tables and packed
 // code indexes built by one serve the other (see EnsureCodeIndex).
 // Statistics carry over by copy; planning against a snapshot sees the
 // source's cardinalities without re-scanning.
@@ -172,7 +172,7 @@ func (r *Relation) MustInsert(vals ...Value) {
 // relation made by New — the batch is a bulk load: the row slice grows
 // once, the batch is folded into the column sketches, and each column's
 // dictionary is then extended in one pass, its code vector reserved
-// once and its decode table and encode map allocated once at the
+// once and its decode table and encode table allocated once at the
 // distinct-value count the folded sketch estimates. Replicas, recovered
 // snapshots and shipped overlays are built this way. A NewResult
 // relation maintains neither, so the answer buffers cq streams into it
@@ -379,11 +379,9 @@ func (r *Relation) Equal(other *Relation) bool {
 	if a.Len() != b.Len() {
 		return false
 	}
-	for _, bucket := range a.buckets {
-		for _, row := range bucket {
-			if !b.Contains(row) {
-				return false
-			}
+	for _, row := range a.tab.entries {
+		if !b.Contains(row) {
+			return false
 		}
 	}
 	return true

@@ -1,6 +1,9 @@
 package relation
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestValueHashDistinguishesKinds(t *testing.T) {
 	pairs := [][2]Value{
@@ -78,5 +81,70 @@ func TestSnapshotAsIndependence(t *testing.T) {
 	}
 	if !snap.Contains(Tuple{SV("x")}) {
 		t.Error("snapshot lost row deleted from source")
+	}
+}
+
+// TestSignedZeroIsOneValue holds Hash to ==: FV(0) == FV(-0), so the
+// two must hash alike, and every structure that deduplicates by hash —
+// TupleSet, ShardedTupleSet, Dedup, the dictionary — must treat them as
+// one value, as the dictionary's decode-table scan always did.
+func TestSignedZeroIsOneValue(t *testing.T) {
+	pos, neg := FV(0), FV(math.Copysign(0, -1))
+	if pos != neg || !math.Signbit(neg.F) {
+		t.Fatal("test values are not +0 and -0")
+	}
+	if pos.Hash() != neg.Hash() {
+		t.Errorf("Hash(+0) = %x, Hash(-0) = %x: == values hash apart", pos.Hash(), neg.Hash())
+	}
+	if s := NewTupleSet(2); !s.Add(Tuple{pos}) || s.Add(Tuple{neg}) || s.Len() != 1 {
+		t.Errorf("TupleSet holds +0 and -0 as %d tuples, want 1", s.Len())
+	}
+	if s := NewShardedTupleSet(8); !s.Add(Tuple{pos}) || s.Add(Tuple{neg}) || s.Len() != 1 {
+		t.Errorf("ShardedTupleSet holds +0 and -0 as %d tuples, want 1", s.Len())
+	}
+	r := New(NewSchema("f", FloatAttr("x")))
+	r.MustInsert(pos)
+	r.MustInsert(neg)
+	if n := r.Dedup().Len(); n != 1 {
+		t.Errorf("Dedup of {+0, -0} kept %d rows, want 1", n)
+	}
+	// Wide enough for an encode table: -0 must find +0's code there too.
+	w := New(NewSchema("w", FloatAttr("x")))
+	w.MustInsert(pos)
+	for i := 1; i <= 3*smallDictWidth; i++ {
+		w.MustInsert(FV(float64(i)))
+	}
+	w.MustInsert(neg)
+	if c, ok := w.Encoding().Code(0, neg); !ok || c != 0 {
+		t.Errorf("Code(-0) = %d,%v, want +0's code 0", c, ok)
+	}
+	if got := w.Encoding().Width(0); got != 3*smallDictWidth+1 {
+		t.Errorf("width %d: -0 got a code of its own", got)
+	}
+}
+
+// TestTupleSetGrowth drives the shared tuple table through several
+// doublings with keys whose low hash bits agree (multiples of 1024),
+// then checks every member is found and no non-member is.
+func TestTupleSetGrowth(t *testing.T) {
+	s, sh := NewTupleSet(0), NewShardedTupleSet(4)
+	const n = 5000
+	for i := 0; i < n; i++ {
+		tup := Tuple{IV(int64(i) << 10), SV("k")}
+		if !s.Add(tup) || !sh.Add(tup) {
+			t.Fatalf("Add #%d reported a duplicate", i)
+		}
+		if s.Add(Tuple{IV(int64(i) << 10), SV("k")}) {
+			t.Fatalf("re-Add #%d reported absent", i)
+		}
+	}
+	if s.Len() != n || sh.Len() != n {
+		t.Fatalf("Len = %d / %d, want %d", s.Len(), sh.Len(), n)
+	}
+	for i := 0; i < n; i++ {
+		in, out := Tuple{IV(int64(i) << 10), SV("k")}, Tuple{IV(int64(i)<<10 + 1), SV("k")}
+		if !s.Contains(in) || !sh.Contains(in) || s.Contains(out) || sh.Contains(out) {
+			t.Fatalf("membership of key %d wrong after growth", i)
+		}
 	}
 }

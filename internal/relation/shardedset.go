@@ -4,43 +4,40 @@ import "sync"
 
 // ShardedTupleSet is a concurrency-safe tuple hash set for duplicate
 // elimination across union branches executing in parallel. The key
-// space is split into power-of-two shards by tuple hash; each shard is
-// an independently locked TupleSet-style bucket map, so goroutines
-// adding unrelated tuples proceed without contention and two branches
-// producing the same tuple serialize only on that tuple's shard.
+// space is split into power-of-two shards by the low bits of the tuple
+// hash; each shard is an independently locked tupleTable (set.go), so
+// goroutines adding unrelated tuples proceed without contention and two
+// branches producing the same tuple serialize only on that tuple's
+// shard.
 type ShardedTupleSet struct {
 	mask   uint64
 	shards []tupleShard
 }
 
-// tupleShard is one lock-striped slice of the set, padded to a full
-// 64-byte cache line (8B mutex + 8B map header + 8B count + 40B pad)
-// so uncontended Adds on neighbouring shards do not false-share.
+// tupleShard is one lock-striped slice of the set, padded to two full
+// 64-byte cache lines (8B mutex + 72B table + 48B pad) so uncontended
+// Adds on neighbouring shards do not false-share.
 type tupleShard struct {
-	mu      sync.Mutex
-	buckets map[uint64][]Tuple
-	n       int
-	_       [40]byte
+	mu  sync.Mutex
+	tab tupleTable
+	_   [48]byte
 }
 
 // NewShardedTupleSet returns an empty set with at least the given
 // number of shards (rounded up to a power of two, minimum 1). A good
-// shard count is a small multiple of the worker count.
+// shard count is a small multiple of the worker count. A shard
+// allocates its table on its first Add.
 func NewShardedTupleSet(shards int) *ShardedTupleSet {
 	n := 1
 	for n < shards {
 		n <<= 1
 	}
-	s := &ShardedTupleSet{mask: uint64(n - 1), shards: make([]tupleShard, n)}
-	for i := range s.shards {
-		s.shards[i].buckets = make(map[uint64][]Tuple, 4)
-	}
-	return s
+	return &ShardedTupleSet{mask: uint64(n - 1), shards: make([]tupleShard, n)}
 }
 
-// shard picks the shard for hash h. The bucket maps key on the full
-// hash, and Go maps re-mix integer keys internally, so taking the low
-// bits here does not correlate with in-shard bucketing.
+// shard picks the shard for hash h. The shard's table takes its home
+// slot from the top bits of the mixed hash (homeSlot), so taking the
+// low bits here does not correlate with in-shard placement.
 func (s *ShardedTupleSet) shard(h uint64) *tupleShard {
 	return &s.shards[h&s.mask]
 }
@@ -53,16 +50,9 @@ func (s *ShardedTupleSet) Add(t Tuple) bool {
 	h := t.Hash()
 	sh := s.shard(h)
 	sh.mu.Lock()
-	for _, u := range sh.buckets[h] {
-		if u.Equal(t) {
-			sh.mu.Unlock()
-			return false
-		}
-	}
-	sh.buckets[h] = append(sh.buckets[h], t)
-	sh.n++
+	added := sh.tab.add(t, h)
 	sh.mu.Unlock()
-	return true
+	return added
 }
 
 // Contains reports membership without inserting.
@@ -71,12 +61,7 @@ func (s *ShardedTupleSet) Contains(t Tuple) bool {
 	sh := s.shard(h)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	for _, u := range sh.buckets[h] {
-		if u.Equal(t) {
-			return true
-		}
-	}
-	return false
+	return sh.tab.contains(t, h)
 }
 
 // Len returns the number of distinct tuples added. It locks each shard
@@ -87,7 +72,7 @@ func (s *ShardedTupleSet) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		total += sh.n
+		total += len(sh.tab.entries)
 		sh.mu.Unlock()
 	}
 	return total

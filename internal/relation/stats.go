@@ -194,7 +194,7 @@ func (s *colSketch) width() int {
 
 // widthHintsLocked returns, per column, the decode-table width the
 // sketches call for (see colSketch.width), capped at the row count: the
-// size a bulk encoding pass allocates each decode table and encode map
+// size a bulk encoding pass allocates each decode table and encode table
 // at. It is nil when statistics are not maintained. Caller holds r.mu.
 func (r *Relation) widthHintsLocked() []int {
 	if r.statRows != len(r.rows) || len(r.sketches) != r.Schema.Arity() {

@@ -92,7 +92,8 @@ const (
 )
 
 // Hash returns a cheap FNV-1a hash of the value, suitable for hash sets
-// and join tables. Unlike Key it allocates nothing.
+// and join tables. Unlike Key it allocates nothing. Values that are ==
+// hash alike: -0 hashes as +0, since FV(0) == FV(-0).
 func (v Value) Hash() uint64 {
 	h := uint64(fnvOffset64)
 	h ^= uint64(v.Kind)
@@ -107,7 +108,11 @@ func (v Value) Hash() uint64 {
 		h ^= uint64(v.I)
 		h *= fnvPrime64
 	case TFloat:
-		h ^= math.Float64bits(v.F)
+		f := v.F
+		if f == 0 {
+			f = 0 // -0 == +0
+		}
+		h ^= math.Float64bits(f)
 		h *= fnvPrime64
 	}
 	return h

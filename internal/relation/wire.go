@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // This file is the binary wire layer of the distributed serving
@@ -56,9 +57,17 @@ const (
 )
 
 // MaxFramePayload bounds a single frame's payload (16 MiB). ReadFrame
-// rejects anything larger before allocating, so a corrupt or hostile
-// length prefix cannot balloon memory.
+// rejects anything larger before allocating, and allocates a payload as
+// its bytes arrive (see frameChunk), so a corrupt or hostile length
+// prefix cannot balloon memory.
 const MaxFramePayload = 16 << 20
+
+// frameChunk is both the most ReadFrame allocates for a payload ahead of
+// its bytes arriving — a payload buffer starts at most this large and
+// then doubles as it fills — and the largest payload buffer ReadFrame
+// hands back to a caller for reuse, so one big frame does not pin its
+// size for a connection's life.
+const frameChunk = 64 << 10
 
 // frameHeaderLen is the fixed frame prefix: 1 type byte + 4 length bytes.
 const frameHeaderLen = 5
@@ -81,27 +90,51 @@ func WriteFrame(w io.Writer, typ FrameType, payload []byte) error {
 // ReadFrame reads one frame from r, returning its type and payload. It
 // fails on oversized length prefixes without allocating, and converts a
 // clean EOF on the frame boundary into io.EOF (mid-frame truncation is
-// io.ErrUnexpectedEOF).
-func ReadFrame(r io.Reader) (FrameType, []byte, error) {
-	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// io.ErrUnexpectedEOF). buf, when not nil, is the caller's reusable
+// payload buffer: the payload is read into *buf's backing array when it
+// fits, and the array is kept in *buf for the next call when it is at
+// most frameChunk bytes, so the payload is valid only until the next
+// ReadFrame with the same buf. Every decoder in this package copies what
+// it keeps out of a payload. With buf nil each payload is freshly
+// allocated.
+func ReadFrame(r io.Reader, buf *[]byte) (FrameType, []byte, error) {
+	// The header is read into the buffer the payload then overwrites, so
+	// a frame that fits a kept buffer allocates nothing.
+	var hdr []byte
+	if buf != nil {
+		hdr = (*buf)[:0]
+	}
+	hdr = slices.Grow(hdr, frameHeaderLen)[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return 0, nil, fmt.Errorf("relation: truncated frame header: %w", err)
 		}
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[1:5])
+	typ, n := FrameType(hdr[0]), int(binary.BigEndian.Uint32(hdr[1:5]))
 	if n > MaxFramePayload {
 		return 0, nil, fmt.Errorf("relation: frame payload %d exceeds %d bytes", n, MaxFramePayload)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	payload := hdr[:0]
+	for len(payload) < n {
+		if len(payload) == cap(payload) {
+			grown := make([]byte, len(payload), min(n, max(frameChunk, 2*cap(payload))))
+			copy(grown, payload)
+			payload = grown
 		}
-		return 0, nil, fmt.Errorf("relation: truncated frame payload: %w", err)
+		got, err := io.ReadFull(r, payload[len(payload):min(n, cap(payload))])
+		payload = payload[:len(payload)+got]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, fmt.Errorf("relation: truncated frame payload: %w", err)
+		}
 	}
-	return FrameType(hdr[0]), payload, nil
+	if buf != nil && cap(payload) <= frameChunk {
+		*buf = payload[:0]
+	}
+	return typ, payload, nil
 }
 
 // EncodeHello builds a Hello payload: magic + protocol version.

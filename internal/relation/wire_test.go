@@ -2,8 +2,11 @@ package relation
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -17,7 +20,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for i, p := range payloads {
-		typ, got, err := ReadFrame(&buf)
+		typ, got, err := ReadFrame(&buf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +31,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: payload mismatch (%d vs %d bytes)", i, len(got), len(p))
 		}
 	}
-	if _, _, err := ReadFrame(&buf); err != io.EOF {
+	if _, _, err := ReadFrame(&buf, nil); err != io.EOF {
 		t.Fatalf("drained stream: got %v, want io.EOF", err)
 	}
 }
@@ -36,7 +39,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestReadFrameRejectsOversizedLength(t *testing.T) {
 	// Type byte + a length prefix claiming 1 GiB.
 	raw := []byte{byte(FrameTupleBatch), 0x40, 0x00, 0x00, 0x00}
-	if _, _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
+	if _, _, err := ReadFrame(bytes.NewReader(raw), nil); err == nil {
 		t.Fatal("oversized length prefix accepted")
 	}
 }
@@ -48,7 +51,7 @@ func TestReadFrameTruncation(t *testing.T) {
 	}
 	full := buf.Bytes()
 	for cut := 1; cut < len(full); cut++ {
-		if _, _, err := ReadFrame(bytes.NewReader(full[:cut])); err == nil {
+		if _, _, err := ReadFrame(bytes.NewReader(full[:cut]), nil); err == nil {
 			t.Fatalf("truncation at %d bytes accepted", cut)
 		}
 	}
@@ -205,5 +208,64 @@ func TestErrorWireRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeError(nil); err == nil {
 		t.Fatal("empty error payload accepted")
+	}
+}
+
+// TestReadFrameAllocatesAsBytesArrive: a length prefix alone must not
+// make a reader allocate the payload it claims. A header claiming
+// MaxFramePayload followed by end of stream allocates well under 1 MiB
+// and reports the truncation.
+func TestReadFrameAllocatesAsBytesArrive(t *testing.T) {
+	raw := []byte{byte(FrameTupleBatch), 0, 0, 0, 0}
+	binary.BigEndian.PutUint32(raw[1:], MaxFramePayload)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(raw), nil)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("header-only frame: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("header-only frame allocated %d bytes, want < 1 MiB", got)
+	}
+}
+
+// TestReadFrameReusesBuffer reads frames of growing and shrinking sizes
+// through one payload buffer: each payload must be intact, a frame that
+// fits the kept buffer must allocate nothing, and a buffer grown past
+// frameChunk must not be kept.
+func TestReadFrameReusesBuffer(t *testing.T) {
+	sizes := []int{0, 10, 1000, frameChunk, 3*frameChunk + 7, 500, frameChunk - 1}
+	var stream bytes.Buffer
+	for i, n := range sizes {
+		if err := WriteFrame(&stream, FrameType(i+1), bytes.Repeat([]byte{byte(i + 1)}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf []byte
+	for i, n := range sizes {
+		typ, got, err := ReadFrame(&stream, &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if typ != FrameType(i+1) || !bytes.Equal(got, bytes.Repeat([]byte{byte(i + 1)}, n)) {
+			t.Fatalf("frame %d (%d bytes) came back wrong", i, n)
+		}
+		if cap(buf) > frameChunk {
+			t.Fatalf("frame %d: kept a %d-byte buffer, over %d", i, cap(buf), frameChunk)
+		}
+	}
+	var frame bytes.Buffer
+	WriteFrame(&frame, FrameTupleBatch, bytes.Repeat([]byte{7}, 1000))
+	raw := frame.Bytes()
+	var r bytes.Reader
+	if allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(raw)
+		if _, _, err := ReadFrame(&r, &buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("a frame that fits the kept buffer allocated %.0f times", allocs)
 	}
 }

@@ -64,11 +64,15 @@ var _ pdms.Transport = (*Client)(nil)
 // terminal, never retried.
 var errClientClosed = errors.New("transport: client closed")
 
-// clientConn is one pooled, handshaken connection.
+// clientConn is one pooled, handshaken connection. buf is the payload
+// buffer its frames are read into (see relation.ReadFrame): a frame's
+// payload lives only until the connection reads the next one, which the
+// decoders the exchanges call allow, as they copy what they keep.
 type clientConn struct {
-	c  net.Conn
-	br *bufio.Reader
-	bw *bufio.Writer
+	c   net.Conn
+	br  *bufio.Reader
+	bw  *bufio.Writer
+	buf []byte
 }
 
 // Dial connects to a Server at addr and performs the version handshake
@@ -110,7 +114,7 @@ func (c *Client) dial(ctx context.Context) (*clientConn, error) {
 		if err := cc.bw.Flush(); err != nil {
 			return fmt.Errorf("%w: handshake write: %w", pdms.ErrPeerUnreachable, err)
 		}
-		typ, payload, err := relation.ReadFrame(cc.br)
+		typ, payload, err := relation.ReadFrame(cc.br, &cc.buf)
 		if err != nil {
 			// A server that crashes (or a proxy that cuts the wire)
 			// mid-handshake lands here: the hello never completed, so the
@@ -276,7 +280,7 @@ func (c *Client) doOnce(ctx context.Context, cc *clientConn, ex exchange) (progr
 		}
 		c.wireBytes.Add(uint64(frameOverhead + len(ex.request)))
 		for {
-			typ, payload, err := relation.ReadFrame(cc.br)
+			typ, payload, err := relation.ReadFrame(cc.br, &cc.buf)
 			if err != nil {
 				// A response stream that dies mid-read — reset, EOF, or a
 				// corrupted frame — is a connection-level failure: typed

@@ -152,7 +152,11 @@ func (s *Server) handle(c net.Conn) {
 	defer c.Close()
 	br := bufio.NewReader(c)
 	bw := bufio.NewWriter(c)
-	typ, payload, err := relation.ReadFrame(br)
+	// buf is the connection's reused payload buffer: a request's payload
+	// is decoded before the next request is read, and the decoders copy
+	// what they keep.
+	var buf []byte
+	typ, payload, err := relation.ReadFrame(br, &buf)
 	if err != nil {
 		return
 	}
@@ -171,7 +175,7 @@ func (s *Server) handle(c net.Conn) {
 		return
 	}
 	for {
-		typ, payload, err := relation.ReadFrame(br)
+		typ, payload, err := relation.ReadFrame(br, &buf)
 		if err != nil {
 			return // EOF: client done with the connection
 		}
@@ -380,7 +384,7 @@ func (s *Server) serveSubscribe(br *bufio.Reader, bw *bufio.Writer, p *pdms.Peer
 	go func() {
 		defer s.wg.Done()
 		for {
-			if _, _, err := relation.ReadFrame(br); err != nil {
+			if _, _, err := relation.ReadFrame(br, nil); err != nil {
 				feed.Close()
 				return
 			}

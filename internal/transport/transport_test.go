@@ -480,7 +480,7 @@ func TestVersionMismatchHandshake(t *testing.T) {
 	if err := relation.WriteFrame(conn, relation.FrameHello, bad); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := relation.ReadFrame(conn)
+	typ, payload, err := relation.ReadFrame(conn, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,13 +609,13 @@ func TestFreshConnFailureIsNotRedialled(t *testing.T) {
 			}
 			go func() {
 				defer conn.Close()
-				if _, _, err := relation.ReadFrame(conn); err != nil {
+				if _, _, err := relation.ReadFrame(conn, nil); err != nil {
 					return
 				}
 				if err := relation.WriteFrame(conn, relation.FrameHello, relation.EncodeHello()); err != nil {
 					return
 				}
-				relation.ReadFrame(conn) // the request; hang up on it
+				relation.ReadFrame(conn, nil) // the request; hang up on it
 			}()
 		}
 	}()
