@@ -18,12 +18,13 @@ import (
 // executor and keyed by the dictionaries involved — append-only
 // dictionaries keep cached entries valid, so memos survive across
 // branches and across queries. Duplicate elimination hashes head-slot
-// code vectors (relation.CodeSet), not Values, and answer tuples are
-// bump-allocated from a slab. All batch/translation/slab state lives on
-// a pooled batchExec that StreamUnionOpts reuses across every branch of
-// a union — one cursor's lifetime — and across unions via a sync.Pool;
-// cancellation is polled once per batch of rows examined instead of per
-// row.
+// code vectors (relation.CodeSet), not Values; streamed answer tuples
+// are bump-allocated from a slab, and a materialized union decodes its
+// deduplicated vectors once, at the end (answers). All
+// batch/translation/slab state lives on a pooled batchExec that
+// StreamUnionOpts reuses across every branch of a union — one cursor's
+// lifetime — and across unions via a sync.Pool; cancellation is polled
+// once per batch of rows examined instead of per row.
 //
 // Every body relation is read through its dictionary encoding
 // (relation.Encoding). A relation that was not maintaining one — rows
@@ -252,7 +253,18 @@ type batchExec struct {
 	out      *outEnc
 	codeSeen *relation.CodeSet
 
-	// per-run state
+	// per-union state. head is the union's answer schema (empty when run
+	// is driven directly, which then checks no kinds); mistyped marks a
+	// branch whose declared head kinds differ from it. A code-mode
+	// union stops at limit distinct answers (0 = none), and stopped
+	// records that it did or that yield broke.
+	head     relation.Schema
+	mistyped bool
+	limit    int
+	stopped  bool
+
+	// per-run state. A nil yield only collects: code mode keeps the
+	// answers as vectors in codeSeen, tuple mode in seen.
 	plan  *Plan
 	ctx   context.Context
 	done  <-chan struct{}
@@ -314,6 +326,7 @@ func getBatchExec(arity int, codeMode bool) *batchExec {
 // and returns the state to the pool; the warm encoder, arenas, and
 // batch buffers stay with it for the next union.
 func (e *batchExec) release() {
+	e.head, e.limit, e.stopped = relation.Schema{}, 0, false
 	e.plan = nil
 	e.ctx = nil
 	e.done = nil
@@ -332,6 +345,12 @@ func (e *batchExec) run(ctx context.Context, p *Plan, seen *relation.ShardedTupl
 	}
 	e.setup(p)
 	e.plan, e.ctx, e.done, e.yield, e.seen, e.err = p, ctx, ctx.Done(), yield, seen, nil
+	e.mistyped = false
+	if len(e.head.Attrs) == len(p.headAttrs) {
+		for j, a := range p.headAttrs {
+			e.mistyped = e.mistyped || a.Type != e.head.Attrs[j].Type
+		}
+	}
 	e.credit, e.exam = ctxCheckInterval, batchSize
 	if e.empty {
 		return nil // a constant matches no row: zero answers, decided at setup
@@ -617,13 +636,17 @@ func (e *batchExec) emitRow(d int, st *batchStage, out, in *slotBatch, i, copyWi
 }
 
 // leaf consumes a batch of complete bindings: head-slot codes translate
-// into the union's output code space (memoized per source code), the
-// code vector dedups through the shared CodeSet, and fresh answers
-// materialize as Tuples bump-allocated from the slab. In tuple mode the
-// answer decodes first and dedups through the shared sharded set. A
-// cancellation poll runs every ctxCheckInterval leaf rows, so a
-// cancelled consumer sees at most ctxCheckInterval+1 further yields.
+// into the union's output code space (memoized per source code) and the
+// code vector dedups through the shared CodeSet; a fresh answer
+// decodes into a Tuple bump-allocated from the slab only when there is
+// a yield to hand it to. In tuple mode the answer decodes first and
+// dedups through the shared sharded set. A cancellation poll runs every
+// ctxCheckInterval leaf rows, so a cancelled consumer sees at most
+// ctxCheckInterval+1 further yields.
 func (e *batchExec) leaf(in *slotBatch) bool {
+	if e.mistyped && in.n > 0 && !e.checkKinds(in) {
+		return false
+	}
 	hs := e.plan.headSlots
 	for i := 0; i < in.n; i++ {
 		e.credit--
@@ -648,11 +671,18 @@ func (e *batchExec) leaf(in *slotBatch) bool {
 			if !e.codeSeen.Add(e.vecBuf) {
 				continue
 			}
-			t := e.newTuple(len(hs))
-			for j := range hs {
-				t[j] = e.out.value(j, e.vecBuf[j])
+			if e.yield != nil {
+				t := e.newTuple(len(hs))
+				for j := range hs {
+					t[j] = e.out.value(j, e.vecBuf[j])
+				}
+				if !e.yield(t) {
+					e.stopped = true
+					return false
+				}
 			}
-			if !e.yield(t) {
+			if e.limit > 0 && e.codeSeen.Len() >= e.limit {
+				e.stopped = true
 				return false
 			}
 		} else {
@@ -661,12 +691,70 @@ func (e *batchExec) leaf(in *slotBatch) bool {
 				ref := e.headSrc[j]
 				t[j] = ref.d.Value(ref.col, in.col(s)[i])
 			}
-			if e.seen.Add(t) && !e.yield(t) {
+			if e.seen.Add(t) && e.yield != nil && !e.yield(t) {
 				return false
 			}
 		}
 	}
 	return true
+}
+
+// checkKinds holds a mistyped branch's first answer — the batch's first
+// binding, decoded — to the union's head schema, so a branch whose head
+// kinds differ from the union's fails on its first answer, on every
+// path, with the error inserting that answer into the result would
+// give. A relation's rows conform to its schema, so well-typed branches
+// never get here and a mistyped one produces no answer that could
+// duplicate a well-typed one.
+func (e *batchExec) checkKinds(in *slotBatch) bool {
+	t := make(relation.Tuple, len(e.plan.headSlots))
+	for j, s := range e.plan.headSlots {
+		ref := e.headSrc[j]
+		t[j] = ref.d.Value(ref.col, in.col(s)[0])
+	}
+	if err := e.head.Compatible(t); err != nil {
+		e.err = err
+		return false
+	}
+	e.mistyped = false
+	return true
+}
+
+// runUnion runs the branches in order on this code-mode executor with
+// one dedup set, stopping at e.limit distinct answers or when yield
+// breaks. A nil yield only collects; answers then decodes the result.
+func (e *batchExec) runUnion(ctx context.Context, plans []*Plan, head relation.Schema, limit int, yield func(relation.Tuple) bool) error {
+	e.head, e.limit, e.stopped = head, limit, false
+	for _, p := range plans {
+		if err := e.run(ctx, p, nil, yield); err != nil {
+			return err
+		}
+		if e.stopped {
+			return nil
+		}
+	}
+	return nil
+}
+
+// answers decodes the union's distinct code vectors, already in
+// first-discovery order, into exactly sized rows: one slice of tuple
+// headers and one block of values that the tuples slice up.
+func (e *batchExec) answers() []relation.Tuple {
+	n, arity := e.codeSeen.Len(), len(e.head.Attrs)
+	if n == 0 {
+		return nil
+	}
+	rows := make([]relation.Tuple, n)
+	vals := make([]relation.Value, n*arity)
+	codes := e.codeSeen.Vectors()
+	for i := range rows {
+		t := relation.Tuple(vals[i*arity : (i+1)*arity : (i+1)*arity])
+		for j := range t {
+			t[j] = e.out.value(j, codes[i*arity+j])
+		}
+		rows[i] = t
+	}
+	return rows
 }
 
 // newTuple bump-allocates an answer tuple from the value slab, which

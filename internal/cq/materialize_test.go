@@ -1,0 +1,156 @@
+package cq
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/relation"
+)
+
+// mixedKindDB holds r(x int) = {1} and s(x string) = {"a"}, and e(x
+// string) with no rows: a union of r and s disagrees on its head
+// column's kind, one of r and e only declares a disagreement.
+func mixedKindDB(t *testing.T) *relation.Database {
+	t.Helper()
+	db := relation.NewDatabase()
+	r := relation.New(relation.NewSchema("r", relation.IntAttr("x")))
+	r.MustInsert(relation.IV(1))
+	s := relation.New(relation.NewSchema("s", relation.Attr("x")))
+	s.MustInsert(relation.SV("a"))
+	db.Put(r)
+	db.Put(s)
+	db.Put(relation.New(relation.NewSchema("e", relation.Attr("x"))))
+	return db
+}
+
+// TestUnionHeadKindsOneRule holds a union whose branches disagree on a
+// head column's kind to one outcome on every path: the branch that
+// differs from the first branch's head schema fails on its first answer
+// with the error inserting that answer into the result gives. Streaming
+// used to yield both answers while materializing failed. A branch that
+// declares another kind but answers nothing fails nothing.
+func TestUnionHeadKindsOneRule(t *testing.T) {
+	db := mixedKindDB(t)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		union []Query
+		want  string
+	}{
+		{[]Query{MustParse("q(X) :- r(X)"), MustParse("q(X) :- s(X)")},
+			"relation q: attribute X expects int, got string"},
+		{[]Query{MustParse("q(X) :- s(X)"), MustParse("q(X) :- r(X)")},
+			"relation q: attribute X expects string, got int"},
+	} {
+		plans := compileAll(t, db, tc.union)
+		for _, par := range []int{1, 2} {
+			opts := ExecOptions{Parallelism: par}
+			if _, err := MaterializeUnion(ctx, plans, opts); err == nil || err.Error() != tc.want {
+				t.Errorf("%v: MaterializeUnion(par=%d) error %v, want %q", tc.union, par, err, tc.want)
+			}
+			var got []relation.Tuple
+			var streamErr error
+			for tup, err := range UnionTuples(ctx, plans, opts) {
+				if err != nil {
+					streamErr = err
+					break
+				}
+				got = append(got, tup)
+			}
+			if streamErr == nil || streamErr.Error() != tc.want {
+				t.Errorf("%v: UnionTuples(par=%d) yielded %v, error %v; want error %q",
+					tc.union, par, got, streamErr, tc.want)
+			}
+			if par == 1 && len(got) != 1 {
+				t.Errorf("%v: sequential UnionTuples yielded %v before failing, want the first branch's one answer",
+					tc.union, got)
+			}
+		}
+	}
+	plans := compileAll(t, db, []Query{MustParse("q(X) :- r(X)"), MustParse("q(X) :- e(X)")})
+	for _, par := range []int{1, 2} {
+		rel, err := MaterializeUnion(ctx, plans, ExecOptions{Parallelism: par})
+		if err != nil || rel.Len() != 1 {
+			t.Errorf("par=%d: a declared-only disagreement gave %v, %v; want the one answer", par, rel, err)
+		}
+	}
+}
+
+// disjointUnion compiles q(X, Y) :- a(X, Y) ∪ q(X, Y) :- b(X, Y) over
+// two relations of n/2 rows each with no row in common, so every
+// binding is a distinct answer: n answers of arity 2.
+func disjointUnion(t *testing.T, n int) []*Plan {
+	t.Helper()
+	db := relation.NewDatabase()
+	for _, name := range []string{"a", "b"} {
+		r := relation.New(relation.NewSchema(name, relation.Attr("x"), relation.IntAttr("y")))
+		for i := 0; i < n/2; i++ {
+			r.MustInsert(relation.SV(fmt.Sprintf("%s%d", name, i)), relation.IV(int64(i)))
+		}
+		db.Put(r)
+	}
+	return compileAll(t, db, []Query{MustParse("q(X, Y) :- a(X, Y)"), MustParse("q(X, Y) :- b(X, Y)")})
+}
+
+// materializeBytes returns the fewest heap bytes one of several warm
+// MaterializeUnion runs allocated — the fewest, because a garbage
+// collection may empty the executor pool before any one run.
+func materializeBytes(t *testing.T, plans []*Plan, opts ExecOptions, answers int) uint64 {
+	t.Helper()
+	run := func() {
+		rel, err := MaterializeUnion(context.Background(), plans, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.Len() != answers {
+			t.Fatalf("%d answers, want %d", rel.Len(), answers)
+		}
+	}
+	run() // warm: encodings, code indexes, translation memos
+	best := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < 10; i++ {
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// TestMaterializeUnionAllocatesOnce holds what a warm materialization
+// costs beyond the join: a sequential union decodes its n distinct
+// answers of arity a once, into one slice of tuple headers and one
+// block of values — n·(24 + 40a) bytes — plus a fixed cost that does
+// not grow with n (it includes rounding each of the two up to whole
+// pages). Streaming into the result instead (a slab per 1 024 values, a
+// 64-tuple buffer, the row slice regrown by half again) cost 702 KB
+// where this bound allows 432 KB. A Parallelism: 2 run, whose workers
+// decode every binding before the shared set dedups it, pays for those
+// tuples, the set's entries, hashes and slots, and one exact row slice
+// (1.25 MB when its answers were fanned in to an InsertBatch loop).
+func TestMaterializeUnionAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on its own")
+	}
+	const n, arity, fixed = 4000, 2, 16 << 10
+	plans := disjointUnion(t, n)
+
+	seq := materializeBytes(t, plans, ExecOptions{Parallelism: 1}, n)
+	seqCeiling := uint64(n*(24+40*arity) + fixed)
+	t.Logf("sequential: %d B for %d answers (ceiling %d)", seq, n, seqCeiling)
+	if seq > seqCeiling {
+		t.Errorf("sequential MaterializeUnion allocated %d B, over %d", seq, seqCeiling)
+	}
+
+	par := materializeBytes(t, plans, ExecOptions{Parallelism: 2}, n)
+	// Per answer: its tuple (40a), its row header (24), its entry in a
+	// shard's chunks (≤ 2·24 with a chunk half full), its hash (≤ 2·8
+	// across append growth) and its slots (≤ 2·8/3·4 across rehashes).
+	parCeiling := uint64(n*(40*arity+24+48+16+22) + fixed)
+	t.Logf("Parallelism 2: %d B for %d answers (ceiling %d)", par, n, parCeiling)
+	if par > parCeiling {
+		t.Errorf("parallel MaterializeUnion allocated %d B, over %d", par, parCeiling)
+	}
+}

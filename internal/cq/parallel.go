@@ -12,12 +12,14 @@ import (
 // This file is the parallel union executor: the branches of a
 // reformulated query (one compiled plan per rewriting) run concurrently
 // on a bounded worker pool, deduplicating through one shared
-// relation.ShardedTupleSet, with answers fanned in to the caller's
-// yield on the calling goroutine. Limit stays exact — distinct answers
-// claim delivery slots through a shared atomic counter, and the Nth
-// claim cancels every in-flight branch — and both cancellation and a
-// consumer break drain the pool before StreamUnionOpts returns, so no
-// goroutine outlives the call.
+// relation.ShardedTupleSet. Only a streaming consumer — a yield, or a
+// limited materialization — has answers fanned in to it on the calling
+// goroutine; an unlimited materialization takes the set's entries as
+// its rows once the workers are done. Limit stays exact — distinct
+// answers claim delivery slots through a shared atomic counter, and the
+// Nth claim cancels every in-flight branch — and both cancellation and
+// a consumer break drain the pool before the call returns, so no
+// goroutine outlives it.
 
 // parallelMinCost is the auto-mode threshold: a union is only worth
 // fanning out when the branches' estimated execution costs (rows
@@ -88,14 +90,82 @@ func worthParallel(plans []*Plan) bool {
 // produce rate, not by the batch size.
 const parallelBatch = 32
 
-// streamUnionParallel executes the union's branches on par workers.
+// startWorkers runs the union's branches on par workers and returns a
+// wait that blocks until every worker has returned, reporting the first
+// branch error. Workers claim branch indexes from a shared atomic
+// cursor, run each branch's join against bctx with the executor in
+// tuple mode (answers decode before the shared sharded set, so dedup
+// spans workers), and stop claiming once bctx is done. worker, when not
+// nil, is called once per worker for its leaf callback and a flush run
+// after every branch, success or failure; without one a worker only
+// adds to seen. A failing branch cancels the rest.
+func startWorkers(bctx context.Context, cancel context.CancelFunc, plans []*Plan, head relation.Schema,
+	par int, seen *relation.ShardedTupleSet, worker func() (yield func(relation.Tuple) bool, flush func())) (wait func() error) {
+	var nextBranch atomic.Int64
+	var errOnce sync.Once
+	var branchErr error
+	var wg sync.WaitGroup
+	wg.Add(par)
+	for w := 0; w < par; w++ {
+		go func() {
+			defer wg.Done()
+			var yield func(relation.Tuple) bool
+			var flush func()
+			if worker != nil {
+				yield, flush = worker()
+			}
+			be := getBatchExec(len(head.Attrs), false)
+			defer be.release()
+			be.head = head
+			for {
+				i := int(nextBranch.Add(1)) - 1
+				if i >= len(plans) || bctx.Err() != nil {
+					return
+				}
+				err := be.run(bctx, plans[i], seen, yield)
+				if flush != nil {
+					flush()
+				}
+				if err != nil {
+					errOnce.Do(func() { branchErr = err })
+					cancel()
+					return
+				}
+			}
+		}()
+	}
+	return func() error {
+		wg.Wait()
+		return branchErr
+	}
+}
+
+// collectParallel executes an unlimited union on par workers that only
+// add to the shared sharded set — no channel, no batches, no consumer —
+// and returns the set's entries, in one exactly sized slice, as the
+// answer rows.
+func collectParallel(ctx context.Context, plans []*Plan, head relation.Schema, par int) ([]relation.Tuple, error) {
+	bctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	seen := relation.NewShardedTupleSet(4 * par)
+	err := startWorkers(bctx, cancel, plans, head, par, seen, nil)()
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	return seen.Tuples(), nil
+}
+
+// streamUnionParallel executes the union's branches on par workers and
+// fans their answers in to yield.
 //
 // Protocol:
-//   - Workers claim branch indexes from a shared atomic cursor and run
-//     each branch's join against a branch context derived from ctx.
-//   - Deduplication happens inside the join (the kernel's leaf adds to
-//     the shared sharded set before yielding), so each distinct tuple
-//     surfaces in exactly one worker.
+//   - Workers run branches as startWorkers describes. Deduplication
+//     happens inside the join (the kernel's leaf adds to the shared
+//     sharded set before yielding), so each distinct tuple surfaces in
+//     exactly one worker.
 //   - With a limit, a surfacing tuple claims a delivery slot from the
 //     shared counter; claims beyond the limit are dropped, and the
 //     claim that fills the limit cancels all in-flight branches. A
@@ -108,7 +178,7 @@ const parallelBatch = 32
 //   - The results channel closes only after every worker returned, so
 //     by the time this function returns no goroutine it started is
 //     alive.
-func streamUnionParallel(ctx context.Context, plans []*Plan, opts ExecOptions, par int, yield func(relation.Tuple) bool) error {
+func streamUnionParallel(ctx context.Context, plans []*Plan, head relation.Schema, opts ExecOptions, par int, yield func(relation.Tuple) bool) error {
 	bctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -116,67 +186,41 @@ func streamUnionParallel(ctx context.Context, plans []*Plan, opts ExecOptions, p
 	out := make(chan []relation.Tuple, par)
 	limit := int64(opts.Limit)
 	var claimed atomic.Int64
-	var nextBranch atomic.Int64
-	var errOnce sync.Once
-	var branchErr error
-
-	var wg sync.WaitGroup
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			buf := make([]relation.Tuple, 0, parallelBatch)
-			flush := func() {
-				if len(buf) > 0 {
-					out <- buf
-					buf = make([]relation.Tuple, 0, parallelBatch)
-				}
+	wait := startWorkers(bctx, cancel, plans, head, par, seen, func() (func(relation.Tuple) bool, func()) {
+		buf := make([]relation.Tuple, 0, parallelBatch)
+		// Flushing also after a failed branch matters: slot-claiming
+		// tuples buffered by a branch that was then cancelled (limit
+		// filled elsewhere) must still reach the consumer.
+		flush := func() {
+			if len(buf) > 0 {
+				out <- buf
+				buf = make([]relation.Tuple, 0, parallelBatch)
 			}
-			// Per-worker batch kernel state (tuple mode: answers decode
-			// before the shared sharded set, so dedup spans workers),
-			// reused across this worker's branches.
-			be := getBatchExec(len(plans[0].headSlots), false)
-			defer be.release()
-			for {
-				i := int(nextBranch.Add(1)) - 1
-				if i >= len(plans) || bctx.Err() != nil {
-					return
+		}
+		return func(t relation.Tuple) bool {
+			if limit > 0 {
+				c := claimed.Add(1)
+				if c > limit {
+					return false
 				}
-				workerYield := func(t relation.Tuple) bool {
-					if limit > 0 {
-						c := claimed.Add(1)
-						if c > limit {
-							return false
-						}
-						buf = append(buf, t)
-						if c == limit {
-							flush()
-							cancel()
-							return false
-						}
-					} else {
-						buf = append(buf, t)
-					}
-					if len(buf) == parallelBatch {
-						flush()
-					}
-					return true
-				}
-				err := be.run(bctx, plans[i], seen, workerYield)
-				// Flush before looking at err: slot-claiming tuples
-				// buffered by a branch that was then cancelled (limit
-				// filled elsewhere) must still reach the consumer.
-				flush()
-				if err != nil {
-					errOnce.Do(func() { branchErr = err })
+				buf = append(buf, t)
+				if c == limit {
+					flush()
 					cancel()
-					return
+					return false
 				}
+			} else {
+				buf = append(buf, t)
 			}
-		}()
-	}
+			if len(buf) == parallelBatch {
+				flush()
+			}
+			return true
+		}, flush
+	})
+	var branchErr error
 	go func() {
-		wg.Wait()
+		branchErr = wait()
 		close(out)
 	}()
 
@@ -213,8 +257,7 @@ func streamUnionParallel(ctx context.Context, plans []*Plan, opts ExecOptions, p
 	case ctx.Err() != nil:
 		return ctx.Err()
 	}
-	// branchErr can only be bctx's cancellation error here, and bctx
-	// only dies through the cases handled above — but surface it rather
-	// than swallow a future error source.
+	// Otherwise branchErr is a branch's own failure (a mistyped branch's
+	// first answer), or nil.
 	return branchErr
 }

@@ -11,11 +11,13 @@ import (
 
 // This file is the streaming face of the compiled engine. The batch
 // kernel (batch.go) produces answers as its leaf batches fill; Stream
-// and StreamUnion route them through a caller-supplied yield instead of
-// materializing a relation, with cooperative cancellation (polled once
-// per batch of rows examined and every ctxCheckInterval answers) and an
-// optional distinct-answer limit that aborts the join as soon as it is
-// reached. Exec/ExecUnion/Eval remain as thin materializing wrappers.
+// and StreamUnion route them through a caller-supplied yield, with
+// cooperative cancellation (polled once per batch of rows examined and
+// every ctxCheckInterval answers) and an optional distinct-answer limit
+// that aborts the join as soon as it is reached. MaterializeUnion, the
+// one materializing path behind Exec/ExecUnion/Eval and the PDMS
+// cursor, does not stream to itself: it runs the same kernel with no
+// yield and builds the answer relation once, at its final size.
 
 // ExecOptions tunes one streaming execution.
 type ExecOptions struct {
@@ -66,48 +68,38 @@ func StreamUnion(ctx context.Context, plans []*Plan, yield func(relation.Tuple) 
 // streamUnionParallel); yield is still invoked from this goroutine
 // only.
 func StreamUnionOpts(ctx context.Context, plans []*Plan, opts ExecOptions, yield func(relation.Tuple) bool) error {
-	if len(plans) == 0 {
-		return fmt.Errorf("cq: empty union")
-	}
-	arity := len(plans[0].headSlots)
-	for _, p := range plans {
-		if len(p.headSlots) != arity {
-			return fmt.Errorf("union: arity mismatch %d vs %d", arity, len(p.headSlots))
-		}
+	head, err := unionHead(plans)
+	if err != nil {
+		return err
 	}
 	if opts.Limit > 0 && len(plans) > 1 {
 		plans = plansCheapestFirst(plans)
 	}
 	if par := effectiveParallelism(plans, opts); par > 1 {
-		return streamUnionParallel(ctx, plans, opts, par, yield)
+		return streamUnionParallel(ctx, plans, head, opts, par, yield)
 	}
 	// A sequential union dedups over code vectors in one output encoding
 	// shared by every branch.
-	be := getBatchExec(arity, true)
+	be := getBatchExec(len(head.Attrs), true)
 	defer be.release()
-	stopped := false
-	emitted := 0
-	inner := func(t relation.Tuple) bool {
-		if !yield(t) {
-			stopped = true
-			return false
-		}
-		emitted++
-		if opts.Limit > 0 && emitted >= opts.Limit {
-			stopped = true
-			return false
-		}
-		return true
+	return be.runUnion(ctx, plans, head, opts.Limit, yield)
+}
+
+// unionHead checks that plans form a union — at least one branch, all
+// of one head arity — and returns its answer schema, the first plan's.
+// A branch whose head kinds differ from it fails on its first answer
+// (batchExec.checkKinds).
+func unionHead(plans []*Plan) (relation.Schema, error) {
+	if len(plans) == 0 {
+		return relation.Schema{}, fmt.Errorf("cq: empty union")
 	}
+	arity := len(plans[0].headSlots)
 	for _, p := range plans {
-		if err := be.run(ctx, p, nil, inner); err != nil {
-			return err
-		}
-		if stopped {
-			return nil
+		if len(p.headSlots) != arity {
+			return relation.Schema{}, fmt.Errorf("union: arity mismatch %d vs %d", arity, len(p.headSlots))
 		}
 	}
-	return nil
+	return plans[0].HeadSchema(), nil
 }
 
 // plansCheapestFirst returns the plans ordered by ascending estimated
@@ -157,44 +149,48 @@ func UnionTuples(ctx context.Context, plans []*Plan, opts ExecOptions) iter.Seq2
 	}
 }
 
-// MaterializeUnion drains StreamUnionOpts into a relation whose schema
-// comes from the first plan — the materializing wrapper ExecUnion and
-// the PDMS cursor fast path share.
+// MaterializeUnion executes the union as StreamUnionOpts does — same
+// answers, and sequentially the same order — into a relation whose
+// schema comes from the first plan: the materializing path ExecUnion
+// and the PDMS cursor share. Nothing is streamed. A sequential union
+// keeps its answers as deduplicated code vectors and decodes them once
+// at the end into exactly sized rows; an unlimited parallel union's
+// workers only add to the shared sharded set, whose entries become the
+// rows. A limited parallel union keeps the claim and fan-in protocol,
+// which is what makes its limit exact. The result adopts the rows
+// without copying them.
 func MaterializeUnion(ctx context.Context, plans []*Plan, opts ExecOptions) (*relation.Relation, error) {
-	if len(plans) == 0 {
-		return nil, fmt.Errorf("cq: empty union")
-	}
-	out := relation.NewResult(plans[0].HeadSchema())
-	// Buffer streamed answers and append them in runs: one lock and one
-	// capacity reservation per materializeBatch rows instead of per row.
-	buf := make([]relation.Tuple, 0, materializeBatch)
-	var insertErr error
-	err := StreamUnionOpts(ctx, plans, opts, func(t relation.Tuple) bool {
-		buf = append(buf, t)
-		if len(buf) == materializeBatch {
-			if e := out.InsertBatch(buf); e != nil {
-				insertErr = e
-				return false
-			}
-			buf = buf[:0]
-		}
-		return true
-	})
-	if err == nil && insertErr == nil && len(buf) > 0 {
-		insertErr = out.InsertBatch(buf)
-	}
-	if err == nil {
-		err = insertErr
-	}
+	head, err := unionHead(plans)
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	if opts.Limit > 0 && len(plans) > 1 {
+		plans = plansCheapestFirst(plans)
+	}
+	var rows []relation.Tuple
+	switch par := effectiveParallelism(plans, opts); {
+	case par == 1:
+		be := getBatchExec(len(head.Attrs), true)
+		defer be.release()
+		if err := be.runUnion(ctx, plans, head, opts.Limit, nil); err != nil {
+			return nil, err
+		}
+		rows = be.answers()
+	case opts.Limit == 0:
+		if rows, err = collectParallel(ctx, plans, head, par); err != nil {
+			return nil, err
+		}
+	default:
+		err := streamUnionParallel(ctx, plans, head, opts, par, func(t relation.Tuple) bool {
+			rows = append(rows, t)
+			return true
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return relation.AdoptResult(head, rows), nil
 }
-
-// materializeBatch is how many streamed answers MaterializeUnion
-// buffers between InsertBatch calls.
-const materializeBatch = 64
 
 // HeadSchemaFor returns the schema a query's answers carry when
 // evaluated against db: one attribute per head variable, typed from the

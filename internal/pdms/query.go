@@ -276,8 +276,10 @@ func (c *Cursor) Materialize() (*relation.Relation, error) {
 	if !c.started {
 		c.started = true
 		c.execStart = time.Now()
-		out := relation.NewResult(c.schema)
-		if len(c.plans) > 0 {
+		var out *relation.Relation
+		if len(c.plans) == 0 {
+			out = relation.NewResult(c.schema)
+		} else {
 			// c.schema is plans[0].HeadSchema() whenever plans exist.
 			var err error
 			out, err = cq.MaterializeUnion(c.ctx, c.plans,

@@ -221,6 +221,7 @@ func (l *Loopback) Scan(ctx context.Context, peer, rel string, deliver func([]re
 	}
 	l.scans.Add(1)
 	rows := r.Rows()
+	var enc []byte
 	for len(rows) > 0 {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -229,7 +230,7 @@ func (l *Loopback) Scan(ctx context.Context, peer, rel string, deliver func([]re
 		if n > len(rows) {
 			n = len(rows)
 		}
-		enc := relation.EncodeTupleBatch(rows[:n])
+		enc = relation.AppendTupleBatch(enc[:0], rows[:n])
 		l.wireBytes.Add(uint64(len(enc)))
 		batch, err := relation.DecodeTupleBatch(enc)
 		if err != nil {
@@ -289,6 +290,7 @@ func (l *Loopback) ExecPlan(ctx context.Context, peer string, sp relation.SubPla
 		return fmt.Errorf("pdms: loopback subplan round trip: %w", err)
 	}
 	l.plans.Add(1)
+	var b []byte
 	return p.ServingExecPlan(ctx, decoded, DefaultScanBatch,
 		func(s relation.Schema) error {
 			b := relation.EncodeSchema(s)
@@ -297,7 +299,7 @@ func (l *Loopback) ExecPlan(ctx context.Context, peer string, sp relation.SubPla
 			return derr
 		},
 		func(batch []relation.Tuple) error {
-			b := relation.EncodeTupleBatch(batch)
+			b = relation.AppendTupleBatch(b[:0], batch)
 			l.wireBytes.Add(uint64(len(b)))
 			rt, derr := relation.DecodeTupleBatch(b)
 			if derr != nil {

@@ -107,6 +107,11 @@ func (s *CodeSet) grow() {
 // Len returns the number of distinct vectors added.
 func (s *CodeSet) Len() int { return s.n }
 
+// Vectors returns the distinct vectors back to back, in the order they
+// were first added: vector k at [k*arity : (k+1)*arity]. The slice is
+// the set's own and valid until the next Add or Reset.
+func (s *CodeSet) Vectors() []int32 { return s.slab }
+
 // Reset empties the set while keeping its allocated capacity — the
 // probe table and slab are reused by the next round of Adds — so a
 // pooled executor pays no per-query set construction. The next Add

@@ -66,6 +66,21 @@ func NewResult(schema Schema) *Relation {
 	return &Relation{Schema: schema, statRows: -1, encRows: -1}
 }
 
+// AdoptResult returns a NewResult relation holding rows, which it takes
+// over without copying or validating them: the caller vouches that
+// every row conforms to schema and hands the slice and its tuples over
+// for good. A materialized query answer is built this way, once, at its
+// final size. Like a non-empty InsertBatch, the adoption is one
+// mutation.
+func AdoptResult(schema Schema, rows []Tuple) *Relation {
+	r := NewResult(schema)
+	if len(rows) > 0 {
+		r.rows = rows
+		r.version = 1
+	}
+	return r
+}
+
 // FromTuples creates a relation and inserts the given tuples, panicking on
 // schema mismatch (intended for literals in tests and generators).
 func FromTuples(schema Schema, tuples ...Tuple) *Relation {
@@ -175,8 +190,7 @@ func (r *Relation) MustInsert(vals ...Value) {
 // once and its decode table and encode table allocated once at the
 // distinct-value count the folded sketch estimates. Replicas, recovered
 // snapshots and shipped overlays are built this way. A NewResult
-// relation maintains neither, so the answer buffers cq streams into it
-// only append, growing the row slice by half again when it fills.
+// relation maintains neither, so a batch into it only appends.
 func (r *Relation) InsertBatch(ts []Tuple) error {
 	for _, t := range ts {
 		if err := r.Schema.Compatible(t); err != nil {
@@ -189,16 +203,7 @@ func (r *Relation) InsertBatch(ts []Tuple) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	from := len(r.rows)
-	maintained := r.statRows == from || r.encRows == from
-	switch need := from + len(ts); {
-	case maintained:
-		r.rows = reserve(r.rows, len(ts))
-	case cap(r.rows) < need:
-		grown := make([]Tuple, from, need+need/2)
-		copy(grown, r.rows)
-		r.rows = grown
-	}
-	r.rows = append(r.rows, ts...)
+	r.rows = append(reserve(r.rows, len(ts)), ts...)
 	r.version++
 	r.addStatsLocked(from)
 	if r.encRows == from {
@@ -379,9 +384,11 @@ func (r *Relation) Equal(other *Relation) bool {
 	if a.Len() != b.Len() {
 		return false
 	}
-	for _, row := range a.tab.entries {
-		if !b.Contains(row) {
-			return false
+	for _, chunk := range a.tab.chunks {
+		for _, row := range chunk {
+			if !b.Contains(row) {
+				return false
+			}
 		}
 	}
 	return true

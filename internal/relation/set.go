@@ -5,11 +5,14 @@ import "math/bits"
 // This file holds the open-addressing layout shared by the package's
 // hash tables: the dictionary's per-column encode tables (dict.go) and
 // the tuple sets below. A table is a power-of-two []int32 of slots, each
-// holding a 1-based number into a slice the table indexes (0 = empty),
-// probed linearly from a home slot. Equality is decided against that
-// slice, never against the slot, so a slot costs 4 bytes whatever the
-// keys weigh, and the table is grown — every entry rehashed once — when
-// it is three quarters full.
+// holding a 1-based number naming an entry the table keeps apart — a
+// decode table's value, a tuple set's tuple (0 = empty) — probed
+// linearly from a home slot. Equality is decided against the entry,
+// never against the slot, so a slot costs 4 bytes whatever the keys
+// weigh, and the slots are re-laid — every entry rehashed once — when
+// the table is three quarters full. The entries themselves never move:
+// a tuple set keeps its tuples in chunks, so growing it copies no tuple
+// header.
 
 // minTableSlots is the smallest table a set or encode table allocates.
 const minTableSlots = 8
@@ -50,27 +53,69 @@ func place(slots []int32, h uint64, n int32) {
 }
 
 // tupleTable is the one tuple hash table behind TupleSet and each
-// ShardedTupleSet shard: entries holds the distinct tuples in the order
-// they were added, hashes their Tuple.Hash, and slot s != 0 names
-// entries[s-1]. A probe compares the stored hash first, so a slot of
-// another tuple costs an integer comparison, not a walk into its
-// values, and a rehash recomputes no tuple hash; membership is then
-// confirmed with an exact comparison. The set never allocates per-probe
-// key strings the way a map[string]bool over Tuple.Key would, and never
-// a per-hash bucket slice. The zero value is an empty table.
+// ShardedTupleSet shard. It holds the distinct tuples in the order they
+// were added, in chunks that never move: chunk 0 has room for first
+// tuples and chunk c ≥ 1 for first<<(c-1), so entry k's chunk follows
+// from k alone and a full table adds a chunk instead of copying every
+// tuple header into a larger slice. hashes holds each entry's
+// Tuple.Hash in one flat slice, and slot s != 0 names entry s-1. A
+// probe compares the stored hash first, so a slot of another tuple
+// costs an integer comparison, not a walk into its values, and a rehash
+// recomputes no tuple hash and re-lays only the slots; membership is
+// then confirmed with an exact comparison. The set never allocates
+// per-probe key strings the way a map[string]bool over Tuple.Key
+// would, and never a per-hash bucket slice. The zero value is an empty
+// table.
 type tupleTable struct {
-	entries []Tuple
-	hashes  []uint64
-	slots   []int32
+	chunks [][]Tuple
+	first  int // capacity of chunks[0]; 0 until the first chunk exists
+	n      int
+	hashes []uint64
+	slots  []int32
 }
 
 // newTupleTable returns an empty table sized for n tuples.
 func newTupleTable(n int) tupleTable {
+	first := max(n, minTableSlots)
 	return tupleTable{
-		entries: make([]Tuple, 0, n),
-		hashes:  make([]uint64, 0, n),
-		slots:   make([]int32, tableSlots(n)),
+		chunks: [][]Tuple{make([]Tuple, 0, first)},
+		first:  first,
+		hashes: make([]uint64, 0, n),
+		slots:  make([]int32, tableSlots(n)),
 	}
+}
+
+// entry returns the k-th tuple added (0-based).
+func (tt *tupleTable) entry(k int) Tuple {
+	if k < tt.first {
+		return tt.chunks[0][k]
+	}
+	c := bits.Len(uint(k / tt.first)) // k in [first<<(c-1), first<<c)
+	return tt.chunks[c][k-tt.first<<(c-1)]
+}
+
+// push appends t after the last entry, starting a chunk when the last
+// one is full.
+func (tt *tupleTable) push(t Tuple) {
+	last := len(tt.chunks) - 1
+	if last < 0 || len(tt.chunks[last]) == cap(tt.chunks[last]) {
+		if last < 0 {
+			tt.first = minTableSlots
+		}
+		tt.chunks = append(tt.chunks, make([]Tuple, 0, tt.first<<max(last, 0)))
+		last++
+	}
+	tt.chunks[last] = append(tt.chunks[last], t)
+	tt.n++
+}
+
+// appendTo appends the table's tuples, in the order they were added,
+// to dst.
+func (tt *tupleTable) appendTo(dst []Tuple) []Tuple {
+	for _, c := range tt.chunks {
+		dst = append(dst, c...)
+	}
+	return dst
 }
 
 // find returns the slot holding a tuple equal to t (found) or the empty
@@ -82,7 +127,7 @@ func (tt *tupleTable) find(t Tuple, h uint64) (slot int, found bool) {
 		if s == 0 {
 			return i, false
 		}
-		if tt.hashes[s-1] == h && tt.entries[s-1].Equal(t) {
+		if tt.hashes[s-1] == h && tt.entry(int(s-1)).Equal(t) {
 			return i, true
 		}
 	}
@@ -97,10 +142,10 @@ func (tt *tupleTable) add(t Tuple, h uint64) bool {
 	if found {
 		return false
 	}
-	tt.entries = append(tt.entries, t)
+	tt.push(t)
 	tt.hashes = append(tt.hashes, h)
-	tt.slots[slot] = int32(len(tt.entries))
-	if full(len(tt.entries), len(tt.slots)) {
+	tt.slots[slot] = int32(tt.n)
+	if full(tt.n, len(tt.slots)) {
 		tt.slots = make([]int32, 2*len(tt.slots))
 		for k, eh := range tt.hashes {
 			place(tt.slots, eh, int32(k+1))
@@ -137,4 +182,4 @@ func (s *TupleSet) Add(t Tuple) bool { return s.tab.add(t, t.Hash()) }
 func (s *TupleSet) Contains(t Tuple) bool { return s.tab.contains(t, t.Hash()) }
 
 // Len returns the number of distinct tuples added.
-func (s *TupleSet) Len() int { return len(s.tab.entries) }
+func (s *TupleSet) Len() int { return s.tab.n }

@@ -125,26 +125,40 @@ func TestSignedZeroIsOneValue(t *testing.T) {
 
 // TestTupleSetGrowth drives the shared tuple table through several
 // doublings with keys whose low hash bits agree (multiples of 1024),
-// then checks every member is found and no non-member is.
+// then checks every member is found and no non-member is — in a set
+// sized for nothing, one sized for a count that is no power of two
+// (its entry chunks then start at 1 000), and a sharded set, whose
+// Tuples must hand back every member once.
 func TestTupleSetGrowth(t *testing.T) {
-	s, sh := NewTupleSet(0), NewShardedTupleSet(4)
+	s, hinted, sh := NewTupleSet(0), NewTupleSet(1000), NewShardedTupleSet(4)
 	const n = 5000
 	for i := 0; i < n; i++ {
 		tup := Tuple{IV(int64(i) << 10), SV("k")}
-		if !s.Add(tup) || !sh.Add(tup) {
+		if !s.Add(tup) || !hinted.Add(tup) || !sh.Add(tup) {
 			t.Fatalf("Add #%d reported a duplicate", i)
 		}
-		if s.Add(Tuple{IV(int64(i) << 10), SV("k")}) {
+		if s.Add(Tuple{IV(int64(i) << 10), SV("k")}) || hinted.Add(Tuple{IV(int64(i) << 10), SV("k")}) {
 			t.Fatalf("re-Add #%d reported absent", i)
 		}
 	}
-	if s.Len() != n || sh.Len() != n {
-		t.Fatalf("Len = %d / %d, want %d", s.Len(), sh.Len(), n)
+	if s.Len() != n || hinted.Len() != n || sh.Len() != n {
+		t.Fatalf("Len = %d / %d / %d, want %d", s.Len(), hinted.Len(), sh.Len(), n)
 	}
 	for i := 0; i < n; i++ {
 		in, out := Tuple{IV(int64(i) << 10), SV("k")}, Tuple{IV(int64(i)<<10 + 1), SV("k")}
-		if !s.Contains(in) || !sh.Contains(in) || s.Contains(out) || sh.Contains(out) {
+		if !s.Contains(in) || !hinted.Contains(in) || !sh.Contains(in) ||
+			s.Contains(out) || hinted.Contains(out) || sh.Contains(out) {
 			t.Fatalf("membership of key %d wrong after growth", i)
+		}
+	}
+	all := sh.Tuples()
+	if len(all) != n || cap(all) != n {
+		t.Fatalf("Tuples: len %d cap %d, want %d", len(all), cap(all), n)
+	}
+	back := NewTupleSet(n)
+	for _, tup := range all {
+		if !back.Add(tup) || !s.Contains(tup) {
+			t.Fatalf("Tuples handed back %v twice or as a non-member", tup)
 		}
 	}
 }

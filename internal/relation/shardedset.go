@@ -15,12 +15,12 @@ type ShardedTupleSet struct {
 }
 
 // tupleShard is one lock-striped slice of the set, padded to two full
-// 64-byte cache lines (8B mutex + 72B table + 48B pad) so uncontended
+// 64-byte cache lines (8B mutex + 88B table + 32B pad) so uncontended
 // Adds on neighbouring shards do not false-share.
 type tupleShard struct {
 	mu  sync.Mutex
 	tab tupleTable
-	_   [48]byte
+	_   [32]byte
 }
 
 // NewShardedTupleSet returns an empty set with at least the given
@@ -72,8 +72,27 @@ func (s *ShardedTupleSet) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		total += len(sh.tab.entries)
+		total += sh.tab.n
 		sh.mu.Unlock()
 	}
 	return total
+}
+
+// Tuples returns every distinct tuple added, shard by shard and in
+// each shard's insertion order, in one slice of exactly that length.
+// It is meant for after the adds: concurrent with in-flight Adds it
+// returns some valid intermediate contents.
+func (s *ShardedTupleSet) Tuples() []Tuple {
+	n := s.Len()
+	if n == 0 {
+		return nil
+	}
+	out := make([]Tuple, 0, n)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		out = sh.tab.appendTo(out)
+		sh.mu.Unlock()
+	}
+	return out
 }

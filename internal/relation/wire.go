@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -238,6 +239,28 @@ func appendValue(buf []byte, v Value) []byte {
 	return buf
 }
 
+// tupleBatchLen is the length of batch's FrameTupleBatch payload.
+func tupleBatchLen(batch []Tuple) int {
+	n := uvarintLen(uint64(len(batch)))
+	for _, t := range batch {
+		n += uvarintLen(uint64(len(t))) + len(t) // arity, kind bytes
+		for _, v := range t {
+			switch v.Kind {
+			case TString:
+				n += uvarintLen(uint64(len(v.S))) + len(v.S)
+			case TInt:
+				n += uvarintLen(uint64(v.I<<1) ^ uint64(v.I>>63)) // zigzag
+			case TFloat:
+				n += 8
+			}
+		}
+	}
+	return n
+}
+
+// uvarintLen is how many bytes binary.AppendUvarint writes for x.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
 // decodeValue consumes one self-describing value.
 func decodeValue(b []byte) (Value, []byte, error) {
 	if len(b) < 1 {
@@ -267,19 +290,28 @@ func decodeValue(b []byte) (Value, []byte, error) {
 	return Value{}, nil, fmt.Errorf("relation: unknown value kind %d", kind)
 }
 
-// EncodeTupleBatch renders tuples as a FrameTupleBatch payload: tuple
-// count, then per tuple its arity and self-describing values. Batches
-// are self-contained — a reader needs no schema to decode one — so
-// mid-stream corruption is detected per frame, not per scan.
-func EncodeTupleBatch(batch []Tuple) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(batch)))
+// EncodeTupleBatch renders tuples as a FrameTupleBatch payload in a
+// fresh buffer: AppendTupleBatch(nil, batch).
+func EncodeTupleBatch(batch []Tuple) []byte { return AppendTupleBatch(nil, batch) }
+
+// AppendTupleBatch appends tuples to dst as a FrameTupleBatch payload:
+// tuple count, then per tuple its arity and self-describing values.
+// Batches are self-contained — a reader needs no schema to decode one —
+// so mid-stream corruption is detected per frame, not per scan. dst
+// grows at most once, to exactly the payload's size, and a stream that
+// encodes batch after batch passes its previous payload's buffer back
+// as dst[:0], so it allocates only when a batch outgrows every one
+// before it.
+func AppendTupleBatch(dst []byte, batch []Tuple) []byte {
+	dst = slices.Grow(dst, tupleBatchLen(batch))
+	dst = binary.AppendUvarint(dst, uint64(len(batch)))
 	for _, t := range batch {
-		buf = binary.AppendUvarint(buf, uint64(len(t)))
+		dst = binary.AppendUvarint(dst, uint64(len(t)))
 		for _, v := range t {
-			buf = appendValue(buf, v)
+			dst = appendValue(dst, v)
 		}
 	}
-	return buf
+	return dst
 }
 
 // DecodeTupleBatch parses a FrameTupleBatch payload.

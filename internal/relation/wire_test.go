@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -108,6 +110,7 @@ func TestTupleBatchWireRoundTrip(t *testing.T) {
 		{SV(""), IV(0), FV(0)},
 		{SV("héllo\tworld\n"), IV(-42), FV(-3.14159)},
 		{SV(strings.Repeat("x", 1000)), IV(1 << 62), FV(1e300)},
+		{IV(math.MinInt64), IV(math.MaxInt64), IV(-1)},
 	}
 	for i := 0; i < 50; i++ {
 		t := Tuple{}
@@ -123,7 +126,11 @@ func TestTupleBatchWireRoundTrip(t *testing.T) {
 		}
 		batch = append(batch, t)
 	}
-	got, err := DecodeTupleBatch(EncodeTupleBatch(batch))
+	enc := EncodeTupleBatch(batch)
+	if n := tupleBatchLen(batch); n != len(enc) {
+		t.Fatalf("sized the payload at %d bytes, encoded %d", n, len(enc))
+	}
+	got, err := DecodeTupleBatch(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,5 +274,29 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("a frame that fits the kept buffer allocated %.0f times", allocs)
+	}
+}
+
+// TestAppendTupleBatchSizesOnce holds a tuple batch's encoding to one
+// allocation, sized to the payload up front — a 200-row batch grown from
+// nothing by append took 16 and 4× the payload's bytes — and a
+// re-encoding into the buffer a stream keeps to none.
+func TestAppendTupleBatchSizesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on its own")
+	}
+	rows := make([]Tuple, 200)
+	for i := range rows {
+		rows[i] = Tuple{SV(fmt.Sprintf("course %d", i)), IV(int64(i) - 100), FV(float64(i) / 3)}
+	}
+	var enc []byte
+	if allocs := testing.AllocsPerRun(20, func() { enc = EncodeTupleBatch(rows) }); allocs != 1 {
+		t.Errorf("encoding 200 rows allocated %.0f times, want 1", allocs)
+	}
+	if n := tupleBatchLen(rows); n != len(enc) {
+		t.Errorf("sized the payload at %d bytes, encoded %d", n, len(enc))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { enc = AppendTupleBatch(enc[:0], rows[:150]) }); allocs != 0 {
+		t.Errorf("re-encoding into a kept buffer allocated %.0f times", allocs)
 	}
 }

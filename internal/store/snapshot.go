@@ -52,6 +52,7 @@ func encodeSnapshot(schemaVer uint64, db *relation.Database) []byte {
 	buf = binary.AppendUvarint(buf, schemaVer)
 	rels := db.Relations()
 	buf = binary.AppendUvarint(buf, uint64(len(rels)))
+	var chunk []byte
 	for _, r := range rels {
 		enc := relation.EncodeSchema(r.Schema)
 		buf = binary.AppendUvarint(buf, uint64(len(enc)))
@@ -64,7 +65,7 @@ func encodeSnapshot(schemaVer uint64, db *relation.Database) []byte {
 			if n > len(rows) {
 				n = len(rows)
 			}
-			chunk := relation.EncodeTupleBatch(rows[:n])
+			chunk = relation.AppendTupleBatch(chunk[:0], rows[:n])
 			buf = binary.AppendUvarint(buf, uint64(len(chunk)))
 			buf = append(buf, chunk...)
 			rows = rows[n:]

@@ -275,12 +275,14 @@ func (s *Server) serveScan(bw *bufio.Writer, p *pdms.Peer, rel string) bool {
 		batch = pdms.DefaultScanBatch
 	}
 	rows := r.Rows()
+	var enc []byte
 	for len(rows) > 0 {
 		n := batch
 		if n > len(rows) {
 			n = len(rows)
 		}
-		if err := relation.WriteFrame(bw, relation.FrameTupleBatch, relation.EncodeTupleBatch(rows[:n])); err != nil {
+		enc = relation.AppendTupleBatch(enc[:0], rows[:n])
+		if err := relation.WriteFrame(bw, relation.FrameTupleBatch, enc); err != nil {
 			return false
 		}
 		if err := bw.Flush(); err != nil {
@@ -310,6 +312,7 @@ func (s *Server) serveQuery(bw *bufio.Writer, p *pdms.Peer, sub []byte) bool {
 		return false
 	}
 	wroteFrames := false
+	var enc []byte
 	err = p.ServingExecPlan(context.Background(), sp, s.BatchSize,
 		func(schema relation.Schema) error {
 			if err := relation.WriteFrame(bw, relation.FrameSchema, relation.EncodeSchema(schema)); err != nil {
@@ -319,7 +322,8 @@ func (s *Server) serveQuery(bw *bufio.Writer, p *pdms.Peer, sub []byte) bool {
 			return nil
 		},
 		func(batch []relation.Tuple) error {
-			if err := relation.WriteFrame(bw, relation.FrameTupleBatch, relation.EncodeTupleBatch(batch)); err != nil {
+			enc = relation.AppendTupleBatch(enc[:0], batch)
+			if err := relation.WriteFrame(bw, relation.FrameTupleBatch, enc); err != nil {
 				return err
 			}
 			return bw.Flush()
