@@ -177,20 +177,50 @@ func BenchmarkE2TransitiveCold(b *testing.B) {
 // join on precompiled plans — the batch kernel's adversarial case (a
 // few hot dictionary codes, a long tail) with reformulation and the
 // network stack out of the loop. TestWarmPathAllocCeilings holds the
-// same workload's allocation and answer counts.
+// branches=1 series' allocation and answer counts. The branches=2
+// series is warm-join's union in process — the join over a
+// 50 000-row fact relation beside the same join over an empty one —
+// sequential (P=1) and on two workers (P=2).
 func BenchmarkSkewedJoin(b *testing.B) {
-	plans := skewedJoinPlans(b)
 	ctx := context.Background()
-	b.ResetTimer()
-	answers := 0
-	for i := 0; i < b.N; i++ {
-		res, err := cq.MaterializeUnion(ctx, plans, cq.ExecOptions{})
-		if err != nil {
-			b.Fatal(err)
+	run := func(plans []*cq.Plan, par int) func(*testing.B) {
+		return func(b *testing.B) {
+			answers := 0
+			for i := 0; i < b.N; i++ {
+				res, err := cq.MaterializeUnion(ctx, plans, cq.ExecOptions{Parallelism: par})
+				if err != nil {
+					b.Fatal(err)
+				}
+				answers = res.Len()
+			}
+			b.ReportMetric(float64(answers), "answers")
 		}
-		answers = res.Len()
 	}
-	b.ReportMetric(float64(answers), "answers")
+	b.Run("branches=1", run(skewedJoinPlans(b), 0))
+	union := skewedUnionPlans(b)
+	b.Run("branches=2/P=1", run(union, 1))
+	b.Run("branches=2/P=2", run(union, 2))
+}
+
+// skewedUnionPlans compiles warm-join's union in process: q(P, L) :-
+// fact(K, P), dim(K, L) over the bench's 50 000-row fact relation (seed
+// 42) and the same join over an empty local copy of fact.
+func skewedUnionPlans(tb testing.TB) []*cq.Plan {
+	tb.Helper()
+	db, q, err := workload.SkewedJoin(workload.SkewedJoinSpec{FactRows: 50000, DimKeys: 64, Seed: 42})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	db.Put(relation.New(relation.NewSchema("home", relation.Attr("key"), relation.Attr("payload"))))
+	plans := make([]*cq.Plan, 0, 2)
+	for _, branch := range []cq.Query{cq.MustParse("q(P, L) :- home(K, P), dim(K, L)"), q} {
+		p, err := cq.Compile(db, branch)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		plans = append(plans, p)
+	}
+	return plans
 }
 
 // BenchmarkE2Limit1 measures the limit push-down on a 64-peer chain:
@@ -248,8 +278,9 @@ func BenchmarkE2Limit1(b *testing.B) {
 // 64-peer chain (one rewriting per reachable peer, heavy rows per
 // peer): sequential reference (P=1) vs a GOMAXPROCS worker pool.
 // Reformulation and plans are warmed before the timer, so the
-// sub-benches measure pure union execution — the acceptance target is
-// the parallel path beating sequential by ≥2x wall-clock.
+// sub-benches measure pure union execution. On a 2-CPU Xeon host the
+// pool loses: P=1 ≈0.35 ms/op, 174 KB, 10 allocs; P=2 ≈1.0 ms/op,
+// 377 KB, 248 allocs (2 560 answers, every binding a distinct one).
 func BenchmarkE2Parallel(b *testing.B) {
 	g := e2Chain(b, 64, 40)
 	ctx := context.Background()

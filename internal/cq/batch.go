@@ -19,9 +19,11 @@ import (
 // dictionaries keep cached entries valid, so memos survive across
 // branches and across queries. Duplicate elimination hashes head-slot
 // code vectors (relation.CodeSet), not Values; streamed answer tuples
-// are bump-allocated from a slab, and a materialized union decodes its
-// deduplicated vectors once, at the end (answers). All
-// batch/translation/slab state lives on a pooled batchExec that
+// are bump-allocated from a slab (a parallel worker's are the shared
+// sharded set's copies of one reused scratch tuple, parallel.go), and a
+// materialized union decodes its deduplicated vectors once, at the end
+// (answers). All batch/translation/slab state lives on a pooled
+// batchExec that
 // StreamUnionOpts reuses across every branch of a union — one cursor's
 // lifetime — and across unions via a sync.Pool; cancellation is polled
 // once per batch of rows examined instead of per row.
@@ -246,8 +248,9 @@ func (o *outEnc) value(col int, code int32) relation.Value { return o.cols[col].
 // stage descriptors, per-stage output batches, translation arenas, the
 // answer-tuple slab, and the dedup mode. StreamUnionOpts builds one per
 // sequential union (code mode: outEnc + CodeSet); each parallel worker
-// builds one in tuple mode (answers decode before the shared sharded
-// set, which must see Values to dedup across workers' encoders).
+// builds one in tuple mode (each binding's answer decodes into a reused
+// scratch tuple before the shared sharded set, which must see Values to
+// dedup across workers' encoders and copies only the answers it admits).
 type batchExec struct {
 	code     bool // code-vector dedup (out/codeSeen) vs the shared sharded set
 	out      *outEnc
@@ -279,8 +282,9 @@ type batchExec struct {
 	headSrc  []colRef
 	headMemo [][]int32
 	vecBuf   []int32
-	credit   int // leaf rows between cancellation polls
-	exam     int // candidate rows between cancellation polls
+	scratch  relation.Tuple // tuple mode: each binding's answer, before dedup
+	credit   int            // leaf rows between cancellation polls
+	exam     int            // candidate rows between cancellation polls
 	trans    map[transKey][]int32
 	valSlab  []relation.Value
 	slabLen  int // last value-slab size, for geometric growth
@@ -333,6 +337,7 @@ func (e *batchExec) release() {
 	e.yield = nil
 	e.seen = nil
 	e.err = nil
+	clear(e.scratch)
 	batchExecPool.Put(e)
 }
 
@@ -480,6 +485,12 @@ func (e *batchExec) setup(p *Plan) {
 	}
 	e.headSrc = e.headSrc[:len(p.headSlots)]
 	e.headMemo = e.headMemo[:len(p.headSlots)]
+	if !e.code {
+		if cap(e.scratch) < len(p.headSlots) {
+			e.scratch = make(relation.Tuple, len(p.headSlots))
+		}
+		e.scratch = e.scratch[:len(p.headSlots)]
+	}
 	for j, hs := range p.headSlots {
 		e.headSrc[j] = e.slotRef(p, hs)
 		if e.code {
@@ -639,10 +650,12 @@ func (e *batchExec) emitRow(d int, st *batchStage, out, in *slotBatch, i, copyWi
 // into the union's output code space (memoized per source code) and the
 // code vector dedups through the shared CodeSet; a fresh answer
 // decodes into a Tuple bump-allocated from the slab only when there is
-// a yield to hand it to. In tuple mode the answer decodes first and
-// dedups through the shared sharded set. A cancellation poll runs every
-// ctxCheckInterval leaf rows, so a cancelled consumer sees at most
-// ctxCheckInterval+1 further yields.
+// a yield to hand it to. In tuple mode every binding's answer decodes
+// into the one scratch tuple, which the shared sharded set only reads:
+// it copies the answer when it admits it, and the copy is what yield
+// gets, so a binding costs an allocation only when its answer is new. A
+// cancellation poll runs every ctxCheckInterval leaf rows, so a
+// cancelled consumer sees at most ctxCheckInterval+1 further yields.
 func (e *batchExec) leaf(in *slotBatch) bool {
 	if e.mistyped && in.n > 0 && !e.checkKinds(in) {
 		return false
@@ -686,12 +699,12 @@ func (e *batchExec) leaf(in *slotBatch) bool {
 				return false
 			}
 		} else {
-			t := e.newTuple(len(hs))
+			t := e.scratch
 			for j, s := range hs {
 				ref := e.headSrc[j]
 				t[j] = ref.d.Value(ref.col, in.col(s)[i])
 			}
-			if e.seen.Add(t) && e.yield != nil && !e.yield(t) {
+			if own, added := e.seen.Add(t); added && e.yield != nil && !e.yield(own) {
 				return false
 			}
 		}
@@ -759,9 +772,10 @@ func (e *batchExec) answers() []relation.Tuple {
 
 // newTuple bump-allocates an answer tuple from the value slab, which
 // grows geometrically with demand (one allocation per slab, not per
-// answer; small result sets pay for small slabs). Handed-out tuples are
-// never reused — the slab only ever advances — so consumers and dedup
-// sets may retain them.
+// answer; small result sets pay for small slabs). Code mode only: a
+// parallel worker's answers are the sharded set's copies. Handed-out
+// tuples are never reused — the slab only ever advances — so consumers
+// may retain them.
 func (e *batchExec) newTuple(n int) relation.Tuple {
 	if len(e.valSlab) < n {
 		size := 2 * e.slabLen

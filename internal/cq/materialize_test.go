@@ -3,6 +3,7 @@ package cq
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -126,10 +127,10 @@ func materializeBytes(t *testing.T, plans []*Plan, opts ExecOptions, answers int
 // not grow with n (it includes rounding each of the two up to whole
 // pages). Streaming into the result instead (a slab per 1 024 values, a
 // 64-tuple buffer, the row slice regrown by half again) cost 702 KB
-// where this bound allows 432 KB. A Parallelism: 2 run, whose workers
-// decode every binding before the shared set dedups it, pays for those
-// tuples, the set's entries, hashes and slots, and one exact row slice
-// (1.25 MB when its answers were fanned in to an InsertBatch loop).
+// where this bound allows 432 KB. A Parallelism: 2 run, whose shared
+// set copies each answer it admits, pays for those copies, the set's
+// entries, hashes and slots, and one exact row slice (1.25 MB when its
+// answers were fanned in to an InsertBatch loop).
 func TestMaterializeUnionAllocatesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on its own")
@@ -152,5 +153,52 @@ func TestMaterializeUnionAllocatesOnce(t *testing.T) {
 	t.Logf("Parallelism 2: %d B for %d answers (ceiling %d)", par, n, parCeiling)
 	if par > parCeiling {
 		t.Errorf("parallel MaterializeUnion allocated %d B, over %d", par, parCeiling)
+	}
+}
+
+// skewedUnion compiles warm-join's union: q(P, L) :- fact(K, P),
+// dim(K, L) over a 50 000-row Zipf-skewed fact relation and 64 dim
+// keys, exactly as workload.SkewedJoin generates them at seed 42 (that
+// package imports this one, so the test cannot call it), beside the
+// same join over an empty local fact relation.
+func skewedUnion(t *testing.T) []*Plan {
+	t.Helper()
+	const factRows, dimKeys = 50000, 64
+	rnd := rand.New(rand.NewSource(42))
+	zipf := rand.NewZipf(rnd, 1.2, 1, dimKeys-1)
+	fact := relation.New(relation.NewSchema("fact", relation.Attr("key"), relation.Attr("payload")))
+	for i := 0; i < factRows; i++ {
+		fact.MustInsert(relation.SV(fmt.Sprintf("k%d", zipf.Uint64())), relation.SV(fmt.Sprintf("p%d", i%97)))
+	}
+	dim := relation.New(relation.NewSchema("dim", relation.Attr("key"), relation.Attr("label")))
+	for k := 0; k < dimKeys; k++ {
+		dim.MustInsert(relation.SV(fmt.Sprintf("k%d", k)), relation.SV(fmt.Sprintf("l%d", k%7)))
+	}
+	db := relation.NewDatabase()
+	db.Put(fact)
+	db.Put(dim)
+	db.Put(relation.New(relation.NewSchema("home", relation.Attr("key"), relation.Attr("payload"))))
+	return compileAll(t, db, []Query{
+		MustParse("q(P, L) :- home(K, P), dim(K, L)"),
+		MustParse("q(P, L) :- fact(K, P), dim(K, L)"),
+	})
+}
+
+// TestParallelUnionAllocatesPerAnswer holds warm-join's union at
+// Parallelism 2 to the per-answer formula of
+// TestMaterializeUnionAllocatesOnce: its ≈50 000 bindings yield 679
+// distinct answers, and a worker that decoded each binding into a
+// tuple of its own before the shared set dropped the duplicate
+// allocated ≈4.08 MB where the formula allows ≈145 KB.
+func TestParallelUnionAllocatesPerAnswer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates on its own")
+	}
+	const n, arity, fixed = 679, 2, 16 << 10
+	got := materializeBytes(t, skewedUnion(t), ExecOptions{Parallelism: 2}, n)
+	ceiling := uint64(n*(40*arity+24+48+16+22) + fixed)
+	t.Logf("Parallelism 2: %d B for %d answers (ceiling %d)", got, n, ceiling)
+	if got > ceiling {
+		t.Errorf("parallel MaterializeUnion allocated %d B, over %d", got, ceiling)
 	}
 }

@@ -12,14 +12,15 @@ import (
 // This file is the parallel union executor: the branches of a
 // reformulated query (one compiled plan per rewriting) run concurrently
 // on a bounded worker pool, deduplicating through one shared
-// relation.ShardedTupleSet. Only a streaming consumer — a yield, or a
-// limited materialization — has answers fanned in to it on the calling
-// goroutine; an unlimited materialization takes the set's entries as
-// its rows once the workers are done. Limit stays exact — distinct
-// answers claim delivery slots through a shared atomic counter, and the
-// Nth claim cancels every in-flight branch — and both cancellation and
-// a consumer break drain the pool before the call returns, so no
-// goroutine outlives it.
+// relation.ShardedTupleSet, which copies only the answers it admits,
+// so a worker pays per answer, not per binding. Only a streaming
+// consumer — a yield, or a limited materialization — has answers fanned
+// in to it on the calling goroutine; an unlimited materialization takes
+// the set's entries as its rows once the workers are done. Limit stays
+// exact — distinct answers claim delivery slots through a shared atomic
+// counter, and the Nth claim cancels every in-flight branch — and both
+// cancellation and a consumer break drain the pool before the call
+// returns, so no goroutine outlives it.
 
 // parallelMinCost is the auto-mode threshold: a union is only worth
 // fanning out when the branches' estimated execution costs (rows
@@ -94,11 +95,13 @@ const parallelBatch = 32
 // wait that blocks until every worker has returned, reporting the first
 // branch error. Workers claim branch indexes from a shared atomic
 // cursor, run each branch's join against bctx with the executor in
-// tuple mode (answers decode before the shared sharded set, so dedup
-// spans workers), and stop claiming once bctx is done. worker, when not
-// nil, is called once per worker for its leaf callback and a flush run
-// after every branch, success or failure; without one a worker only
-// adds to seen. A failing branch cancels the rest.
+// tuple mode (each binding's answer decodes into a reused scratch tuple
+// before the shared sharded set, so dedup spans workers, and the set's
+// copy of an admitted answer is what the leaf yields), and stop
+// claiming once bctx is done. worker, when not nil, is called once per
+// worker for its leaf callback and a flush run after every branch,
+// success or failure; without one a worker only adds to seen. A failing
+// branch cancels the rest.
 func startWorkers(bctx context.Context, cancel context.CancelFunc, plans []*Plan, head relation.Schema,
 	par int, seen *relation.ShardedTupleSet, worker func() (yield func(relation.Tuple) bool, flush func())) (wait func() error) {
 	var nextBranch atomic.Int64

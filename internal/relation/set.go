@@ -135,13 +135,25 @@ func (tt *tupleTable) find(t Tuple, h uint64) (slot int, found bool) {
 
 // add inserts t and reports whether it was absent. h is t.Hash().
 func (tt *tupleTable) add(t Tuple, h uint64) bool {
+	slot, found := tt.lookup(t, h)
+	if !found {
+		tt.insert(slot, t, h)
+	}
+	return !found
+}
+
+// lookup is find on a table that may not have slots yet: it allocates
+// the first ones.
+func (tt *tupleTable) lookup(t Tuple, h uint64) (slot int, found bool) {
 	if tt.slots == nil {
 		tt.slots = make([]int32, minTableSlots)
 	}
-	slot, found := tt.find(t, h)
-	if found {
-		return false
-	}
+	return tt.find(t, h)
+}
+
+// insert adds t, known absent, at the empty slot lookup returned for it
+// and grows the slots when they are full. h is t.Hash().
+func (tt *tupleTable) insert(slot int, t Tuple, h uint64) {
 	tt.push(t)
 	tt.hashes = append(tt.hashes, h)
 	tt.slots[slot] = int32(tt.n)
@@ -151,7 +163,6 @@ func (tt *tupleTable) add(t Tuple, h uint64) bool {
 			place(tt.slots, eh, int32(k+1))
 		}
 	}
-	return true
 }
 
 // contains reports membership. h is t.Hash().

@@ -99,7 +99,7 @@ func TestSignedZeroIsOneValue(t *testing.T) {
 	if s := NewTupleSet(2); !s.Add(Tuple{pos}) || s.Add(Tuple{neg}) || s.Len() != 1 {
 		t.Errorf("TupleSet holds +0 and -0 as %d tuples, want 1", s.Len())
 	}
-	if s := NewShardedTupleSet(8); !s.Add(Tuple{pos}) || s.Add(Tuple{neg}) || s.Len() != 1 {
+	if s := NewShardedTupleSet(8); !added(s.Add(Tuple{pos})) || added(s.Add(Tuple{neg})) || s.Len() != 1 {
 		t.Errorf("ShardedTupleSet holds +0 and -0 as %d tuples, want 1", s.Len())
 	}
 	r := New(NewSchema("f", FloatAttr("x")))
@@ -134,7 +134,7 @@ func TestTupleSetGrowth(t *testing.T) {
 	const n = 5000
 	for i := 0; i < n; i++ {
 		tup := Tuple{IV(int64(i) << 10), SV("k")}
-		if !s.Add(tup) || !hinted.Add(tup) || !sh.Add(tup) {
+		if !s.Add(tup) || !hinted.Add(tup) || !added(sh.Add(tup)) {
 			t.Fatalf("Add #%d reported a duplicate", i)
 		}
 		if s.Add(Tuple{IV(int64(i) << 10), SV("k")}) || hinted.Add(Tuple{IV(int64(i) << 10), SV("k")}) {

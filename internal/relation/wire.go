@@ -314,35 +314,51 @@ func AppendTupleBatch(dst []byte, batch []Tuple) []byte {
 	return dst
 }
 
-// DecodeTupleBatch parses a FrameTupleBatch payload.
+// minValueBytes is the fewest bytes an encoded value takes: its kind
+// byte and at least one payload byte (a string's length, an int's
+// varint; a float takes eight).
+const minValueBytes = 2
+
+// DecodeTupleBatch parses a FrameTupleBatch payload. The rows whose
+// arity is the first row's slice one block of values, each row with
+// cap == len; a row of another arity gets a tuple of its own. The row
+// slice and the block are sized by the rows the payload's bytes can
+// hold, never by the count the payload claims, and an arity more values
+// than the rest of the payload can encode is refused before anything is
+// sized by it.
 func DecodeTupleBatch(payload []byte) ([]Tuple, error) {
 	n, sz := binary.Uvarint(payload)
 	if sz <= 0 {
 		return nil, fmt.Errorf("relation: truncated batch count")
 	}
 	rest := payload[sz:]
-	// Cap the pre-allocation: n is attacker-controlled until proven by
-	// actual payload bytes.
-	capN := n
-	if capN > 4096 {
-		capN = 4096
-	}
-	batch := make([]Tuple, 0, capN)
+	// n is attacker-controlled until proven by payload bytes: a row takes
+	// at least one byte (its arity), and each of its values minValueBytes.
+	batch := make([]Tuple, 0, min(n, uint64(len(rest)), 4096))
+	var block []Value
+	var blockArity uint64
 	for i := uint64(0); i < n; i++ {
 		arity, sz := binary.Uvarint(rest)
-		if sz <= 0 || arity > uint64(len(rest)) {
+		if sz <= 0 || arity > uint64(len(rest)-sz)/minValueBytes {
 			return nil, fmt.Errorf("relation: truncated tuple arity")
 		}
+		if i == 0 && arity > 0 {
+			rows := min(n, uint64(len(rest))/(1+minValueBytes*arity))
+			block, blockArity = make([]Value, rows*arity), arity
+		}
 		rest = rest[sz:]
-		t := make(Tuple, 0, arity)
-		for j := uint64(0); j < arity; j++ {
-			var v Value
+		var t Tuple
+		if arity > 0 && arity == blockArity && uint64(len(block)) >= arity {
+			t, block = Tuple(block[:arity:arity]), block[arity:]
+		} else {
+			t = make(Tuple, arity)
+		}
+		for j := range t {
 			var err error
-			v, rest, err = decodeValue(rest)
+			t[j], rest, err = decodeValue(rest)
 			if err != nil {
 				return nil, err
 			}
-			t = append(t, v)
 		}
 		batch = append(batch, t)
 	}

@@ -277,6 +277,74 @@ func TestReadFrameReusesBuffer(t *testing.T) {
 	}
 }
 
+// TestDecodeTupleBatchOneBlock holds a decoded frame to one row slice
+// and one block of values beside its strings: 256 arity-7 rows, three
+// of their values strings, take at most 3 + 768 allocations, where a
+// tuple per row took 256 more. Each row is sliced with cap == len, so
+// appending to one cannot overwrite the next, and a row of another
+// arity decodes apart from the block.
+func TestDecodeTupleBatchOneBlock(t *testing.T) {
+	rows := make([]Tuple, 256)
+	strs := 0
+	for i := range rows {
+		rows[i] = Tuple{SV(fmt.Sprintf("a%d", i)), IV(int64(i)), FV(float64(i) / 7), SV(fmt.Sprintf("b%d", i)),
+			IV(-int64(i)), SV(fmt.Sprintf("c%d", i)), IV(7)}
+		strs += 3
+	}
+	enc := EncodeTupleBatch(rows)
+	got, err := DecodeTupleBatch(enc)
+	if err != nil || len(got) != len(rows) {
+		t.Fatalf("decoded %d rows, %v; want %d", len(got), err, len(rows))
+	}
+	for i, r := range got {
+		if !r.Equal(rows[i]) || cap(r) != len(r) {
+			t.Fatalf("row %d: %v with cap %d, want %v with cap %d", i, r, cap(r), rows[i], len(rows[i]))
+		}
+	}
+	if !raceEnabled {
+		allocs := testing.AllocsPerRun(20, func() { got, err = DecodeTupleBatch(enc) })
+		t.Logf("256 arity-7 rows, %d strings: %.0f allocations", strs, allocs)
+		if ceiling := float64(3 + strs); allocs > ceiling {
+			t.Errorf("decoding 256 arity-7 rows allocated %.0f times, over %.0f", allocs, ceiling)
+		}
+	}
+
+	mixed := []Tuple{{IV(1), IV(2)}, {IV(3)}, {}, {IV(4), IV(5)}, {IV(6), IV(7), IV(8)}, {IV(9), IV(10)}}
+	got, err = DecodeTupleBatch(EncodeTupleBatch(mixed))
+	if err != nil || len(got) != len(mixed) {
+		t.Fatalf("mixed arities: %d rows, %v", len(got), err)
+	}
+	for i, r := range got {
+		if !r.Equal(mixed[i]) || cap(r) != len(r) {
+			t.Fatalf("mixed row %d: %v with cap %d, want %v", i, r, cap(r), mixed[i])
+		}
+	}
+	_ = append(got[0], IV(99))
+	if !got[1].Equal(mixed[1]) || !got[3].Equal(mixed[3]) {
+		t.Errorf("appending to row 0 changed a later row: %v", got)
+	}
+
+	// One row claiming 30 000 values over 30 000 bytes, which hold at
+	// most 15 000: refused before a tuple is sized by the claim (a
+	// 1.2 MB tuple was, before).
+	hostile := binary.AppendUvarint(binary.AppendUvarint(nil, 1), 30000)
+	for len(hostile) < 30000+3 {
+		hostile = append(hostile, byte(TInt), 0)
+	}
+	if _, err := DecodeTupleBatch(hostile); err == nil {
+		t.Fatal("an arity the payload cannot hold was accepted")
+	}
+	if !raceEnabled {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _ = DecodeTupleBatch(hostile)
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; b > 64<<10 {
+			t.Errorf("refusing a claimed arity allocated %d B", b)
+		}
+	}
+}
+
 // TestAppendTupleBatchSizesOnce holds a tuple batch's encoding to one
 // allocation, sized to the payload up front — a 200-row batch grown from
 // nothing by append took 16 and 4× the payload's bytes — and a
