@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -124,14 +126,14 @@ func TestRefusedRunNeverTouchesReplica(t *testing.T) {
 	}
 	// image is everything a reader could observe of the replica.
 	image := func() string {
-		replica := rp.mirror.Store.Get("subject")
+		replica := rp.rels["subject"].replica
 		return fmt.Sprintf("%p v%d n%d synced%v rows%x", replica, replica.Version(), replica.Len(),
 			rp.rels["subject"].synced, relation.EncodeTupleBatch(replica.Rows()))
 	}
 	// checkCurrent asserts the invariant's positive half after a heal.
 	checkCurrent := func(when string) {
 		t.Helper()
-		replica, src := rp.mirror.Store.Get("subject"), origin.Store.Get("subject")
+		replica, src := rp.rels["subject"].replica, origin.Store.Get("subject")
 		synced, current := rp.replica("subject")
 		if synced != replica || !current || replica.Version() != src.Version() || replica.Len() != src.Len() {
 			t.Errorf("%s: synced %v, current %v, replica (v%d, %d rows), origin (v%d, %d rows)", when,
@@ -220,7 +222,7 @@ func TestRefusedRunNeverTouchesReplica(t *testing.T) {
 	// inserts, one led by a delete — advance the replica to the origin.
 	tt.set(nil, false)
 	for i, path := range []string{"push", "push", "delta", "delta"} {
-		replica := rp.mirror.Store.Get("subject")
+		replica := rp.rels["subject"].replica
 		recs := mutate(i%2 == 1)
 		_, deltasBefore, _ := n.RemoteSyncCounts()
 		if path == "push" {
@@ -234,7 +236,7 @@ func TestRefusedRunNeverTouchesReplica(t *testing.T) {
 			}
 		}
 		checkCurrent(fmt.Sprintf("consistent %s run %d", path, i))
-		if inPlace := rp.mirror.Store.Get("subject") == replica; inPlace != (i%2 == 0) {
+		if inPlace := rp.rels["subject"].replica == replica; inPlace != (i%2 == 0) {
 			t.Errorf("consistent %s run %d: replica advanced in place = %v, want %v (only a delete builds a replacement)",
 				path, i, inPlace, i%2 == 0)
 		}
@@ -351,10 +353,10 @@ func TestApplyPathsDifferential(t *testing.T) {
 		}
 
 		for name, got := range map[string]*relation.Relation{
-			"push":       pushRP.mirror.Store.Get("subject"),
-			"delta":      deltaRP.mirror.Store.Get("subject"),
+			"push":       pushRP.rels["subject"].replica,
+			"delta":      deltaRP.rels["subject"].replica,
 			"wal replay": replayed.Database().Get("subject"),
-			"cold scan":  scanRP.mirror.Store.Get("subject"),
+			"cold scan":  scanRP.rels["subject"].replica,
 		} {
 			if !bytes.Equal(sortedWire(got.Rows()), want) {
 				t.Errorf("seed %d: %s landed on different rows than the origin (%d vs %d)", seed, name, got.Len(), src.Len())
@@ -368,10 +370,10 @@ func TestApplyPathsDifferential(t *testing.T) {
 			}
 		}
 		for name, rels := range map[string][]string{
-			"push":       pushRP.mirror.RelationNames(),
-			"delta":      deltaRP.mirror.RelationNames(),
+			"push":       slices.Sorted(maps.Keys(pushRP.schemas.Load().byName)),
+			"delta":      slices.Sorted(maps.Keys(deltaRP.schemas.Load().byName)),
 			"wal replay": replayed.Database().Names(),
-			"cold scan":  scanRP.mirror.RelationNames(),
+			"cold scan":  slices.Sorted(maps.Keys(scanRP.schemas.Load().byName)),
 		} {
 			if fmt.Sprint(rels) != wantRels {
 				t.Errorf("seed %d: %s knows relations %v, origin has %s", seed, name, rels, wantRels)
@@ -421,7 +423,7 @@ func newApplyFixture(t *testing.T, rows int) *applyFixture {
 // applyOne pushes one synthesized insert and takes what the next reader
 // takes: the global snapshot and the replica's probe index.
 func (f *applyFixture) applyOne() error {
-	replica := f.rp.mirror.Store.Get("fact")
+	replica := f.rp.rels["fact"].replica
 	rec := relation.ChangeRecord{Op: relation.ChangeInsert, Rel: "fact",
 		Ver: replica.Version() + 1, Rows: replica.Len() + 1,
 		Tuple: relation.Tuple{relation.SV(fmt.Sprintf("k%d", f.next%64)), relation.SV(fmt.Sprintf("p%d", f.next))}}

@@ -155,7 +155,7 @@ func TestOneWritePath(t *testing.T) {
 		if err := mv.Refresh(net.GlobalDB()); err != nil {
 			t.Fatal(err)
 		}
-		if got := net.ViewExtent(sub); !bytes.Equal(sortedWire(got.Rows()), sortedWire(mv.Extent.Rows())) {
+		if got := net.viewExtent(sub); !bytes.Equal(sortedWire(got.Rows()), sortedWire(mv.Extent.Rows())) {
 			fail("(i) view ≡ refresh", op, "step %d %s %s.%s: extent %v, refresh %v",
 				step, op, p.Name, rel, got.Rows(), mv.Extent.Rows())
 			if err := sub.MV.Refresh(net.GlobalDB()); err != nil { // heal, so each failure is its own step's

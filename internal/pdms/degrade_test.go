@@ -195,7 +195,7 @@ func TestDegradedServesLastGoodSnapshot(t *testing.T) {
 	if cur.Retries() == 0 {
 		t.Fatal("degrading to stale spent no retries — the policy never ran")
 	}
-	if !n.Remote("mit").Down() {
+	if !n.remotes["mit"].down.Load() {
 		t.Fatal("degraded peer was not marked down")
 	}
 
@@ -224,7 +224,7 @@ func TestDegradedPeerRejoins(t *testing.T) {
 	stale := req
 	stale.AllowStale = true
 	answerRows(t, n, stale)
-	if !n.Remote("mit").Down() {
+	if !n.remotes["mit"].down.Load() {
 		t.Fatal("peer not marked down")
 	}
 
@@ -232,7 +232,7 @@ func TestDegradedPeerRejoins(t *testing.T) {
 	// cadence and clears the down flag.
 	fl.kill("mit", false)
 	deadline := time.Now().Add(2 * time.Second)
-	for n.Remote("mit").Down() {
+	for n.remotes["mit"].down.Load() {
 		if time.Now().After(deadline) {
 			t.Fatal("prober never noticed the peer's return")
 		}
@@ -273,12 +273,12 @@ func TestDegradedMidFetch(t *testing.T) {
 	if len(deg) != 1 || deg[0].Peer != "mit" {
 		t.Fatalf("Degraded() = %+v, want mit", deg)
 	}
-	if !n.Remote("mit").Down() {
+	if !n.remotes["mit"].down.Load() {
 		t.Fatal("mid-fetch failure did not mark the peer down")
 	}
 
 	// Without AllowStale the same failure is a typed error.
-	n.Remote("mit").down.Store(false) // clear for the fresh-only attempt
+	n.remotes["mit"].down.Store(false) // clear for the fresh-only attempt
 	if _, err := n.Query(context.Background(), req); !errors.Is(err, ErrPeerUnreachable) {
 		t.Fatalf("fresh-only mid-fetch failure: err = %v, want ErrPeerUnreachable", err)
 	}
@@ -297,7 +297,7 @@ func TestDegradationNeverMasksDeterministicErrors(t *testing.T) {
 	if _, err := n.Query(context.Background(), req); !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("version mismatch was absorbed: err = %v", err)
 	}
-	if n.Remote("mit").Down() {
+	if n.remotes["mit"].down.Load() {
 		t.Fatal("a deterministic failure must not mark the peer down")
 	}
 }
@@ -318,8 +318,8 @@ func TestRemovePeerStopsProber(t *testing.T) {
 	stale := req
 	stale.AllowStale = true
 	answerRows(t, n, stale)
-	rp := n.Remote("mit")
-	if !rp.Down() {
+	rp := n.remotes["mit"]
+	if !rp.down.Load() {
 		t.Fatal("peer not marked down")
 	}
 	rp.proberMu.Lock()

@@ -112,7 +112,7 @@ func TestSyncLadder(t *testing.T) {
 					t.Errorf("RemoteSyncCounts %v -> %v, want %v", before, got, want)
 				}
 				if path != "ship" {
-					replica, src := rp.mirror.Store.Get("subject"), origin.Store.Get("subject")
+					replica, src := rp.rels["subject"].replica, origin.Store.Get("subject")
 					if replica.Version() != src.Version() || replica.Len() != src.Len() {
 						t.Errorf("via %s: replica at (v%d, %d rows), origin at (v%d, %d rows)",
 							path, replica.Version(), replica.Len(), src.Version(), src.Len())
@@ -190,7 +190,7 @@ func TestScanPresizeIgnoresClaimedRows(t *testing.T) {
 	if got.Len() != 3 {
 		t.Fatalf("answers = %d, want 3", got.Len())
 	}
-	if r := rp.mirror.Store.Get("fact"); r == nil || r.Len() != 3 {
+	if r := rp.rels["fact"].replica; r == nil || r.Len() != 3 {
 		t.Fatalf("replica = %v, want 3 rows", r)
 	}
 	scans := lb.Scans()

@@ -63,10 +63,6 @@ type Peer struct {
 	// extra lock; feeds found closed are dropped lazily. Nil until the
 	// first subscription.
 	feeds map[*ChangeFeed]struct{}
-	// mirror marks a coordinator's local replica of a remote peer
-	// (AddRemotePeer): its data belongs to the origin, so commit refuses
-	// it rather than fork the replica from what the origin holds.
-	mirror bool
 }
 
 // NewPeer creates a peer with the given relation schemas; stored
@@ -193,12 +189,6 @@ func (p *Peer) AddSchema(s relation.Schema) {
 // new relations without diffing schema lists.
 func (p *Peer) SchemaVersion() uint64 { return p.schemaVer.Load() }
 
-// HasRelation reports whether the peer's schema includes rel.
-func (p *Peer) HasRelation(rel string) bool {
-	_, ok := p.schema[rel]
-	return ok
-}
-
 // Schema returns the schema of rel (zero Schema if absent).
 func (p *Peer) Schema(rel string) relation.Schema { return p.schema[rel] }
 
@@ -243,12 +233,8 @@ func (p *Peer) Delete(rel string, t relation.Tuple) (int, error) {
 // those networks' pre-states are taken, before the commit, so a peer
 // with no view over rel builds no record its log and feeds do not
 // consume. stats, when non-nil, accumulates the view work. It returns
-// the rows deleted and the first log failure. A remote peer's mirror
-// refuses every commit: the write belongs at the origin.
+// the rows deleted and the first log failure.
 func (p *Peer) commit(rel string, dels, ins []relation.Tuple, stats *PublishStats) (removed int, err error) {
-	if p.mirror {
-		return 0, fmt.Errorf("pdms: peer %s is a mirror of a remote peer; commit to %s.%s at its origin", p.Name, p.Name, rel)
-	}
 	r := p.Store.Get(rel)
 	if r == nil {
 		return 0, fmt.Errorf("pdms: peer %s has no relation %q", p.Name, rel)
@@ -400,18 +386,14 @@ type Network struct {
 	// the singleflight path).
 	reformCalls atomic.Uint64
 
-	// remotes indexes the remote participants by name (a subset of
-	// peers: each remote peer's local mirror is registered there too).
-	// Like peers it is mutated only under the single-writer contract.
-	// remoteMu makes the hidden mirror mutation inside the remote
-	// query-prepare path — fingerprint sync, mirror AddSchema, replica
-	// Put — safe against the documented read-side concurrency: Query
-	// prepare takes the write side, and the other read-side entry
-	// points that walk peer stores (GlobalDB, LocalQuery, EstimateCost)
-	// take the read side, so concurrent readers stay safe exactly as
-	// they are on an all-local network. Execution never holds it:
-	// cursors run over immutable snapshots. All-local networks skip it
-	// entirely.
+	// remotes indexes the remote participants by name (peers the local
+	// ones, order both); like peers it changes only under the
+	// single-writer contract. remoteMu guards their records (relSync):
+	// Query prepare, the push applier and InvalidateCaches change them
+	// under its write side. Readers (GlobalDB, LocalQuery, EstimateCost)
+	// take no lock — they read immutable schema sets and published
+	// replica snapshots — so a prepare stuck on a hung peer blocks none
+	// of them.
 	remotes  map[string]*RemotePeer
 	remoteMu sync.RWMutex
 
@@ -457,12 +439,14 @@ func NewNetwork() *Network {
 		byTargetPeer:   make(map[string][]*glav.Mapping),
 		reformCache:    make(map[reformKey]*reformEntry),
 		reformInflight: make(map[reformKey]*reformCall),
+		remotes:        make(map[string]*RemotePeer),
 	}
 }
 
-// AddPeer registers a peer; the name must be unused.
+// AddPeer registers a peer; the name must be unused, by local and
+// remote peers alike.
 func (n *Network) AddPeer(p *Peer) error {
-	if _, dup := n.peers[p.Name]; dup {
+	if _, dup := n.schemasOf(p.Name); dup {
 		return fmt.Errorf("pdms: duplicate peer %q", p.Name)
 	}
 	n.peers[p.Name] = p
@@ -516,18 +500,31 @@ func gavDef(key string, m *glav.Mapping) cq.Query {
 	}
 }
 
-// Peer returns the named peer, or nil.
+// Peer returns the named local peer, or nil (also for a remote peer).
 func (n *Network) Peer(name string) *Peer { return n.peers[name] }
 
-// PeerNames returns all peer names in registration order.
+// schemasOf returns the named peer's relation schemas by name — a local
+// peer's own, or the set a remote peer last published — and whether
+// the peer is registered at all. Callers must not modify the map.
+func (n *Network) schemasOf(peer string) (map[string]relation.Schema, bool) {
+	if p := n.peers[peer]; p != nil {
+		return p.schema, true
+	}
+	if rp := n.remotes[peer]; rp != nil {
+		return rp.schemas.Load().byName, true
+	}
+	return nil, false
+}
+
+// PeerNames returns every peer's name, local or remote, by registration.
 func (n *Network) PeerNames() []string {
 	out := make([]string, len(n.order))
 	copy(out, n.order)
 	return out
 }
 
-// NumPeers returns the number of peers.
-func (n *Network) NumPeers() int { return len(n.peers) }
+// NumPeers returns the number of peers, local and remote.
+func (n *Network) NumPeers() int { return len(n.order) }
 
 // NumMappings returns the number of mappings.
 func (n *Network) NumMappings() int { return len(n.mappings) }
@@ -535,14 +532,15 @@ func (n *Network) NumMappings() int { return len(n.mappings) }
 // AddMapping registers a mapping; both endpoints must exist and every
 // predicate must belong to the respective peer's schema.
 func (n *Network) AddMapping(m *glav.Mapping) error {
-	src, tgt := n.peers[m.SrcPeer], n.peers[m.TgtPeer]
-	if src == nil || tgt == nil {
+	src, srcOK := n.schemasOf(m.SrcPeer)
+	tgt, tgtOK := n.schemasOf(m.TgtPeer)
+	if !srcOK || !tgtOK {
 		return fmt.Errorf("pdms: mapping %s references unknown peer", m.ID)
 	}
-	if err := checkMappingSide(m.ID, src, m.SrcQ); err != nil {
+	if err := checkMappingSide(m.ID, m.SrcPeer, src, m.SrcQ); err != nil {
 		return err
 	}
-	if err := checkMappingSide(m.ID, tgt, m.TgtQ); err != nil {
+	if err := checkMappingSide(m.ID, m.TgtPeer, tgt, m.TgtQ); err != nil {
 		return err
 	}
 	n.mappings = append(n.mappings, m)
@@ -559,14 +557,15 @@ func (n *Network) AddMapping(m *glav.Mapping) error {
 // checkMappingSide validates that every atom of one mapping side names a
 // relation the peer has, with matching arity — catching authoring
 // mistakes at registration rather than mid-reformulation.
-func checkMappingSide(id string, p *Peer, q cq.Query) error {
+func checkMappingSide(id, peer string, schemas map[string]relation.Schema, q cq.Query) error {
 	for _, a := range q.Body {
-		if !p.HasRelation(a.Pred) {
-			return fmt.Errorf("pdms: mapping %s: peer %s lacks relation %q", id, p.Name, a.Pred)
+		s, ok := schemas[a.Pred]
+		if !ok {
+			return fmt.Errorf("pdms: mapping %s: peer %s lacks relation %q", id, peer, a.Pred)
 		}
-		if want := p.Schema(a.Pred).Arity(); want != len(a.Args) {
+		if want := s.Arity(); want != len(a.Args) {
 			return fmt.Errorf("pdms: mapping %s: atom %s has %d args, %s.%s has arity %d",
-				id, a, len(a.Args), p.Name, a.Pred, want)
+				id, a, len(a.Args), peer, a.Pred, want)
 		}
 	}
 	return nil
@@ -580,18 +579,17 @@ func (n *Network) Mappings() []*glav.Mapping { return n.mappings }
 // "every member ... join or leave at will" (§3); queries elsewhere keep
 // working over whatever remains reachable.
 func (n *Network) RemovePeer(name string) error {
-	p, ok := n.peers[name]
-	if !ok {
+	if p := n.peers[name]; p != nil {
+		delete(p.nets, n)
+		delete(n.peers, name)
+	} else if rp := n.remotes[name]; rp != nil {
+		rp.stopProber()         // a down leaver must not keep a prober goroutine alive
+		rp.stopPush()           // nor a push subscription manager
+		delete(n.remotes, name) // its replicas go with it; the transport stays caller-owned
+		n.wakePushWaiters()     // whoever waits on the leaver learns it is gone
+	} else {
 		return fmt.Errorf("pdms: unknown peer %q", name)
 	}
-	delete(p.nets, n)
-	delete(n.peers, name)
-	if rp := n.remotes[name]; rp != nil {
-		rp.stopProber() // a down leaver must not keep a prober goroutine alive
-		rp.stopPush()   // nor a push subscription manager
-	}
-	delete(n.remotes, name) // a remote leaver takes its mirror along; the transport stays caller-owned
-	n.wakePushWaiters()     // whoever waits on the leaver learns it is gone
 	for i, pn := range n.order {
 		if pn == name {
 			n.order = append(n.order[:i], n.order[i+1:]...)
@@ -641,27 +639,18 @@ func (n *Network) RemovePeer(name string) error {
 // GlobalDB builds the qualified database: every peer's stored relation
 // appears under "peer.rel". Reformulated queries are evaluated here,
 // simulating the distributed execution of §3.1.2 in-process (remote
-// peers appear through their locally mirrored replicas).
+// peers appear through their published replica snapshots, as they are,
+// read without a lock).
 //
-// The snapshot is cached: while no stored relation has been mutated
-// (tracked by relation version counters), repeated calls return the
-// same database, so indexes built by the query engine stay warm across
+// The snapshot is cached: while no relation readable has moved (tracked
+// by relation version counters), repeated calls return the same
+// database, so indexes built by the query engine stay warm across
 // queries. A mutation yields a new database on the next call in which
-// only the mutated relations are re-snapshotted (O(arity) each — see
-// Relation.SnapshotAs); every other snapshot relation is carried over
-// by pointer, warm indexes and translation memos included. Snapshots
-// already handed out are never touched.
+// only the mutated local relations are re-snapshotted (O(arity) each —
+// see Relation.SnapshotAs); every other snapshot relation is carried
+// over by pointer, warm indexes and translation memos included.
+// Snapshots already handed out are never touched.
 func (n *Network) GlobalDB() *relation.Database {
-	if len(n.remotes) > 0 {
-		n.remoteMu.RLock()
-		defer n.remoteMu.RUnlock()
-	}
-	return n.globalSnapshot()
-}
-
-// globalSnapshot is GlobalDB without the remote read lock; callers on
-// the remote query-prepare path already hold remoteMu.
-func (n *Network) globalSnapshot() *relation.Database {
 	n.mu.Lock()
 	db, oldFP, oldSnaps := n.globalDB, n.globalFP, n.globalSnaps
 	n.mu.Unlock()
@@ -671,20 +660,20 @@ func (n *Network) globalSnapshot() *relation.Database {
 	db = relation.NewDatabase()
 	fp := make([]relFingerprint, 0, len(oldFP))
 	snaps := make([]*relation.Relation, 0, len(oldFP))
-	for _, name := range n.order {
-		for _, r := range n.peers[name].Store.Relations() {
-			i := len(fp)
-			cur := relFingerprint{rel: r, ver: r.Version(), n: r.Len()}
-			var snap *relation.Relation
+	for name, r := range n.readable {
+		i := len(fp)
+		cur := relFingerprint{rel: r, ver: r.Version(), n: r.Len()}
+		snap := r // a remote peer's published snapshot goes in as it is
+		if _, local := n.peers[name]; local {
 			if i < len(oldFP) && oldFP[i] == cur &&
 				qualifiedAs(oldSnaps[i].Schema.Name, name, r.Schema.Name) {
 				snap = oldSnaps[i]
 			} else {
 				snap = r.SnapshotAs(glav.QualifiedName(name, r.Schema.Name))
 			}
-			fp, snaps = append(fp, cur), append(snaps, snap)
-			db.Put(snap)
 		}
+		fp, snaps = append(fp, cur), append(snaps, snap)
+		db.Put(snap)
 	}
 	n.mu.Lock()
 	n.globalDB, n.globalFP, n.globalSnaps = db, fp, snaps
@@ -700,29 +689,37 @@ func qualifiedAs(qualified, peer, rel string) bool {
 		qualified[len(peer)+1:] == rel
 }
 
-// fingerprintIs reports whether fp still describes every stored
-// relation — identity, version and length, in deterministic
-// peer/relation order. It runs on every query and allocates nothing.
-func (n *Network) fingerprintIs(fp []relFingerprint) bool {
-	i := 0
+// readable yields, in deterministic peer/relation order, each peer's
+// name with every relation readers see of it: a local peer's stored
+// relations, a remote peer's published replica snapshots.
+func (n *Network) readable(yield func(peer string, r *relation.Relation) bool) {
 	for _, name := range n.order {
-		for _, r := range n.peers[name].Store.Relations() {
-			if i == len(fp) || fp[i] != (relFingerprint{rel: r, ver: r.Version(), n: r.Len()}) {
-				return false
+		if p := n.peers[name]; p != nil {
+			for _, r := range p.Store.Relations() {
+				if !yield(name, r) {
+					return
+				}
 			}
-			i++
+			continue
+		}
+		for _, rec := range n.remotes[name].schemas.Load().recs {
+			if !yield(name, rec.snap.Load()) {
+				return
+			}
 		}
 	}
-	return i == len(fp)
 }
 
-// MappingDegree returns, per peer, how many mappings touch it — used by
-// the E3 mapping-effort experiment.
-func (n *Network) MappingDegree() map[string]int {
-	deg := make(map[string]int, len(n.peers))
-	for _, m := range n.mappings {
-		deg[m.SrcPeer]++
-		deg[m.TgtPeer]++
+// fingerprintIs reports whether fp still describes every relation
+// readers see — identity, version and length, in readable's order. It
+// runs on every query and allocates nothing.
+func (n *Network) fingerprintIs(fp []relFingerprint) bool {
+	i := 0
+	for _, r := range n.readable {
+		if i == len(fp) || fp[i] != (relFingerprint{rel: r, ver: r.Version(), n: r.Len()}) {
+			return false
+		}
+		i++
 	}
-	return deg
+	return i == len(fp)
 }

@@ -41,37 +41,27 @@ type WorkloadQuery struct {
 
 // EstimateCost reformulates q at peer and prices the tuples its
 // rewritings read: local relations (or local materialized copies) cost
-// 1 per tuple, remote relations cost RemoteFactor per tuple.
+// 1 per tuple, remote relations cost RemoteFactor per tuple. Row counts
+// come from GlobalDB, so pricing takes no lock.
 func (n *Network) EstimateCost(peer string, q cq.Query, cm CostModel) (float64, error) {
-	// Read-side operation: reformulation reads peer schemas and the
-	// pricing walk reads stores, both of which a concurrent Query
-	// prepare may be syncing for remote mirrors.
-	if len(n.remotes) > 0 {
-		n.remoteMu.RLock()
-		defer n.remoteMu.RUnlock()
-	}
 	rf := NewReformulator(n, ReformOptions{})
 	rws, _, err := rf.Reformulate(context.Background(), peer, q)
 	if err != nil {
 		return 0, err
 	}
 	copies := n.localCopies(peer)
+	db := n.GlobalDB()
 	cost := 0.0
 	for _, rw := range rws {
 		for _, a := range rw.Body {
-			pn, rel := glav.SplitQualified(a.Pred)
-			owner := n.Peer(pn)
-			if owner == nil {
+			r := db.Get(a.Pred)
+			if r == nil {
 				continue
 			}
-			rows := 0
-			if r := owner.Store.Get(rel); r != nil {
-				rows = r.Len()
-			}
-			if pn == peer || copies[a.Pred] != nil {
-				cost += float64(rows)
+			if pn, _ := glav.SplitQualified(a.Pred); pn == peer || copies[a.Pred] != nil {
+				cost += float64(r.Len())
 			} else {
-				cost += float64(rows) * cm.remote()
+				cost += float64(r.Len()) * cm.remote()
 			}
 		}
 	}
@@ -80,8 +70,7 @@ func (n *Network) EstimateCost(peer string, q cq.Query, cm CostModel) (float64, 
 
 // localCopies returns, per qualified relation name, an identity-view
 // subscription hosted at the peer (if any). It reads the subscriptions
-// under subMu; a caller holding remoteMu takes it second (lock order
-// remoteMu → subMu).
+// under subMu.
 func (n *Network) localCopies(peer string) map[string]*Subscription {
 	out := make(map[string]*Subscription)
 	n.subMu.Lock()
@@ -114,12 +103,12 @@ func (n *Network) localCopies(peer string) map[string]*Subscription {
 // MaterializeRemote places a full copy of srcPeer.rel at atPeer (an
 // identity view kept fresh by updategrams).
 func (n *Network) MaterializeRemote(atPeer, srcPeer, rel string) (*Subscription, error) {
-	src := n.Peer(srcPeer)
-	if src == nil {
+	schemas, ok := n.schemasOf(srcPeer)
+	if !ok {
 		return nil, errUnknownPeer(srcPeer)
 	}
-	sch := src.Schema(rel)
-	if sch.Name == "" {
+	sch, ok := schemas[rel]
+	if !ok {
 		return nil, fmt.Errorf("pdms: peer %s has no relation %q", srcPeer, rel)
 	}
 	vars := make([]cq.Term, sch.Arity())
@@ -147,6 +136,7 @@ type Placement struct {
 func (n *Network) PlaceViews(workload []WorkloadQuery, budget int, cm CostModel) ([]Placement, error) {
 	type key struct{ at, src string }
 	benefit := make(map[key]float64)
+	db := n.GlobalDB()
 	for _, wq := range workload {
 		rf := NewReformulator(n, ReformOptions{})
 		rws, _, err := rf.Reformulate(context.Background(), wq.Peer, wq.Query)
@@ -155,19 +145,12 @@ func (n *Network) PlaceViews(workload []WorkloadQuery, budget int, cm CostModel)
 		}
 		for _, rw := range rws {
 			for _, a := range rw.Body {
-				pn, rel := glav.SplitQualified(a.Pred)
-				if pn == wq.Peer {
+				pn, _ := glav.SplitQualified(a.Pred)
+				r := db.Get(a.Pred)
+				if pn == wq.Peer || r == nil {
 					continue
 				}
-				owner := n.Peer(pn)
-				if owner == nil {
-					continue
-				}
-				rows := 0
-				if r := owner.Store.Get(rel); r != nil {
-					rows = r.Len()
-				}
-				benefit[key{wq.Peer, a.Pred}] += wq.Freq * float64(rows) * (cm.remote() - 1)
+				benefit[key{wq.Peer, a.Pred}] += wq.Freq * float64(r.Len()) * (cm.remote() - 1)
 			}
 		}
 	}
@@ -240,7 +223,7 @@ func (n *Network) AnswerUsingCopies(peer string, q cq.Query, opts ReformOptions)
 		}
 	} else {
 		// Same typed head schema the non-empty path produces.
-		answers = relation.New(cq.HeadSchemaFor(n.Peer(peer).Store, q))
+		answers = relation.New(cq.HeadSchemaFor(db, glav.Qualify(q, peer)))
 	}
 	return &AnswerResult{Answers: answers, Rewritings: rewritten, Stats: *stats}, nil
 }

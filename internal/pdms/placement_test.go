@@ -162,8 +162,8 @@ func TestPlacementBudget(t *testing.T) {
 // TestSubscriptionsReadUnderSubMu runs the subscription list's writers
 // against its readers; under -race it fails if either reader touches
 // n.subs without subMu. Subscribe races EstimateCost (whose localCopies
-// ranges over the list) and Subscriptions; RemovePeer, which compacts
-// the list in place, races Subscriptions. RemovePeer is kept away from
+// ranges over the list) and subscriptions; RemovePeer, which compacts
+// the list in place, races subscriptions. RemovePeer is kept away from
 // EstimateCost: it also rewrites the peer and mapping tables, a topology
 // change the single-writer contract orders against every query.
 func TestSubscriptionsReadUnderSubMu(t *testing.T) {
@@ -185,7 +185,7 @@ func TestSubscriptionsReadUnderSubMu(t *testing.T) {
 					return
 				default:
 				}
-				for _, sub := range n.Subscriptions() {
+				for _, sub := range n.subscriptions() {
 					if sub.AtPeer == "" {
 						errc <- fmt.Errorf("subscription without a host")
 						return
@@ -227,7 +227,7 @@ func TestSubscriptionsReadUnderSubMu(t *testing.T) {
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if got := len(n.Subscriptions()); got != hosts {
+	if got := len(n.subscriptions()); got != hosts {
 		t.Fatalf("%d subscriptions left, want the %d oxford copies", got, hosts)
 	}
 }

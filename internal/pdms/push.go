@@ -19,11 +19,12 @@ import (
 // serving half is the ChangeFeed (a per-subscriber bounded queue fed at
 // commit time under the serving write lock, never blocking it) plus
 // Peer.FeedSubscribe; the coordinator half is Network.StartPush, whose
-// loop applies pushed records to mirror replicas through the same
-// verified apply the delta rung uses, keeps the relation records
-// (remote.go's relSync) current so queries skip the State probe
-// entirely, and propagates applied changes through the updategram path
-// into placed materialized views. A subscriber that drains too slowly
+// loop applies pushed records to the relation records' working replicas
+// (remote.go's relSync) through the same verified apply the delta rung
+// uses, publishes each advanced replica's snapshot, keeps the records'
+// statistics current so queries skip the State probe entirely, and
+// propagates applied changes through the updategram path into placed
+// materialized views. A subscriber that drains too slowly
 // is evicted (typed ErrSubscriptionGap) back to the poll path and may
 // resubscribe once its replicas healed.
 
@@ -119,8 +120,8 @@ func (f *ChangeFeed) Next() ([]relation.ChangeRecord, error) {
 	return batch, nil
 }
 
-// Gapped reports whether the feed overflowed and was evicted.
-func (f *ChangeFeed) Gapped() bool {
+// gapped reports whether the feed overflowed and was evicted.
+func (f *ChangeFeed) gapped() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.gap
@@ -215,10 +216,10 @@ const (
 
 // StartPush launches the push subscription manager for one remote peer:
 // a goroutine that subscribes through the peer's transport, applies
-// pushed change records to the mirror's replicas through the same
+// pushed change records to the peer's replicas through the same
 // verified apply the delta pull path uses, keeps the remote
 // fingerprints current (so queries skip the per-query State probe while
-// the subscription is live — see RemotePeer.PushLive), propagates
+// the subscription is live — see RemotePeer.pushLive), propagates
 // applied changes through the updategram path into placed materialized
 // views, and resubscribes with backoff after gaps and transport
 // failures; a serving node that refuses to push (ErrPushUnsupported)
@@ -229,9 +230,7 @@ func (n *Network) StartPush(ctx context.Context, peer string) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n.remoteMu.RLock()
 	rp := n.remotes[peer]
-	n.remoteMu.RUnlock()
 	if rp == nil {
 		return fmt.Errorf("pdms: %q is not a remote peer", peer)
 	}
@@ -249,13 +248,10 @@ func (n *Network) StartPush(ctx context.Context, peer string) error {
 }
 
 // StopPush ends the peer's push subscription manager and waits for it
-// to exit, so callers can read mirror and view state race-free
+// to exit, so callers can read record and view state race-free
 // afterwards. A no-op when no manager is running.
 func (n *Network) StopPush(peer string) {
-	n.remoteMu.RLock()
-	rp := n.remotes[peer]
-	n.remoteMu.RUnlock()
-	if rp != nil {
+	if rp := n.remotes[peer]; rp != nil {
 		rp.stopPush()
 	}
 }
@@ -271,11 +267,6 @@ func (rp *RemotePeer) stopPush() {
 		<-done
 	}
 }
-
-// PushLive reports whether a push subscription to this peer is
-// currently established — the state in which queries skip the per-query
-// State probe, because pushed records keep the fingerprints current.
-func (rp *RemotePeer) PushLive() bool { return rp.pushLive.Load() }
 
 // pushLoop is the subscription manager body: subscribe, stream, and on
 // failure resubscribe with exponential backoff. A gap increments the
@@ -318,7 +309,7 @@ func (n *Network) pushLoop(ctx context.Context, rp *RemotePeer, done chan struct
 	}
 }
 
-// pushSince snapshots the versions of the mirror's synced replicas —
+// pushSince snapshots the versions of the peer's synced replicas —
 // the subscription's catch-up request. Only relations with a synced
 // replica are listed: the rest need no catch-up records, they start
 // from the subscription point.
@@ -337,8 +328,8 @@ func (n *Network) pushSince(rp *RemotePeer) map[string]uint64 {
 // pushAck handles the subscription's acknowledging fingerprint: it
 // anchors the relation records at the subscribe point (from here on
 // pushed records keep them current), folds remote schema growth into
-// the mirror, resurrects a down peer, and flips the peer to push-live
-// so queries skip the State probe.
+// the peer's schema set, resurrects a down peer, and flips the peer to
+// push-live so queries skip the State probe.
 func (n *Network) pushAck(ctx context.Context, rp *RemotePeer, st PeerState) error {
 	n.remoteMu.RLock()
 	synced := rp.schemaVer // the Schemas round trip below must not hold the lock
@@ -354,7 +345,7 @@ func (n *Network) pushAck(ctx context.Context, rp *RemotePeer, st PeerState) err
 	defer n.remoteMu.Unlock()
 	defer n.wakePushWaiters()
 	if schemas != nil {
-		rp.foldSchemas(st.SchemaVersion, schemas...)
+		n.foldSchemas(rp, st.SchemaVersion, schemas...)
 	}
 	rp.observe(st)
 	rp.lastSync = time.Now()
@@ -365,22 +356,23 @@ func (n *Network) pushAck(ctx context.Context, rp *RemotePeer, st PeerState) err
 }
 
 // applyPushBatch applies one pushed change batch under the remote lock:
-// schema records grow the mirror, data records advance the relation
-// records' latest statistics, and each relation's records advance its
-// synced replica through the one verified apply (relation.ApplyChanges)
-// — verify, then apply: a run of inserts is checked against the
-// replica's own (version, rows) and then appended in place,
-// O(records); a run holding a delete is applied to an O(1) snapshot
-// that replaces the replica only once every record landed on its
-// fingerprint. A run that fails verification leaves the replica
-// exactly as it was — still a true image of the origin at its own
-// fingerprint, which the advanced latest statistics now mark stale —
-// so the next query re-fetches it through the poll path. Applied
-// changes then flow into placed materialized views, relation by
-// relation, through maintainViews — the records → view-updategram step
-// the commit path shares: one global pre-state is taken per batch, when
-// the first relation a placed view mentions is about to move, and
-// relation k's post-state serves as relation k+1's pre-state.
+// schema records grow the peer's schema set, data records advance the
+// relation records' latest statistics, and each relation's records
+// advance its synced replica through the one verified apply
+// (relation.ApplyChanges) — verify, then apply: a run of inserts is
+// checked against the replica's own (version, rows) and then appended
+// in place, O(records); a run holding a delete is applied to an O(1)
+// snapshot that replaces the replica only once every record landed on
+// its fingerprint; the record then publishes it. A run that fails
+// verification leaves the replica exactly as it was — still a true
+// image of the origin at its own fingerprint, which the advanced latest
+// statistics now mark stale — so the next query re-fetches it through
+// the poll path. Applied changes then flow into placed materialized
+// views, relation by relation, through maintainViews — the records →
+// view-updategram step the commit path shares: one global pre-state is
+// taken per batch, when the first relation a placed view mentions is
+// about to move, and relation k's post-state serves as relation k+1's
+// pre-state.
 func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) error {
 	n.pushBatches.Add(1)
 	n.pushRecords.Add(uint64(len(recs)))
@@ -395,7 +387,7 @@ func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) e
 		if rec.Op == relation.ChangeSchema {
 			// Catch-up records may replay a schema the ack already
 			// covered: the version never moves back.
-			rp.foldSchemas(max(rp.schemaVer, rec.Ver), rec.Schema)
+			n.foldSchemas(rp, max(rp.schemaVer, rec.Ver), rec.Schema)
 			continue
 		}
 		if byRel[rec.Rel] == nil {
@@ -408,7 +400,7 @@ func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) e
 		relRecs := byRel[rel]
 		last := relRecs[len(relRecs)-1]
 		state := rp.rel(rel)
-		state.latest.Rows, state.latest.Version = last.Rows, last.Ver
+		state.latest.Rows, state.latest.Version, state.reported = last.Rows, last.Ver, true
 		replica, current := rp.replica(rel)
 		if replica == nil {
 			continue // statistics-only relation: nothing local to maintain
@@ -426,7 +418,7 @@ func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) e
 			continue
 		}
 		if pre == nil && n.viewsOver(rp.name, rel) {
-			pre = n.globalSnapshot()
+			pre = n.GlobalDB()
 		}
 		replica, err := replica.ApplyChanges(todo)
 		if err != nil {
@@ -436,10 +428,10 @@ func (n *Network) applyPushBatch(rp *RemotePeer, recs []relation.ChangeRecord) e
 			state.pushed = false
 			continue
 		}
-		rp.mirror.Store.Put(replica) // a no-op unless a delete built a replacement
+		state.install(replica)
 		state.pushed = true
 		if pre != nil {
-			post := n.globalSnapshot()
+			post := n.GlobalDB()
 			n.maintainViews(pre, post, glav.QualifiedName(rp.name, rel), todo, nil)
 			pre = post
 		}
@@ -490,9 +482,7 @@ func (n *Network) WaitPushLive(ctx context.Context, peer string) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n.remoteMu.RLock()
 	rp := n.remotes[peer]
-	n.remoteMu.RUnlock()
 	if rp == nil {
 		return errUnknownPeer(peer)
 	}

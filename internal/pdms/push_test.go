@@ -69,13 +69,13 @@ func TestChangeFeedOverflowGap(t *testing.T) {
 	f := newChangeFeed(2)
 	f.push(insRec(1))
 	f.push(insRec(2))
-	if f.Gapped() {
+	if f.gapped() {
 		t.Fatal("feed gapped before overflowing")
 	}
 	if !f.push(insRec(3)) {
 		t.Fatal("overflowing push reported the feed closed")
 	}
-	if !f.Gapped() {
+	if !f.gapped() {
 		t.Fatal("overflow did not gap the feed")
 	}
 	if _, err := f.Next(); !errors.Is(err, ErrSubscriptionGap) {
@@ -119,7 +119,7 @@ func TestFanoutNeverBlocksServing(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("commits blocked behind stalled subscribers")
 	}
-	if !f1.Gapped() || !f2.Gapped() {
+	if !f1.gapped() || !f2.gapped() {
 		t.Error("stalled single-slot feeds were not evicted with a gap")
 	}
 	f1.Close()
@@ -354,7 +354,7 @@ func TestPushDifferentialLoopback(t *testing.T) {
 	// Three-way view differential, byte-identical under the wire codec:
 	// push-maintained ≡ re-derived from scratch ≡ all-local oracle.
 	for i := range defs {
-		pushExt := n.ViewExtent(pushSubs[i])
+		pushExt := n.viewExtent(pushSubs[i])
 		if pushExt == nil {
 			t.Fatalf("view %d has no push-maintained extent", i)
 		}
@@ -362,7 +362,7 @@ func TestPushDifferentialLoopback(t *testing.T) {
 		if err := mv.Refresh(n.GlobalDB()); err != nil {
 			t.Fatal(err)
 		}
-		localExt := local.ViewExtent(localSubs[i])
+		localExt := local.viewExtent(localSubs[i])
 		pushEnc := sortedWire(pushExt.Rows())
 		if !bytes.Equal(pushEnc, sortedWire(mv.Extent.Rows())) {
 			t.Errorf("view %d: push-maintained extent differs from full re-derivation:\n got %v\nwant %v",
@@ -508,8 +508,8 @@ func TestStartPushErrors(t *testing.T) {
 		t.Fatal(err) // the refusal is the node's answer, discovered live
 	}
 	<-rp.pushDone // the refusal is terminal: no resubscribe loop to wait out
-	if _, _, gaps := n2.PushCounts(); rp.PushLive() || gaps != 0 {
-		t.Errorf("refused subscription: live=%v gaps=%d, want a quiet exit to the poll path", rp.PushLive(), gaps)
+	if _, _, gaps := n2.PushCounts(); rp.pushLive.Load() || gaps != 0 {
+		t.Errorf("refused subscription: live=%v gaps=%d, want a quiet exit to the poll path", rp.pushLive.Load(), gaps)
 	}
 	n2.StopPush("solo")
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/cq"
+	"repro/internal/glav"
 	"repro/internal/relation"
 )
 
@@ -50,7 +51,7 @@ type Request struct {
 	// AllowStale opts into graceful degradation: when a remote peer
 	// cannot be freshened within the retry policy (unreachable, hung,
 	// or out of budget), the request serves that peer's last-good
-	// mirror snapshot instead of failing, reports it via
+	// replica snapshots instead of failing, reports it via
 	// Cursor.Degraded, and marks the peer down — stale-tolerant queries
 	// skip probing it entirely while a background prober watches for
 	// its return (cadence: Network.DownProbeInterval). Off by default:
@@ -127,7 +128,7 @@ func (c *Cursor) Rewritings() []cq.Query {
 func (c *Cursor) Stats() ReformStats { return c.stats }
 
 // Degraded reports the remote peers this request could not freshen and
-// therefore serves from their last-good mirror snapshots, in peer-name
+// therefore serves from their last-good replica snapshots, in peer-name
 // order. It is empty unless the request set AllowStale and a peer was
 // actually unreachable; a non-empty result means the answer set may
 // omit or predate those peers' latest data. Available immediately.
@@ -145,7 +146,7 @@ func (c *Cursor) Retries() int { return c.retries }
 // SyncPaths reports, per remote relation this request had to refresh,
 // which path the refresh took — "ship" (remote sub-plan execution),
 // "push" (replica already current from a live push subscription),
-// "delta" (change-record catch-up), or "scan" (full mirror re-scan) —
+// "delta" (change-record catch-up), or "scan" (full replica re-scan) —
 // in (peer, relation) order. Empty when every referenced replica was
 // already current. Available immediately.
 func (c *Cursor) SyncPaths() []SyncPath {
@@ -369,7 +370,7 @@ func (n *Network) Query(ctx context.Context, req Request) (*Cursor, error) {
 		// No rewriting reaches stored data: the cursor is empty but its
 		// schema still carries the typed head attributes the non-empty
 		// path would produce.
-		c.schema = cq.HeadSchemaFor(n.Peer(req.Peer).Store, req.Query)
+		c.schema = cq.HeadSchemaFor(n.GlobalDB(), glav.Qualify(req.Query, req.Peer))
 		c.reformTime = time.Since(t0)
 		finishRemote()
 		return c, nil
@@ -389,19 +390,17 @@ func (n *Network) Query(ctx context.Context, req Request) (*Cursor, error) {
 			return nil, err
 		}
 	}
-	// globalSnapshot, not GlobalDB: on the remote path this goroutine
-	// already holds remoteMu.
 	var plans []*cq.Plan
 	var err2 error
 	if len(ships) > 0 {
 		// Shipped partial replicas shadow the global snapshot through a
 		// per-request overlay catalog — per request because shipped
-		// results never enter the mirror store: they are only guaranteed
+		// results never enter a replica: they are only guaranteed
 		// sufficient for the request's own rewritings. They bypass the
 		// plan cache: the overlay's relations are request-specific, so a
 		// cached plan compiled against them could never be reused safely
 		// anyway.
-		cat := cq.Overlay{Base: n.globalSnapshot(), Over: ships}
+		cat := cq.Overlay{Base: n.GlobalDB(), Over: ships}
 		plans = make([]*cq.Plan, len(e.rws))
 		for i, rw := range e.rws {
 			plans[i], err2 = cq.Compile(cat, rw)
@@ -410,7 +409,7 @@ func (n *Network) Query(ctx context.Context, req Request) (*Cursor, error) {
 			}
 		}
 	} else {
-		plans, err2 = e.plansFor(n.globalSnapshot())
+		plans, err2 = e.plansFor(n.GlobalDB())
 		if err2 != nil {
 			return nil, err2
 		}
@@ -444,26 +443,22 @@ func flattenDegraded(m map[string]*DegradedPeer) []DegradedPeer {
 }
 
 // LocalQuery returns a cursor over q evaluated against the peer's own
-// storage only — the streaming form of LocalAnswer. The relations the
-// query reads are snapshotted, so the cursor keeps the Query-time
-// binding even while the peer's store mutates under a lazy drain.
+// relations only — a local peer's storage, a remote peer's published
+// replicas — the streaming form of LocalAnswer. The relations the query
+// reads come from GlobalDB's snapshot, so the cursor keeps the
+// Query-time binding even while the peer's store mutates under a lazy
+// drain, and it takes no lock.
 func (n *Network) LocalQuery(ctx context.Context, peer string, q cq.Query) (*Cursor, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// The snapshot below reads the peer's store, which for a remote
-	// mirror may be receiving replicas from a concurrent Query prepare.
-	if len(n.remotes) > 0 {
-		n.remoteMu.RLock()
-		defer n.remoteMu.RUnlock()
-	}
-	p := n.Peer(peer)
-	if p == nil {
+	if _, ok := n.schemasOf(peer); !ok {
 		return nil, errUnknownPeer(peer)
 	}
+	global := n.GlobalDB()
 	db := relation.NewDatabase()
 	for _, pred := range q.Predicates() {
-		if r := p.Store.Get(pred); r != nil {
+		if r := global.Get(glav.QualifiedName(peer, pred)); r != nil {
 			db.Put(r.SnapshotAs(pred))
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 	"strconv"
@@ -169,12 +170,12 @@ func (rf *Reformulator) Reformulate(ctx context.Context, peer string, q cq.Query
 		return nil, nil, err
 	}
 	rf.ctx, rf.done = ctx, ctx.Done()
-	p := rf.net.Peer(peer)
-	if p == nil {
+	schemas, ok := rf.net.schemasOf(peer)
+	if !ok {
 		return nil, nil, fmt.Errorf("pdms: unknown peer %q", peer)
 	}
 	for _, pred := range q.Predicates() {
-		if !p.HasRelation(pred) {
+		if _, ok := schemas[pred]; !ok {
 			return nil, nil, fmt.Errorf("pdms: query uses %q, not in peer %s's schema", pred, peer)
 		}
 	}
@@ -274,10 +275,10 @@ func (rf *Reformulator) expand(q cq.Query, idx, depth int, used bitset,
 	stats.Explored++
 	atom := q.Body[idx]
 	peerName, rel := glav.SplitQualified(atom.Pred)
-	p := rf.net.Peer(peerName)
+	schemas, _ := rf.net.schemasOf(peerName)
 
 	// Option 1: read the relation from the owning peer's storage.
-	if p != nil && p.HasRelation(rel) {
+	if _, ok := schemas[rel]; ok {
 		if err := rf.expand(q, idx+1, depth, used, stats, seen, out); err != nil {
 			return err
 		}
@@ -333,9 +334,9 @@ func (rf *Reformulator) lavRewritings(peer string, q cq.Query, stats *ReformStat
 		return nil
 	}
 	// Identity views let rewritings mix local atoms with remote views.
-	p := rf.net.Peer(peer)
-	for _, rel := range p.RelationNames() {
-		sch := p.Schema(rel)
+	schemas, _ := rf.net.schemasOf(peer)
+	for _, rel := range slices.Sorted(maps.Keys(schemas)) {
+		sch := schemas[rel]
 		vars := make([]cq.Term, sch.Arity())
 		headVars := make([]string, sch.Arity())
 		for i := range vars {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"strings"
@@ -18,28 +19,29 @@ import (
 )
 
 // This file implements remote peers: participants whose data lives on
-// another node, reached through a Transport. A RemotePeer keeps a local
-// mirror — the remote schemas plus lazily synced replica relations — so
-// reformulation, cost-based planning, and the compiled engine run
-// unchanged: they see ordinary relations whose rows happen to have
-// streamed in over the wire. What the coordinator knows of each mirrored
-// relation is one relSync record. A query refreshes the records by
+// another node, reached through a Transport. A RemotePeer is not a Peer:
+// it holds the remote schemas and one relSync record per relation, which
+// owns the relation's working replica and publishes an immutable
+// snapshot of it after every change; readers take those snapshots
+// through GlobalDB without a lock. A query refreshes the records by
 // probing (syncRemotes) unless a push subscription keeps them current
 // (push.go), then sends each referenced relation whose replica is not
 // current down the sync ladder — ship, delta, scan (fetchReferenced).
 
-// RemotePeer is a network participant served over a Transport. Its
-// mirror peer carries the remote schemas and replica relations; the
-// coordinator plans and executes against those replicas, so what stays
-// node-local is exactly the query engine — only base tuples cross the
-// wire.
+// RemotePeer is a network participant served over a Transport. The
+// coordinator plans and executes against its published replica
+// snapshots, so what stays node-local is exactly the query engine —
+// only base tuples cross the wire. Its data belongs to the origin: no
+// commit path writes it (Publish on a remote name refuses).
 type RemotePeer struct {
-	name   string
-	tr     Transport
-	mirror *Peer
-	// schemaVer is the last remote schema version synced into the mirror.
+	name string
+	tr   Transport
+	// schemas is the peer's schema set as readers see it, loaded without
+	// a lock; foldSchemas replaces it by pointer.
+	schemas atomic.Pointer[schemaSet]
+	// schemaVer is the last remote schema version folded into schemas.
 	schemaVer uint64
-	// rels holds the record of every relation the remote has reported
+	// rels holds the record of every relation the remote has a schema or
 	// statistics for. Guarded by the owning Network's remoteMu.
 	rels map[string]*relSync
 	// lastSync is when the last successful freshness probe completed;
@@ -48,7 +50,7 @@ type RemotePeer struct {
 	lastSync time.Time
 	lastErr  error
 	// down marks a peer whose retries were exhausted: stale-tolerant
-	// queries stop probing it (they serve the last-good mirror
+	// queries stop probing it (they serve the last-good replicas
 	// immediately) until the background prober, or a fresh-only query,
 	// reaches it again. Atomic because the prober goroutine reads and
 	// clears it without remoteMu.
@@ -72,27 +74,14 @@ type RemotePeer struct {
 }
 
 // DegradedPeer reports one remote peer a request could not freshen:
-// its answers come from the peer's last-good mirror snapshot instead
+// its answers come from the peer's last-good replica snapshots instead
 // of live data. Err is the failure that forced the degradation (an
 // ErrPeerUnreachable- or ErrBudgetExhausted-class error); LastSync is
-// when the mirror was last verified fresh.
+// when the replicas were last verified fresh.
 type DegradedPeer struct {
 	Peer     string
 	Err      error
 	LastSync time.Time
-}
-
-// Down reports whether the peer is currently marked down — retries
-// against it were exhausted and the background prober has not yet seen
-// it answer.
-func (rp *RemotePeer) Down() bool { return rp.down.Load() }
-
-// Remote returns the named remote peer, or nil — the handle for
-// observing down/degraded state from tests and harnesses.
-func (n *Network) Remote(name string) *RemotePeer {
-	n.remoteMu.RLock()
-	defer n.remoteMu.RUnlock()
-	return n.remotes[name]
 }
 
 // DefaultDownProbeInterval is how often the background prober checks a
@@ -113,7 +102,7 @@ func (n *Network) markDown(rp *RemotePeer, err error) {
 // peer with one cheap State call until the peer answers (the down flag
 // clears and the next query re-syncs in full), the flag is cleared by
 // a successful foreground sync, or RemovePeer stops it. Only the flag
-// flips here: fingerprints and mirror state stay untouched, so
+// flips here: records and replicas stay untouched, so
 // recovery always flows through the ordinary sync path under remoteMu.
 func (n *Network) startProber(rp *RemotePeer) {
 	interval := n.DownProbeInterval
@@ -168,7 +157,7 @@ func (rp *RemotePeer) stopProber() {
 }
 
 // degradable reports whether a remote-operation failure may be
-// absorbed by serving the last-good mirror: unreachable-class errors,
+// absorbed by serving the last-good replicas: unreachable-class errors,
 // spent budgets, hung-peer timeouts, and transient failures that
 // outlasted their retries qualify. Deterministic protocol errors
 // (version mismatch, unknown names) and the caller's own cancellation
@@ -184,29 +173,56 @@ func degradable(ctx context.Context, err error) bool {
 		errors.Is(err, context.DeadlineExceeded) || Retryable(err)
 }
 
-// Name returns the remote peer's name.
-func (rp *RemotePeer) Name() string { return rp.name }
+// schemaSet is a remote peer's relation schemas as readers see them.
+// It is never modified: foldSchemas publishes a grown copy. recs holds,
+// in relation-name order, the record of every relation in byName.
+type schemaSet struct {
+	byName map[string]relation.Schema
+	recs   []*relSync
+}
 
 // relSync is the coordinator's one record of a relation a remote peer
-// serves. Freshness is computed, never stored (see replica). Guarded by
-// the owning Network's remoteMu.
+// serves. Freshness is computed, never stored (see replica). Every field
+// but snap is guarded by the owning Network's remoteMu.
 type relSync struct {
+	// name is the relation's qualified name, "peer.rel".
+	name string
 	// latest is the remote's most recent statistics: from the last State
 	// probe, or from a subscription ack advanced by each pushed record.
-	latest relation.Stats
-	// synced marks a mirror replica the sync ladder or the push path
-	// filled. InvalidateCaches clears it.
+	// reported is false until the first arrives: a relation known only
+	// from its schema has nothing to fetch.
+	latest   relation.Stats
+	reported bool
+	// synced marks a replica the sync ladder or the push path filled.
+	// InvalidateCaches clears it.
 	synced bool
 	// pushed marks a replica the push path refreshed since the last
 	// query referenced it: Cursor.SyncPaths reports "push" once.
 	pushed bool
+	// replica is the working replica (nil while the schema is unknown);
+	// snap is what readers see of it, published by install.
+	replica *relation.Relation
+	snap    atomic.Pointer[relation.Relation]
+}
+
+// install makes r the working replica and publishes its O(arity)
+// snapshot, named "peer.rel" and stamped with r's version, with one
+// atomic store. Past the empty replica foldSchemas starts a record
+// with, only the ladder (runJobs) and the push applier install, under
+// remoteMu's write side; a published snapshot never changes, so readers
+// take it without a lock.
+func (rec *relSync) install(r *relation.Relation) {
+	rec.replica = r
+	s := r.SnapshotAs(rec.name)
+	s.RestoreVersion(r.Version())
+	rec.snap.Store(s)
 }
 
 // rel returns the record of the named relation, creating an empty one.
 func (rp *RemotePeer) rel(name string) *relSync {
 	rec := rp.rels[name]
 	if rec == nil {
-		rec = &relSync{}
+		rec = &relSync{name: glav.QualifiedName(rp.name, name)}
 		rp.rels[name] = rec
 	}
 	return rec
@@ -216,37 +232,48 @@ func (rp *RemotePeer) rel(name string) *relSync {
 // as the latest statistics of every relation it lists.
 func (rp *RemotePeer) observe(st PeerState) {
 	for _, ns := range st.Relations {
-		rp.rel(ns.Name).latest = ns.Stats
+		rec := rp.rel(ns.Name)
+		rec.latest, rec.reported = ns.Stats, true
 	}
 }
 
-// replica returns rel's mirror replica when the sync ladder or the push
-// path filled it (nil otherwise), and whether it is current: its own
-// (Version, Len) equals the latest (Version, Rows). A scan stamps the
-// probed version onto rows that may have been read after a later
-// commit; such a replica reads as stale, the conservative answer.
-// Caller holds the owning Network's remoteMu.
+// replica returns rel's working replica when the sync ladder or the
+// push path filled it (nil otherwise), and whether it is current: its
+// own (Version, Len) equals the latest (Version, Rows). Caller holds the
+// owning Network's remoteMu.
 func (rp *RemotePeer) replica(rel string) (r *relation.Relation, current bool) {
 	rec := rp.rels[rel]
 	if rec == nil || !rec.synced {
 		return nil, false
 	}
-	r = rp.mirror.Store.Get(rel)
+	r = rec.replica
 	return r, r.Version() == rec.latest.Version && r.Len() == rec.latest.Rows
 }
 
-// foldSchemas grows the mirror by every schema it lacks — through
-// Peer.AddSchema, whose topoVersion bump retires reformulations cached
-// before the remote change — and records ver as the remote schema
-// version the mirror reflects. Caller holds the owning Network's
-// remoteMu write side.
-func (rp *RemotePeer) foldSchemas(ver uint64, schemas ...relation.Schema) {
+// foldSchemas publishes rp's schema set grown by every schema it lacks,
+// each new relation's record holding an empty replica — so a relation
+// never synced reads as empty — and records ver as the remote schema
+// version the set reflects. Growth bumps topoVersion, retiring
+// reformulations cached before the remote change. Caller holds
+// remoteMu's write side, or registers rp.
+func (n *Network) foldSchemas(rp *RemotePeer, ver uint64, schemas ...relation.Schema) {
+	rp.schemaVer = ver
+	old := rp.schemas.Load()
+	set := &schemaSet{byName: maps.Clone(old.byName), recs: slices.Clone(old.recs)}
 	for _, s := range schemas {
-		if !rp.mirror.HasRelation(s.Name) {
-			rp.mirror.AddSchema(s)
+		if _, known := set.byName[s.Name]; !known {
+			set.byName[s.Name] = s
+			rec := rp.rel(s.Name)
+			rec.install(relation.New(s))
+			set.recs = append(set.recs, rec)
 		}
 	}
-	rp.schemaVer = ver
+	if len(set.recs) == len(old.recs) {
+		return
+	}
+	slices.SortFunc(set.recs, func(a, b *relSync) int { return strings.Compare(a.name, b.name) })
+	rp.schemas.Store(set)
+	n.bumpTopology()
 }
 
 // fanOut calls do(i) for every i in [0, n) on a bounded pool — the
@@ -273,8 +300,8 @@ func fanOut(n int, do func(i int)) {
 }
 
 // AddRemotePeer registers a peer whose data is served by tr under the
-// given name: the remote schemas are fetched and mirrored locally, and
-// from then on Network.Query keeps the mirror's replicas fresh,
+// given name: the remote schemas are fetched, and from then on
+// Network.Query keeps the peer's replicas fresh,
 // fetching lazily — only relations the query's rewritings actually
 // reference, only when their replica is not current. Like AddPeer it
 // requires external synchronization with readers. The transport is
@@ -284,7 +311,7 @@ func (n *Network) AddRemotePeer(ctx context.Context, name string, tr Transport) 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if _, dup := n.peers[name]; dup {
+	if _, dup := n.schemasOf(name); dup {
 		return nil, fmt.Errorf("pdms: duplicate peer %q", name)
 	}
 	st, err := tr.State(ctx, name)
@@ -295,30 +322,23 @@ func (n *Network) AddRemotePeer(ctx context.Context, name string, tr Transport) 
 	if err != nil {
 		return nil, fmt.Errorf("pdms: remote peer %s schemas: %w", name, err)
 	}
-	mirror := NewPeer(name, schemas...)
-	mirror.mirror = true
-	if err := n.AddPeer(mirror); err != nil {
-		return nil, err
-	}
 	rp := &RemotePeer{
-		name:      name,
-		tr:        tr,
-		mirror:    mirror,
-		schemaVer: st.SchemaVersion,
-		rels:      make(map[string]*relSync, len(st.Relations)),
-		lastSync:  time.Now(),
+		name:     name,
+		tr:       tr,
+		rels:     make(map[string]*relSync, len(st.Relations)),
+		lastSync: time.Now(),
 	}
+	rp.schemas.Store(&schemaSet{byName: map[string]relation.Schema{}})
+	n.foldSchemas(rp, st.SchemaVersion, schemas...)
 	rp.observe(st)
-	if n.remotes == nil {
-		n.remotes = make(map[string]*RemotePeer)
-	}
 	n.remotes[name] = rp
+	n.order = append(n.order, name)
 	return rp, nil
 }
 
 // remoteSync is one request's remote preparation: the retry policy and
 // shared budget its remote operations run under, the retries they
-// spent, whether it may serve stale mirrors, and the peers it degraded
+// spent, whether it may serve stale replicas, and the peers it degraded
 // (nil until the first).
 type remoteSync struct {
 	pol        RetryPolicy
@@ -329,7 +349,7 @@ type remoteSync struct {
 }
 
 // addDegraded records that the request serves rp from its last-good
-// mirror because of err.
+// replicas because of err.
 func (rs *remoteSync) addDegraded(rp *RemotePeer, err error) {
 	if rs.degraded == nil {
 		rs.degraded = make(map[string]*DegradedPeer)
@@ -346,7 +366,7 @@ func (rs *remoteSync) retry(ctx context.Context, op func(context.Context) error)
 }
 
 // degrade absorbs a failed remote operation against rp by serving rp's
-// last-good mirror, when the request allows stale answers and err is
+// last-good replicas, when the request allows stale answers and err is
 // degradation-class: rp joins the request's degraded set (once) and is
 // marked down, so the background prober takes over. It reports whether
 // err was absorbed. Caller holds n.remoteMu and serializes calls.
@@ -363,7 +383,7 @@ func (n *Network) degrade(ctx context.Context, rs *remoteSync, rp *RemotePeer, e
 
 // syncRemotes refreshes the relation records of every remote peer
 // without a live push subscription with one State round trip each, and
-// folds remote schema growth into the mirror. A peer whose probe
+// folds remote schema growth into their schema sets. A peer whose probe
 // exhausts its retries fails the whole request unless it degrades
 // (n.degrade); peers already down are not probed at all on the
 // stale-tolerant path — their queries pay zero retry latency. Caller
@@ -380,7 +400,7 @@ func (n *Network) syncRemotes(ctx context.Context, rs *remoteSync) error {
 			continue
 		}
 		if rs.allowStale && rp.down.Load() {
-			// Known-down peer: skip the probe, serve the last-good mirror.
+			// Known-down peer: skip the probe, serve the last-good replicas.
 			rs.addDegraded(rp, rp.lastErr)
 			continue
 		}
@@ -395,8 +415,8 @@ func (n *Network) syncRemotes(ctx context.Context, rs *remoteSync) error {
 	slices.Sort(names)
 	// Probe concurrently: the States are independent reads of distinct
 	// peers, and serializing them would make every query's prepare
-	// latency linear in remote peers × round-trip time. Mirror mutation
-	// stays on this goroutine (which holds remoteMu's write side).
+	// latency linear in remote peers × round-trip time. Record updates
+	// stay on this goroutine (which holds remoteMu's write side).
 	states := make([]PeerState, len(names))
 	errs := make([]error, len(names))
 	fanOut(len(names), func(i int) {
@@ -417,7 +437,7 @@ func (n *Network) syncRemotes(ctx context.Context, rs *remoteSync) error {
 				return serr
 			})
 			if err == nil {
-				rp.foldSchemas(st.SchemaVersion, schemas...)
+				n.foldSchemas(rp, st.SchemaVersion, schemas...)
 			}
 		}
 		if err != nil {
@@ -436,8 +456,8 @@ func (n *Network) syncRemotes(ctx context.Context, rs *remoteSync) error {
 // fetchJob is one relation the sync ladder must refresh. base is the
 // replica the ladder or the push path last filled (nil when none has),
 // captured while the caller holds remoteMu, because workers must not
-// read the mirror store concurrently with replica publishes; its own
-// Version is where a delta catch-up starts from.
+// read the record concurrently with replica installs; its own Version
+// is where a delta catch-up starts from.
 type fetchJob struct {
 	rp   *RemotePeer
 	rel  string
@@ -507,8 +527,8 @@ func (n *Network) RemoteSyncCounts() (scans, deltas, ships uint64) {
 //
 // mode and shipBudget decide which jobs get the ship rung (planShips).
 // A shipped relation's partial replica is returned in ships (keyed by
-// qualified name) for a per-request catalog overlay — never published
-// to the mirror, whose replicas must stay complete. paths records, per
+// qualified name) for a per-request catalog overlay — never installed
+// in a record, whose replica must stay complete. paths records, per
 // refreshed relation, which path won, in (peer, relation) order.
 func (n *Network) fetchReferenced(ctx context.Context, rs *remoteSync, rws []cq.Query,
 	mode ShipMode, shipBudget uint64) (ships map[string]*relation.Relation, paths []SyncPath, err error) {
@@ -526,8 +546,8 @@ func (n *Network) fetchReferenced(ctx context.Context, rs *remoteSync, rws []cq.
 			}
 			queued[a.Pred] = true
 			rec := rp.rels[rel]
-			if rec == nil {
-				continue // mirror schema exists but remote serves no data yet
+			if rec == nil || !rec.reported {
+				continue // the remote serves no data for rel yet: its empty replica stands
 			}
 			base, current := rp.replica(rel)
 			if current {
@@ -590,12 +610,12 @@ func (n *Network) runJobs(ctx context.Context, rs *remoteSync, jobs []fetchJob) 
 			if ships == nil {
 				ships = make(map[string]*relation.Relation)
 			}
-			ships[glav.QualifiedName(job.rp.name, job.rel)] = rel
+			ships[job.rec.name] = rel
 		default:
 			// A completed refresh is recorded even when a sibling's failure
 			// fails the request: a delta catch-up has already advanced the
 			// replica in place, and its record must move with it.
-			job.rp.mirror.Store.Put(rel)
+			job.rec.install(rel)
 			job.rec.synced = true
 		}
 		n.syncCounts[rung].Add(1)
@@ -650,6 +670,11 @@ func deltaRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Re
 // because the remote party chose that number; past the cap it grows by
 // append. The replica is stamped with the probed version — the
 // fingerprint it is recorded at, where the next catch-up starts from.
+// A scan that read another row count than the probe's saw a later
+// commit: one more State round trip names its version while the origin
+// still holds that many rows. Otherwise (more commits raced it, and a
+// Scan carries no version) the probed stamp stands — a pair the origin
+// never had, which reads as stale until the next fetch.
 func scanRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Relation, bool, error) {
 	rows := make([]relation.Tuple, 0, min(max(job.rec.latest.Rows, 0), scanPresizeRows))
 	var dst *relation.Relation
@@ -661,10 +686,19 @@ func scanRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Rel
 		}); err != nil {
 			return err
 		}
-		dst = relation.New(job.rp.mirror.Schema(job.rel))
+		dst = relation.New(job.rec.replica.Schema)
 		return dst.InsertBatch(rows)
 	}); err != nil {
 		return nil, false, err
+	}
+	if dst.Len() != job.rec.latest.Rows {
+		if st, err := job.rp.tr.State(ctx, job.rp.name); err == nil {
+			for _, ns := range st.Relations {
+				if ns.Name == job.rel && ns.Stats.Rows == dst.Len() {
+					job.rec.latest = ns.Stats
+				}
+			}
+		}
 	}
 	dst.RestoreVersion(job.rec.latest.Version)
 	return dst, true, nil

@@ -139,8 +139,8 @@ func TestRemoteAddSchemaInvalidatesPlans(t *testing.T) {
 	if got := n.reformCalls.Load(); got != calls+1 {
 		t.Fatalf("post-AddSchema query reused stale reformulation: %d calls, want %d", got, calls+1)
 	}
-	if !n.Peer("oxford").HasRelation("seminar") {
-		t.Fatal("mirror did not pick up the remote relation")
+	if _, ok := n.remotes["oxford"].schemas.Load().byName["seminar"]; !ok {
+		t.Fatal("the remote schema set did not pick up the remote relation")
 	}
 	// The new relation is immediately mappable and queryable: seminars
 	// surface at mit through a fresh mapping.
@@ -286,7 +286,42 @@ func TestAddRemotePeerUnknownName(t *testing.T) {
 	}
 }
 
-// TestRemoveRemotePeer drops the mirror and the remote registration;
+// TestRemotePeerNamesShareOneNamespace: a remote peer is not a *Peer,
+// yet names stay unique across local and remote peers — AddPeer with a
+// remote's name and AddRemotePeer with a local's name both refuse — and
+// PeerNames and NumPeers list both kinds in registration order.
+func TestRemotePeerNamesShareOneNamespace(t *testing.T) {
+	n, _, _ := remoteChainNetwork(t)
+	names := func(want string) {
+		t.Helper()
+		if got := fmt.Sprint(n.PeerNames()); got != want || n.NumPeers() != len(n.PeerNames()) {
+			t.Errorf("PeerNames %s (NumPeers %d), want %s", got, n.NumPeers(), want)
+		}
+	}
+	names("[berkeley mit oxford]")
+	if n.Peer("mit") != nil {
+		t.Error("a remote peer is reachable as a *Peer")
+	}
+	if err := n.AddPeer(NewPeer("mit", relation.NewSchema("subject", relation.Attr("name")))); err == nil {
+		t.Error("AddPeer took a remote peer's name")
+	}
+	local := NewLoopback(NewPeer("berkeley", relation.NewSchema("course", relation.Attr("title"))))
+	if _, err := n.AddRemotePeer(context.Background(), "berkeley", local); err == nil {
+		t.Error("AddRemotePeer took a local peer's name")
+	}
+	names("[berkeley mit oxford]")
+	if err := n.RemovePeer("mit"); err != nil {
+		t.Fatal(err)
+	}
+	names("[berkeley oxford]")
+	_, lb, _ := remoteChainNetwork(t)
+	if _, err := n.AddRemotePeer(context.Background(), "mit", lb); err != nil {
+		t.Fatal(err)
+	}
+	names("[berkeley oxford mit]")
+}
+
+// TestRemoveRemotePeer drops the remote registration and its replicas;
 // queries keep working over what remains.
 func TestRemoveRemotePeer(t *testing.T) {
 	n, _, _ := remoteChainNetwork(t)

@@ -383,8 +383,8 @@ func (n *Network) bindingFor(rw cq.Query, ai int, v string,
 }
 
 // currentSource resolves a qualified predicate to a relation whose
-// current content is exact — a local peer's store, or a remote mirror
-// replica verified fresh by the latest probe. Stale, unfetched, or
+// current content is exact — a local peer's store, or a remote peer's
+// working replica verified fresh by the latest probe. Stale, unfetched, or
 // degraded remote replicas return nil: a binding built from them could
 // exclude rows the serving peer actually holds. Caller holds
 // n.remoteMu.
@@ -404,10 +404,8 @@ func (n *Network) currentSource(pred string, degraded map[string]*DegradedPeer) 
 	if degraded[peer] != nil {
 		return nil
 	}
-	if rp.rels[rel] == nil {
-		// The remote serves no data for rel: the mirror's empty replica
-		// is trivially current.
-		return rp.mirror.Store.Get(rel)
+	if rec := rp.rels[rel]; rec != nil && !rec.reported {
+		return rec.replica // the remote serves no data for rel: its empty replica is current
 	}
 	if r, current := rp.replica(rel); current {
 		return r
@@ -488,12 +486,10 @@ func shipWorthIt(parts []shipPart, st relation.Stats) bool {
 // overflow — declines, and the relation falls to the mirror rungs on the
 // same connection; any other failure is the job's, like a failed scan.
 func shipRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Relation, bool, error) {
-	schema := job.rp.mirror.Schema(job.rel)
 	// The overlay replica carries the qualified name the per-request
-	// catalog resolves atoms by (mirror replicas stay unqualified —
-	// globalSnapshot qualifies them on the way out; the overlay bypasses
-	// that path).
-	schema.Name = glav.QualifiedName(job.rp.name, job.rel)
+	// catalog resolves atoms by, as published snapshots do (working
+	// replicas stay unqualified).
+	schema := relation.Schema{Name: job.rec.name, Attrs: job.rec.replica.Schema.Attrs}
 	var out []relation.Tuple
 	seen := relation.NewTupleSet(64)
 	for _, part := range job.ship.parts {

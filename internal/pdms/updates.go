@@ -26,13 +26,13 @@ type Subscription struct {
 // Subscribe places a materialized view at a peer. The definition def must
 // use qualified predicates ("peer.rel"); it is refreshed immediately.
 func (n *Network) Subscribe(atPeer, name string, def cq.Query) (*Subscription, error) {
-	if n.Peer(atPeer) == nil {
+	if _, ok := n.schemasOf(atPeer); !ok {
 		return nil, errUnknownPeer(atPeer)
 	}
 	for _, pred := range def.Predicates() {
 		pn, rel := glav.SplitQualified(pred)
-		p := n.Peer(pn)
-		if p == nil || !p.HasRelation(rel) {
+		schemas, _ := n.schemasOf(pn)
+		if _, ok := schemas[rel]; !ok {
 			return nil, fmt.Errorf("pdms: subscription %s references unknown %q", name, pred)
 		}
 	}
@@ -47,9 +47,9 @@ func (n *Network) Subscribe(atPeer, name string, def cq.Query) (*Subscription, e
 	return sub, nil
 }
 
-// Subscriptions returns all placed views: a copy taken under subMu, so
+// subscriptions returns all placed views: a copy taken under subMu, so
 // a concurrent Subscribe or RemovePeer never changes what it returned.
-func (n *Network) Subscriptions() []*Subscription {
+func (n *Network) subscriptions() []*Subscription {
 	n.subMu.Lock()
 	defer n.subMu.Unlock()
 	return slices.Clone(n.subs)
@@ -71,10 +71,14 @@ type PublishStats struct {
 // committed changes propagate as incremental view updategrams into every
 // affected subscription — on every network the peer joined, which the
 // returned stats count. "Updategrams on base data can be combined to
-// create updategrams for views."
+// create updategrams for views." A remote peer's data belongs to its
+// origin: Publish on a remote name refuses.
 func (n *Network) Publish(peer, rel string, u view.Updategram) (*PublishStats, error) {
 	p := n.Peer(peer)
 	if p == nil {
+		if n.remotes[peer] != nil {
+			return nil, fmt.Errorf("pdms: peer %s is remote and this network only mirrors it; commit to %s.%s at its origin", peer, peer, rel)
+		}
 		return nil, errUnknownPeer(peer)
 	}
 	stats := &PublishStats{}
@@ -180,11 +184,11 @@ func (n *Network) fanoutViews(pre, post *relation.Database, qu view.Updategram, 
 	return nil
 }
 
-// ViewExtent returns a race-free snapshot (clone) of a placed view's
+// viewExtent returns a race-free snapshot (clone) of a placed view's
 // current extent. The push applier maintains extents from its own
 // goroutine, so direct Extent reads while a subscription is live would
 // race; this accessor takes the same lock the applier holds.
-func (n *Network) ViewExtent(sub *Subscription) *relation.Relation {
+func (n *Network) viewExtent(sub *Subscription) *relation.Relation {
 	n.subMu.Lock()
 	defer n.subMu.Unlock()
 	if sub.MV.Extent == nil {

@@ -78,7 +78,7 @@ func TestSubscribePlacement(t *testing.T) {
 	if got := sub.MV.Extent.Len(); got != 1 {
 		t.Errorf("initial extent has %d rows, want 1 (only x joins)", got)
 	}
-	if subs := n.Subscriptions(); len(subs) != 1 || subs[0] != sub {
+	if subs := n.subscriptions(); len(subs) != 1 || subs[0] != sub {
 		t.Errorf("Subscriptions() = %v, want the one placed view", subs)
 	}
 }
@@ -198,7 +198,7 @@ func TestPublishValidation(t *testing.T) {
 			t.Errorf("update through %s: err = %v, want one naming %q", c.v.Name, err, c.want)
 		}
 	}
-	if got := coord.Peer("a").Store.Get("r").Len(); got != 0 {
+	if got := coord.remotes["a"].rels["r"].replica.Len(); got != 0 {
 		t.Errorf("refused update wrote %d rows into the mirror", got)
 	}
 	if n.Peer("a").Store.Get("r").Len() != 2 {
@@ -275,7 +275,7 @@ func TestUpdateThroughView(t *testing.T) {
 	if st.ViewsTouched != 1 || st.TuplesShipped != 2 {
 		t.Errorf("stats = %+v, want 1 view, 2 tuples", st)
 	}
-	if got := n.ViewExtent(sub); !got.Equal(r.Clone().Dedup()) {
+	if got := n.viewExtent(sub); !got.Equal(r.Clone().Dedup()) {
 		t.Errorf("placed view %v, base %v", got.Rows(), r.Rows())
 	}
 	st, err = n.UpdateThroughView(ones, view.Updategram{Relation: "ones",
@@ -286,13 +286,13 @@ func TestUpdateThroughView(t *testing.T) {
 }
 
 // TestCommitRefusesMirror is the scenario a commit on a coordinator's
-// mirror of a remote peer used to corrupt: the write landed in the
+// replica of a remote peer used to corrupt: the write landed in the
 // replica only, and because the origin's later commits moved the
 // (version, rows) fingerprint as the replica expected, the delta rung
-// served the forked rows as current. Every commit path — Peer.Insert,
-// Peer.Delete, Publish, UpdateThroughView — must refuse the mirror,
-// leave its replica untouched, and keep the coordinator answering what
-// the origin holds.
+// served the forked rows as current. A remote peer has no *Peer at the
+// coordinator, so Peer.Insert and Peer.Delete cannot reach it; Publish
+// and UpdateThroughView must refuse it, leave its replica untouched,
+// and keep the coordinator answering what the origin holds.
 func TestCommitRefusesMirror(t *testing.T) {
 	o, err := OpenDurablePeer("o", t.TempDir(), updatesR)
 	if err != nil {
@@ -319,8 +319,10 @@ func TestCommitRefusesMirror(t *testing.T) {
 		return sortedWire(res.Answers.Rows())
 	}
 	answer() // cold fill
-	mirror := coord.Peer("o")
-	replica := mirror.Store.Get("r")
+	if coord.Peer("o") != nil {
+		t.Fatal("a remote peer is reachable as a *Peer")
+	}
+	replica := coord.remotes["o"].rels["r"].replica
 	ver, rows := replica.Version(), replica.Len()
 	ghosts := view.Updategram{Relation: "r", Inserts: []relation.Tuple{row("ghost1"), row("ghost2")}}
 	everything := view.NewView("all", cq.MustParse("all(N, X) :- o.r(N, X)"))
@@ -329,8 +331,6 @@ func TestCommitRefusesMirror(t *testing.T) {
 		commit func() error
 	}{
 		{"Publish", func() error { _, err := coord.Publish("o", "r", ghosts); return err }},
-		{"Insert", func() error { return mirror.Insert("r", row("ghost1")) }},
-		{"Delete", func() error { _, err := mirror.Delete("r", row("a")); return err }},
 		{"UpdateThroughView", func() error { _, err := coord.UpdateThroughView(everything, ghosts); return err }},
 	} {
 		name := c.name

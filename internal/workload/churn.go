@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -240,7 +241,7 @@ func (c *ChurnNetwork) Join(ctx context.Context, i int) error {
 			continue
 		}
 		other := e[0] + e[1] - i
-		if c.Coord.Peer(PeerName(other)) == nil {
+		if !slices.Contains(c.Coord.PeerNames(), PeerName(other)) {
 			continue
 		}
 		for _, dir := range [][2]int{{e[0], e[1]}, {e[1], e[0]}} {
