@@ -14,6 +14,7 @@ import (
 	"repro/internal/cq"
 	"repro/internal/glav"
 	"repro/internal/relation"
+	"repro/internal/view"
 )
 
 // refusing forwards to its inner transport but answers ExecPlan and
@@ -199,5 +200,78 @@ func TestScanPresizeIgnoresClaimedRows(t *testing.T) {
 	}
 	if lb.Scans() != scans+1 {
 		t.Fatalf("second query scanned %d times, want 1: a replica short of the claim is stale", lb.Scans()-scans)
+	}
+}
+
+// racingScan is a remote node whose first Scan two commits at the
+// origin race: an insert lands just before the scan reads, and a
+// count-preserving Publish (delete that row, insert another) lands
+// just after it, before the coordinator asks anything else.
+type racingScan struct {
+	mirrorOnly
+	origin *Network
+	fired  bool
+}
+
+func (r *racingScan) Scan(ctx context.Context, peer, rel string, deliver func([]relation.Tuple) error) error {
+	if r.fired {
+		return r.Transport.Scan(ctx, peer, rel, deliver)
+	}
+	r.fired = true
+	x := relation.Tuple{relation.SV("x"), relation.SV("px")}
+	if _, err := r.origin.Publish(peer, rel, view.Updategram{Relation: rel, Inserts: []relation.Tuple{x}}); err != nil {
+		return err
+	}
+	if err := r.Transport.Scan(ctx, peer, rel, deliver); err != nil {
+		return err
+	}
+	_, err := r.origin.Publish(peer, rel, view.Updategram{Relation: rel,
+		Deletes: []relation.Tuple{x}, Inserts: []relation.Tuple{{relation.SV("z"), relation.SV("pz")}}})
+	return err
+}
+
+// TestScanRacedByCountPreservingCommitStaysStale: a scan that read
+// another row count than its probe may take the version a second State
+// names only when that version is one mutation past the probe. Here
+// State names a later version whose row count equals the scanned one
+// but whose rows differ (x was swapped for z). Stamping the replica
+// with it would mark rows the origin no longer holds as current for
+// good; the probed stamp instead reads as stale, and the next query
+// scans the origin's rows.
+func TestScanRacedByCountPreservingCommitStaysStale(t *testing.T) {
+	fact := relation.NewSchema("fact", relation.Attr("k"), relation.Attr("p"))
+	src := NewPeer("src", fact)
+	for i := 0; i < 3; i++ {
+		if err := src.Insert("fact", relation.Tuple{relation.SV(fmt.Sprintf("k%d", i)), relation.SV(fmt.Sprintf("p%d", i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	origin := NewNetwork()
+	if err := origin.AddPeer(src); err != nil {
+		t.Fatal(err)
+	}
+	n := NewNetwork()
+	if err := n.AddPeer(NewPeer("home", fact)); err != nil {
+		t.Fatal(err)
+	}
+	rp, err := n.AddRemotePeer(context.Background(), "src", &racingScan{mirrorOnly: mirrorOnly{NewLoopback(src)}, origin: origin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.AddMapping(glav.MustNew("s2h", "src", cq.MustParse("m(K, P) :- fact(K, P)"),
+		"home", cq.MustParse("m(K, P) :- fact(K, P)"))); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Peer: "home", Query: cq.MustParse("q(K, P) :- fact(K, P)")}
+	if got, _ := answerRows(t, n, req); got.Len() != 4 {
+		t.Fatalf("raced query answers %d rows, want the 4 the scan read", got.Len())
+	}
+	want := src.Store.Get("fact")
+	if r := rp.rels["fact"].replica; r.Version() == want.Version() {
+		t.Errorf("replica stamped v%d, the origin's current version, while holding rows from another state", r.Version())
+	}
+	got, _ := answerRows(t, n, req)
+	if !bytes.Equal(sortedWire(got.Rows()), sortedWire(want.Rows())) {
+		t.Errorf("second query answers %v, want the origin's rows %v", got.Rows(), want.Rows())
 	}
 }

@@ -348,9 +348,6 @@ func (n *Network) pushAck(ctx context.Context, rp *RemotePeer, st PeerState) err
 		n.foldSchemas(rp, st.SchemaVersion, schemas...)
 	}
 	rp.observe(st)
-	rp.lastSync = time.Now()
-	rp.lastErr = nil
-	rp.down.Store(false)
 	rp.pushLive.Store(true)
 	return nil
 }

@@ -71,9 +71,9 @@ func TestRemoteReadersTakeNoLock(t *testing.T) {
 // origin passed through: its (Version, Len) pair, and its rows, must be
 // in the origin's recorded history. The writer waits for each change to
 // be applied before the next, so at most one commit is ever in flight:
-// a Scan response carries no version, and a scan that two or more
-// commits race is stamped with a (version, rows) pair the origin never
-// had, which this test would report (see scanRung).
+// a Scan response carries no version, and a scan raced by more than one
+// mutation keeps its probed stamp, a (version, rows) pair the origin
+// never had, which this test would report (see scanRung).
 func TestRemoteSnapshotsStayWhole(t *testing.T) {
 	n, _, served := remoteChainNetwork(t)
 	q := cq.MustParse("q(N) :- subject(N, E)")

@@ -229,12 +229,15 @@ func (rp *RemotePeer) rel(name string) *relSync {
 }
 
 // observe records a State response — a probe or a subscription ack —
-// as the latest statistics of every relation it lists.
+// as the latest statistics of every relation it lists. The peer
+// answered, so it is up: a down peer is resurrected.
 func (rp *RemotePeer) observe(st PeerState) {
 	for _, ns := range st.Relations {
 		rec := rp.rel(ns.Name)
 		rec.latest, rec.reported = ns.Stats, true
 	}
+	rp.lastSync, rp.lastErr = time.Now(), nil
+	rp.down.Store(false)
 }
 
 // replica returns rel's working replica when the sync ladder or the
@@ -323,10 +326,9 @@ func (n *Network) AddRemotePeer(ctx context.Context, name string, tr Transport) 
 		return nil, fmt.Errorf("pdms: remote peer %s schemas: %w", name, err)
 	}
 	rp := &RemotePeer{
-		name:     name,
-		tr:       tr,
-		rels:     make(map[string]*relSync, len(st.Relations)),
-		lastSync: time.Now(),
+		name: name,
+		tr:   tr,
+		rels: make(map[string]*relSync, len(st.Relations)),
 	}
 	rp.schemas.Store(&schemaSet{byName: map[string]relation.Schema{}})
 	n.foldSchemas(rp, st.SchemaVersion, schemas...)
@@ -363,6 +365,15 @@ func (rs *remoteSync) retry(ctx context.Context, op func(context.Context) error)
 	r, err := retryOp(ctx, rs.pol, rs.budget, op)
 	rs.retried.Add(int64(r))
 	return err
+}
+
+// state probes rp's fingerprint under the request's retries.
+func (rs *remoteSync) state(ctx context.Context, rp *RemotePeer) (st PeerState, err error) {
+	err = rs.retry(ctx, func(actx context.Context) (err error) {
+		st, err = rp.tr.State(actx, rp.name)
+		return err
+	})
+	return st, err
 }
 
 // degrade absorbs a failed remote operation against rp by serving rp's
@@ -420,12 +431,7 @@ func (n *Network) syncRemotes(ctx context.Context, rs *remoteSync) error {
 	states := make([]PeerState, len(names))
 	errs := make([]error, len(names))
 	fanOut(len(names), func(i int) {
-		rp := n.remotes[names[i]]
-		errs[i] = rs.retry(ctx, func(actx context.Context) error {
-			var err error
-			states[i], err = rp.tr.State(actx, names[i])
-			return err
-		})
+		states[i], errs[i] = rs.state(ctx, n.remotes[names[i]])
 	})
 	for i, name := range names {
 		rp, st, err := n.remotes[name], states[i], errs[i]
@@ -447,8 +453,6 @@ func (n *Network) syncRemotes(ctx context.Context, rs *remoteSync) error {
 			return fmt.Errorf("pdms: sync remote peer %s: %w", name, err)
 		}
 		rp.observe(st)
-		rp.lastSync = time.Now()
-		rp.down.Store(false) // a successful probe resurrects a down peer
 	}
 	return nil
 }
@@ -671,10 +675,10 @@ func deltaRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Re
 // append. The replica is stamped with the probed version — the
 // fingerprint it is recorded at, where the next catch-up starts from.
 // A scan that read another row count than the probe's saw a later
-// commit: one more State round trip names its version while the origin
-// still holds that many rows. Otherwise (more commits raced it, and a
-// Scan carries no version) the probed stamp stands — a pair the origin
-// never had, which reads as stale until the next fetch.
+// commit, which a second State names only at the probed version + 1;
+// else the probed stamp stands and reads as stale. A Scan carries no
+// version, so a scan raced by count-preserving changes is stamped
+// current with rows the origin did not hold at that version.
 func scanRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Relation, bool, error) {
 	rows := make([]relation.Tuple, 0, min(max(job.rec.latest.Rows, 0), scanPresizeRows))
 	var dst *relation.Relation
@@ -692,9 +696,9 @@ func scanRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Rel
 		return nil, false, err
 	}
 	if dst.Len() != job.rec.latest.Rows {
-		if st, err := job.rp.tr.State(ctx, job.rp.name); err == nil {
+		if st, err := rs.state(ctx, job.rp); err == nil {
 			for _, ns := range st.Relations {
-				if ns.Name == job.rel && ns.Stats.Rows == dst.Len() {
+				if ns.Name == job.rel && ns.Stats.Version == job.rec.latest.Version+1 && ns.Stats.Rows == dst.Len() {
 					job.rec.latest = ns.Stats
 				}
 			}
