@@ -24,7 +24,9 @@ import (
 // A change that moves a count on purpose edits the number here. A
 // materialized answer is two allocations whatever its size — one slice
 // of row headers, one block of values — so the precompiled skewed
-// join's 664 answers cost 3.
+// join's 664 answers cost 3, and so do the 679 of warm-join's
+// two-branch union, which runs on the calling goroutine like every
+// union.
 func TestWarmPathAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on its own")
@@ -47,7 +49,7 @@ func TestWarmPathAllocCeilings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	plans := skewedJoinPlans(t)
+	plans, union := skewedJoinPlans(t), skewedUnionPlans(t)
 	materialize := func(n *pdms.Network) func() (int, error) {
 		return func() (int, error) {
 			cur, err := n.Query(ctx, req)
@@ -67,6 +69,10 @@ func TestWarmPathAllocCeilings(t *testing.T) {
 		answers   int
 		maxAllocs float64
 		states    uint64 // State probes per op over lb
+		// procs measures at the test's GOMAXPROCS instead of
+		// AllocsPerRun's 1, for a path whose work must not depend on
+		// the CPU count.
+		procs bool
 	}{
 		{name: "E2/16 Answer", answers: 80, maxAllocs: 12 + 2,
 			op: func() (int, error) {
@@ -102,6 +108,14 @@ func TestWarmPathAllocCeilings(t *testing.T) {
 				}
 				return res.Len(), nil
 			}},
+		{name: "skewed union, precompiled", answers: 679, maxAllocs: 3 + 2, procs: true,
+			op: func() (int, error) {
+				res, err := cq.MaterializeUnion(ctx, union, cq.ExecOptions{})
+				if err != nil {
+					return 0, err
+				}
+				return res.Len(), nil
+			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ops := uint64(0)
@@ -118,7 +132,11 @@ func TestWarmPathAllocCeilings(t *testing.T) {
 			run() // cold: reformulate, compile, fill the mirrors
 			ops = 0
 			statesBase, scansBase := lb.States(), lb.Scans()
-			allocs := testing.AllocsPerRun(100, run)
+			measure := testing.AllocsPerRun
+			if tc.procs {
+				measure = allocsPerRun
+			}
+			allocs := measure(100, run)
 			t.Logf("%.0f allocs/op (ceiling %.0f)", allocs, tc.maxAllocs)
 			if allocs > tc.maxAllocs {
 				t.Errorf("allocations regressed: %.0f/op, ceiling %.0f", allocs, tc.maxAllocs)
@@ -191,4 +209,19 @@ func TestBulkLoadAllocs(t *testing.T) {
 	if bulk > ceiling {
 		t.Errorf("InsertBatch allocates %.0f B/row, over the %d B/row ceiling", bulk, ceiling)
 	}
+}
+
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1): the
+// average heap allocation count of f over runs calls, after one
+// warm-up call, at the GOMAXPROCS the test runs with, so a path that
+// allocates more only when it sees more than one CPU shows here.
+func allocsPerRun(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"runtime"
 	"testing"
 
 	"repro/internal/advisor"
@@ -176,18 +175,17 @@ func BenchmarkE2TransitiveCold(b *testing.B) {
 // BenchmarkSkewedJoin measures the engine-level Zipf-skewed fact ⋈ dim
 // join on precompiled plans — the batch kernel's adversarial case (a
 // few hot dictionary codes, a long tail) with reformulation and the
-// network stack out of the loop. TestWarmPathAllocCeilings holds the
-// branches=1 series' allocation and answer counts. The branches=2
-// series is warm-join's union in process — the join over a
-// 50 000-row fact relation beside the same join over an empty one —
-// sequential (P=1) and on two workers (P=2).
+// network stack out of the loop. The branches=2 series is warm-join's
+// union in process — the join over a 50 000-row fact relation beside
+// the same join over an empty one. TestWarmPathAllocCeilings holds both
+// series' allocation and answer counts.
 func BenchmarkSkewedJoin(b *testing.B) {
 	ctx := context.Background()
-	run := func(plans []*cq.Plan, par int) func(*testing.B) {
+	run := func(plans []*cq.Plan) func(*testing.B) {
 		return func(b *testing.B) {
 			answers := 0
 			for i := 0; i < b.N; i++ {
-				res, err := cq.MaterializeUnion(ctx, plans, cq.ExecOptions{Parallelism: par})
+				res, err := cq.MaterializeUnion(ctx, plans, cq.ExecOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -196,10 +194,8 @@ func BenchmarkSkewedJoin(b *testing.B) {
 			b.ReportMetric(float64(answers), "answers")
 		}
 	}
-	b.Run("branches=1", run(skewedJoinPlans(b), 0))
-	union := skewedUnionPlans(b)
-	b.Run("branches=2/P=1", run(union, 1))
-	b.Run("branches=2/P=2", run(union, 2))
+	b.Run("branches=1", run(skewedJoinPlans(b)))
+	b.Run("branches=2", run(skewedUnionPlans(b)))
 }
 
 // skewedUnionPlans compiles warm-join's union in process: q(P, L) :-
@@ -274,14 +270,12 @@ func BenchmarkE2Limit1(b *testing.B) {
 	})
 }
 
-// BenchmarkE2Parallel measures branch-parallel union execution on the
-// 64-peer chain (one rewriting per reachable peer, heavy rows per
-// peer): sequential reference (P=1) vs a GOMAXPROCS worker pool.
-// Reformulation and plans are warmed before the timer, so the
-// sub-benches measure pure union execution. On a 2-CPU Xeon host the
-// pool loses: P=1 ≈0.35 ms/op, 174 KB, 10 allocs; P=2 ≈1.0 ms/op,
-// 377 KB, 248 allocs (2 560 answers, every binding a distinct one).
-func BenchmarkE2Parallel(b *testing.B) {
+// BenchmarkWideUnion measures a wide union's execution on the 64-peer
+// chain: one rewriting per reachable peer, 40 rows per peer, 2 560
+// answers, every binding a distinct one. Reformulation and plans are
+// warmed before the timer, so it measures pure union execution. On a
+// 2-CPU Xeon host it takes ≈0.27 ms/op, 175 KB, 10 allocs.
+func BenchmarkWideUnion(b *testing.B) {
 	g := e2Chain(b, 64, 40)
 	ctx := context.Background()
 	req := pdms.Request{Peer: workload.PeerName(0), Query: g.TitleQuery(0),
@@ -289,33 +283,20 @@ func BenchmarkE2Parallel(b *testing.B) {
 	if _, err := g.Net.Answer(req.Peer, req.Query, req.Reform); err != nil {
 		b.Fatal(err)
 	}
-	run := func(par int) func(*testing.B) {
-		return func(b *testing.B) {
-			answers := 0
-			for i := 0; i < b.N; i++ {
-				r := req
-				r.Parallelism = par
-				cur, err := g.Net.Query(ctx, r)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rel, err := cur.Materialize()
-				if err != nil {
-					b.Fatal(err)
-				}
-				answers = rel.Len()
-			}
-			b.ReportMetric(float64(answers), "answers")
+	b.ResetTimer()
+	answers := 0
+	for i := 0; i < b.N; i++ {
+		cur, err := g.Net.Query(ctx, req)
+		if err != nil {
+			b.Fatal(err)
 		}
+		rel, err := cur.Materialize()
+		if err != nil {
+			b.Fatal(err)
+		}
+		answers = rel.Len()
 	}
-	b.Run("seq/P=1", run(1))
-	procs := runtime.GOMAXPROCS(0)
-	b.Run(fmt.Sprintf("par/P=%d", procs), func(b *testing.B) {
-		if procs == 1 {
-			b.Skip("GOMAXPROCS=1: branch parallelism cannot beat sequential on one CPU")
-		}
-		run(procs)(b)
-	})
+	b.ReportMetric(float64(answers), "answers")
 }
 
 // BenchmarkE2Remote measures warm distributed serving on the 16-peer

@@ -22,7 +22,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "random seed for all workloads")
 	only := flag.String("only", "", "run a single experiment (E1..E12)")
 	format := flag.String("format", "text", "output format: text or csv")
-	par := flag.Int("par", 0, "query execution parallelism: 0 auto, 1 sequential, N workers")
 	explain := flag.Bool("explain", false, "print the E2 query's chosen join orders and cost estimates, then exit")
 	flag.Parse()
 
@@ -42,7 +41,7 @@ func main() {
 
 	run := func() ([]*experiments.Table, error) {
 		if *only == "" {
-			return experiments.All(ctx, *seed, *par)
+			return experiments.All(ctx, *seed)
 		}
 		switch *only {
 		case "E1":
@@ -50,7 +49,7 @@ func main() {
 		case "E1b":
 			return []*experiments.Table{experiments.E1LearningCurve(*seed, 4, 3)}, nil
 		case "E2":
-			t, err := experiments.E2Transitive(ctx, *seed, 8, *par)
+			t, err := experiments.E2Transitive(ctx, *seed, 8)
 			return []*experiments.Table{t}, err
 		case "E3":
 			t, err := experiments.E3MappingEffort(*seed, 16)

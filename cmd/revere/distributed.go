@@ -260,7 +260,6 @@ func runQuery(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed shared by every process of the deployment")
 	peers := fs.Int("peers", 16, "total peers in the chain workload")
 	rows := fs.Int("rows", 10, "course rows per peer")
-	par := fs.Int("par", 0, "union execution parallelism: 0 auto, 1 sequential, N workers")
 	retry := fs.Int("retry", 0, "attempts per remote operation (0 = single attempt, no policy)")
 	timeout := fs.Duration("timeout", 0, "per-attempt timeout for remote operations (with -retry)")
 	stale := fs.Bool("stale", false, "serve last-good mirror snapshots when a remote peer is unreachable")
@@ -362,13 +361,12 @@ func runQuery(args []string) error {
 		return fmt.Errorf("unknown -ship mode %q (want never, auto, or always)", *ship)
 	}
 	req := pdms.Request{
-		Peer:        workload.PeerName(0),
-		Query:       g.TitleQuery(0),
-		Reform:      pdms.ReformOptions{MaxDepth: *peers + 1},
-		Parallelism: *par,
-		Retry:       pol,
-		AllowStale:  *stale,
-		Ship:        shipMode,
+		Peer:       workload.PeerName(0),
+		Query:      g.TitleQuery(0),
+		Reform:     pdms.ReformOptions{MaxDepth: *peers + 1},
+		Retry:      pol,
+		AllowStale: *stale,
+		Ship:       shipMode,
 	}
 	runOnce := func() error {
 		cur, err := n.Query(ctx, req)

@@ -6,14 +6,14 @@
 //
 // Usage:
 //
-//	revere [-seed N] [-people N] [-courses N] [-peers N] [-par N] [-explain]
+//	revere [-seed N] [-people N] [-courses N] [-peers N] [-explain]
 //
 // The distributed modes split the deterministic E2 chain workload
 // across real OS processes speaking the wire protocol (PROTOCOL.md):
 //
 //	revere serve [-listen ADDR] [-seed N] [-peers N] [-rows N] [-own LO:HI]
 //	             [-data DIR] [-extra K]
-//	revere query [-seed N] [-peers N] [-rows N] [-par N] [-remote LO:HI=ADDR]...
+//	revere query [-seed N] [-peers N] [-rows N] [-remote LO:HI=ADDR]...
 //	             [-retry N] [-timeout D] [-stale] [-explain] [-watch D]
 //
 // A serve process hosts the peers in [LO:HI) on a TCP port; a query
@@ -82,7 +82,6 @@ func main() {
 	people := flag.Int("people", 6, "people on the generated site")
 	courses := flag.Int("courses", 8, "courses on the generated site")
 	peers := flag.Int("peers", 5, "universities in the PDMS")
-	par := flag.Int("par", 0, "query execution parallelism: 0 auto, 1 sequential, N workers")
 	explain := flag.Bool("explain", false, "print the chosen join orders and cost estimates for the PDMS query")
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -92,13 +91,13 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := run(ctx, *seed, *people, *courses, *peers, *par, *explain); err != nil {
+	if err := run(ctx, *seed, *people, *courses, *peers, *explain); err != nil {
 		fmt.Fprintln(os.Stderr, "revere:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, seed int64, people, courses, peers, par int, explain bool) error {
+func run(ctx context.Context, seed int64, people, courses, peers int, explain bool) error {
 	fmt.Println("=== MANGROVE: structuring a department web ===")
 	g := webgen.Generate(webgen.Options{Seed: seed, NPeople: people,
 		NCourses: courses, NTalks: 3, ConflictRate: 0.4, Malicious: true})
@@ -169,9 +168,8 @@ func run(ctx context.Context, seed int64, people, courses, peers, par int, expla
 	fmt.Printf("%d peers, %d pairwise mappings (chain)\n", net.Net.NumPeers(), net.Net.NumMappings())
 	// Stream the cross-schema answers: the first ones print as the
 	// union's join trees produce them, and Ctrl-C aborts mid-query.
-	// Rewriting branches execute with the requested parallelism.
 	cur, err := net.Net.Query(ctx, pdms.Request{
-		Peer: workload.PeerName(0), Query: net.TitleQuery(0), Parallelism: par})
+		Peer: workload.PeerName(0), Query: net.TitleQuery(0)})
 	if err != nil {
 		return err
 	}

@@ -19,11 +19,9 @@ import (
 // dictionaries keep cached entries valid, so memos survive across
 // branches and across queries. Duplicate elimination hashes head-slot
 // code vectors (relation.CodeSet), not Values; streamed answer tuples
-// are bump-allocated from a slab (a parallel worker's are the shared
-// sharded set's copies of one reused scratch tuple, parallel.go), and a
-// materialized union decodes its deduplicated vectors once, at the end
-// (answers). All batch/translation/slab state lives on a pooled
-// batchExec that
+// are bump-allocated from a slab, and a materialized union decodes its
+// deduplicated vectors once, at the end (answers). All batch,
+// translation and slab state lives on a pooled batchExec that
 // StreamUnionOpts reuses across every branch of a union — one cursor's
 // lifetime — and across unions via a sync.Pool; cancellation is polled
 // once per batch of rows examined instead of per row.
@@ -182,7 +180,7 @@ func (e *batchExec) memoFor(src colRef, dst *relation.Dict, dstCol int) []int32 
 	return m
 }
 
-// outEnc is the union-wide output encoder for code-mode dedup: one
+// outEnc is the union-wide output encoder for dedup: one
 // dictionary per head column, shared by every branch (each translates
 // its head codes into it), so a union deduplicates in one code space.
 type outEnc struct {
@@ -244,35 +242,30 @@ func (o *outEnc) encode(col int, v relation.Value) int32 {
 
 func (o *outEnc) value(col int, code int32) relation.Value { return o.cols[col].vals[code] }
 
-// batchExec is the reusable kernel state of one executing goroutine:
+// batchExec is the reusable kernel state of one union's execution:
 // stage descriptors, per-stage output batches, translation arenas, the
-// answer-tuple slab, and the dedup mode. StreamUnionOpts builds one per
-// sequential union (code mode: outEnc + CodeSet); each parallel worker
-// builds one in tuple mode (each binding's answer decodes into a reused
-// scratch tuple before the shared sharded set, which must see Values to
-// dedup across workers' encoders and copies only the answers it admits).
+// answer-tuple slab, and the dedup state — the output encoder and the
+// CodeSet of head-code vectors every branch shares.
 type batchExec struct {
-	code     bool // code-vector dedup (out/codeSeen) vs the shared sharded set
 	out      *outEnc
 	codeSeen *relation.CodeSet
 
 	// per-union state. head is the union's answer schema (empty when run
 	// is driven directly, which then checks no kinds); mistyped marks a
-	// branch whose declared head kinds differ from it. A code-mode
-	// union stops at limit distinct answers (0 = none), and stopped
-	// records that it did or that yield broke.
+	// branch whose declared head kinds differ from it. A union stops at
+	// limit distinct answers (0 = none), and stopped records that it
+	// did or that yield broke.
 	head     relation.Schema
 	mistyped bool
 	limit    int
 	stopped  bool
 
-	// per-run state. A nil yield only collects: code mode keeps the
-	// answers as vectors in codeSeen, tuple mode in seen.
+	// per-run state. A nil yield only collects: the answers stay as
+	// vectors in codeSeen.
 	plan  *Plan
 	ctx   context.Context
 	done  <-chan struct{}
 	yield func(relation.Tuple) bool
-	seen  *relation.ShardedTupleSet // tuple mode only
 	err   error
 	empty bool // a query constant occurs nowhere: zero answers
 
@@ -282,9 +275,8 @@ type batchExec struct {
 	headSrc  []colRef
 	headMemo [][]int32
 	vecBuf   []int32
-	scratch  relation.Tuple // tuple mode: each binding's answer, before dedup
-	credit   int            // leaf rows between cancellation polls
-	exam     int            // candidate rows between cancellation polls
+	credit   int // leaf rows between cancellation polls
+	exam     int // candidate rows between cancellation polls
 	trans    map[transKey][]int32
 	valSlab  []relation.Value
 	slabLen  int // last value-slab size, for geometric growth
@@ -301,27 +293,23 @@ type batchExec struct {
 var batchExecPool = sync.Pool{New: func() any { return new(batchExec) }}
 
 // getBatchExec returns a (possibly recycled) kernel state for unions of
-// the given head arity; codeMode selects code-vector dedup (sequential
-// unions) over the pool's shared sharded set (parallel workers). Callers
-// release the state back to the pool when the union completes.
-func getBatchExec(arity int, codeMode bool) *batchExec {
+// the given head arity. Callers release the state back to the pool when
+// the union completes.
+func getBatchExec(arity int) *batchExec {
 	e := batchExecPool.Get().(*batchExec)
 	if cap(e.vecBuf) < arity {
 		e.vecBuf = make([]int32, arity)
 	}
 	e.vecBuf = e.vecBuf[:arity]
-	e.code = codeMode
 	if len(e.trans) > transCacheMax {
 		clear(e.trans) // memos re-derive on demand; don't pin old snapshots
 	}
-	if codeMode {
-		if e.out == nil {
-			e.out = newOutEnc(arity)
-			e.codeSeen = relation.NewCodeSet(16)
-		} else {
-			e.out.resize(arity)
-			e.codeSeen.Reset()
-		}
+	if e.out == nil {
+		e.out = newOutEnc(arity)
+		e.codeSeen = relation.NewCodeSet(16)
+	} else {
+		e.out.resize(arity)
+		e.codeSeen.Reset()
 	}
 	return e
 }
@@ -335,21 +323,18 @@ func (e *batchExec) release() {
 	e.ctx = nil
 	e.done = nil
 	e.yield = nil
-	e.seen = nil
 	e.err = nil
-	clear(e.scratch)
 	batchExecPool.Put(e)
 }
 
 // run executes one branch through the batch kernel, yielding each
-// distinct answer. seen is the dedup set in tuple mode and ignored in
-// code mode.
-func (e *batchExec) run(ctx context.Context, p *Plan, seen *relation.ShardedTupleSet, yield func(relation.Tuple) bool) error {
+// distinct answer.
+func (e *batchExec) run(ctx context.Context, p *Plan, yield func(relation.Tuple) bool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	e.setup(p)
-	e.plan, e.ctx, e.done, e.yield, e.seen, e.err = p, ctx, ctx.Done(), yield, seen, nil
+	e.plan, e.ctx, e.done, e.yield, e.err = p, ctx, ctx.Done(), yield, nil
 	e.mistyped = false
 	if len(e.head.Attrs) == len(p.headAttrs) {
 		for j, a := range p.headAttrs {
@@ -485,17 +470,9 @@ func (e *batchExec) setup(p *Plan) {
 	}
 	e.headSrc = e.headSrc[:len(p.headSlots)]
 	e.headMemo = e.headMemo[:len(p.headSlots)]
-	if !e.code {
-		if cap(e.scratch) < len(p.headSlots) {
-			e.scratch = make(relation.Tuple, len(p.headSlots))
-		}
-		e.scratch = e.scratch[:len(p.headSlots)]
-	}
 	for j, hs := range p.headSlots {
 		e.headSrc[j] = e.slotRef(p, hs)
-		if e.code {
-			e.headMemo[j] = e.memoFor(e.headSrc[j], nil, j)
-		}
+		e.headMemo[j] = e.memoFor(e.headSrc[j], nil, j)
 	}
 }
 
@@ -650,12 +627,9 @@ func (e *batchExec) emitRow(d int, st *batchStage, out, in *slotBatch, i, copyWi
 // into the union's output code space (memoized per source code) and the
 // code vector dedups through the shared CodeSet; a fresh answer
 // decodes into a Tuple bump-allocated from the slab only when there is
-// a yield to hand it to. In tuple mode every binding's answer decodes
-// into the one scratch tuple, which the shared sharded set only reads:
-// it copies the answer when it admits it, and the copy is what yield
-// gets, so a binding costs an allocation only when its answer is new. A
-// cancellation poll runs every ctxCheckInterval leaf rows, so a
-// cancelled consumer sees at most ctxCheckInterval+1 further yields.
+// a yield to hand it to. A cancellation poll runs every
+// ctxCheckInterval leaf rows, so a cancelled consumer sees at most
+// ctxCheckInterval+1 further yields.
 func (e *batchExec) leaf(in *slotBatch) bool {
 	if e.mistyped && in.n > 0 && !e.checkKinds(in) {
 		return false
@@ -669,44 +643,33 @@ func (e *batchExec) leaf(in *slotBatch) bool {
 			}
 			e.credit = ctxCheckInterval
 		}
-		if e.code {
-			for j, s := range hs {
-				c := in.col(s)[i]
-				m := e.headMemo[j]
-				oc := m[c]
-				if oc == 0 {
-					ref := e.headSrc[j]
-					oc = e.out.encode(j, ref.d.Value(ref.col, c)) + 1
-					m[c] = oc
-				}
-				e.vecBuf[j] = oc - 1
+		for j, s := range hs {
+			c := in.col(s)[i]
+			m := e.headMemo[j]
+			oc := m[c]
+			if oc == 0 {
+				ref := e.headSrc[j]
+				oc = e.out.encode(j, ref.d.Value(ref.col, c)) + 1
+				m[c] = oc
 			}
-			if !e.codeSeen.Add(e.vecBuf) {
-				continue
+			e.vecBuf[j] = oc - 1
+		}
+		if !e.codeSeen.Add(e.vecBuf) {
+			continue
+		}
+		if e.yield != nil {
+			t := e.newTuple(len(hs))
+			for j := range hs {
+				t[j] = e.out.value(j, e.vecBuf[j])
 			}
-			if e.yield != nil {
-				t := e.newTuple(len(hs))
-				for j := range hs {
-					t[j] = e.out.value(j, e.vecBuf[j])
-				}
-				if !e.yield(t) {
-					e.stopped = true
-					return false
-				}
-			}
-			if e.limit > 0 && e.codeSeen.Len() >= e.limit {
+			if !e.yield(t) {
 				e.stopped = true
 				return false
 			}
-		} else {
-			t := e.scratch
-			for j, s := range hs {
-				ref := e.headSrc[j]
-				t[j] = ref.d.Value(ref.col, in.col(s)[i])
-			}
-			if own, added := e.seen.Add(t); added && e.yield != nil && !e.yield(own) {
-				return false
-			}
+		}
+		if e.limit > 0 && e.codeSeen.Len() >= e.limit {
+			e.stopped = true
+			return false
 		}
 	}
 	return true
@@ -733,13 +696,13 @@ func (e *batchExec) checkKinds(in *slotBatch) bool {
 	return true
 }
 
-// runUnion runs the branches in order on this code-mode executor with
-// one dedup set, stopping at e.limit distinct answers or when yield
-// breaks. A nil yield only collects; answers then decodes the result.
+// runUnion runs the branches in order on this executor with one dedup
+// set, stopping at e.limit distinct answers or when yield breaks. A nil
+// yield only collects; answers then decodes the result.
 func (e *batchExec) runUnion(ctx context.Context, plans []*Plan, head relation.Schema, limit int, yield func(relation.Tuple) bool) error {
 	e.head, e.limit, e.stopped = head, limit, false
 	for _, p := range plans {
-		if err := e.run(ctx, p, nil, yield); err != nil {
+		if err := e.run(ctx, p, yield); err != nil {
 			return err
 		}
 		if e.stopped {
@@ -772,10 +735,9 @@ func (e *batchExec) answers() []relation.Tuple {
 
 // newTuple bump-allocates an answer tuple from the value slab, which
 // grows geometrically with demand (one allocation per slab, not per
-// answer; small result sets pay for small slabs). Code mode only: a
-// parallel worker's answers are the sharded set's copies. Handed-out
-// tuples are never reused — the slab only ever advances — so consumers
-// may retain them.
+// answer; small result sets pay for small slabs). Handed-out tuples
+// are never reused — the slab only ever advances — so consumers may
+// retain them.
 func (e *batchExec) newTuple(n int) relation.Tuple {
 	if len(e.valSlab) < n {
 		size := 2 * e.slabLen

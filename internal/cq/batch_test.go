@@ -143,7 +143,7 @@ func runUnionWire(t *testing.T, plans []*Plan, opts ExecOptions) []byte {
 
 // TestBatchDifferentialRandom holds the batch kernel to EvalReference's
 // answer sets (byte-identical sorted wire encodings) over randomized
-// unions, in sequential and parallel execution.
+// unions.
 func TestBatchDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 120; trial++ {
@@ -159,16 +159,12 @@ func TestBatchDifferentialRandom(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("trial %d: batch != reference for %v", trial, queries)
 		}
-		par := runUnionWire(t, plans, ExecOptions{Parallelism: 4})
-		if !bytes.Equal(par, want) {
-			t.Fatalf("trial %d: parallel != reference for %v", trial, queries)
-		}
 	}
 }
 
 // TestBatchDifferentialLimits checks that limited executions yield
 // exactly min(Limit, |answers|) distinct tuples, each drawn from the
-// reference answer set, sequentially and in parallel mode.
+// reference answer set.
 func TestBatchDifferentialLimits(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
@@ -191,26 +187,21 @@ func TestBatchDifferentialLimits(t *testing.T) {
 		}
 		plans := compileAll(t, db, queries)
 		for _, limit := range []int{1, total/2 + 1, total + 5} {
-			for _, opts := range []ExecOptions{
-				{Limit: limit},
-				{Limit: limit, Parallelism: 4},
-			} {
-				r, err := MaterializeUnion(context.Background(), plans, opts)
-				if err != nil {
-					t.Fatalf("limit %d: %v", limit, err)
-				}
-				want := limit
-				if total < want {
-					want = total
-				}
-				if r.Len() != want {
-					t.Fatalf("trial %d limit %d opts %+v: got %d tuples, want %d",
-						trial, limit, opts, r.Len(), want)
-				}
-				for _, row := range r.Rows() {
-					if !wantSet[row.Key()] {
-						t.Fatalf("limited run yielded %v, not a reference answer", row)
-					}
+			r, err := MaterializeUnion(context.Background(), plans, ExecOptions{Limit: limit})
+			if err != nil {
+				t.Fatalf("limit %d: %v", limit, err)
+			}
+			want := limit
+			if total < want {
+				want = total
+			}
+			if r.Len() != want {
+				t.Fatalf("trial %d limit %d: got %d tuples, want %d",
+					trial, limit, r.Len(), want)
+			}
+			for _, row := range r.Rows() {
+				if !wantSet[row.Key()] {
+					t.Fatalf("limited run yielded %v, not a reference answer", row)
 				}
 			}
 		}
@@ -270,15 +261,13 @@ func entryPointWires(t *testing.T, plans []*Plan) map[string][]byte {
 		}
 		out["Exec"] = sortedWire(r.Rows())
 	}
-	for _, par := range []int{1, 4} {
-		var rows []relation.Tuple
-		err := StreamUnionOpts(context.Background(), plans, ExecOptions{Parallelism: par},
-			func(row relation.Tuple) bool { rows = append(rows, row); return true })
-		if err != nil {
-			t.Fatalf("StreamUnionOpts par=%d: %v", par, err)
-		}
-		out[fmt.Sprintf("StreamUnionOpts/par=%d", par)] = sortedWire(rows)
+	var rows []relation.Tuple
+	err := StreamUnionOpts(context.Background(), plans, ExecOptions{},
+		func(row relation.Tuple) bool { rows = append(rows, row); return true })
+	if err != nil {
+		t.Fatalf("StreamUnionOpts: %v", err)
 	}
+	out["StreamUnionOpts"] = sortedWire(rows)
 	out["MaterializeUnion"] = runUnionWire(t, plans, ExecOptions{})
 	return out
 }
@@ -355,7 +344,7 @@ func TestEncodeOnDemandConcurrentFirstUse(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			<-start
-			r, err := MaterializeUnion(context.Background(), plans, ExecOptions{Parallelism: 1 + g%2*3})
+			r, err := MaterializeUnion(context.Background(), plans, ExecOptions{})
 			if err != nil {
 				t.Errorf("worker %d: %v", g, err)
 				return
@@ -389,12 +378,12 @@ func TestBatchEmptyRelationKeepsOneDict(t *testing.T) {
 		t.Fatal("an empty relation handed out two different dictionaries")
 	}
 	plans := compileAll(t, db, []Query{MustParse("q(X, W) :- enc(X, Z), empty(Z, W)")})
-	be := getBatchExec(2, true)
+	be := getBatchExec(2)
 	defer be.release()
 	clear(be.trans) // a pooled executor may arrive with other tests' memos
 	memos := -1
 	for i := 0; i < 3; i++ {
-		err := be.run(context.Background(), plans[0], nil, func(relation.Tuple) bool {
+		err := be.run(context.Background(), plans[0], func(relation.Tuple) bool {
 			t.Error("a join against an empty relation yielded an answer")
 			return false
 		})
@@ -433,23 +422,21 @@ func TestBatchZeroAtomPlan(t *testing.T) {
 				t.Errorf("width %d: %s != EvalReference", width, name)
 			}
 		}
-		for _, par := range []int{1, 4} {
-			r, err := MaterializeUnion(context.Background(), plans, ExecOptions{Limit: 1, Parallelism: par})
-			if err != nil {
-				t.Fatalf("width %d par %d Limit 1: %v", width, par, err)
-			}
-			if r.Len() != 1 {
-				t.Errorf("width %d par %d Limit 1: %d answers, want 1", width, par, r.Len())
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			err = StreamUnionOpts(ctx, plans, ExecOptions{Parallelism: par}, func(relation.Tuple) bool {
-				t.Errorf("width %d par %d: a cancelled execution yielded", width, par)
-				return true
-			})
-			if err != context.Canceled {
-				t.Errorf("width %d par %d: cancelled execution returned %v, want context.Canceled", width, par, err)
-			}
+		r, err := MaterializeUnion(context.Background(), plans, ExecOptions{Limit: 1})
+		if err != nil {
+			t.Fatalf("width %d Limit 1: %v", width, err)
+		}
+		if r.Len() != 1 {
+			t.Errorf("width %d Limit 1: %d answers, want 1", width, r.Len())
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		err = StreamUnionOpts(ctx, plans, ExecOptions{}, func(relation.Tuple) bool {
+			t.Errorf("width %d: a cancelled execution yielded", width)
+			return true
+		})
+		if err != context.Canceled {
+			t.Errorf("width %d: cancelled execution returned %v, want context.Canceled", width, err)
 		}
 	}
 }

@@ -127,8 +127,7 @@ func CompileOpts(db Catalog, q Query, opts CompileOptions) (*Plan, error) {
 		p.costBased = true
 	} else {
 		order = orderGreedy(q)
-		// Statistics-free cost proxy: the driver atom's row count (what
-		// the parallelism heuristic used before statistics existed).
+		// Statistics-free cost proxy: the driver atom's row count.
 		if len(order) > 0 {
 			p.estCost = float64(rels[order[0]].Len())
 		}

@@ -45,36 +45,31 @@ func TestUnionHeadKindsOneRule(t *testing.T) {
 			"relation q: attribute X expects string, got int"},
 	} {
 		plans := compileAll(t, db, tc.union)
-		for _, par := range []int{1, 2} {
-			opts := ExecOptions{Parallelism: par}
-			if _, err := MaterializeUnion(ctx, plans, opts); err == nil || err.Error() != tc.want {
-				t.Errorf("%v: MaterializeUnion(par=%d) error %v, want %q", tc.union, par, err, tc.want)
+		if _, err := MaterializeUnion(ctx, plans, ExecOptions{}); err == nil || err.Error() != tc.want {
+			t.Errorf("%v: MaterializeUnion error %v, want %q", tc.union, err, tc.want)
+		}
+		var got []relation.Tuple
+		var streamErr error
+		for tup, err := range UnionTuples(ctx, plans, ExecOptions{}) {
+			if err != nil {
+				streamErr = err
+				break
 			}
-			var got []relation.Tuple
-			var streamErr error
-			for tup, err := range UnionTuples(ctx, plans, opts) {
-				if err != nil {
-					streamErr = err
-					break
-				}
-				got = append(got, tup)
-			}
-			if streamErr == nil || streamErr.Error() != tc.want {
-				t.Errorf("%v: UnionTuples(par=%d) yielded %v, error %v; want error %q",
-					tc.union, par, got, streamErr, tc.want)
-			}
-			if par == 1 && len(got) != 1 {
-				t.Errorf("%v: sequential UnionTuples yielded %v before failing, want the first branch's one answer",
-					tc.union, got)
-			}
+			got = append(got, tup)
+		}
+		if streamErr == nil || streamErr.Error() != tc.want {
+			t.Errorf("%v: UnionTuples yielded %v, error %v; want error %q",
+				tc.union, got, streamErr, tc.want)
+		}
+		if len(got) != 1 {
+			t.Errorf("%v: UnionTuples yielded %v before failing, want the first branch's one answer",
+				tc.union, got)
 		}
 	}
 	plans := compileAll(t, db, []Query{MustParse("q(X) :- r(X)"), MustParse("q(X) :- e(X)")})
-	for _, par := range []int{1, 2} {
-		rel, err := MaterializeUnion(ctx, plans, ExecOptions{Parallelism: par})
-		if err != nil || rel.Len() != 1 {
-			t.Errorf("par=%d: a declared-only disagreement gave %v, %v; want the one answer", par, rel, err)
-		}
+	rel, err := MaterializeUnion(ctx, plans, ExecOptions{})
+	if err != nil || rel.Len() != 1 {
+		t.Errorf("a declared-only disagreement gave %v, %v; want the one answer", rel, err)
 	}
 }
 
@@ -121,38 +116,23 @@ func materializeBytes(t *testing.T, plans []*Plan, opts ExecOptions, answers int
 }
 
 // TestMaterializeUnionAllocatesOnce holds what a warm materialization
-// costs beyond the join: a sequential union decodes its n distinct
-// answers of arity a once, into one slice of tuple headers and one
-// block of values — n·(24 + 40a) bytes — plus a fixed cost that does
-// not grow with n (it includes rounding each of the two up to whole
-// pages). Streaming into the result instead (a slab per 1 024 values, a
+// costs beyond the join: a union decodes its n distinct answers of
+// arity a once, into one slice of tuple headers and one block of
+// values — n·(24 + 40a) bytes — plus a fixed cost that does not grow
+// with n (it includes rounding each of the two up to whole pages).
+// Streaming into the result instead (a slab per 1 024 values, a
 // 64-tuple buffer, the row slice regrown by half again) cost 702 KB
-// where this bound allows 432 KB. A Parallelism: 2 run, whose shared
-// set copies each answer it admits, pays for those copies, the set's
-// entries, hashes and slots, and one exact row slice (1.25 MB when its
-// answers were fanned in to an InsertBatch loop).
+// where this bound allows 432 KB.
 func TestMaterializeUnionAllocatesOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on its own")
 	}
 	const n, arity, fixed = 4000, 2, 16 << 10
-	plans := disjointUnion(t, n)
-
-	seq := materializeBytes(t, plans, ExecOptions{Parallelism: 1}, n)
-	seqCeiling := uint64(n*(24+40*arity) + fixed)
-	t.Logf("sequential: %d B for %d answers (ceiling %d)", seq, n, seqCeiling)
-	if seq > seqCeiling {
-		t.Errorf("sequential MaterializeUnion allocated %d B, over %d", seq, seqCeiling)
-	}
-
-	par := materializeBytes(t, plans, ExecOptions{Parallelism: 2}, n)
-	// Per answer: its tuple (40a), its row header (24), its entry in a
-	// shard's chunks (≤ 2·24 with a chunk half full), its hash (≤ 2·8
-	// across append growth) and its slots (≤ 2·8/3·4 across rehashes).
-	parCeiling := uint64(n*(40*arity+24+48+16+22) + fixed)
-	t.Logf("Parallelism 2: %d B for %d answers (ceiling %d)", par, n, parCeiling)
-	if par > parCeiling {
-		t.Errorf("parallel MaterializeUnion allocated %d B, over %d", par, parCeiling)
+	got := materializeBytes(t, disjointUnion(t, n), ExecOptions{}, n)
+	ceiling := uint64(n*(24+40*arity) + fixed)
+	t.Logf("%d B for %d answers (ceiling %d)", got, n, ceiling)
+	if got > ceiling {
+		t.Errorf("MaterializeUnion allocated %d B, over %d", got, ceiling)
 	}
 }
 
@@ -184,21 +164,20 @@ func skewedUnion(t *testing.T) []*Plan {
 	})
 }
 
-// TestParallelUnionAllocatesPerAnswer holds warm-join's union at
-// Parallelism 2 to the per-answer formula of
-// TestMaterializeUnionAllocatesOnce: its ≈50 000 bindings yield 679
-// distinct answers, and a worker that decoded each binding into a
-// tuple of its own before the shared set dropped the duplicate
-// allocated ≈4.08 MB where the formula allows ≈145 KB.
-func TestParallelUnionAllocatesPerAnswer(t *testing.T) {
+// TestUnionAllocatesPerAnswer holds warm-join's union, at default
+// options and whatever GOMAXPROCS the test runs with, to the per-answer
+// formula of TestMaterializeUnionAllocatesOnce: its ≈50 000 bindings
+// yield 679 distinct answers in n·(24 + 40a) bytes plus the fixed
+// 16 KiB, 87 000 B.
+func TestUnionAllocatesPerAnswer(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on its own")
 	}
 	const n, arity, fixed = 679, 2, 16 << 10
-	got := materializeBytes(t, skewedUnion(t), ExecOptions{Parallelism: 2}, n)
-	ceiling := uint64(n*(40*arity+24+48+16+22) + fixed)
-	t.Logf("Parallelism 2: %d B for %d answers (ceiling %d)", got, n, ceiling)
+	got := materializeBytes(t, skewedUnion(t), ExecOptions{}, n)
+	ceiling := uint64(n*(24+40*arity) + fixed)
+	t.Logf("%d B for %d answers (ceiling %d)", got, n, ceiling)
 	if got > ceiling {
-		t.Errorf("parallel MaterializeUnion allocated %d B, over %d", got, ceiling)
+		t.Errorf("MaterializeUnion allocated %d B, over %d", got, ceiling)
 	}
 }

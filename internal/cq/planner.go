@@ -205,18 +205,16 @@ func bestProbeCol(a Atom, st relation.Stats, boundSlot func(string) int) (col, s
 // plan examines when executed — the cost the union-branch budgeter
 // orders and batches branches by. For cost-based plans it is the
 // modeled cost; for greedy-fallback plans it is the driver (first)
-// atom's row count, the same proxy the parallelism heuristic used
-// before statistics existed.
+// atom's row count.
 func (p *Plan) EstimatedCost() float64 { return p.estCost }
 
-// estCostLive returns the cost estimate execution-time decisions
-// (branch ordering, the auto-parallelism gate) run on. Cost-based
-// plans use the compile-time model — their orders bake in the
-// statistics anyway, and callers are expected to recompile when data
-// changes (see the Plan doc). Greedy plans have no model, only the
-// driver-rows proxy, so they read the driver relation's current row
-// count: a statistics-free plan that outlives a bulk load still fans
-// out, exactly as the pre-statistics heuristic did.
+// estCostLive returns the cost estimate a limited union orders its
+// branches by. Cost-based plans use the compile-time model — their
+// orders bake in the statistics anyway, and callers are expected to
+// recompile when data changes (see the Plan doc). Greedy plans have no
+// model, only the driver-rows proxy, so they read the driver
+// relation's current row count: a statistics-free plan that outlives a
+// bulk load orders by its driver's size now, not at compile time.
 func (p *Plan) estCostLive() float64 {
 	if p.costBased || len(p.atoms) == 0 {
 		return p.estCost

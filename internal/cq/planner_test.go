@@ -251,65 +251,53 @@ func TestCheapestFirstBranchOrder(t *testing.T) {
 	}
 }
 
-// TestWorthParallelUsesEstimates verifies the parallel heuristic runs
-// on planner cost estimates: a union of branches whose driver relations
-// are huge but whose probes are maximally selective stays sequential.
+// TestWorthParallelUsesEstimates verifies the estimate a limited
+// union orders its branches by comes from the planner's cost model: a
+// branch whose driver relation is huge but whose probes are maximally
+// selective is estimated at a point lookup's cost, where the
+// statistics-free proxy counts every driver row. (The name is from
+// when the same estimates also decided whether a union ran its
+// branches on a worker pool.)
 func TestWorthParallelUsesEstimates(t *testing.T) {
 	db, _ := skewedDB(4000)
-	// Each branch is a point lookup: est cost ≈ 1, far below the
-	// threshold, even though the driver relation holds 4000 rows.
 	sel := MustParse("q(Y) :- big(X, Y), small(X, Z), big(X, W)")
-	var plans []*Plan
-	for i := 0; i < 4; i++ {
-		p, err := Compile(db, sel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans = append(plans, p)
+	p, err := Compile(db, sel)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if worthParallel(plans) {
-		t.Fatalf("selective union (est cost %.1f per branch) judged worth parallelizing",
-			plans[0].EstimatedCost())
+	greedy, err := CompileOpts(db, sel, CompileOptions{ForceGreedy: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The same shape without statistics falls back to driver-atom rows
-	// and crosses the threshold.
-	var greedy []*Plan
-	for i := 0; i < 4; i++ {
-		p, err := CompileOpts(db, sel, CompileOptions{ForceGreedy: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		greedy = append(greedy, p)
+	if !p.CostBased() || p.estCostLive() >= 128 {
+		t.Fatalf("selective branch estimated at %.1f (cost-based %v), want a point lookup's cost",
+			p.estCostLive(), p.CostBased())
 	}
-	if !worthParallel(greedy) {
-		t.Fatal("stats-free union below threshold; expected driver-atom-rows proxy to cross it")
+	if greedy.estCostLive() < 128 {
+		t.Fatalf("stats-free branch estimated at %.1f; expected the driver-atom-rows proxy", greedy.estCostLive())
 	}
 }
 
 // TestGreedyPlanCostTracksLiveRows pins the execution-time cost of
 // statistics-free plans to the driver relation's current size: a plan
-// compiled before a bulk load must still fan out afterwards (cost-based
-// plans instead bake in their statistics and rely on recompilation).
+// compiled before a bulk load orders by the loaded size afterwards
+// (cost-based plans instead bake in their statistics and rely on
+// recompilation).
 func TestGreedyPlanCostTracksLiveRows(t *testing.T) {
 	db := relation.NewDatabase()
 	r := relation.New(relation.NewSchema("r", relation.Attr("x")))
 	db.Put(r)
-	q := MustParse("q(X) :- r(X)")
-	var plans []*Plan
-	for i := 0; i < 2; i++ {
-		p, err := CompileOpts(db, q, CompileOptions{ForceGreedy: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans = append(plans, p)
+	p, err := CompileOpts(db, MustParse("q(X) :- r(X)"), CompileOptions{ForceGreedy: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if worthParallel(plans) {
-		t.Fatal("empty-relation union judged worth parallelizing")
+	if got := p.estCostLive(); got != 0 {
+		t.Fatalf("empty-relation plan estimated at %.0f, want 0", got)
 	}
 	for i := 0; i < 1000; i++ {
 		r.MustInsert(relation.SV(fmt.Sprintf("v%d", i)))
 	}
-	if !worthParallel(plans) {
-		t.Fatal("greedy plans did not see the bulk load; live driver rows expected")
+	if got := p.estCostLive(); got != 1000 {
+		t.Fatalf("greedy plan estimated at %.0f after a 1000-row load; live driver rows expected", got)
 	}
 }

@@ -23,18 +23,8 @@ import (
 type ExecOptions struct {
 	// Limit stops execution after this many distinct answers have been
 	// yielded (0 = unlimited). Because deduplication happens before the
-	// limit check, exactly min(Limit, |answers|) tuples are delivered —
-	// sequential and parallel execution alike.
+	// limit check, exactly min(Limit, |answers|) tuples are delivered.
 	Limit int
-	// Parallelism is the number of union branches executing
-	// concurrently. 0 = auto: up to GOMAXPROCS workers when the union
-	// is wide and heavy enough to pay for the fan-in machinery, else
-	// sequential. 1 = always the sequential reference path. N > 1
-	// forces a pool of N workers (capped at the branch count). Answers
-	// of a parallel union arrive in nondeterministic order; the answer
-	// set, deduplication, and Limit exactness are identical to
-	// sequential execution.
-	Parallelism int
 }
 
 // Stream executes the plan, calling yield for every distinct answer as
@@ -63,10 +53,9 @@ func StreamUnion(ctx context.Context, plans []*Plan, yield func(relation.Tuple) 
 // all remaining branches — the moment the Nth distinct answer has been
 // yielded. Limited unions run their branches cheapest-first (by the
 // planner's cost estimates), so the limit tends to fill before the
-// expensive branches start. When opts.Parallelism resolves to more than
-// one worker the branches execute concurrently (see
-// streamUnionParallel); yield is still invoked from this goroutine
-// only.
+// expensive branches start. The branches run one after another on the
+// calling goroutine and dedup over code vectors in one output encoding
+// shared by every branch.
 func StreamUnionOpts(ctx context.Context, plans []*Plan, opts ExecOptions, yield func(relation.Tuple) bool) error {
 	head, err := unionHead(plans)
 	if err != nil {
@@ -75,12 +64,7 @@ func StreamUnionOpts(ctx context.Context, plans []*Plan, opts ExecOptions, yield
 	if opts.Limit > 0 && len(plans) > 1 {
 		plans = plansCheapestFirst(plans)
 	}
-	if par := effectiveParallelism(plans, opts); par > 1 {
-		return streamUnionParallel(ctx, plans, head, opts, par, yield)
-	}
-	// A sequential union dedups over code vectors in one output encoding
-	// shared by every branch.
-	be := getBatchExec(len(head.Attrs), true)
+	be := getBatchExec(len(head.Attrs))
 	defer be.release()
 	return be.runUnion(ctx, plans, head, opts.Limit, yield)
 }
@@ -150,15 +134,11 @@ func UnionTuples(ctx context.Context, plans []*Plan, opts ExecOptions) iter.Seq2
 }
 
 // MaterializeUnion executes the union as StreamUnionOpts does — same
-// answers, and sequentially the same order — into a relation whose
-// schema comes from the first plan: the materializing path ExecUnion
-// and the PDMS cursor share. Nothing is streamed. A sequential union
-// keeps its answers as deduplicated code vectors and decodes them once
-// at the end into exactly sized rows; an unlimited parallel union's
-// workers only add to the shared sharded set, whose entries become the
-// rows. A limited parallel union keeps the claim and fan-in protocol,
-// which is what makes its limit exact. The result adopts the rows
-// without copying them.
+// answers in the same order — into a relation whose schema comes from
+// the first plan: the materializing path ExecUnion and the PDMS cursor
+// share. Nothing is streamed: the union keeps its answers as
+// deduplicated code vectors and decodes them once at the end into
+// exactly sized rows, which the result adopts without copying.
 func MaterializeUnion(ctx context.Context, plans []*Plan, opts ExecOptions) (*relation.Relation, error) {
 	head, err := unionHead(plans)
 	if err != nil {
@@ -167,29 +147,12 @@ func MaterializeUnion(ctx context.Context, plans []*Plan, opts ExecOptions) (*re
 	if opts.Limit > 0 && len(plans) > 1 {
 		plans = plansCheapestFirst(plans)
 	}
-	var rows []relation.Tuple
-	switch par := effectiveParallelism(plans, opts); {
-	case par == 1:
-		be := getBatchExec(len(head.Attrs), true)
-		defer be.release()
-		if err := be.runUnion(ctx, plans, head, opts.Limit, nil); err != nil {
-			return nil, err
-		}
-		rows = be.answers()
-	case opts.Limit == 0:
-		if rows, err = collectParallel(ctx, plans, head, par); err != nil {
-			return nil, err
-		}
-	default:
-		err := streamUnionParallel(ctx, plans, head, opts, par, func(t relation.Tuple) bool {
-			rows = append(rows, t)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
+	be := getBatchExec(len(head.Attrs))
+	defer be.release()
+	if err := be.runUnion(ctx, plans, head, opts.Limit, nil); err != nil {
+		return nil, err
 	}
-	return relation.AdoptResult(head, rows), nil
+	return relation.AdoptResult(head, be.answers()), nil
 }
 
 // HeadSchemaFor returns the schema a query's answers carry when

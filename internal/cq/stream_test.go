@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -396,5 +397,37 @@ func TestMaterializeUnionLimitSubset(t *testing.T) {
 		if !fullSet[row.Key()] {
 			t.Fatalf("limited tuple %v not in full answer", row)
 		}
+	}
+}
+
+// TestUnionSignedZero: a union whose branches read +0 and -0 from two
+// relations dedups them through the output encoder, which compares
+// with ==: +0 == -0, so the union answers {0, 1.5}, two answers, not
+// three, streamed and materialized alike.
+func TestUnionSignedZero(t *testing.T) {
+	db := relation.NewDatabase()
+	for name, zero := range map[string]float64{"fpos": 0, "fneg": math.Copysign(0, -1)} {
+		r := relation.New(relation.NewSchema(name, relation.FloatAttr("x")))
+		r.MustInsert(relation.FV(zero))
+		r.MustInsert(relation.FV(1.5))
+		db.Put(r)
+	}
+	plans := compileAll(t, db, []Query{MustParse("q(X) :- fpos(X)"), MustParse("q(X) :- fneg(X)")})
+	var streamed []relation.Tuple
+	if err := StreamUnion(context.Background(), plans, func(tup relation.Tuple) bool {
+		streamed = append(streamed, tup)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(streamed) != 2 {
+		t.Errorf("streamed union yielded %v, want 2 answers", streamed)
+	}
+	rel, err := MaterializeUnion(context.Background(), plans, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel.Len() != 2 {
+		t.Errorf("materialized union holds %v, want 2 answers", rel.Rows())
 	}
 }

@@ -7,15 +7,14 @@ import (
 
 // All runs every experiment at its default scale and returns the tables
 // in order. Seed fixes all randomness; ctx cancels the query-serving
-// experiments mid-sweep; par is the query-execution parallelism the
-// PDMS experiments forward to the engine (0 = auto).
-func All(ctx context.Context, seed int64, par int) ([]*Table, error) {
+// experiments mid-sweep.
+func All(ctx context.Context, seed int64) ([]*Table, error) {
 	var out []*Table
 	e1 := E1Matching(seed, 3, 4)
 	out = append(out, e1.Table)
 	out = append(out, E1LearningCurve(seed, 4, 3))
 	steps := []func() (*Table, error){
-		func() (*Table, error) { return E2Transitive(ctx, seed, 8, par) },
+		func() (*Table, error) { return E2Transitive(ctx, seed, 8) },
 		func() (*Table, error) { return E3MappingEffort(seed, 16) },
 		func() (*Table, error) { return E4Reformulation(seed, 8) },
 		func() (*Table, error) { return E5Publish(seed, 20) },

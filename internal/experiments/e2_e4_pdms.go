@@ -16,10 +16,8 @@ import (
 // title query at peer 0 against the oracle union of all peers' titles.
 // Answers are counted by draining a streaming cursor — nothing is
 // materialized — and ctx cancels the whole sweep (reformulation and
-// execution alike) between expansion states and candidate rows. par is
-// the union execution parallelism forwarded to the engine (0 = auto,
-// 1 = sequential, N = that many branch workers).
-func E2Transitive(ctx context.Context, seed int64, peers, par int) (*Table, error) {
+// execution alike) between expansion states and candidate rows.
+func E2Transitive(ctx context.Context, seed int64, peers int) (*Table, error) {
 	t := &Table{
 		ID:     "E2",
 		Title:  fmt.Sprintf("Answer completeness vs reformulation depth (%d peers)", peers),
@@ -42,10 +40,9 @@ func E2Transitive(ctx context.Context, seed int64, peers, par int) (*Table, erro
 		}
 		for depth := 1; depth <= maxDist+1; depth++ {
 			cur, err := g.Net.Query(ctx, pdms.Request{
-				Peer:        workload.PeerName(0),
-				Query:       g.TitleQuery(0),
-				Reform:      pdms.ReformOptions{MaxDepth: depth},
-				Parallelism: par,
+				Peer:   workload.PeerName(0),
+				Query:  g.TitleQuery(0),
+				Reform: pdms.ReformOptions{MaxDepth: depth},
 			})
 			if err != nil {
 				return nil, err

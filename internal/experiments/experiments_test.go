@@ -72,7 +72,7 @@ func TestE1LearningCurveClimbs(t *testing.T) {
 }
 
 func TestE2ReachesFullRecall(t *testing.T) {
-	tab, err := E2Transitive(context.Background(), 42, 6, 0)
+	tab, err := E2Transitive(context.Background(), 42, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestScaleStress(t *testing.T) {
 	}
 	// A larger random network must still answer completely and within
 	// the rewriting caps.
-	tab, err := E2Transitive(context.Background(), 7, 12, 4)
+	tab, err := E2Transitive(context.Background(), 7, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
 	}
-	tables, err := All(context.Background(), 7, 0)
+	tables, err := All(context.Background(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}

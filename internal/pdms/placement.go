@@ -182,7 +182,9 @@ func (n *Network) PlaceViews(workload []WorkloadQuery, budget int, cm CostModel)
 // AnswerUsingCopies answers q at peer, reading local materialized copies
 // instead of remote relations where available. Copies are kept fresh by
 // Publish, so answers match Answer() as long as all updates flow through
-// updategrams.
+// updategrams. Each copy's extent is read through a snapshot under its
+// @copy name in a per-call overlay on GlobalDB, which the call leaves
+// as it found it.
 func (n *Network) AnswerUsingCopies(peer string, q cq.Query, opts ReformOptions) (*AnswerResult, error) {
 	rf := NewReformulator(n, opts)
 	rws, stats, err := rf.Reformulate(context.Background(), peer, q)
@@ -190,18 +192,12 @@ func (n *Network) AnswerUsingCopies(peer string, q cq.Query, opts ReformOptions)
 		return nil, err
 	}
 	copies := n.localCopies(peer)
-	db := n.GlobalDB()
-	// Register copy extents and rewrite atoms to read them.
+	over := make(map[string]*relation.Relation, len(copies))
 	for qualified, sub := range copies {
 		copyName := "@copy." + peer + "." + qualified
-		ext := relation.New(relation.Schema{Name: copyName, Attrs: sub.MV.Extent.Schema.Attrs})
-		for _, row := range sub.MV.Extent.Rows() {
-			if err := ext.Insert(row); err != nil {
-				return nil, err
-			}
-		}
-		db.Put(ext)
+		over[copyName] = sub.MV.Extent.SnapshotAs(copyName)
 	}
+	db := cq.Overlay{Base: n.GlobalDB(), Over: over}
 	rewritten := make([]cq.Query, len(rws))
 	for i, rw := range rws {
 		c := rw.Clone()

@@ -2,6 +2,7 @@ package pdms
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/cq"
@@ -75,6 +76,62 @@ func TestAnswerUsingCopiesMatchesAnswer(t *testing.T) {
 	}
 	if !foundCopy {
 		t.Error("no rewriting used a local copy")
+	}
+}
+
+// TestAnswerUsingCopiesLeavesGlobalDBAlone holds AnswerUsingCopies to
+// a read: the cached GlobalDB snapshot every query shares keeps its
+// relations and its statistics version, and copies queries running
+// beside plain Answer calls neither race on it nor change an answer.
+func TestAnswerUsingCopiesLeavesGlobalDBAlone(t *testing.T) {
+	n := chainNetwork(t)
+	q := cq.MustParse("q(L) :- offering(L, S)")
+	for _, src := range [][2]string{{"berkeley", "course"}, {"mit", "subject"}} {
+		if _, err := n.MaterializeRemote("oxford", src[0], src[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	direct, err := n.Answer("oxford", q, ReformOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := n.GlobalDB()
+	names, version := fmt.Sprint(db.Names()), db.StatsVersion()
+	if _, err := n.AnswerUsingCopies("oxford", q, ReformOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(n.GlobalDB().Names()); got != names {
+		t.Errorf("GlobalDB after a copies query holds %s, before %s", got, names)
+	}
+	if got := n.GlobalDB().StatsVersion(); got != version {
+		t.Errorf("GlobalDB statistics version moved %d -> %d", version, got)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(copies bool) {
+			defer wg.Done()
+			for j := 0; j < 20; j++ {
+				answer := n.Answer
+				if copies {
+					answer = n.AnswerUsingCopies
+				}
+				res, err := answer("oxford", q, ReformOptions{})
+				if err == nil && !res.Answers.Equal(direct.Answers) {
+					err = fmt.Errorf("copies=%v answered %v, want %v", copies, res.Answers.Rows(), direct.Answers.Rows())
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(i%2 == 0)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

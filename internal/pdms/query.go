@@ -35,13 +35,6 @@ type Request struct {
 	// trees the moment the limit is reached, so existence queries
 	// (Limit=1) cost a tiny fraction of full materialization.
 	Limit int
-	// Parallelism is the number of rewriting branches executed
-	// concurrently by the engine: 0 = auto (GOMAXPROCS when the union
-	// is heavy enough), 1 = sequential, N > 1 = force N workers. See
-	// cq.ExecOptions.Parallelism. Answer order becomes
-	// nondeterministic above 1; the answer set and Limit exactness do
-	// not change.
-	Parallelism int
 	// Retry governs the remote operations of this request's preparation
 	// (freshness probes, schema syncs, relation scans). The zero value
 	// keeps the pre-policy behavior: one attempt per operation, no
@@ -87,7 +80,6 @@ type Cursor struct {
 	plans  []*cq.Plan
 	schema relation.Schema
 	limit  int
-	par    int
 
 	rewritings []cq.Query
 	stats      ReformStats
@@ -241,7 +233,7 @@ func (c *Cursor) start() {
 		return
 	}
 	c.next, c.stop = iter.Pull2(cq.UnionTuples(c.ctx, c.plans,
-		cq.ExecOptions{Limit: c.limit, Parallelism: c.par}))
+		cq.ExecOptions{Limit: c.limit}))
 }
 
 // finish records execution time and stops the pull iterator.
@@ -284,7 +276,7 @@ func (c *Cursor) Materialize() (*relation.Relation, error) {
 			// c.schema is plans[0].HeadSchema() whenever plans exist.
 			var err error
 			out, err = cq.MaterializeUnion(c.ctx, c.plans,
-				cq.ExecOptions{Limit: c.limit, Parallelism: c.par})
+				cq.ExecOptions{Limit: c.limit})
 			if err != nil {
 				c.err = err
 				c.closed = true
@@ -356,7 +348,6 @@ func (n *Network) Query(ctx context.Context, req Request) (*Cursor, error) {
 	c := &Cursor{
 		ctx:        ctx,
 		limit:      req.Limit,
-		par:        req.Parallelism,
 		rewritings: e.rws,
 		stats:      e.stats,
 	}

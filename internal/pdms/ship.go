@@ -417,13 +417,14 @@ func (n *Network) currentSource(pred string, degraded map[string]*DegradedPeer) 
 // nil when their count exceeds cap (a binding that big is dropped, not
 // truncated).
 func distinctColumn(r *relation.Relation, col, cap_ int) []relation.Value {
-	seen := relation.NewTupleSet(64)
+	seen := make(map[relation.Value]struct{})
 	var out []relation.Value
 	for _, row := range r.Rows() {
-		if seen.Add(relation.Tuple{row[col]}) {
+		if _, dup := seen[row[col]]; !dup {
 			if len(out) >= cap_ {
 				return nil
 			}
+			seen[row[col]] = struct{}{}
 			out = append(out, row[col])
 		}
 	}
@@ -475,11 +476,12 @@ func shipWorthIt(parts []shipPart, st relation.Stats) bool {
 
 // shipRung, the sync ladder's top rung, executes one relation's shipped
 // sub-plans and reassembles the partial replica: per part, the returned
-// head tuples fill the atom pattern back into full-width rows, and the
-// union across parts is deduplicated (the engine's answers are distinct
-// per part, not across parts) and the distinct rows are bulk-loaded
-// into a fresh relation by one InsertBatch, so column statistics accrue
-// for the planner. Each part retries under the request's policy into a
+// head tuples fill the atom pattern back into full-width rows, the rows
+// of every part are bulk-loaded into a fresh relation by one
+// InsertBatch, so column statistics accrue for the planner, and the
+// union across parts is deduplicated in place (the engine's answers are
+// distinct per part, not across parts; Dedup re-encodes only when it
+// dropped a row). Each part retries under the request's policy into a
 // per-attempt buffer, so a dropped stream's partial tuples never leak
 // into the replica. A refusal the serving side types as
 // ErrPlanUnsupported — old server, uncompilable plan, row-budget
@@ -491,7 +493,6 @@ func shipRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Rel
 	// replicas stay unqualified).
 	schema := relation.Schema{Name: job.rec.name, Attrs: job.rec.replica.Schema.Attrs}
 	var out []relation.Tuple
-	seen := relation.NewTupleSet(64)
 	for _, part := range job.ship.parts {
 		headPos := make(map[string]int, len(part.sp.HeadVars))
 		for i, v := range part.sp.HeadVars {
@@ -524,15 +525,11 @@ func shipRung(ctx context.Context, rs *remoteSync, job *fetchJob) (*relation.Rel
 		if err != nil {
 			return nil, false, err
 		}
-		for _, row := range rows {
-			if seen.Add(row) {
-				out = append(out, row)
-			}
-		}
+		out = append(out, rows...)
 	}
 	dst := relation.New(schema)
 	if err := dst.InsertBatch(out); err != nil {
 		return nil, false, err
 	}
-	return dst, true, nil
+	return dst.Dedup(), true, nil
 }

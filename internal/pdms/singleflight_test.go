@@ -14,8 +14,7 @@ import (
 )
 
 // wideChainNetwork is chainNetwork with enough rows per peer that the
-// reformulated union's branches carry real work — the shape the
-// parallel executor exists for.
+// reformulated union's branches carry real work.
 func wideChainNetwork(t *testing.T, rows int) *Network {
 	t.Helper()
 	n := chainNetwork(t)
@@ -45,7 +44,7 @@ func waitNetGoroutines(t *testing.T, base int, when string) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Errorf("%s: %d goroutines alive, baseline %d — worker leak",
+			t.Errorf("%s: %d goroutines alive, baseline %d — goroutine leak",
 				when, runtime.NumGoroutine(), base)
 			return
 		}
@@ -53,97 +52,10 @@ func waitNetGoroutines(t *testing.T, base int, when string) {
 	}
 }
 
-// TestQueryParallelMatchesSequential holds the full request path —
-// reformulation, cached plans, cursor drain — at several parallelism
-// levels to the sequential path's exact answer set, both pull-style
-// and via Materialize.
-func TestQueryParallelMatchesSequential(t *testing.T) {
-	n := wideChainNetwork(t, 300)
-	q := cq.MustParse("q(L) :- offering(L, S)")
-	seqCur, err := n.Query(context.Background(), Request{
-		Peer: "oxford", Query: q, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq := drainCursor(t, seqCur)
-	seqSet := keySet(seq)
-	if len(seqSet) != len(seq) {
-		t.Fatal("sequential cursor yielded duplicates")
-	}
-	for _, par := range []int{0, 2, 4, 8} {
-		cur, err := n.Query(context.Background(), Request{
-			Peer: "oxford", Query: q, Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := drainCursor(t, cur)
-		got := keySet(rows)
-		if len(got) != len(rows) {
-			t.Fatalf("P=%d cursor yielded duplicates", par)
-		}
-		if len(got) != len(seqSet) {
-			t.Fatalf("P=%d yielded %d distinct answers, sequential %d",
-				par, len(got), len(seqSet))
-		}
-		for k := range seqSet {
-			if !got[k] {
-				t.Fatalf("P=%d missing tuple %q", par, k)
-			}
-		}
-		mat, err := n.Query(context.Background(), Request{
-			Peer: "oxford", Query: q, Parallelism: par})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rel, err := mat.Materialize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rel.Len() != len(seqSet) {
-			t.Fatalf("P=%d Materialize %d tuples, want %d", par, rel.Len(), len(seqSet))
-		}
-	}
-}
-
-// TestQueryParallelLimitExact: Limit through the cursor stays exact
-// when branches race — exactly min(Limit, |answers|) distinct tuples.
-func TestQueryParallelLimitExact(t *testing.T) {
-	n := wideChainNetwork(t, 200)
-	q := cq.MustParse("q(L) :- offering(L, S)")
-	full, err := n.Answer("oxford", q, ReformOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullSet := keySet(full.Answers.Rows())
-	for _, limit := range []int{1, 5, 50, len(fullSet), len(fullSet) + 10} {
-		cur, err := n.Query(context.Background(), Request{
-			Peer: "oxford", Query: q, Limit: limit, Parallelism: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rows := drainCursor(t, cur)
-		want := limit
-		if want > len(fullSet) {
-			want = len(fullSet)
-		}
-		if len(rows) != want {
-			t.Fatalf("P=4 limit %d yielded %d tuples, want %d", limit, len(rows), want)
-		}
-		if len(keySet(rows)) != len(rows) {
-			t.Fatalf("P=4 limit %d yielded duplicates", limit)
-		}
-		for _, r := range rows {
-			if !fullSet[r.Key()] {
-				t.Fatalf("P=4 limit %d tuple %v not in full answer", limit, r)
-			}
-		}
-	}
-}
-
-// TestQueryParallelCloseDrainsWorkers closes a parallel cursor after a
-// few pulls: the union's worker pool and the pull coroutine must all
-// exit — no goroutine may survive Close.
-func TestQueryParallelCloseDrainsWorkers(t *testing.T) {
+// TestCursorCloseStopsPull closes a cursor after a few pulls, and
+// cancels another mid-stream: the pull coroutine behind Next must exit
+// either way — no goroutine may survive Close.
+func TestCursorCloseStopsPull(t *testing.T) {
 	n := wideChainNetwork(t, 300)
 	q := cq.MustParse("q(L) :- offering(L, S)")
 	// Warm the caches so the goroutine baseline is taken with no cold
@@ -152,8 +64,7 @@ func TestQueryParallelCloseDrainsWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
-	cur, err := n.Query(context.Background(), Request{
-		Peer: "oxford", Query: q, Parallelism: 4})
+	cur, err := n.Query(context.Background(), Request{Peer: "oxford", Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +78,7 @@ func TestQueryParallelCloseDrainsWorkers(t *testing.T) {
 	// And cancellation instead of Close.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cur, err = n.Query(ctx, Request{Peer: "oxford", Query: q, Parallelism: 4})
+	cur, err = n.Query(ctx, Request{Peer: "oxford", Query: q})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,8 +111,7 @@ func TestQuerySingleflightColdMiss(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			cur, err := n.Query(context.Background(), Request{
-				Peer: "oxford", Query: q, Parallelism: 2})
+			cur, err := n.Query(context.Background(), Request{Peer: "oxford", Query: q})
 			if err != nil {
 				errs[i] = err
 				return

@@ -1,9 +1,9 @@
 package relation
 
 // CodeSet is a hash set of dictionary-code vectors, the batch kernel's
-// counterpart of TupleSet: answers stay as []int32 codes right through
-// duplicate elimination, so dedup hashes and compares ints instead of
-// Value structs. The layout is open-addressing over a flat slab — table
+// dedup set: answers stay as []int32 codes right through duplicate
+// elimination, so dedup hashes and compares ints instead of Value
+// structs. The layout is open-addressing over a flat slab — table
 // holds 1-based entry numbers, entry k's codes live at slab[(k-1)*arity
 // : k*arity] — so a steady-state Add allocates nothing: vectors are
 // copied into the slab (callers may reuse the probe buffer) and probes

@@ -289,17 +289,15 @@ func (r *Relation) Contains(t Tuple) bool {
 func (r *Relation) Dedup() *Relation {
 	statsValid := r.statRows == len(r.rows)
 	encValid := r.encRows == len(r.rows)
-	seen := NewTupleSet(len(r.rows))
-	kept := r.rows[:0]
+	kept := r.rows
 	if r.shared {
 		kept = make([]Tuple, 0, len(r.rows))
 	}
+	seen := newTupleSet(len(r.rows), kept)
 	for _, row := range r.rows {
-		if !seen.Add(row) {
-			continue
-		}
-		kept = append(kept, row)
+		seen.add(row)
 	}
+	kept = seen.rows
 	if len(kept) == len(r.rows) {
 		return r
 	}
@@ -373,22 +371,20 @@ func (r *Relation) Equal(other *Relation) bool {
 	if r.Schema.Arity() != other.Schema.Arity() {
 		return false
 	}
-	a := NewTupleSet(len(r.rows))
+	a := newTupleSet(len(r.rows), nil)
 	for _, row := range r.rows {
-		a.Add(row)
+		a.add(row)
 	}
-	b := NewTupleSet(len(other.rows))
+	b := newTupleSet(len(other.rows), nil)
 	for _, row := range other.rows {
-		b.Add(row)
+		b.add(row)
 	}
-	if a.Len() != b.Len() {
+	if len(a.rows) != len(b.rows) {
 		return false
 	}
-	for _, chunk := range a.tab.chunks {
-		for _, row := range chunk {
-			if !b.Contains(row) {
-				return false
-			}
+	for _, row := range a.rows {
+		if !b.contains(row) {
+			return false
 		}
 	}
 	return true

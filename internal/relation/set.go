@@ -4,15 +4,13 @@ import "math/bits"
 
 // This file holds the open-addressing layout shared by the package's
 // hash tables: the dictionary's per-column encode tables (dict.go) and
-// the tuple sets below. A table is a power-of-two []int32 of slots, each
+// the tuple set below. A table is a power-of-two []int32 of slots, each
 // holding a 1-based number naming an entry the table keeps apart — a
 // decode table's value, a tuple set's tuple (0 = empty) — probed
 // linearly from a home slot. Equality is decided against the entry,
 // never against the slot, so a slot costs 4 bytes whatever the keys
-// weigh, and the slots are re-laid — every entry rehashed once — when
-// the table is three quarters full. The entries themselves never move:
-// a tuple set keeps its tuples in chunks, so growing it copies no tuple
-// header.
+// weigh, and an encode table's slots are re-laid — every entry
+// rehashed once — when the table is three quarters full.
 
 // minTableSlots is the smallest table a set or encode table allocates.
 const minTableSlots = 8
@@ -52,145 +50,56 @@ func place(slots []int32, h uint64, n int32) {
 	slots[i] = n
 }
 
-// tupleTable is the one tuple hash table behind TupleSet and each
-// ShardedTupleSet shard. It holds the distinct tuples in the order they
-// were added, in chunks that never move: chunk 0 has room for first
-// tuples and chunk c ≥ 1 for first<<(c-1), so entry k's chunk follows
-// from k alone and a full table adds a chunk instead of copying every
-// tuple header into a larger slice. hashes holds each entry's
-// Tuple.Hash in one flat slice, and slot s != 0 names entry s-1. A
+// tupleSet is the hash set Dedup and Equal find duplicate rows
+// through. It keeps the distinct tuples in the order they were added,
+// each one's Tuple.Hash, and slots sized up front for the most tuples
+// it will hold, so it never grows. Slot s != 0 names rows[s-1]; a
 // probe compares the stored hash first, so a slot of another tuple
-// costs an integer comparison, not a walk into its values, and a rehash
-// recomputes no tuple hash and re-lays only the slots; membership is
-// then confirmed with an exact comparison. The set never allocates
-// per-probe key strings the way a map[string]bool over Tuple.Key
-// would, and never a per-hash bucket slice. The zero value is an empty
-// table.
-type tupleTable struct {
-	chunks [][]Tuple
-	first  int // capacity of chunks[0]; 0 until the first chunk exists
-	n      int
+// costs an integer comparison, and confirms a match with Tuple.Equal
+// (==, so +0 and -0 are one value).
+type tupleSet struct {
+	rows   []Tuple
 	hashes []uint64
 	slots  []int32
 }
 
-// newTupleTable returns an empty table sized for n tuples.
-func newTupleTable(n int) tupleTable {
-	first := max(n, minTableSlots)
-	return tupleTable{
-		chunks: [][]Tuple{make([]Tuple, 0, first)},
-		first:  first,
-		hashes: make([]uint64, 0, n),
-		slots:  make([]int32, tableSlots(n)),
-	}
-}
-
-// entry returns the k-th tuple added (0-based).
-func (tt *tupleTable) entry(k int) Tuple {
-	if k < tt.first {
-		return tt.chunks[0][k]
-	}
-	c := bits.Len(uint(k / tt.first)) // k in [first<<(c-1), first<<c)
-	return tt.chunks[c][k-tt.first<<(c-1)]
-}
-
-// push appends t after the last entry, starting a chunk when the last
-// one is full.
-func (tt *tupleTable) push(t Tuple) {
-	last := len(tt.chunks) - 1
-	if last < 0 || len(tt.chunks[last]) == cap(tt.chunks[last]) {
-		if last < 0 {
-			tt.first = minTableSlots
-		}
-		tt.chunks = append(tt.chunks, make([]Tuple, 0, tt.first<<max(last, 0)))
-		last++
-	}
-	tt.chunks[last] = append(tt.chunks[last], t)
-	tt.n++
-}
-
-// appendTo appends the table's tuples, in the order they were added,
-// to dst.
-func (tt *tupleTable) appendTo(dst []Tuple) []Tuple {
-	for _, c := range tt.chunks {
-		dst = append(dst, c...)
-	}
-	return dst
+// newTupleSet returns an empty set for at most n tuples. The tuples it
+// admits are appended to into[:0], which may be the slice being
+// deduplicated: the set writes a row no later than it reads it.
+func newTupleSet(n int, into []Tuple) tupleSet {
+	return tupleSet{rows: into[:0], hashes: make([]uint64, 0, n), slots: make([]int32, tableSlots(n))}
 }
 
 // find returns the slot holding a tuple equal to t (found) or the empty
 // slot where t belongs. h is t.Hash().
-func (tt *tupleTable) find(t Tuple, h uint64) (slot int, found bool) {
-	mask := len(tt.slots) - 1
-	for i := homeSlot(h, len(tt.slots)); ; i = (i + 1) & mask {
-		s := tt.slots[i]
-		if s == 0 {
+func (s *tupleSet) find(t Tuple, h uint64) (slot int, found bool) {
+	mask := len(s.slots) - 1
+	for i := homeSlot(h, len(s.slots)); ; i = (i + 1) & mask {
+		k := s.slots[i]
+		if k == 0 {
 			return i, false
 		}
-		if tt.hashes[s-1] == h && tt.entry(int(s-1)).Equal(t) {
+		if s.hashes[k-1] == h && s.rows[k-1].Equal(t) {
 			return i, true
 		}
 	}
 }
 
-// add inserts t and reports whether it was absent. h is t.Hash().
-func (tt *tupleTable) add(t Tuple, h uint64) bool {
-	slot, found := tt.lookup(t, h)
+// add inserts t and reports whether it was absent. The set keeps a
+// reference to t.
+func (s *tupleSet) add(t Tuple) bool {
+	h := t.Hash()
+	slot, found := s.find(t, h)
 	if !found {
-		tt.insert(slot, t, h)
+		s.rows = append(s.rows, t)
+		s.hashes = append(s.hashes, h)
+		s.slots[slot] = int32(len(s.rows))
 	}
 	return !found
 }
 
-// lookup is find on a table that may not have slots yet: it allocates
-// the first ones.
-func (tt *tupleTable) lookup(t Tuple, h uint64) (slot int, found bool) {
-	if tt.slots == nil {
-		tt.slots = make([]int32, minTableSlots)
-	}
-	return tt.find(t, h)
-}
-
-// insert adds t, known absent, at the empty slot lookup returned for it
-// and grows the slots when they are full. h is t.Hash().
-func (tt *tupleTable) insert(slot int, t Tuple, h uint64) {
-	tt.push(t)
-	tt.hashes = append(tt.hashes, h)
-	tt.slots[slot] = int32(tt.n)
-	if full(tt.n, len(tt.slots)) {
-		tt.slots = make([]int32, 2*len(tt.slots))
-		for k, eh := range tt.hashes {
-			place(tt.slots, eh, int32(k+1))
-		}
-	}
-}
-
-// contains reports membership. h is t.Hash().
-func (tt *tupleTable) contains(t Tuple, h uint64) bool {
-	if tt.slots == nil {
-		return false
-	}
-	_, found := tt.find(t, h)
+// contains reports membership.
+func (s *tupleSet) contains(t Tuple) bool {
+	_, found := s.find(t, t.Hash())
 	return found
 }
-
-// TupleSet is a hash set of tuples used for duplicate elimination on hot
-// paths: one tupleTable.
-type TupleSet struct {
-	tab tupleTable
-}
-
-// NewTupleSet returns an empty set sized for roughly n tuples.
-func NewTupleSet(n int) *TupleSet {
-	return &TupleSet{tab: newTupleTable(n)}
-}
-
-// Add inserts t and reports whether it was absent. The set keeps a
-// reference to t; callers must not mutate it afterwards.
-func (s *TupleSet) Add(t Tuple) bool { return s.tab.add(t, t.Hash()) }
-
-// Contains reports membership without inserting.
-func (s *TupleSet) Contains(t Tuple) bool { return s.tab.contains(t, t.Hash()) }
-
-// Len returns the number of distinct tuples added.
-func (s *TupleSet) Len() int { return s.tab.n }

@@ -23,23 +23,23 @@ func TestValueHashDistinguishesKinds(t *testing.T) {
 }
 
 func TestTupleSet(t *testing.T) {
-	s := NewTupleSet(4)
+	s := newTupleSet(4, nil)
 	a := Tuple{SV("x"), IV(1)}
 	b := Tuple{SV("x"), IV(2)}
-	if !s.Add(a) {
-		t.Error("first Add = false")
+	if !s.add(a) {
+		t.Error("first add = false")
 	}
-	if s.Add(Tuple{SV("x"), IV(1)}) {
-		t.Error("duplicate Add = true")
+	if s.add(Tuple{SV("x"), IV(1)}) {
+		t.Error("duplicate add = true")
 	}
-	if !s.Add(b) {
-		t.Error("distinct Add = false")
+	if !s.add(b) {
+		t.Error("distinct add = false")
 	}
-	if s.Len() != 2 {
-		t.Errorf("Len = %d, want 2", s.Len())
+	if len(s.rows) != 2 {
+		t.Errorf("%d rows, want 2", len(s.rows))
 	}
-	if !s.Contains(a) || s.Contains(Tuple{SV("y"), IV(1)}) {
-		t.Error("Contains wrong")
+	if !s.contains(a) || s.contains(Tuple{SV("y"), IV(1)}) {
+		t.Error("contains wrong")
 	}
 }
 
@@ -86,8 +86,8 @@ func TestSnapshotAsIndependence(t *testing.T) {
 
 // TestSignedZeroIsOneValue holds Hash to ==: FV(0) == FV(-0), so the
 // two must hash alike, and every structure that deduplicates by hash —
-// TupleSet, ShardedTupleSet, Dedup, the dictionary — must treat them as
-// one value, as the dictionary's decode-table scan always did.
+// the tuple set behind Dedup and Equal, the dictionary — must treat
+// them as one value, as the dictionary's decode-table scan always did.
 func TestSignedZeroIsOneValue(t *testing.T) {
 	pos, neg := FV(0), FV(math.Copysign(0, -1))
 	if pos != neg || !math.Signbit(neg.F) {
@@ -96,15 +96,17 @@ func TestSignedZeroIsOneValue(t *testing.T) {
 	if pos.Hash() != neg.Hash() {
 		t.Errorf("Hash(+0) = %x, Hash(-0) = %x: == values hash apart", pos.Hash(), neg.Hash())
 	}
-	if s := NewTupleSet(2); !s.Add(Tuple{pos}) || s.Add(Tuple{neg}) || s.Len() != 1 {
-		t.Errorf("TupleSet holds +0 and -0 as %d tuples, want 1", s.Len())
-	}
-	if s := NewShardedTupleSet(8); !added(s.Add(Tuple{pos})) || added(s.Add(Tuple{neg})) || s.Len() != 1 {
-		t.Errorf("ShardedTupleSet holds +0 and -0 as %d tuples, want 1", s.Len())
+	if s := newTupleSet(2, nil); !s.add(Tuple{pos}) || s.add(Tuple{neg}) || len(s.rows) != 1 {
+		t.Errorf("tupleSet holds +0 and -0 as %d tuples, want 1", len(s.rows))
 	}
 	r := New(NewSchema("f", FloatAttr("x")))
 	r.MustInsert(pos)
 	r.MustInsert(neg)
+	one := New(NewSchema("g", FloatAttr("x")))
+	one.MustInsert(neg)
+	if !r.Equal(one) {
+		t.Error("Equal tells {+0, -0} from {-0}")
+	}
 	if n := r.Dedup().Len(); n != 1 {
 		t.Errorf("Dedup of {+0, -0} kept %d rows, want 1", n)
 	}
@@ -123,42 +125,43 @@ func TestSignedZeroIsOneValue(t *testing.T) {
 	}
 }
 
-// TestTupleSetGrowth drives the shared tuple table through several
-// doublings with keys whose low hash bits agree (multiples of 1024),
-// then checks every member is found and no non-member is — in a set
-// sized for nothing, one sized for a count that is no power of two
-// (its entry chunks then start at 1 000), and a sharded set, whose
-// Tuples must hand back every member once.
+// TestTupleSetGrowth fills a tuple set to the most tuples it was sized
+// for — a set never grows, so Dedup and Equal rely on newTupleSet(n)
+// holding n distinct tuples — with integer keys that are multiples of
+// 1<<10 and so share their low bits, then dedups a relation that holds
+// each of those tuples twice.
 func TestTupleSetGrowth(t *testing.T) {
-	s, hinted, sh := NewTupleSet(0), NewTupleSet(1000), NewShardedTupleSet(4)
 	const n = 5000
+	key := func(i int) Tuple { return Tuple{IV(int64(i) << 10), SV("k")} }
+	s := newTupleSet(n, nil)
 	for i := 0; i < n; i++ {
-		tup := Tuple{IV(int64(i) << 10), SV("k")}
-		if !s.Add(tup) || !hinted.Add(tup) || !added(sh.Add(tup)) {
-			t.Fatalf("Add #%d reported a duplicate", i)
+		if !s.add(key(i)) {
+			t.Fatalf("add #%d reported a duplicate", i)
 		}
-		if s.Add(Tuple{IV(int64(i) << 10), SV("k")}) || hinted.Add(Tuple{IV(int64(i) << 10), SV("k")}) {
-			t.Fatalf("re-Add #%d reported absent", i)
+		if s.add(key(i)) {
+			t.Fatalf("re-add #%d reported absent", i)
 		}
 	}
-	if s.Len() != n || hinted.Len() != n || sh.Len() != n {
-		t.Fatalf("Len = %d / %d / %d, want %d", s.Len(), hinted.Len(), sh.Len(), n)
+	if len(s.rows) != n {
+		t.Fatalf("%d rows, want %d", len(s.rows), n)
 	}
 	for i := 0; i < n; i++ {
-		in, out := Tuple{IV(int64(i) << 10), SV("k")}, Tuple{IV(int64(i)<<10 + 1), SV("k")}
-		if !s.Contains(in) || !hinted.Contains(in) || !sh.Contains(in) ||
-			s.Contains(out) || hinted.Contains(out) || sh.Contains(out) {
-			t.Fatalf("membership of key %d wrong after growth", i)
+		if !s.contains(key(i)) || s.contains(Tuple{IV(int64(i)<<10 + 1), SV("k")}) {
+			t.Fatalf("membership of key %d wrong in a full set", i)
 		}
 	}
-	all := sh.Tuples()
-	if len(all) != n || cap(all) != n {
-		t.Fatalf("Tuples: len %d cap %d, want %d", len(all), cap(all), n)
+	r := New(NewSchema("r", IntAttr("a"), Attr("b")))
+	for i := 0; i < 2*n; i++ {
+		if err := r.Insert(key(i % n)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	back := NewTupleSet(n)
-	for _, tup := range all {
-		if !back.Add(tup) || !s.Contains(tup) {
-			t.Fatalf("Tuples handed back %v twice or as a non-member", tup)
+	if got := r.Dedup().Len(); got != n {
+		t.Fatalf("Dedup kept %d rows, want %d", got, n)
+	}
+	for i, row := range r.Rows() {
+		if !row.Equal(key(i)) {
+			t.Fatalf("row %d = %v after Dedup, want %v (first occurrences in order)", i, row, key(i))
 		}
 	}
 }

@@ -153,14 +153,11 @@ func TestSnapshotSharingProperty(t *testing.T) {
 				model = kept
 			case op < 95:
 				src.Dedup()
-				seen := NewTupleSet(len(model))
-				kept := make([]Tuple, 0, len(model))
+				seen := newTupleSet(len(model), make([]Tuple, 0, len(model)))
 				for _, row := range model {
-					if seen.Add(row) {
-						kept = append(kept, row)
-					}
+					seen.add(row)
 				}
-				model = kept
+				model = seen.rows
 			default:
 				src.SortRows()
 				model = append([]Tuple(nil), model...)

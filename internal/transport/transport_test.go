@@ -139,18 +139,16 @@ func answerDigest(t *testing.T, n *pdms.Network, req pdms.Request) []byte {
 
 // titleRequest is the E2 workload's query at peer 0, reformulated to
 // full depth.
-func titleRequest(g *workload.GeneratedNetwork, par int) pdms.Request {
+func titleRequest(g *workload.GeneratedNetwork) pdms.Request {
 	return pdms.Request{
-		Peer:        workload.PeerName(0),
-		Query:       g.TitleQuery(0),
-		Reform:      pdms.ReformOptions{MaxDepth: len(g.Specs) + 1},
-		Parallelism: par,
+		Peer:   workload.PeerName(0),
+		Query:  g.TitleQuery(0),
+		Reform: pdms.ReformOptions{MaxDepth: len(g.Specs) + 1},
 	}
 }
 
 // TestDifferentialUnionWorkloads runs randomized PR 3/PR 4-style union
-// workloads — several topologies, seeds, and parallelism/limit settings
-// — over three executions of the same network: all-in-process, half the
+// workloads — several topologies, seeds, and a limit — over three executions of the same network: all-in-process, half the
 // peers behind a loopback transport, and half the peers behind a real
 // TCP server. All three must produce byte-identical answer sets.
 func TestDifferentialUnionWorkloads(t *testing.T) {
@@ -173,18 +171,15 @@ func TestDifferentialUnionWorkloads(t *testing.T) {
 				_, addr := startServer(t, genPeers(gC)[half:]...)
 				tcpNet := coordinator(t, gC, half, dialT(t, addr))
 
-				for _, par := range []int{1, 4} {
-					req := titleRequest(gA, par)
-					want := answerDigest(t, gA.Net, req)
-					if got := answerDigest(t, loopNet, titleRequest(gB, par)); !bytes.Equal(got, want) {
-						t.Errorf("par=%d: loopback answers differ from in-process", par)
-					}
-					if got := answerDigest(t, tcpNet, titleRequest(gC, par)); !bytes.Equal(got, want) {
-						t.Errorf("par=%d: TCP answers differ from in-process", par)
-					}
+				want := answerDigest(t, gA.Net, titleRequest(gA))
+				if got := answerDigest(t, loopNet, titleRequest(gB)); !bytes.Equal(got, want) {
+					t.Error("loopback answers differ from in-process")
+				}
+				if got := answerDigest(t, tcpNet, titleRequest(gC)); !bytes.Equal(got, want) {
+					t.Error("TCP answers differ from in-process")
 				}
 				// Limit exactness holds over the wire too.
-				req := titleRequest(gC, 2)
+				req := titleRequest(gC)
 				req.Limit = 3
 				cur, err := tcpNet.Query(context.Background(), req)
 				if err != nil {
@@ -221,9 +216,9 @@ func TestE2ChainDifferential16(t *testing.T) {
 	_, addr := startServer(t, genPeers(gC)[8:]...)
 	tcpNet := coordinator(t, gC, 8, dialT(t, addr))
 
-	inproc := answerDigest(t, gA.Net, titleRequest(gA, 0))
-	loop := answerDigest(t, loopNet, titleRequest(gB, 0))
-	tcp := answerDigest(t, tcpNet, titleRequest(gC, 0))
+	inproc := answerDigest(t, gA.Net, titleRequest(gA))
+	loop := answerDigest(t, loopNet, titleRequest(gB))
+	tcp := answerDigest(t, tcpNet, titleRequest(gC))
 	if len(inproc) == 0 {
 		t.Fatal("empty in-process answer digest")
 	}
