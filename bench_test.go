@@ -368,46 +368,71 @@ func BenchmarkColdSyncLoopback(b *testing.B) {
 // one-row writes in the log, reopened (snapshot bulk-loaded, log
 // replayed, nothing checkpointed) and closed every iteration.
 func BenchmarkOpenDurablePeer(b *testing.B) {
-	const walRecords = 4000
-	db, _, err := workload.SkewedJoin(workload.SkewedJoinSpec{FactRows: 50000, Seed: 42})
+	dir, schema := durablePeerDir(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reopenDurablePeer(b, dir, schema)
+	}
+}
+
+// durablePeerRows and durablePeerLog are the rejoin shape's sizes: the
+// rows the snapshot holds and the one-row writes logged after it.
+const (
+	durablePeerRows = 50000
+	durablePeerLog  = 4000
+)
+
+// durablePeerDir builds the rejoin shape on disk: a durable peer's
+// directory holding a checkpointed snapshot of the skewed join's
+// 50 000-row fact relation and a log of 4 000 one-row writes after it.
+func durablePeerDir(tb testing.TB) (string, relation.Schema) {
+	tb.Helper()
+	db, _, err := workload.SkewedJoin(workload.SkewedJoinSpec{FactRows: durablePeerRows, Seed: 42})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	fact := db.Get("fact")
-	dir := b.TempDir()
+	dir := tb.TempDir()
 	p, err := pdms.OpenDurablePeer("src", dir, fact.Schema)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, row := range fact.Rows() {
 		if err := p.Insert("fact", row); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := p.Checkpoint(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	for k := 0; k < walRecords; k++ {
+	for k := 0; k < durablePeerLog; k++ {
 		row := relation.Tuple{relation.SV(fmt.Sprintf("k%d", k%64)), relation.SV(fmt.Sprintf("pushed%d", k))}
 		if err := p.Insert("fact", row); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	if err := p.ClosePersist(); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := pdms.OpenDurablePeer("src", dir, fact.Schema)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := p.Persist().Recovered().Replayed; got != walRecords {
-			b.Fatalf("replayed %d records, want %d", got, walRecords)
-		}
-		if err := p.ClosePersist(); err != nil {
-			b.Fatal(err)
-		}
+	return dir, fact.Schema
+}
+
+// reopenDurablePeer recovers the peer in dir — snapshot loaded, log
+// replayed, nothing checkpointed — checks it replayed the whole log, and
+// closes it again.
+func reopenDurablePeer(tb testing.TB, dir string, schema relation.Schema) {
+	p, err := pdms.OpenDurablePeer("src", dir, schema)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if got := p.Persist().Recovered().Replayed; got != durablePeerLog {
+		tb.Fatalf("replayed %d records, want %d", got, durablePeerLog)
+	}
+	if got := p.Store.Get("fact").Len(); got != durablePeerRows+durablePeerLog {
+		tb.Fatalf("recovered %d rows, want %d", got, durablePeerRows+durablePeerLog)
+	}
+	if err := p.ClosePersist(); err != nil {
+		tb.Fatal(err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -279,10 +278,17 @@ func (n *Network) foldSchemas(rp *RemotePeer, ver uint64, schemas ...relation.Sc
 	n.bumpTopology()
 }
 
-// fanOut calls do(i) for every i in [0, n) on a bounded pool — the
-// remote analogue of the PR 3 union worker pool's GOMAXPROCS cap (remote
-// operations are network-bound, so a small multiple) — and returns once
-// every call has returned. A single item runs inline: no goroutine.
+// fanOutWorkers caps fanOut's pool at the TCP client's idle connection
+// pool (transport's maxIdleConns, 4): remote operations are
+// network-bound, so more workers than pooled connections only dial and
+// handshake extra connections that are closed on return. It is a
+// constant, not a multiple of GOMAXPROCS, so what a warm query costs
+// does not depend on the CPU count.
+const fanOutWorkers = 4
+
+// fanOut calls do(i) for every i in [0, n) on a pool of at most
+// fanOutWorkers goroutines and returns once every call has returned. A
+// single item runs inline: no goroutine.
 func fanOut(n int, do func(i int)) {
 	if n == 1 {
 		do(0)
@@ -290,7 +296,7 @@ func fanOut(n int, do func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := min(n, 2*runtime.GOMAXPROCS(0)); w > 0; w-- {
+	for w := min(n, fanOutWorkers); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

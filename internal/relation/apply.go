@@ -14,7 +14,8 @@ import "fmt"
 // That all-or-nothing guarantee costs O(records), not O(rows), for a run
 // of inserts: relation name, version order, row counts and schema
 // compatibility are all decidable from the records, so the run is
-// checked first and then appended in place (the result is r itself). A
+// checked first and then appended in place as one InsertBatch (the
+// result is r itself; a one-record run allocates what Insert does). A
 // run containing a delete cannot be checked without applying it — the
 // count a delete leaves depends on the rows — so it is applied to an
 // O(arity) snapshot, which the caller puts in r's place only on success;
@@ -51,10 +52,22 @@ func (r *Relation) ApplyChanges(recs []ChangeRecord) (*Relation, error) {
 			return nil, fmt.Errorf("relation: change run for %s carries unexpected op %d", rec.Rel, rec.Op)
 		}
 	}
-	dst := r
-	if !insertOnly {
-		dst = r.SnapshotAs(r.Schema.Name)
+	if insertOnly {
+		var one [1]Tuple
+		ts := one[:0]
+		if len(recs) > 1 {
+			ts = make([]Tuple, 0, len(recs))
+		}
+		for i := range recs {
+			ts = append(ts, recs[i].Tuple)
+		}
+		if err := r.InsertBatch(ts); err != nil {
+			return nil, err // unreachable: Compatible passed above
+		}
+		r.RestoreVersion(ver)
+		return r, nil
 	}
+	dst := r.SnapshotAs(r.Schema.Name)
 	for i := range recs {
 		rec := &recs[i]
 		if rec.Op == ChangeInsert {

@@ -151,7 +151,10 @@ func sameRelation(t *testing.T, label string, want, got *Relation, withVersion b
 // a batch loaded through InsertBatch — onto an empty relation or after
 // rows inserted one by one — must leave exactly the relation an Insert
 // per row leaves, and the two must stay identical as both go on through
-// Insert, Delete, SnapshotAs and ApplyChanges.
+// Insert, Delete, SnapshotAs and ApplyChanges. A relation rebuilt by
+// DecodeColumns from AppendColumns, before and after that script, is
+// one more input held to the same: decode of the encoding ≡ InsertBatch
+// of the rows.
 func TestInsertBatchMatchesInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for arity := 1; arity <= 4; arity++ {
@@ -189,8 +192,27 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 				sameRelation(t, label, inc, bulk, false)
 				bulk.RestoreVersion(inc.Version())
 				sameRelation(t, label+" restored", inc, bulk, true)
+				// decoded returns an InsertBatch of r's rows and the relation
+				// DecodeColumns rebuilds from r's encoding, checked alike.
+				decoded := func(label string, r *Relation, spare int) (*Relation, *Relation) {
+					want := New(s)
+					if err := want.InsertBatch(r.Rows()); err != nil {
+						t.Fatal(err)
+					}
+					dec, err := DecodeColumns(s, AppendColumns(nil, r), spare)
+					if err != nil {
+						t.Fatalf("%s: decode: %v", label, err)
+					}
+					want.RestoreVersion(r.Version())
+					dec.RestoreVersion(r.Version())
+					sameRelation(t, label, want, dec, true)
+					return want, dec
+				}
+				decoded(label+" decoded", inc, 0)
 				inc, bulk = continueBoth(t, rng, label, s, widths, inc, bulk)
 				sameRelation(t, label+" continued", inc, bulk, true)
+				want, dec := decoded(label+" continued, decoded", bulk, prefix)
+				continueBoth(t, rng, label+" decoded", s, widths, want, dec)
 			}
 		}
 	}

@@ -1,6 +1,10 @@
 package relation
 
-import "sync"
+import (
+	"encoding/binary"
+	"fmt"
+	"sync"
+)
 
 // This file maintains the per-relation dictionary encoding behind the
 // columnar batch kernel in internal/cq: each column's values are mapped
@@ -297,6 +301,82 @@ func (d *Dict) extendCol(col int, rows []Tuple, width int) {
 		lin.cols[col].enc = enc
 		lin.mu.Unlock()
 	}
+}
+
+// decodeColumn reads column col of a DecodeColumns payload of n rows
+// from the front of b — its decode table, then its code vector — checks
+// it, installs it with room for spare more codes, and returns the bytes
+// after it. The width and the code count are checked against the bytes
+// left before either sizes anything. Each value must be of kind typ and
+// unlike every other (by ==, so NaNs are never alike), and the codes
+// must number the values in first-appearance order, each used by some
+// row: the encoding an Insert per row builds. The encode table is made
+// exactly when such an Insert loop makes it — when the rows before the
+// last one use smallDictWidth values or more — sized for the width.
+func (d *Dict) decodeColumn(col int, typ Type, b []byte, n, spare int) ([]byte, error) {
+	width, sz := binary.Uvarint(b)
+	if sz <= 0 || width > uint64(len(b)-sz)/minValueBytes {
+		return nil, fmt.Errorf("claims %d values, more than %d bytes hold", width, len(b))
+	}
+	b = b[sz:]
+	vals := make([]Value, width)
+	for i := range vals {
+		var err error
+		if vals[i], b, err = decodeValue(b); err != nil {
+			return nil, err
+		}
+		if vals[i].Kind != typ {
+			return nil, fmt.Errorf("holds a %s value, want %s", vals[i].Kind, typ)
+		}
+	}
+	count, sz := binary.Uvarint(b)
+	w := codeBytes(int(width))
+	if sz <= 0 || count > uint64(len(b)-sz)/uint64(w) {
+		return nil, fmt.Errorf("claims %d codes, more than %d bytes hold", count, len(b))
+	}
+	if count != uint64(n) {
+		return nil, fmt.Errorf("has %d codes for %d rows", count, n)
+	}
+	b = b[sz:]
+	codes := make([]int32, n, n+spare)
+	// next is the code whose first row is still to come; seen is how many
+	// values the rows before the last one use.
+	next, seen := 0, 0
+	for i := range codes {
+		c := 0
+		for k := w - 1; k >= 0; k-- {
+			c = c<<8 | int(b[i*w+k])
+		}
+		if i == n-1 {
+			seen = next
+		}
+		switch {
+		case c < next:
+		case c >= len(vals):
+			return nil, fmt.Errorf("code %d at or above its width %d", c, len(vals))
+		case c > next:
+			return nil, fmt.Errorf("code %d appears before code %d", c, next)
+		default:
+			next++
+		}
+		codes[i] = int32(c)
+	}
+	if next < len(vals) {
+		return nil, fmt.Errorf("value %v is used by no row", vals[next])
+	}
+	enc := make(encodeTable, tableSlots(len(vals)))
+	for code, v := range vals {
+		slot, _, dup := enc.find(vals[:code], v, v.Hash())
+		if dup {
+			return nil, fmt.Errorf("value %v repeats", v)
+		}
+		enc[slot] = int32(code + 1)
+	}
+	if seen >= smallDictWidth {
+		d.lineage().cols[col].enc = enc
+	}
+	d.cols[col] = colDict{codes: codes, vals: vals}
+	return b[n*w:], nil
 }
 
 // clone snapshots the encoding in O(arity) (nil stays nil). The code

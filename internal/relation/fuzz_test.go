@@ -8,6 +8,10 @@ import (
 	"testing"
 )
 
+// columnsSchema is the schema FuzzWireDecode decodes columns against:
+// one column of each value kind.
+var columnsSchema = NewSchema("cols", Attr("s"), IntAttr("i"), FloatAttr("f"))
+
 // FuzzWireDecode throws arbitrary bytes at every wire decoder — the
 // surface a hostile or corrupt peer controls. The invariant is the one
 // DecodeSubPlan's doc promises for the whole file: a decoder either
@@ -45,6 +49,11 @@ func FuzzWireDecode(f *testing.F) {
 	payload = append(payload, EncodeSubscribeSince([]RelVersion{{Rel: "subject", Ver: 3}})...)
 	WriteFrame(&subReq, FrameRequest, payload)
 	f.Add(subReq.Bytes())
+	cols := New(columnsSchema)
+	for i := 0; i < 12; i++ {
+		cols.MustInsert(SV(fmt.Sprintf("s%d", i%9)), IV(int64(i%2)), FV(float64(i)/4))
+	}
+	f.Add(AppendColumns(nil, cols))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		DecodeHello(data)
@@ -78,6 +87,17 @@ func FuzzWireDecode(f *testing.F) {
 			enc := EncodeSubscribeSince(since)
 			if s2, err := DecodeSubscribeSince(enc); err != nil || !bytes.Equal(enc, EncodeSubscribeSince(s2)) {
 				t.Fatalf("subscribe-since round trip: %v -> %v (%v)", since, s2, err)
+			}
+		}
+		if r, err := DecodeColumns(columnsSchema, data, 0); err == nil {
+			enc := AppendColumns(nil, r)
+			if r2, err := DecodeColumns(columnsSchema, enc, 0); err != nil || !bytes.Equal(enc, AppendColumns(nil, r2)) {
+				t.Fatalf("columns round trip: %v -> %v (%v)", r.Rows(), r2, err)
+			}
+			// What decoded is the encoding an InsertBatch of its rows makes.
+			bulk := New(columnsSchema)
+			if err := bulk.InsertBatch(r.Rows()); err != nil || !bytes.Equal(enc, AppendColumns(nil, bulk)) {
+				t.Fatalf("decoded columns are not InsertBatch's encoding of rows %v (%v)", r.Rows(), err)
 			}
 		}
 		if sp, err := DecodeSubPlan(data); err == nil {

@@ -154,17 +154,8 @@ func (r *Relation) Row(i int) Tuple { return r.rows[i] }
 // Insert appends a tuple after validating it against the schema and
 // updates the column statistics and dictionary encoding it maintains.
 func (r *Relation) Insert(t Tuple) error {
-	if err := r.Schema.Compatible(t); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	id := len(r.rows)
-	r.rows = append(r.rows, t)
-	r.version++
-	r.addStatsLocked(id)
-	r.addEncodingLocked(id, nil)
-	r.mu.Unlock()
-	return nil
+	one := [1]Tuple{t}
+	return r.InsertBatch(one[:])
 }
 
 // MustInsert inserts values, panicking on schema mismatch.
@@ -188,8 +179,9 @@ func (r *Relation) MustInsert(vals ...Value) {
 // once, the batch is folded into the column sketches, and each column's
 // dictionary is then extended in one pass, its code vector reserved
 // once and its decode table and encode table allocated once at the
-// distinct-value count the folded sketch estimates. Replicas, recovered
-// snapshots and shipped overlays are built this way. A NewResult
+// distinct-value count the folded sketch estimates. Replicas, shipped
+// overlays and replayed log runs are built this way (a recovered
+// snapshot is DecodeColumns' rebuild of the same relation). A NewResult
 // relation maintains neither, so a batch into it only appends.
 func (r *Relation) InsertBatch(ts []Tuple) error {
 	for _, t := range ts {
@@ -207,7 +199,11 @@ func (r *Relation) InsertBatch(ts []Tuple) error {
 	r.version++
 	r.addStatsLocked(from)
 	if r.encRows == from {
-		r.addEncodingLocked(from, r.widthHintsLocked())
+		var widths []int
+		if len(ts) > 1 {
+			widths = r.widthHintsLocked() // one row grows its tables by append
+		}
+		r.addEncodingLocked(from, widths)
 	}
 	return nil
 }

@@ -368,6 +368,112 @@ func DecodeTupleBatch(payload []byte) ([]Tuple, error) {
 	return batch, nil
 }
 
+// AppendColumns appends r's dictionary encoding to dst, the columnar
+// payload a durable store keeps a relation in: the row count, then per
+// column its width, its decode table in code order (self-describing
+// values), and its code vector as a count and one little-endian code of
+// codeBytes(width) bytes per row. A relation with no columns writes one
+// zero byte per row instead, so its row count, like every other, is paid
+// for in bytes. The relation's own encoding numbers each column's values
+// in first-appearance order and holds no value its rows do not, so the
+// payload is what DecodeColumns needs to rebuild, with no hashing per
+// row, the relation an InsertBatch of the same rows builds.
+func AppendColumns(dst []byte, r *Relation) []byte {
+	d := r.Encoding()
+	dst = binary.AppendUvarint(dst, uint64(d.n))
+	if len(d.cols) == 0 {
+		return append(dst, make([]byte, d.n)...)
+	}
+	for i := range d.cols {
+		c := &d.cols[i]
+		dst = binary.AppendUvarint(dst, uint64(len(c.vals)))
+		for _, v := range c.vals {
+			dst = appendValue(dst, v)
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(c.codes)))
+		w := codeBytes(len(c.vals))
+		dst = slices.Grow(dst, w*len(c.codes))
+		for _, code := range c.codes {
+			for k := 0; k < w; k++ {
+				dst = append(dst, byte(code>>(8*k)))
+			}
+		}
+	}
+	return dst
+}
+
+// codeBytes is how many bytes a code of a column width values wide takes
+// in an AppendColumns payload: the fewest that hold width-1, at least one.
+func codeBytes(width int) int {
+	return max(1, (bits.Len(uint(max(width, 1)-1))+7)/8)
+}
+
+// DecodeColumns rebuilds a relation of the given schema from an
+// AppendColumns payload, as an InsertBatch of the rows into New(schema)
+// would leave it — rows, statistics, codes, decode tables, encode tables
+// — at O(rows) code reads plus O(distinct values) hashing: the rows are
+// slices of one block of values, the codes and decode tables are
+// installed as read, an encode table indexes each distinct value once,
+// and each distinct value is folded into its column's KMV sketch once,
+// which leaves the bits a fold of every row leaves. spare is room
+// reserved past the rows, in the row slice and the code vectors, for
+// appends the caller knows are coming.
+//
+// Nothing in the payload is trusted: every row, width and code count is
+// checked against the bytes left before anything is sized by it, and a
+// code at or above its column's width, a value of another kind than the
+// column's, a decode-table value equal to an earlier one, a code that
+// appears before every lower code has, and a decode-table value no row
+// uses are each an error.
+func DecodeColumns(schema Schema, payload []byte, spare int) (*Relation, error) {
+	n, sz := binary.Uvarint(payload)
+	if sz <= 0 {
+		return nil, fmt.Errorf("relation: truncated %s row count", schema.Name)
+	}
+	rest := payload[sz:]
+	arity := schema.Arity()
+	if n > uint64(len(rest))/uint64(max(arity, 1)) {
+		return nil, fmt.Errorf("relation: %s claims %d rows, more than %d bytes hold", schema.Name, n, len(rest))
+	}
+	d := newDict(arity)
+	sketches := make([]colSketch, arity)
+	for col, attr := range schema.Attrs {
+		var err error
+		if rest, err = d.decodeColumn(col, attr.Type, rest, int(n), spare); err != nil {
+			return nil, fmt.Errorf("relation: %s column %s: %w", schema.Name, attr.Name, err)
+		}
+		for _, v := range d.cols[col].vals {
+			sketches[col].add(v.Hash())
+		}
+	}
+	if arity == 0 {
+		rest = rest[n:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("relation: %d trailing bytes after %s columns", len(rest), schema.Name)
+	}
+	r := New(schema)
+	if n == 0 {
+		return r, nil // as InsertBatch of no rows: no mutation, nothing maintained yet
+	}
+	rows := make([]Tuple, n, int(n)+spare)
+	block := make([]Value, int(n)*arity)
+	for i := range rows {
+		rows[i] = block[i*arity : (i+1)*arity : (i+1)*arity]
+	}
+	for col := range d.cols {
+		c := &d.cols[col]
+		for i, code := range c.codes {
+			block[i*arity+col] = c.vals[code]
+		}
+	}
+	d.n = int(n)
+	r.rows, r.version = rows, 1
+	r.sketches, r.statRows = sketches, int(n)
+	r.dict, r.encRows = d, int(n)
+	return r, nil
+}
+
 // NamedStats pairs a relation name with its statistics summary, the
 // per-relation unit of a peer's statistics fingerprint.
 type NamedStats struct {

@@ -168,6 +168,51 @@ func TestTupleBatchRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeColumnsRefuses: a columns payload that is not the encoding
+// an Insert per row builds is refused, whatever its checksum vouched
+// for — a code at or above its column's width, a value of the wrong
+// kind, a repeated or unused decode-table value, codes out of
+// first-appearance order — and so is every strict prefix of a good one.
+func TestDecodeColumnsRefuses(t *testing.T) {
+	s := NewSchema("r", Attr("a"))
+	// payload is one column of len(codes) rows: the decode table vals,
+	// then one byte per code.
+	payload := func(vals []Value, codes ...byte) []byte {
+		b := binary.AppendUvarint(nil, uint64(len(codes)))
+		b = binary.AppendUvarint(b, uint64(len(vals)))
+		for _, v := range vals {
+			b = appendValue(b, v)
+		}
+		b = binary.AppendUvarint(b, uint64(len(codes)))
+		return append(b, codes...)
+	}
+	good := payload([]Value{SV("x"), SV("y")}, 0, 1, 0)
+	r, err := DecodeColumns(s, good, 0)
+	if err != nil || r.Len() != 3 || !r.Row(2).Equal(Tuple{SV("x")}) {
+		t.Fatalf("good payload: %v, %v", r, err)
+	}
+	for cut := 0; cut < len(good); cut++ {
+		if _, err := DecodeColumns(s, good[:cut], 0); err == nil {
+			t.Fatalf("prefix of %d bytes accepted", cut)
+		}
+	}
+	for _, tc := range []struct {
+		name, want string
+		payload    []byte
+	}{
+		{"code at width", "code 2 at or above its width 2", payload([]Value{SV("x"), SV("y")}, 0, 2, 1)},
+		{"wrong kind", "holds a int value, want string", payload([]Value{SV("x"), IV(1)}, 0, 1)},
+		{"repeated value", "value x repeats", payload([]Value{SV("x"), SV("x")}, 0, 1)},
+		{"unused value", "value y is used by no row", payload([]Value{SV("x"), SV("y")}, 0, 0)},
+		{"out of order", "code 1 appears before code 0", payload([]Value{SV("x"), SV("y")}, 1, 0)},
+		{"trailing bytes", "trailing bytes", append(payload([]Value{SV("x")}, 0), 0)},
+	} {
+		if _, err := DecodeColumns(s, tc.payload, 0); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: DecodeColumns = %v, want the %q refusal", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestPeerStatsWireRoundTrip(t *testing.T) {
 	r := New(NewSchema("c", Attr("a"), IntAttr("b")))
 	for i := 0; i < 100; i++ {

@@ -14,18 +14,20 @@ import (
 // This file is the snapshot half of the store: a versioned, checksummed
 // one-file encoding of a relation.Database plus the peer's schema
 // version, written atomically (temp file + fsync + rename) so a crash
-// mid-checkpoint leaves the previous snapshot untouched. The payload
-// reuses the self-describing wire codecs of internal/relation — the
-// file format and the network format are the same bytes, so one set of
-// codec tests covers both.
+// mid-checkpoint leaves the previous snapshot untouched. Each relation
+// is kept as its dictionary encoding — decode tables and code vectors,
+// relation.AppendColumns — rather than as the tuple batches the network
+// carries: a reload then costs O(rows) code reads plus O(distinct values)
+// hashing, not a decode and a hash of every value of every row.
 
 // snapshotMagic opens every snapshot file.
 var snapshotMagic = [4]byte{'R', 'V', 'S', 'S'}
 
-// snapshotFormat is the snapshot format version this build writes. A
-// reader finding a different version refuses loudly rather than
-// guessing at the layout.
-const snapshotFormat = 1
+// snapshotFormat is the snapshot format version this build writes and
+// the only one it reads: format 1 kept tuple batches, and a reader
+// finding any other version refuses loudly rather than guessing at the
+// layout.
+const snapshotFormat = 2
 
 // snapshotName is the committed snapshot's file name within the store
 // directory; snapshotTmpPattern names the temp files checkpoints build
@@ -36,40 +38,27 @@ const (
 	snapshotTmpPattern = "snapshot.tmp-*"
 )
 
-// snapshotBatch is how many tuples each embedded tuple-batch chunk
-// holds — the same granularity transports stream at, so corruption is
-// localized and no single length prefix spans the whole relation.
-const snapshotBatch = 256
-
 // encodeSnapshot renders the full snapshot byte image: magic, format
 // version, schema version, relation count, then per relation (in name
 // order) a length-prefixed schema encoding, its (version, rows)
-// fingerprint, and its tuples in length-prefixed batch chunks; the
-// trailer is a big-endian CRC32 (IEEE) of everything before it.
+// fingerprint, and its length-prefixed columns (relation.AppendColumns);
+// the trailer is a big-endian CRC32 (IEEE) of everything before it.
 func encodeSnapshot(schemaVer uint64, db *relation.Database) []byte {
 	buf := append([]byte(nil), snapshotMagic[:]...)
 	buf = binary.AppendUvarint(buf, snapshotFormat)
 	buf = binary.AppendUvarint(buf, schemaVer)
 	rels := db.Relations()
 	buf = binary.AppendUvarint(buf, uint64(len(rels)))
-	var chunk []byte
+	var cols []byte
 	for _, r := range rels {
 		enc := relation.EncodeSchema(r.Schema)
 		buf = binary.AppendUvarint(buf, uint64(len(enc)))
 		buf = append(buf, enc...)
 		buf = binary.AppendUvarint(buf, r.Version())
-		rows := r.Rows()
-		buf = binary.AppendUvarint(buf, uint64(len(rows)))
-		for len(rows) > 0 {
-			n := snapshotBatch
-			if n > len(rows) {
-				n = len(rows)
-			}
-			chunk = relation.AppendTupleBatch(chunk[:0], rows[:n])
-			buf = binary.AppendUvarint(buf, uint64(len(chunk)))
-			buf = append(buf, chunk...)
-			rows = rows[n:]
-		}
+		buf = binary.AppendUvarint(buf, uint64(r.Len()))
+		cols = relation.AppendColumns(cols[:0], r)
+		buf = binary.AppendUvarint(buf, uint64(len(cols)))
+		buf = append(buf, cols...)
 	}
 	sum := crc32.ChecksumIEEE(buf)
 	return binary.BigEndian.AppendUint32(buf, sum)
@@ -124,11 +113,13 @@ func syncDir(dir string) error {
 
 // readSnapshot loads and verifies the committed snapshot, returning the
 // database, the peer schema version, the per-relation versions at
-// snapshot time, and the total row count. A missing file returns an
-// empty database (a fresh store); any checksum or decode failure is a
-// hard error — the atomic commit means a bad snapshot is real damage,
-// never a torn write, and recovery must not serve wrong data silently.
-func readSnapshot(dir string) (db *relation.Database, schemaVer uint64, base map[string]uint64, rows int, err error) {
+// snapshot time, and the total row count. spare maps a relation name to
+// how many rows the log is about to append to it, reserved in its rows
+// and code vectors as they are built. A missing file returns an empty
+// database (a fresh store); any checksum or decode failure is a hard
+// error — the atomic commit means a bad snapshot is real damage, never a
+// torn write, and recovery must not serve wrong data silently.
+func readSnapshot(dir string, spare map[string]int) (db *relation.Database, schemaVer uint64, base map[string]uint64, rows int, err error) {
 	img, err := os.ReadFile(filepath.Join(dir, snapshotName))
 	if os.IsNotExist(err) {
 		return relation.NewDatabase(), 0, map[string]uint64{}, 0, nil
@@ -163,7 +154,7 @@ func readSnapshot(dir string) (db *relation.Database, schemaVer uint64, base map
 	}
 	rest = rest[sz:]
 	db = relation.NewDatabase()
-	base = make(map[string]uint64, nRels)
+	base = make(map[string]uint64, min(nRels, uint64(len(rest))))
 	for i := uint64(0); i < nRels; i++ {
 		ln, sz := binary.Uvarint(rest)
 		if sz <= 0 || ln > uint64(len(rest)-sz) {
@@ -184,30 +175,17 @@ func readSnapshot(dir string) (db *relation.Database, schemaVer uint64, base map
 			return nil, 0, nil, 0, fmt.Errorf("store: truncated snapshot row count")
 		}
 		rest = rest[sz:]
-		// want is the file's claim: it sizes nothing beyond the bytes
-		// left, since every tuple takes at least one.
-		tuples := make([]relation.Tuple, 0, min(want, uint64(len(rest))))
-		for uint64(len(tuples)) < want && len(rest) > 0 {
-			cln, sz := binary.Uvarint(rest)
-			if sz <= 0 || cln > uint64(len(rest)-sz) {
-				return nil, 0, nil, 0, fmt.Errorf("store: truncated snapshot tuple chunk")
-			}
-			batch, err := relation.DecodeTupleBatch(rest[sz : sz+int(cln)])
-			if err != nil {
-				return nil, 0, nil, 0, err
-			}
-			rest = rest[sz+int(cln):]
-			if len(batch) == 0 {
-				return nil, 0, nil, 0, fmt.Errorf("store: empty snapshot tuple chunk before row %d of %s", len(tuples), schema.Name)
-			}
-			tuples = append(tuples, batch...)
+		ln, sz = binary.Uvarint(rest)
+		if sz <= 0 || ln > uint64(len(rest)-sz) {
+			return nil, 0, nil, 0, fmt.Errorf("store: truncated snapshot columns of %s", schema.Name)
 		}
-		if uint64(len(tuples)) != want {
-			return nil, 0, nil, 0, fmt.Errorf("store: snapshot relation %s has %d rows, header says %d", schema.Name, len(tuples), want)
+		r, err := relation.DecodeColumns(schema, rest[sz:sz+int(ln)], spare[schema.Name])
+		if err != nil {
+			return nil, 0, nil, 0, fmt.Errorf("store: snapshot: %w", err)
 		}
-		r := relation.New(schema)
-		if err := r.InsertBatch(tuples); err != nil {
-			return nil, 0, nil, 0, err
+		rest = rest[sz+int(ln):]
+		if uint64(r.Len()) != want {
+			return nil, 0, nil, 0, fmt.Errorf("store: snapshot relation %s has %d rows, header says %d", schema.Name, r.Len(), want)
 		}
 		r.RestoreVersion(ver)
 		db.Put(r)

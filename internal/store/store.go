@@ -7,12 +7,13 @@
 // fingerprints means a restarted peer rejoins the network without any
 // mirror re-scanning a relation.
 //
-// The snapshot is one checksummed file in the wire encoding of
-// internal/relation, committed by atomic rename; the WAL is an
-// append-only file of individually checksummed change records. Recovery
-// loads the snapshot, replays the log's longest valid prefix, and
-// truncates whatever a crash tore off the tail — a corrupt tail is
-// detected and discarded, never silently replayed. Records appended
+// The snapshot is one checksummed file holding each relation as its
+// dictionary encoding (relation.AppendColumns), committed by atomic
+// rename; the WAL is an append-only file of individually checksummed
+// change records in the wire encoding. Recovery loads the snapshot,
+// replays the log's longest valid prefix, and truncates whatever a
+// crash tore off the tail — a corrupt tail is detected and discarded,
+// never silently replayed. Records appended
 // since the last checkpoint also stay resident in memory, where Since
 // serves them to the wire protocol's Delta request: a mirror that knows
 // its last-synced version catches up from the log instead of re-reading
@@ -83,9 +84,10 @@ type Recovery struct {
 
 // Open recovers (or initializes) the store rooted at dir: leftover
 // checkpoint temp files are removed, the snapshot is loaded and
-// verified, and the log's longest valid prefix is replayed on top, with
-// any torn tail truncated away. A directory that never held a store
-// yields an empty database.
+// verified, and the log's longest valid prefix is replayed on top, one
+// verified apply per run of one relation's records, with any torn tail
+// truncated away. A directory that never held a store yields an empty
+// database.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
@@ -97,10 +99,8 @@ func Open(dir string) (*Store, error) {
 			os.Remove(tmp)
 		}
 	}
-	db, schemaVer, base, rows, err := readSnapshot(dir)
-	if err != nil {
-		return nil, err
-	}
+	// The log is read first, so each relation is built from the snapshot
+	// with room for the rows the log goes on to append to it.
 	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, err
@@ -111,20 +111,36 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 	recs, good := scanWAL(img)
+	spare := make(map[string]int)
+	for _, rec := range recs {
+		if rec.Op == relation.ChangeInsert {
+			spare[rec.Rel]++
+		}
+	}
+	db, schemaVer, base, rows, err := readSnapshot(dir, spare)
+	if err != nil {
+		wal.Close()
+		return nil, err
+	}
 	s := &Store{
 		dir: dir, db: db, schemaVer: schemaVer, wal: wal, walSize: good, base: base,
-		rec: Recovery{SnapshotRows: rows, Trimmed: int64(len(img)) - good},
+		tail: make([]relation.ChangeRecord, 0, len(recs)),
+		rec:  Recovery{SnapshotRows: rows, Trimmed: int64(len(img)) - good},
+	}
+	// A crash between a checkpoint's atomic rename and its log truncate
+	// leaves records the snapshot already folded in. Their versions say
+	// so — they are skipped instead of double-applied.
+	folded := func(rec relation.ChangeRecord) bool {
+		if rec.Op == relation.ChangeSchema {
+			return rec.Ver <= schemaVer
+		}
+		return rec.Ver <= base[rec.Rel]
 	}
 	replayed := 0
-	for i, rec := range recs {
-		// A crash between a checkpoint's atomic rename and its log
-		// truncate leaves records the snapshot already folded in. Their
-		// versions say so — skip them instead of double-applying.
-		if rec.Op == relation.ChangeSchema {
-			if rec.Ver <= schemaVer {
-				continue
-			}
-		} else if rec.Ver <= base[rec.Rel] {
+	for i := 0; i < len(recs); {
+		rec := recs[i]
+		if folded(rec) {
+			i++
 			continue
 		}
 		if rec.Op == relation.ChangeSchema {
@@ -132,18 +148,26 @@ func Open(dir string) (*Store, error) {
 			if rec.Ver > s.schemaVer {
 				s.schemaVer = rec.Ver
 			}
-		} else {
-			// A record that checksummed clean but does not land on its own
-			// (version, rows) fingerprint means the snapshot and log disagree
-			// — a hard error, because serving a silently wrong database is
-			// worse than refusing to start.
-			if err := replay(db, recs[i:i+1]); err != nil {
-				wal.Close()
-				return nil, err
-			}
-			s.tail = append(s.tail, rec)
+			replayed++
+			i++
+			continue
 		}
-		replayed++
+		// Each maximal run of one relation's data records is one verified
+		// apply. A run that checksummed clean but does not land on its
+		// records' (version, rows) fingerprints means the snapshot and
+		// log disagree — a hard error, because serving a silently wrong
+		// database is worse than refusing to start.
+		j := i + 1
+		for j < len(recs) && recs[j].Op != relation.ChangeSchema && recs[j].Rel == rec.Rel && !folded(recs[j]) {
+			j++
+		}
+		if err := replay(db, recs[i:j]); err != nil {
+			wal.Close()
+			return nil, err
+		}
+		s.tail = append(s.tail, recs[i:j]...)
+		replayed += j - i
+		i = j
 	}
 	s.rec.Replayed = replayed
 	if s.rec.Trimmed > 0 {

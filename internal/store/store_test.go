@@ -34,7 +34,7 @@ func row(title, dept string) relation.Tuple {
 
 // addSchema registers a schema with the database and logs it, the way
 // pdms.Peer does: mutate first, log second.
-func addSchema(t *testing.T, s *Store, schemaVer *uint64, schema relation.Schema) {
+func addSchema(t testing.TB, s *Store, schemaVer *uint64, schema relation.Schema) {
 	t.Helper()
 	s.Database().Put(relation.New(schema))
 	*schemaVer++
@@ -46,7 +46,7 @@ func addSchema(t *testing.T, s *Store, schemaVer *uint64, schema relation.Schema
 
 // insert applies an insert to the database and logs it with the
 // post-change fingerprint.
-func insert(t *testing.T, s *Store, rel string, tup relation.Tuple) {
+func insert(t testing.TB, s *Store, rel string, tup relation.Tuple) {
 	t.Helper()
 	r := s.Database().Get(rel)
 	if err := r.Insert(tup); err != nil {
@@ -59,7 +59,7 @@ func insert(t *testing.T, s *Store, rel string, tup relation.Tuple) {
 }
 
 // del applies a delete to the database and logs it.
-func del(t *testing.T, s *Store, rel string, tup relation.Tuple) {
+func del(t testing.TB, s *Store, rel string, tup relation.Tuple) {
 	t.Helper()
 	r := s.Database().Get(rel)
 	if r.Delete(tup) == 0 {
@@ -468,38 +468,74 @@ func TestDigestOrderInsensitive(t *testing.T) {
 }
 
 // TestSnapshotRowClaimSizesNothing: a snapshot whose checksum is valid
-// but whose header claims 1<<60 rows for a relation holding one chunk
-// must be refused with the row-count mismatch, and the claim must size
-// nothing: the loader's buffer is bounded by the bytes that arrived.
+// but that claims 1<<60 rows for a relation holding two, 1<<60 values
+// in a column's decode table, or 1<<60 codes in a column's code vector
+// must be refused with that claim's error, and the claim must size
+// nothing: the loader's buffers are bounded by the bytes that arrived.
 func TestSnapshotRowClaimSizesNothing(t *testing.T) {
-	dir := t.TempDir()
 	const claim = 1 << 60
-	img := append([]byte(nil), snapshotMagic[:]...)
-	img = binary.AppendUvarint(img, snapshotFormat)
-	img = binary.AppendUvarint(img, 1) // schema version
-	img = binary.AppendUvarint(img, 1) // relations
-	enc := relation.EncodeSchema(courseSchema("course"))
-	img = binary.AppendUvarint(img, uint64(len(enc)))
-	img = append(img, enc...)
-	img = binary.AppendUvarint(img, 7) // relation version
-	img = binary.AppendUvarint(img, claim)
-	chunk := relation.EncodeTupleBatch([]relation.Tuple{row("Databases", "cs"), row("Ethics", "phil")})
-	img = binary.AppendUvarint(img, uint64(len(chunk)))
-	img = append(img, chunk...)
-	img = binary.BigEndian.AppendUint32(img, crc32.ChecksumIEEE(img))
-	if err := os.WriteFile(filepath.Join(dir, snapshotName), img, 0o644); err != nil {
+	// snapshot is the image of one relation, course(title, dept), holding
+	// (Databases, cs) and (Ethics, phil) unless a claim says otherwise.
+	snapshot := func(rows, width, codes uint64) []byte {
+		img := append([]byte(nil), snapshotMagic[:]...)
+		img = binary.AppendUvarint(img, snapshotFormat)
+		img = binary.AppendUvarint(img, 1) // schema version
+		img = binary.AppendUvarint(img, 1) // relations
+		enc := relation.EncodeSchema(courseSchema("course"))
+		img = binary.AppendUvarint(img, uint64(len(enc)))
+		img = append(img, enc...)
+		img = binary.AppendUvarint(img, 7) // relation version
+		img = binary.AppendUvarint(img, rows)
+		widths, counts := [2]uint64{width, 2}, [2]uint64{2, codes}
+		cols := binary.AppendUvarint(nil, rows)
+		for col, vals := range [2][]string{{"Databases", "Ethics"}, {"cs", "phil"}} {
+			cols = binary.AppendUvarint(cols, widths[col])
+			for _, v := range vals {
+				cols = append(cols, byte(relation.TString))
+				cols = binary.AppendUvarint(cols, uint64(len(v)))
+				cols = append(cols, v...)
+			}
+			cols = binary.AppendUvarint(cols, counts[col])
+			cols = append(cols, 0, 1) // one byte per code
+		}
+		img = binary.AppendUvarint(img, uint64(len(cols)))
+		img = append(img, cols...)
+		return binary.BigEndian.AppendUint32(img, crc32.ChecksumIEEE(img))
+	}
+	honest := t.TempDir()
+	if err := os.WriteFile(filepath.Join(honest, snapshotName), snapshot(2, 2, 2), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	_, err := Open(dir)
-	runtime.ReadMemStats(&after)
-	want := fmt.Sprintf("has 2 rows, header says %d", uint64(claim))
-	if err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Open = %v, want the %q refusal", err, want)
+	if s, err := Open(honest); err != nil || s.Database().Get("course").Len() != 2 {
+		t.Fatalf("Open of the image without a claim = %v, want its 2 rows", err)
+	} else {
+		s.Close()
 	}
-	if delta := after.TotalAlloc - before.TotalAlloc; delta >= 4<<20 {
-		t.Errorf("Open allocated %d bytes against a 1<<60-row claim, want under 4 MiB", delta)
+	for _, tc := range []struct {
+		name string
+		img  []byte
+		want string
+	}{
+		{"rows", snapshot(claim, 2, 2), fmt.Sprintf("course claims %d rows", uint64(claim))},
+		{"width", snapshot(2, claim, 2), fmt.Sprintf("column title: claims %d values", uint64(claim))},
+		{"codes", snapshot(2, 2, claim), fmt.Sprintf("column dept: claims %d codes", uint64(claim))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, snapshotName), tc.img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			_, err := Open(dir)
+			runtime.ReadMemStats(&after)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Open = %v, want the %q refusal", err, tc.want)
+			}
+			if delta := after.TotalAlloc - before.TotalAlloc; delta >= 4<<20 {
+				t.Errorf("Open allocated %d bytes against a 1<<60 claim, want under 4 MiB", delta)
+			}
+		})
 	}
 }

@@ -30,17 +30,18 @@ func encodeWALEntry(rec relation.ChangeRecord) []byte {
 // scanWAL walks a log image, returning every cleanly committed record
 // plus the byte offset where the valid prefix ends. A short length
 // prefix, short body, checksum mismatch, or undecodable body marks the
-// start of the discarded tail; bytes past it are never inspected.
+// start of the discarded tail; bytes past it are never inspected. The
+// record slice is sized once, by a first pass over the entries' framing.
 func scanWAL(img []byte) (recs []relation.ChangeRecord, good int64) {
+	n := 0
+	for _, next, ok := walEntry(img, 0); ok; _, next, ok = walEntry(img, next) {
+		n++
+	}
+	recs = make([]relation.ChangeRecord, 0, n)
 	off := 0
-	for off < len(img) {
-		ln, sz := binary.Uvarint(img[off:])
-		if sz <= 0 || ln > uint64(len(img)-off-sz) || uint64(len(img)-off-sz)-ln < 4 {
-			return recs, int64(off)
-		}
-		body := img[off+sz : off+sz+int(ln)]
-		sum := binary.BigEndian.Uint32(img[off+sz+int(ln):])
-		if crc32.ChecksumIEEE(body) != sum {
+	for {
+		body, next, ok := walEntry(img, off)
+		if !ok || crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(img[next-4:]) {
 			return recs, int64(off)
 		}
 		batch, err := relation.DecodeChangeBatch(body)
@@ -48,7 +49,19 @@ func scanWAL(img []byte) (recs []relation.ChangeRecord, good int64) {
 			return recs, int64(off)
 		}
 		recs = append(recs, batch[0])
-		off += sz + int(ln) + 4
+		off = next
 	}
-	return recs, int64(off)
+}
+
+// walEntry frames the log entry at off: its body, and the offset past
+// its checksum, where the next entry starts. ok is false at the end of
+// the image and wherever the length prefix, body or checksum runs past
+// it.
+func walEntry(img []byte, off int) (body []byte, next int, ok bool) {
+	ln, sz := binary.Uvarint(img[off:])
+	if sz <= 0 || ln > uint64(len(img)-off-sz) || uint64(len(img)-off-sz)-ln < 4 {
+		return nil, off, false
+	}
+	body = img[off+sz : off+sz+int(ln)]
+	return body, off + sz + int(ln) + 4, true
 }
