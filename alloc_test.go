@@ -87,6 +87,22 @@ func TestWarmPathAllocCeilings(t *testing.T) {
 			}},
 		{name: "E2/16 Query+Materialize", answers: 80, maxAllocs: 10 + 2,
 			op: materialize(g.Net)},
+		// Pricing and copy reads take Query's cached reformulation; an
+		// uncached one costs hundreds of allocations. EstimateCost's
+		// "answers" is its estimated cost in tuple reads.
+		{name: "E2/16 EstimateCost", answers: 405, maxAllocs: 7 + 2,
+			op: func() (int, error) {
+				cost, err := g.Net.EstimateCost(req.Peer, req.Query, pdms.CostModel{})
+				return int(cost), err
+			}},
+		{name: "E2/16 AnswerUsingCopies, no copy placed", answers: 80, maxAllocs: 13 + 2,
+			op: func() (int, error) {
+				res, err := g.Net.AnswerUsingCopies(req.Peer, req.Query, req.Reform)
+				if err != nil {
+					return 0, err
+				}
+				return res.Answers.Len(), nil
+			}},
 		// One freshness probe per remote peer and nothing else on the
 		// wire: a warm query over current mirrors moves no tuples.
 		// Both remote rows measure at the test's GOMAXPROCS: the probes

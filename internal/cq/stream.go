@@ -10,11 +10,11 @@ import (
 )
 
 // This file is the streaming face of the compiled engine. The batch
-// kernel (batch.go) produces answers as its leaf batches fill; Stream
-// and StreamUnion route them through a caller-supplied yield, with
-// cooperative cancellation (polled once per batch of rows examined and
-// every ctxCheckInterval answers) and an optional distinct-answer limit
-// that aborts the join as soon as it is reached. MaterializeUnion, the
+// kernel (batch.go) produces answers as its leaf batches fill;
+// StreamOpts and StreamUnionOpts route them through a caller-supplied
+// yield, with cooperative cancellation (polled once per batch of rows
+// examined and every ctxCheckInterval answers) and an optional
+// distinct-answer limit that aborts the join as soon as it is reached. MaterializeUnion, the
 // one materializing path behind Exec/ExecUnion/Eval and the PDMS
 // cursor, does not stream to itself: it runs the same kernel with no
 // yield and builds the answer relation once, at its final size.
@@ -27,31 +27,22 @@ type ExecOptions struct {
 	Limit int
 }
 
-// Stream executes the plan, calling yield for every distinct answer as
-// the join produces it. Enumeration stops when yield returns false
-// (not an error) or when ctx is cancelled (returns ctx.Err()). The
-// yielded tuple is owned by the consumer; the engine never mutates it.
-func (p *Plan) Stream(ctx context.Context, yield func(relation.Tuple) bool) error {
-	return p.StreamOpts(ctx, ExecOptions{}, yield)
-}
-
-// StreamOpts is Stream with an options block; see ExecOptions.
+// StreamOpts executes the plan, calling yield for every distinct answer
+// as the join produces it, up to opts.Limit. Enumeration stops when
+// yield returns false (not an error) or when ctx is cancelled (returns
+// ctx.Err()). The yielded tuple is owned by the consumer; the engine
+// never mutates it.
 func (p *Plan) StreamOpts(ctx context.Context, opts ExecOptions, yield func(relation.Tuple) bool) error {
 	return StreamUnionOpts(ctx, []*Plan{p}, opts, yield)
 }
 
-// StreamUnion executes precompiled plans as a union of conjunctive
+// StreamUnionOpts executes precompiled plans as a union of conjunctive
 // queries, streaming distinct tuples through yield as branches execute.
 // One hash set is shared across all branches, so a tuple produced by
 // several rewritings is yielded once. All plans must share head arity.
-func StreamUnion(ctx context.Context, plans []*Plan, yield func(relation.Tuple) bool) error {
-	return StreamUnionOpts(ctx, plans, ExecOptions{}, yield)
-}
-
-// StreamUnionOpts is StreamUnion with an options block. The limit is
-// pushed down into the shared dedup set: the join tree aborts — across
-// all remaining branches — the moment the Nth distinct answer has been
-// yielded. Limited unions run their branches cheapest-first (by the
+// The limit is pushed down into the shared dedup set: the join tree
+// aborts — across all remaining branches — the moment the Nth distinct
+// answer has been yielded. Limited unions run their branches cheapest-first (by the
 // planner's cost estimates), so the limit tends to fill before the
 // expensive branches start. The branches run one after another on the
 // calling goroutine and dedup over code vectors in one output encoding
@@ -108,15 +99,10 @@ func plansCheapestFirst(plans []*Plan) []*Plan {
 	return out
 }
 
-// Tuples adapts the plan to a range-over-func iterator: each pair is
-// one distinct answer with a nil error, except a final (nil, err) pair
-// if execution failed (cancellation). Breaking out of the range stops
-// the join tree immediately.
-func (p *Plan) Tuples(ctx context.Context) iter.Seq2[relation.Tuple, error] {
-	return UnionTuples(ctx, []*Plan{p}, ExecOptions{})
-}
-
-// UnionTuples is the iterator form of StreamUnionOpts; see Tuples.
+// UnionTuples is the iterator form of StreamUnionOpts: each pair is one
+// distinct answer with a nil error, except a final (nil, err) pair if
+// execution failed (cancellation). Breaking out of the range stops the
+// join tree immediately.
 func UnionTuples(ctx context.Context, plans []*Plan, opts ExecOptions) iter.Seq2[relation.Tuple, error] {
 	return func(yield func(relation.Tuple, error) bool) {
 		broke := false

@@ -11,7 +11,7 @@ import (
 	"repro/internal/relation"
 )
 
-// streamRows drains Stream into a slice, failing the test on error.
+// streamRows drains StreamOpts into a slice, failing the test on error.
 func streamRows(t *testing.T, db *relation.Database, q Query) []relation.Tuple {
 	t.Helper()
 	plan, err := Compile(db, q)
@@ -19,7 +19,7 @@ func streamRows(t *testing.T, db *relation.Database, q Query) []relation.Tuple {
 		t.Fatalf("compile %s: %v", q, err)
 	}
 	var rows []relation.Tuple
-	if err := plan.Stream(context.Background(), func(tup relation.Tuple) bool {
+	if err := plan.StreamOpts(context.Background(), ExecOptions{}, func(tup relation.Tuple) bool {
 		rows = append(rows, tup)
 		return true
 	}); err != nil {
@@ -103,7 +103,7 @@ func randomDBAndQuery(rnd *rand.Rand) (*relation.Database, Query, bool) {
 }
 
 // TestStreamMatchesExecAndReferenceRandomized holds the three evaluation
-// paths — drained Stream, materializing Exec, and the legacy
+// paths — drained StreamOpts, materializing Exec, and the legacy
 // map-bindings interpreter — to identical answer sets across a
 // randomized query corpus, and checks the Limit contract on the same
 // trials: exactly min(Limit, |answers|) tuples, all distinct, all
@@ -194,7 +194,7 @@ func TestStreamCancelledMidJoin(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	yields := 0
-	err = plan.Stream(ctx, func(relation.Tuple) bool {
+	err = plan.StreamOpts(ctx, ExecOptions{}, func(relation.Tuple) bool {
 		yields++
 		cancel()
 		return true
@@ -221,7 +221,7 @@ func TestStreamPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	yields := 0
-	err = plan.Stream(ctx, func(relation.Tuple) bool {
+	err = plan.StreamOpts(ctx, ExecOptions{}, func(relation.Tuple) bool {
 		yields++
 		return true
 	})
@@ -247,7 +247,7 @@ func TestStreamPreCancelledSmallQuery(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err = plan.Stream(ctx, func(relation.Tuple) bool {
+	err = plan.StreamOpts(ctx, ExecOptions{}, func(relation.Tuple) bool {
 		t.Error("yield on a dead context")
 		return true
 	})
@@ -265,7 +265,7 @@ func TestStreamYieldFalseStopsWithoutError(t *testing.T) {
 		t.Fatal(err)
 	}
 	yields := 0
-	err = plan.Stream(context.Background(), func(relation.Tuple) bool {
+	err = plan.StreamOpts(context.Background(), ExecOptions{}, func(relation.Tuple) bool {
 		yields++
 		return false
 	})
@@ -286,7 +286,7 @@ func TestTuplesIteratorBreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := 0
-	for tup, err := range plan.Tuples(context.Background()) {
+	for tup, err := range UnionTuples(context.Background(), []*Plan{plan}, ExecOptions{}) {
 		if err != nil {
 			t.Fatalf("unexpected error pair: %v", err)
 		}
@@ -314,7 +314,7 @@ func TestTuplesIteratorSurfacesCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var sawErr error
-	for tup, err := range plan.Tuples(ctx) {
+	for tup, err := range UnionTuples(ctx, []*Plan{plan}, ExecOptions{}) {
 		if err != nil {
 			sawErr = err
 			if tup != nil {
@@ -347,7 +347,7 @@ func TestStreamUnionDedupAndLimit(t *testing.T) {
 	plans := []*Plan{mk("q(A) :- r(A)"), mk("q(B) :- r(B)")}
 
 	var all []relation.Tuple
-	if err := StreamUnion(context.Background(), plans, func(tup relation.Tuple) bool {
+	if err := StreamUnionOpts(context.Background(), plans, ExecOptions{}, func(tup relation.Tuple) bool {
 		all = append(all, tup)
 		return true
 	}); err != nil {
@@ -373,7 +373,7 @@ func TestStreamUnionDedupAndLimit(t *testing.T) {
 	}
 }
 
-// TestMaterializeUnionLimitSubset locks the Exec/Stream agreement at the
+// TestMaterializeUnionLimitSubset locks the Exec/StreamOpts agreement at the
 // union level: the Limit result is a subset of the full union.
 func TestMaterializeUnionLimitSubset(t *testing.T) {
 	db, q := crossProductDB(t)
@@ -414,7 +414,7 @@ func TestUnionSignedZero(t *testing.T) {
 	}
 	plans := compileAll(t, db, []Query{MustParse("q(X) :- fpos(X)"), MustParse("q(X) :- fneg(X)")})
 	var streamed []relation.Tuple
-	if err := StreamUnion(context.Background(), plans, func(tup relation.Tuple) bool {
+	if err := StreamUnionOpts(context.Background(), plans, ExecOptions{}, func(tup relation.Tuple) bool {
 		streamed = append(streamed, tup)
 		return true
 	}); err != nil {

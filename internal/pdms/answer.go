@@ -183,7 +183,12 @@ func (n *Network) evictReformLocked() {
 // through the batch kernel with one shared dedup set across union
 // branches.
 func (n *Network) Answer(peer string, q cq.Query, opts ReformOptions) (*AnswerResult, error) {
-	cur, err := n.Query(context.Background(), Request{Peer: peer, Query: q, Reform: opts})
+	return n.answer(peer, q, opts, nil)
+}
+
+// answer is Answer reading copies in place of what they copy (query).
+func (n *Network) answer(peer string, q cq.Query, opts ReformOptions, copies map[string]*Subscription) (*AnswerResult, error) {
+	cur, err := n.query(context.Background(), Request{Peer: peer, Query: q, Reform: opts}, copies)
 	if err != nil {
 		return nil, err
 	}

@@ -355,8 +355,9 @@ type Network struct {
 	byTargetPeer map[string][]*glav.Mapping
 	subs         []*Subscription
 	// subMu guards the placed materialized views' extents (and the subs
-	// slice) against the push applier goroutine, which propagates pushed
-	// deltas into them concurrently with the single-writer Publish path.
+	// slice) against the push applier goroutine and the sync ladder's
+	// installs, which maintain them concurrently with the single-writer
+	// Publish path and with copies queries reading them.
 	// Lock order: remoteMu before subMu, never the reverse.
 	subMu sync.Mutex
 

@@ -16,7 +16,8 @@ import (
 // queries most efficiently, given network constraints." A simple cost
 // model charges remote reads more than local ones; a greedy optimizer
 // picks which remote relations each peer should replicate, and query
-// execution can then read the local copies (kept fresh by updategrams).
+// execution can then read the local copies (kept fresh by updategrams)
+// through Network.Query, whose reformulation cache prices them too.
 
 // CostModel prices tuple reads.
 type CostModel struct {
@@ -44,8 +45,7 @@ type WorkloadQuery struct {
 // 1 per tuple, remote relations cost RemoteFactor per tuple. Row counts
 // come from GlobalDB, so pricing takes no lock.
 func (n *Network) EstimateCost(peer string, q cq.Query, cm CostModel) (float64, error) {
-	rf := NewReformulator(n, ReformOptions{})
-	rws, _, err := rf.Reformulate(context.Background(), peer, q)
+	rws, err := n.rewritings(peer, q)
 	if err != nil {
 		return 0, err
 	}
@@ -66,6 +66,16 @@ func (n *Network) EstimateCost(peer string, q cq.Query, cm CostModel) (float64, 
 		}
 	}
 	return cost, nil
+}
+
+// rewritings returns q's reformulations at peer, from the cache Query
+// serves from (reformulateOnce). Callers only read the shared slice.
+func (n *Network) rewritings(peer string, q cq.Query) ([]cq.Query, error) {
+	e, err := n.reformulateOnce(context.Background(), n.reformCacheKey(peer, q, ReformOptions{}), Request{Peer: peer, Query: q})
+	if err != nil {
+		return nil, err
+	}
+	return e.rws, nil
 }
 
 // localCopies returns, per qualified relation name, an identity-view
@@ -138,8 +148,7 @@ func (n *Network) PlaceViews(workload []WorkloadQuery, budget int, cm CostModel)
 	benefit := make(map[key]float64)
 	db := n.GlobalDB()
 	for _, wq := range workload {
-		rf := NewReformulator(n, ReformOptions{})
-		rws, _, err := rf.Reformulate(context.Background(), wq.Peer, wq.Query)
+		rws, err := n.rewritings(wq.Peer, wq.Query)
 		if err != nil {
 			return nil, err
 		}
@@ -179,47 +188,39 @@ func (n *Network) PlaceViews(workload []WorkloadQuery, budget int, cm CostModel)
 	return cands, nil
 }
 
-// AnswerUsingCopies answers q at peer, reading local materialized copies
-// instead of remote relations where available. Copies are kept fresh by
-// Publish, so answers match Answer() as long as all updates flow through
-// updategrams. Each copy's extent is read through a snapshot under its
-// @copy name in a per-call overlay on GlobalDB, which the call leaves
-// as it found it.
+// AnswerUsingCopies is Answer reading the peer's local materialized
+// copies instead of the remote relations they copy: each such rewriting
+// atom is renamed to the copy's "@copy.<peer>.<relation>" name. Copies
+// are kept fresh by Publish, the push applier and the sync ladder, so
+// answers match Answer().
 func (n *Network) AnswerUsingCopies(peer string, q cq.Query, opts ReformOptions) (*AnswerResult, error) {
-	rf := NewReformulator(n, opts)
-	rws, stats, err := rf.Reformulate(context.Background(), peer, q)
-	if err != nil {
-		return nil, err
+	return n.answer(peer, q, opts, n.localCopies(peer))
+}
+
+// readCopies returns clones of rws with every atom over a remote
+// relation in copies renamed to its copy, and over (allocated if nil)
+// grown by a snapshot of each renamed copy's extent, taken under subMu
+// because a refresh replaces MV.Extent.
+func (n *Network) readCopies(peer string, rws []cq.Query, copies map[string]*Subscription, over map[string]*relation.Relation) ([]cq.Query, map[string]*relation.Relation) {
+	if over == nil {
+		over = make(map[string]*relation.Relation)
 	}
-	copies := n.localCopies(peer)
-	over := make(map[string]*relation.Relation, len(copies))
-	for qualified, sub := range copies {
-		copyName := "@copy." + peer + "." + qualified
-		over[copyName] = sub.MV.Extent.SnapshotAs(copyName)
-	}
-	db := cq.Overlay{Base: n.GlobalDB(), Over: over}
-	rewritten := make([]cq.Query, len(rws))
+	out := make([]cq.Query, len(rws))
+	n.subMu.Lock()
+	defer n.subMu.Unlock()
 	for i, rw := range rws {
-		c := rw.Clone()
-		for j := range c.Body {
-			if _, ok := copies[c.Body[j].Pred]; ok {
-				pn, _ := glav.SplitQualified(c.Body[j].Pred)
-				if pn != peer {
-					c.Body[j].Pred = "@copy." + peer + "." + c.Body[j].Pred
-				}
+		out[i] = rw.Clone()
+		for j, a := range out[i].Body {
+			sub := copies[a.Pred]
+			if pn, _ := glav.SplitQualified(a.Pred); sub == nil || pn == peer {
+				continue
+			}
+			name := "@copy." + peer + "." + a.Pred
+			out[i].Body[j].Pred = name
+			if over[name] == nil {
+				over[name] = sub.MV.Extent.SnapshotAs(name)
 			}
 		}
-		rewritten[i] = c
 	}
-	var answers *relation.Relation
-	if len(rewritten) > 0 {
-		answers, err = cq.EvalUnion(db, rewritten)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		// Same typed head schema the non-empty path produces.
-		answers = relation.New(cq.HeadSchemaFor(db, glav.Qualify(q, peer)))
-	}
-	return &AnswerResult{Answers: answers, Rewritings: rewritten, Stats: *stats}, nil
+	return out, over
 }

@@ -1,6 +1,7 @@
 package pdms
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -170,6 +171,68 @@ func TestCopiesStayFreshThroughPublish(t *testing.T) {
 		t.Errorf("copy went stale after Peer.Insert: %v vs %v",
 			direct2.Answers.Rows(), via2.Answers.Rows())
 	}
+}
+
+// TestAnswerUsingCopiesOverRemotePeers holds AnswerUsingCopies to
+// Answer on a coordinator whose berkeley and mit are RemotePeers behind
+// a Loopback: a copies query syncs the replicas as any query does, and a
+// placed copy of a remote relation follows every replica the sync
+// ladder installs, not only the ones the push applier advances.
+func TestAnswerUsingCopiesOverRemotePeers(t *testing.T) {
+	peers := chainPeers(t)
+	n := NewNetwork()
+	if err := n.AddPeer(peers[2]); err != nil {
+		t.Fatal(err)
+	}
+	lb := NewLoopback(peers[0], peers[1])
+	for _, name := range []string{"berkeley", "mit"} {
+		if _, err := n.AddRemotePeer(context.Background(), name, lb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	linkChain(t, n)
+	q := cq.MustParse("q(L) :- offering(L, S)")
+	same := func(when string, rows int, copied bool) {
+		t.Helper()
+		via, err := n.AnswerUsingCopies("oxford", q, ReformOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := n.Answer("oxford", q, ReformOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if direct.Answers.Len() != rows {
+			t.Fatalf("%s: Answer gave %d rows, want %d", when, direct.Answers.Len(), rows)
+		}
+		if !direct.Answers.Equal(via.Answers) {
+			t.Errorf("%s: AnswerUsingCopies answered %v, Answer %v",
+				when, via.Answers.Rows(), direct.Answers.Rows())
+		}
+		read := false
+		for _, rw := range via.Rewritings {
+			for _, a := range rw.Body {
+				read = read || a.Pred == "@copy.oxford.berkeley.course"
+			}
+		}
+		if read != copied {
+			t.Errorf("%s: rewritings read the copy = %v, want %v", when, read, copied)
+		}
+	}
+	insert := func(title string) {
+		t.Helper()
+		if err := peers[0].Insert("course", relation.Tuple{relation.SV(title), relation.IV(25)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	same("first call, nothing synced", 4, false)
+	insert("Rhetoric")
+	same("after an origin insert", 5, false)
+	if _, err := n.MaterializeRemote("oxford", "berkeley", "course"); err != nil {
+		t.Fatal(err)
+	}
+	insert("Logic")
+	same("copy placed, after an origin insert", 6, true)
 }
 
 func TestMaterializeRemoteValidation(t *testing.T) {

@@ -320,6 +320,12 @@ func (c *Cursor) Materialize() (*relation.Relation, error) {
 // unlocked over the immutable snapshot. An all-local network skips all
 // of this — the fast path is unchanged.
 func (n *Network) Query(ctx context.Context, req Request) (*Cursor, error) {
+	return n.query(ctx, req, nil)
+}
+
+// query is Query reading, in place of each remote relation copies
+// holds a placed copy of, that copy (AnswerUsingCopies).
+func (n *Network) query(ctx context.Context, req Request, copies map[string]*Subscription) (*Cursor, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -381,32 +387,27 @@ func (n *Network) Query(ctx context.Context, req Request) (*Cursor, error) {
 			return nil, err
 		}
 	}
-	var plans []*cq.Plan
-	var err2 error
-	if len(ships) > 0 {
-		// Shipped partial replicas shadow the global snapshot through a
-		// per-request overlay catalog — per request because shipped
-		// results never enter a replica: they are only guaranteed
-		// sufficient for the request's own rewritings. They bypass the
-		// plan cache: the overlay's relations are request-specific, so a
-		// cached plan compiled against them could never be reused safely
-		// anyway.
-		cat := cq.Overlay{Base: n.GlobalDB(), Over: ships}
-		plans = make([]*cq.Plan, len(e.rws))
-		for i, rw := range e.rws {
-			plans[i], err2 = cq.Compile(cat, rw)
-			if err2 != nil {
-				return nil, err2
+	over := ships
+	if len(copies) > 0 {
+		c.rewritings, over = n.readCopies(req.Peer, e.rws, copies, over)
+	}
+	if len(over) > 0 {
+		// Shipped partial replicas and placed copies shadow the global
+		// snapshot through a per-request overlay catalog: shipped results
+		// never enter a replica, being only sufficient for the request's
+		// own rewritings. Plans compiled against request-specific
+		// relations could never be reused, so they bypass the cache.
+		cat := cq.Overlay{Base: n.GlobalDB(), Over: over}
+		c.plans = make([]*cq.Plan, len(c.rewritings))
+		for i, rw := range c.rewritings {
+			if c.plans[i], err = cq.Compile(cat, rw); err != nil {
+				return nil, err
 			}
 		}
-	} else {
-		plans, err2 = e.plansFor(n.GlobalDB())
-		if err2 != nil {
-			return nil, err2
-		}
+	} else if c.plans, err = e.plansFor(n.GlobalDB()); err != nil {
+		return nil, err
 	}
-	c.plans = plans
-	c.schema = plans[0].HeadSchema()
+	c.schema = c.plans[0].HeadSchema()
 	// Preparation time includes plan compilation (a cold-cursor cost the
 	// old Answer counted too), so cold and warm timings stay comparable.
 	c.reformTime = time.Since(t0)
@@ -435,10 +436,10 @@ func flattenDegraded(m map[string]*DegradedPeer) []DegradedPeer {
 
 // LocalQuery returns a cursor over q evaluated against the peer's own
 // relations only — a local peer's storage, a remote peer's published
-// replicas — the streaming form of LocalAnswer. The relations the query
-// reads come from GlobalDB's snapshot, so the cursor keeps the
-// Query-time binding even while the peer's store mutates under a lazy
-// drain, and it takes no lock.
+// replicas — the streaming form of LocalAnswer. q, its predicates
+// qualified with peer's name, compiles straight against GlobalDB's
+// snapshot, so the cursor keeps the Query-time binding even while the
+// peer's store mutates under a lazy drain, and it takes no lock.
 func (n *Network) LocalQuery(ctx context.Context, peer string, q cq.Query) (*Cursor, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -446,14 +447,7 @@ func (n *Network) LocalQuery(ctx context.Context, peer string, q cq.Query) (*Cur
 	if _, ok := n.schemasOf(peer); !ok {
 		return nil, errUnknownPeer(peer)
 	}
-	global := n.GlobalDB()
-	db := relation.NewDatabase()
-	for _, pred := range q.Predicates() {
-		if r := global.Get(glav.QualifiedName(peer, pred)); r != nil {
-			db.Put(r.SnapshotAs(pred))
-		}
-	}
-	plan, err := cq.Compile(db, q)
+	plan, err := cq.Compile(n.GlobalDB(), glav.Qualify(q, peer))
 	if err != nil {
 		return nil, err
 	}

@@ -588,7 +588,8 @@ func (n *Network) fetchReferenced(ctx context.Context, rs *remoteSync, rws []cq.
 // mid-query degrades (covering peers that die between the probe and the
 // fetch) and is marked down before its queued siblings start, so they
 // do not spend retries too; the first failure that cannot degrade
-// cancels the jobs still running.
+// cancels the jobs still running. An installed replica re-derives the
+// placed views over it (refreshViews).
 func (n *Network) runJobs(ctx context.Context, rs *remoteSync, jobs []fetchJob) (ships map[string]*relation.Relation, paths []SyncPath, firstErr error) {
 	fctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -627,6 +628,7 @@ func (n *Network) runJobs(ctx context.Context, rs *remoteSync, jobs []fetchJob) 
 			// replica in place, and its record must move with it.
 			job.rec.install(rel)
 			job.rec.synced = true
+			n.refreshViews(job.rec.name)
 		}
 		n.syncCounts[rung].Add(1)
 		paths = append(paths, SyncPath{Peer: job.rp.name, Rel: job.rel, Path: ladder[rung].path})

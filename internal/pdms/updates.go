@@ -152,6 +152,27 @@ func (n *Network) maintainViews(pre, post *relation.Database, qualified string, 
 	}
 }
 
+// refreshViews re-derives, from the global snapshot, every placed view
+// whose definition mentions the qualified relation: the sync ladder
+// installs a replica whole, with no change records to fold into an
+// updategram. With no such view it costs one lock and a scan of the
+// view definitions. Caller holds remoteMu (lock order remoteMu →
+// subMu).
+func (n *Network) refreshViews(qualified string) {
+	n.subMu.Lock()
+	defer n.subMu.Unlock()
+	var db *relation.Database
+	for _, sub := range n.subs {
+		if !slices.ContainsFunc(sub.MV.View.Def.Body, func(a cq.Atom) bool { return a.Pred == qualified }) {
+			continue
+		}
+		if db == nil {
+			db = n.GlobalDB()
+		}
+		_ = sub.MV.Refresh(db) // a failed refresh keeps the old extent, as in maintainViews
+	}
+}
+
 // fanoutViews propagates one qualified base updategram into every
 // placed materialized view whose definition mentions the relation —
 // the one-to-many half of §3.1.2's "updategrams on base data can be
