@@ -27,7 +27,7 @@ func (r *Relation) ApplyChanges(recs []ChangeRecord) (*Relation, error) {
 	if len(recs) == 0 {
 		return r, nil
 	}
-	ver, rows, insertOnly := r.version, len(r.rows), true
+	ver, rows, insertOnly := r.version, r.n, true
 	for i := range recs {
 		rec := &recs[i]
 		if rec.Rel != r.Schema.Name {

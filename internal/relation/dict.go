@@ -413,7 +413,7 @@ func (d *Dict) clone() *Dict {
 func (r *Relation) Encoding() *Dict {
 	r.mu.RLock()
 	d := r.dict
-	current := d != nil && r.encRows == len(r.rows)
+	current := d != nil && r.encRows == r.n
 	r.mu.RUnlock()
 	if current {
 		return d
@@ -425,23 +425,23 @@ func (r *Relation) Encoding() *Dict {
 }
 
 // ensureEncodingLocked builds the dictionary encoding unless a current
-// one exists. Caller holds r.mu.
+// one exists (an imageless relation always has one). Caller holds r.mu.
 func (r *Relation) ensureEncodingLocked() {
-	if r.dict == nil || r.encRows != len(r.rows) {
+	if r.dict == nil || r.encRows != r.n {
 		r.rebuildEncodingLocked()
 	}
 }
 
-// addEncodingLocked folds the rows from index from on into the
-// dictionary encoding if it has tracked every row before it — one
-// inserted row for Insert (widths nil: grow by append), a whole run for
-// InsertBatch (widths from widthHintsLocked). A snapshot's dictionary
+// addEncodingLocked folds rows, the relation's rows from index from on,
+// into the dictionary encoding if it has tracked every row before it —
+// one inserted row for Insert (widths nil: grow by append), a whole run
+// for InsertBatch (widths from widthHintsLocked). A snapshot's dictionary
 // being inserted into first leaves its source's lineage: the vectors
 // reallocate on append (they are capped), and from then on its rows
 // diverge from what the shared indexes describe. The relation's cached
 // code-index views go stale (their tail just grew); the lineage's
 // packed indexes stay. Caller holds r.mu.
-func (r *Relation) addEncodingLocked(from int, widths []int) {
+func (r *Relation) addEncodingLocked(from int, rows []Tuple, widths []int) {
 	if r.encRows != from {
 		return // not maintained (NewResult, raw appends) until first joined
 	}
@@ -450,8 +450,8 @@ func (r *Relation) addEncodingLocked(from int, widths []int) {
 	} else if !r.dict.owns {
 		r.dict.lin, r.dict.owns = nil, true
 	}
-	r.dict.extend(r.rows[from:], widths)
-	r.encRows = len(r.rows)
+	r.dict.extend(rows, widths)
+	r.encRows = from + len(rows)
 	r.codeIdx = nil
 }
 
@@ -460,11 +460,11 @@ func (r *Relation) addEncodingLocked(from int, widths []int) {
 // one, or on a relation's first join) into fresh vectors and a fresh
 // lineage, leaving whatever the old ones share with snapshots
 // untouched. It is one sized pass wherever statistics are maintained.
-// Caller holds r.mu.
+// Caller holds r.mu, and the relation has its row image.
 func (r *Relation) rebuildEncodingLocked() {
 	r.dict = newDict(r.Schema.Arity())
 	r.dict.extend(r.rows, r.widthHintsLocked())
-	r.encRows = len(r.rows)
+	r.encRows = r.n
 	r.codeIdx = nil
 }
 

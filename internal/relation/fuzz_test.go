@@ -136,73 +136,91 @@ func FuzzWireDecode(f *testing.F) {
 // length, not the version, not the encoding. The committed corpus
 // (testdata/fuzz/FuzzInsertBatch) seeds each shape: all three value
 // kinds, columns on both sides of smallDictWidth, a per-row prefix, and
-// both faults.
+// both faults. Every input runs twice: once as it says, and once with
+// the bulk side replaced after its prefix by DecodeColumns of its
+// AppendColumns — a relation with no row image, as recovery leaves it —
+// so the batch lands before anything reads its rows.
 func FuzzInsertBatch(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
-			return
-		}
-		arity := 1 + int(data[0]%3)
-		attrs := make([]Attribute, arity)
-		kinds := int(data[0] / 3)
-		for c := range attrs {
-			attrs[c] = Attribute{Name: fmt.Sprintf("c%d", c), Type: Type(kinds % 3)}
-			kinds /= 3
-		}
-		s := NewSchema("fuzz", attrs...)
-		var rows []Tuple
-		for vals := data[4:]; len(vals) >= arity; vals = vals[arity:] {
-			row := make(Tuple, arity)
-			for c := range row {
-				row[c] = bulkValue(attrs[c].Type, int(vals[c]))
-			}
-			rows = append(rows, row)
-		}
-		prefix := min(int(data[1]), len(rows))
-		inc, bulk := New(s), New(s)
-		for _, row := range rows[:prefix] {
-			inc.MustInsert(row...)
-			bulk.MustInsert(row...)
-		}
-		batch := rows[prefix:]
-		if data[2]%2 == 0 {
-			for _, row := range batch {
-				inc.MustInsert(row...)
-			}
-			if err := bulk.InsertBatch(batch); err != nil {
-				t.Fatalf("compatible batch refused: %v", err)
-			}
-			sameRelation(t, "batch", inc, bulk, false)
-			return
-		}
-		bad := make(Tuple, arity)
-		for c := range bad {
-			bad[c] = bulkValue(attrs[c].Type, 0)
-		}
-		if data[3]%2 == 0 {
-			bad = append(bad, IV(0)) // one column too many
-		} else {
-			c := int(data[3]/2) % arity
-			bad[c] = Value{Kind: (attrs[c].Type + 1) % 3} // the wrong kind
-		}
-		batch = slices.Clone(batch)
-		if len(batch) == 0 {
-			batch = append(batch, bad)
-		} else {
-			batch[int(data[2]/2)%len(batch)] = bad
-		}
-		want := bulk.SnapshotAs("want")
-		n, ver, dict := bulk.Len(), bulk.Version(), bulk.dict
-		if err := bulk.InsertBatch(batch); err == nil {
-			t.Fatalf("batch holding %v accepted", bad)
-		}
-		if bulk.Len() != n || bulk.Version() != ver || bulk.dict != dict ||
-			bulk.encRows != n || bulk.statRows != n {
-			t.Fatalf("refused batch changed the length, version or encoding")
-		}
-		want.RestoreVersion(ver)
-		sameRelation(t, "refused", want, bulk, true)
+		checkInsertBatch(t, data, false)
+		checkInsertBatch(t, data, true)
 	})
+}
+
+// checkInsertBatch is one FuzzInsertBatch run; decoded starts the bulk
+// side from its decoded encoding.
+func checkInsertBatch(t *testing.T, data []byte, decoded bool) {
+	if len(data) < 4 {
+		return
+	}
+	arity := 1 + int(data[0]%3)
+	attrs := make([]Attribute, arity)
+	kinds := int(data[0] / 3)
+	for c := range attrs {
+		attrs[c] = Attribute{Name: fmt.Sprintf("c%d", c), Type: Type(kinds % 3)}
+		kinds /= 3
+	}
+	s := NewSchema("fuzz", attrs...)
+	var rows []Tuple
+	for vals := data[4:]; len(vals) >= arity; vals = vals[arity:] {
+		row := make(Tuple, arity)
+		for c := range row {
+			row[c] = bulkValue(attrs[c].Type, int(vals[c]))
+		}
+		rows = append(rows, row)
+	}
+	prefix := min(int(data[1]), len(rows))
+	inc, bulk := New(s), New(s)
+	for _, row := range rows[:prefix] {
+		inc.MustInsert(row...)
+		bulk.MustInsert(row...)
+	}
+	if decoded {
+		ver := bulk.Version()
+		var err error
+		if bulk, err = DecodeColumns(s, AppendColumns(nil, bulk), 0); err != nil {
+			t.Fatalf("decoding the prefix: %v", err)
+		}
+		bulk.RestoreVersion(ver)
+	}
+	batch := rows[prefix:]
+	if data[2]%2 == 0 {
+		for _, row := range batch {
+			inc.MustInsert(row...)
+		}
+		if err := bulk.InsertBatch(batch); err != nil {
+			t.Fatalf("compatible batch refused: %v", err)
+		}
+		sameRelation(t, "batch", inc, bulk, false)
+		return
+	}
+	bad := make(Tuple, arity)
+	for c := range bad {
+		bad[c] = bulkValue(attrs[c].Type, 0)
+	}
+	if data[3]%2 == 0 {
+		bad = append(bad, IV(0)) // one column too many
+	} else {
+		c := int(data[3]/2) % arity
+		bad[c] = Value{Kind: (attrs[c].Type + 1) % 3} // the wrong kind
+	}
+	batch = slices.Clone(batch)
+	if len(batch) == 0 {
+		batch = append(batch, bad)
+	} else {
+		batch[int(data[2]/2)%len(batch)] = bad
+	}
+	want := bulk.SnapshotAs("want")
+	n, ver, dict := bulk.Len(), bulk.Version(), bulk.dict
+	if err := bulk.InsertBatch(batch); err == nil {
+		t.Fatalf("batch holding %v accepted", bad)
+	}
+	if bulk.Len() != n || bulk.Version() != ver || bulk.dict != dict ||
+		bulk.encRows != n || bulk.statRows != n {
+		t.Fatalf("refused batch changed the length, version or encoding")
+	}
+	want.RestoreVersion(ver)
+	sameRelation(t, "refused", want, bulk, true)
 }
 
 // FuzzApplyChanges holds the one verified apply to its all-or-nothing

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Relation is an in-memory bag of tuples conforming to a schema, with
@@ -14,28 +15,37 @@ import (
 // relation's only indexes.
 //
 // Concurrency: reads (Contains, Rows, Stats, Encoding, EnsureCodeIndex)
-// may run concurrently with each other — lazy encoding and code-index
-// construction are synchronized, so concurrent readers of a shared
-// relation are safe. Mutations (Insert, Delete, Dedup, SortRows)
-// require external synchronization with respect to readers, with one
-// carve-out: Stats may run concurrently with Insert (the statistics
-// fields and row count are exchanged under the lock).
+// may run concurrently with each other — lazy row images, lazy encoding
+// and code-index construction are synchronized, so concurrent readers
+// of a shared relation are safe. Mutations (Insert, Delete, Dedup,
+// SortRows) require external synchronization with respect to readers,
+// with one carve-out: Stats may run concurrently with Insert (the
+// statistics fields and row count are exchanged under the lock).
 type Relation struct {
-	Schema  Schema
-	rows    []Tuple
-	mu      sync.RWMutex // guards sketches, encoding, rows len vs Insert
-	version uint64       // bumped on every mutation; see Version
+	Schema Schema
+	// rows is the row image: the n tuples, in order. A relation that
+	// DecodeColumns built has none (imageless is set) until something
+	// first reads a row; the image is then built once from the code
+	// vectors (see imageLocked). Len, Version, Stats, Encoding and
+	// EnsureCodeIndex never need it, and an InsertBatch into an imageless
+	// relation extends only the sketches and the encoding.
+	rows      []Tuple
+	n         int
+	imageless atomic.Bool
+	mu        sync.RWMutex // guards sketches, encoding, row image, n vs Insert
+	version   uint64       // bumped on every mutation; see Version
 	// sketches holds one distinct-count sketch per column; statRows is
 	// how many rows they have absorbed. Statistics are valid iff
-	// statRows == len(rows) — a NewResult relation, or a copy of one,
+	// statRows == n — a NewResult relation, or a copy of one,
 	// never absorbs its rows and so has no stats. See stats.go.
 	sketches []colSketch
 	statRows int
 	// dict is the per-column dictionary encoding behind the columnar
 	// batch kernel; encRows mirrors statRows — the encoding is valid
-	// iff encRows == len(rows). codeIdx caches this relation's views of
-	// the code indexes its dictionary lineage shares; any mutation drops
-	// the views. See dict.go.
+	// iff encRows == n, as it always is while the relation is imageless.
+	// codeIdx caches this relation's views of the code indexes its
+	// dictionary lineage shares; any mutation drops the views. See
+	// dict.go.
 	dict    *Dict
 	encRows int
 	codeIdx map[int]*CodeIndex
@@ -75,7 +85,7 @@ func NewResult(schema Schema) *Relation {
 func AdoptResult(schema Schema, rows []Tuple) *Relation {
 	r := NewResult(schema)
 	if len(rows) > 0 {
-		r.rows = rows
+		r.rows, r.n = rows, len(rows)
 		r.version = 1
 	}
 	return r
@@ -94,7 +104,7 @@ func FromTuples(schema Schema, tuples ...Tuple) *Relation {
 }
 
 // Len returns the number of tuples (bag semantics: duplicates count).
-func (r *Relation) Len() int { return len(r.rows) }
+func (r *Relation) Len() int { return r.n }
 
 // Version returns a counter incremented by every mutating operation
 // (Insert, Delete, Dedup, SortRows). Caches key snapshots on it.
@@ -123,14 +133,18 @@ func (r *Relation) RestoreVersion(v uint64) {
 // also joins the source's dictionary lineage, so encode tables and packed
 // code indexes built by one serve the other (see EnsureCodeIndex).
 // Statistics carry over by copy; planning against a snapshot sees the
-// source's cardinalities without re-scanning.
+// source's cardinalities without re-scanning. An imageless source
+// builds its row image first, so the source and all its snapshots share
+// one.
 func (r *Relation) SnapshotAs(name string) *Relation {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := len(r.rows)
+	r.imageLocked()
+	n := r.n
 	out := &Relation{
 		Schema: Schema{Name: name, Attrs: r.Schema.Attrs},
 		rows:   r.rows[:n:n],
+		n:      n,
 		shared: true,
 	}
 	r.shared = true
@@ -146,10 +160,44 @@ func (r *Relation) SnapshotAs(name string) *Relation {
 }
 
 // Rows returns the underlying tuple slice; callers must not mutate it.
-func (r *Relation) Rows() []Tuple { return r.rows }
+// On an imageless relation the first call builds the row image, under
+// the lock, so concurrent first readers all get the same one.
+func (r *Relation) Rows() []Tuple {
+	if r.imageless.Load() {
+		r.mu.Lock()
+		r.imageLocked()
+		r.mu.Unlock()
+	}
+	return r.rows
+}
 
 // Row returns the i-th tuple.
-func (r *Relation) Row(i int) Tuple { return r.rows[i] }
+func (r *Relation) Row(i int) Tuple { return r.Rows()[i] }
+
+// imageLocked builds an imageless relation's row image from its
+// dictionary encoding, which covers every row, in two allocations: the
+// row slice and one block of values the rows are slices of. It is the
+// only place a relation's rows are decoded from its codes. Caller holds
+// r.mu's write side.
+func (r *Relation) imageLocked() {
+	if !r.imageless.Load() {
+		return
+	}
+	arity := r.Schema.Arity()
+	rows := make([]Tuple, r.n)
+	block := make([]Value, r.n*arity)
+	for i := range rows {
+		rows[i] = block[i*arity : (i+1)*arity : (i+1)*arity]
+	}
+	for col := range r.dict.cols {
+		c := &r.dict.cols[col]
+		for i, code := range c.codes {
+			block[i*arity+col] = c.vals[code]
+		}
+	}
+	r.rows = rows
+	r.imageless.Store(false)
+}
 
 // Insert appends a tuple after validating it against the schema and
 // updates the column statistics and dictionary encoding it maintains.
@@ -172,7 +220,8 @@ func (r *Relation) MustInsert(vals ...Value) {
 // batch with one incompatible tuple returns its error and changes
 // nothing. The version moves once per batch (callers that restore a
 // fingerprint call RestoreVersion after it), and an empty batch is no
-// mutation. The caller's slice is never retained; its tuples are.
+// mutation. The caller's slice is never retained; its tuples are, unless
+// the relation is imageless.
 //
 // On a relation that maintains statistics or an encoding — every
 // relation made by New — the batch is a bulk load: the row slice grows
@@ -180,8 +229,10 @@ func (r *Relation) MustInsert(vals ...Value) {
 // dictionary is then extended in one pass, its code vector reserved
 // once and its decode table and encode table allocated once at the
 // distinct-value count the folded sketch estimates. Replicas, shipped
-// overlays and replayed log runs are built this way (a recovered
-// snapshot is DecodeColumns' rebuild of the same relation). A NewResult
+// overlays and replayed log runs are built this way. A relation
+// recovered from a snapshot (DecodeColumns) has no row image, so a batch
+// into it only extends the sketches and the code vectors; the rows are
+// decoded from the codes when something first reads one. A NewResult
 // relation maintains neither, so a batch into it only appends.
 func (r *Relation) InsertBatch(ts []Tuple) error {
 	for _, t := range ts {
@@ -194,16 +245,19 @@ func (r *Relation) InsertBatch(ts []Tuple) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	from := len(r.rows)
-	r.rows = append(reserve(r.rows, len(ts)), ts...)
+	from := r.n
+	if !r.imageless.Load() {
+		r.rows = append(reserve(r.rows, len(ts)), ts...)
+	}
+	r.n += len(ts)
 	r.version++
-	r.addStatsLocked(from)
+	r.addStatsLocked(from, ts)
 	if r.encRows == from {
 		var widths []int
 		if len(ts) > 1 {
 			widths = r.widthHintsLocked() // one row grows its tables by append
 		}
-		r.addEncodingLocked(from, widths)
+		r.addEncodingLocked(from, ts, widths)
 	}
 	return nil
 }
@@ -228,8 +282,9 @@ func reserve[S ~[]E, E any](s S, n int) S {
 // dictionary encoding are rebuilt eagerly (the pass is already O(rows)).
 // The rows compact in place unless a snapshot shares their backing.
 func (r *Relation) Delete(t Tuple) int {
+	rows := r.Rows()
 	first := -1
-	for i, row := range r.rows {
+	for i, row := range rows {
 		if row.Equal(t) {
 			first = i
 			break
@@ -238,22 +293,22 @@ func (r *Relation) Delete(t Tuple) int {
 	if first < 0 {
 		return 0
 	}
-	statsValid := r.statRows == len(r.rows)
-	encValid := r.encRows == len(r.rows)
-	kept := r.rows[:first]
+	statsValid := r.statRows == r.n
+	encValid := r.encRows == r.n
+	kept := rows[:first]
 	if r.shared {
-		kept = append(make([]Tuple, 0, len(r.rows)-1), kept...)
+		kept = append(make([]Tuple, 0, len(rows)-1), kept...)
 	}
 	removed := 1
-	for _, row := range r.rows[first+1:] {
+	for _, row := range rows[first+1:] {
 		if row.Equal(t) {
 			removed++
 			continue
 		}
 		kept = append(kept, row)
 	}
-	r.rows = kept
 	r.mu.Lock()
+	r.rows, r.n = kept, len(kept)
 	r.shared = false
 	r.codeIdx = nil
 	r.version++
@@ -269,7 +324,7 @@ func (r *Relation) Delete(t Tuple) int {
 
 // Contains reports whether the relation contains a tuple equal to t.
 func (r *Relation) Contains(t Tuple) bool {
-	for _, row := range r.rows {
+	for _, row := range r.Rows() {
 		if row.Equal(t) {
 			return true
 		}
@@ -283,22 +338,23 @@ func (r *Relation) Contains(t Tuple) bool {
 // removing duplicate tuples leaves every column's distinct-value set —
 // hence its sketch — unchanged; only the tracked row count moves.
 func (r *Relation) Dedup() *Relation {
-	statsValid := r.statRows == len(r.rows)
-	encValid := r.encRows == len(r.rows)
-	kept := r.rows
+	rows := r.Rows()
+	statsValid := r.statRows == r.n
+	encValid := r.encRows == r.n
+	kept := rows
 	if r.shared {
-		kept = make([]Tuple, 0, len(r.rows))
+		kept = make([]Tuple, 0, len(rows))
 	}
-	seen := newTupleSet(len(r.rows), kept)
-	for _, row := range r.rows {
+	seen := newTupleSet(len(rows), kept)
+	for _, row := range rows {
 		seen.add(row)
 	}
 	kept = seen.rows
-	if len(kept) == len(r.rows) {
+	if len(kept) == len(rows) {
 		return r
 	}
-	r.rows = kept
 	r.mu.Lock()
+	r.rows, r.n = kept, len(kept)
 	r.shared = false
 	r.codeIdx = nil
 	r.version++
@@ -320,7 +376,8 @@ func (r *Relation) Dedup() *Relation {
 // but the order is not, so the positional dictionary encoding is
 // re-derived rather than trusted.
 func (r *Relation) SortRows() *Relation {
-	encValid := r.encRows == len(r.rows)
+	r.Rows() // an imageless relation builds its image first
+	encValid := r.encRows == r.n
 	if r.shared {
 		r.rows = append([]Tuple(nil), r.rows...)
 	}
@@ -343,19 +400,20 @@ func (r *Relation) SortRows() *Relation {
 // — snapshots, replica applies — use SnapshotAs, which copies nothing
 // per row.
 func (r *Relation) Clone() *Relation {
+	rows := r.Rows()
 	out := New(r.Schema.Clone())
-	out.rows = make([]Tuple, len(r.rows))
-	for i, row := range r.rows {
+	out.rows, out.n = make([]Tuple, len(rows)), len(rows)
+	for i, row := range rows {
 		out.rows[i] = row.Clone()
 	}
 	r.mu.Lock()
-	if r.statRows == len(r.rows) {
+	if r.statRows == r.n {
 		out.sketches = cloneSketches(r.sketches)
-		out.statRows = len(out.rows)
+		out.statRows = out.n
 	}
-	if r.encRows == len(r.rows) {
+	if r.encRows == r.n {
 		out.dict = r.dict.clone()
-		out.encRows = len(out.rows)
+		out.encRows = out.n
 	}
 	r.mu.Unlock()
 	return out
@@ -367,12 +425,13 @@ func (r *Relation) Equal(other *Relation) bool {
 	if r.Schema.Arity() != other.Schema.Arity() {
 		return false
 	}
-	a := newTupleSet(len(r.rows), nil)
-	for _, row := range r.rows {
+	ra, rb := r.Rows(), other.Rows()
+	a := newTupleSet(len(ra), nil)
+	for _, row := range ra {
 		a.add(row)
 	}
-	b := newTupleSet(len(other.rows), nil)
-	for _, row := range other.rows {
+	b := newTupleSet(len(rb), nil)
+	for _, row := range rb {
 		b.add(row)
 	}
 	if len(a.rows) != len(b.rows) {
@@ -388,5 +447,5 @@ func (r *Relation) Equal(other *Relation) bool {
 
 // String renders the schema and row count.
 func (r *Relation) String() string {
-	return fmt.Sprintf("%s [%d rows]", r.Schema, len(r.rows))
+	return fmt.Sprintf("%s [%d rows]", r.Schema, r.n)
 }

@@ -130,8 +130,8 @@ type Stats struct {
 func (r *Relation) Stats() Stats {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	st := Stats{Rows: len(r.rows), Version: r.version}
-	if r.statRows != len(r.rows) {
+	st := Stats{Rows: r.n, Version: r.version}
+	if r.statRows != r.n {
 		return st // NewResult lineage: statistics not maintained
 	}
 	st.Distinct = make([]float64, r.Schema.Arity())
@@ -147,35 +147,35 @@ func (r *Relation) Stats() Stats {
 func (r *Relation) HasStats() bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.statRows == len(r.rows)
+	return r.statRows == r.n
 }
 
-// addStatsLocked folds the rows from index from on into the column
-// sketches if they have tracked every row before it — one inserted row
-// for Insert, a whole run for InsertBatch. Caller holds r.mu.
-func (r *Relation) addStatsLocked(from int) {
+// addStatsLocked folds rows, the relation's rows from index from on,
+// into the column sketches if they have tracked every row before it —
+// one inserted row for Insert, a whole run for InsertBatch. Caller holds
+// r.mu.
+func (r *Relation) addStatsLocked(from int, rows []Tuple) {
 	if r.statRows != from {
 		return // NewResult lineage: stay invalid
 	}
 	if r.sketches == nil {
 		r.sketches = make([]colSketch, r.Schema.Arity())
 	}
-	rows := r.rows[from:]
 	for col := range r.sketches {
 		s := &r.sketches[col]
 		for _, t := range rows {
 			s.add(t[col].Hash())
 		}
 	}
-	r.statRows = len(r.rows)
+	r.statRows = from + len(rows)
 }
 
 // rebuildStatsLocked recomputes every column sketch from the current
 // rows (after a removal invalidated the incremental ones). Caller holds
-// r.mu.
+// r.mu, and the relation has its row image.
 func (r *Relation) rebuildStatsLocked() {
 	r.sketches, r.statRows = nil, 0
-	r.addStatsLocked(0)
+	r.addStatsLocked(0, r.rows)
 }
 
 // width returns how many distinct values a decode table should be
@@ -197,12 +197,12 @@ func (s *colSketch) width() int {
 // size a bulk encoding pass allocates each decode table and encode table
 // at. It is nil when statistics are not maintained. Caller holds r.mu.
 func (r *Relation) widthHintsLocked() []int {
-	if r.statRows != len(r.rows) || len(r.sketches) != r.Schema.Arity() {
+	if r.statRows != r.n || len(r.sketches) != r.Schema.Arity() {
 		return nil
 	}
 	widths := make([]int, len(r.sketches))
 	for col := range r.sketches {
-		widths[col] = min(r.sketches[col].width(), len(r.rows))
+		widths[col] = min(r.sketches[col].width(), r.n)
 	}
 	return widths
 }

@@ -410,14 +410,16 @@ func codeBytes(width int) int {
 
 // DecodeColumns rebuilds a relation of the given schema from an
 // AppendColumns payload, as an InsertBatch of the rows into New(schema)
-// would leave it — rows, statistics, codes, decode tables, encode tables
-// — at O(rows) code reads plus O(distinct values) hashing: the rows are
-// slices of one block of values, the codes and decode tables are
-// installed as read, an encode table indexes each distinct value once,
-// and each distinct value is folded into its column's KMV sketch once,
-// which leaves the bits a fold of every row leaves. spare is room
-// reserved past the rows, in the row slice and the code vectors, for
-// appends the caller knows are coming.
+// would leave it — statistics, codes, decode tables, encode tables — at
+// O(rows) code reads plus O(distinct values) hashing: the codes and
+// decode tables are installed as read, an encode table indexes each
+// distinct value once, and each distinct value is folded into its
+// column's KMV sketch once, which leaves the bits a fold of every row
+// leaves. The relation holds no row image: the first read of a row
+// builds it from the codes (see Rows), so a relation that is only
+// probed, counted, logged to or checkpointed never decodes a row. spare
+// is room reserved past the rows in the code vectors, for appends the
+// caller knows are coming.
 //
 // Nothing in the payload is trusted: every row, width and code count is
 // checked against the bytes left before anything is sized by it, and a
@@ -456,19 +458,9 @@ func DecodeColumns(schema Schema, payload []byte, spare int) (*Relation, error) 
 	if n == 0 {
 		return r, nil // as InsertBatch of no rows: no mutation, nothing maintained yet
 	}
-	rows := make([]Tuple, n, int(n)+spare)
-	block := make([]Value, int(n)*arity)
-	for i := range rows {
-		rows[i] = block[i*arity : (i+1)*arity : (i+1)*arity]
-	}
-	for col := range d.cols {
-		c := &d.cols[col]
-		for i, code := range c.codes {
-			block[i*arity+col] = c.vals[code]
-		}
-	}
 	d.n = int(n)
-	r.rows, r.version = rows, 1
+	r.n, r.version = int(n), 1
+	r.imageless.Store(true)
 	r.sketches, r.statRows = sketches, int(n)
 	r.dict, r.encRows = d, int(n)
 	return r, nil
@@ -668,26 +660,31 @@ type ChangeRecord struct {
 // byte, relation name, post-change fingerprint, and tuple — or, for
 // schema records, the post-change schema version and a length-prefixed
 // schema encoding.
-func EncodeChangeBatch(recs []ChangeRecord) []byte {
-	buf := binary.AppendUvarint(nil, uint64(len(recs)))
+func EncodeChangeBatch(recs []ChangeRecord) []byte { return AppendChangeBatch(nil, recs) }
+
+// AppendChangeBatch appends the EncodeChangeBatch encoding of recs to
+// dst, so a writer that frames every batch can encode into one buffer it
+// keeps.
+func AppendChangeBatch(dst []byte, recs []ChangeRecord) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(recs)))
 	for _, rec := range recs {
-		buf = append(buf, byte(rec.Op))
+		dst = append(dst, byte(rec.Op))
 		if rec.Op == ChangeSchema {
-			buf = binary.AppendUvarint(buf, rec.Ver)
+			dst = binary.AppendUvarint(dst, rec.Ver)
 			enc := EncodeSchema(rec.Schema)
-			buf = binary.AppendUvarint(buf, uint64(len(enc)))
-			buf = append(buf, enc...)
+			dst = binary.AppendUvarint(dst, uint64(len(enc)))
+			dst = append(dst, enc...)
 			continue
 		}
-		buf = appendString(buf, rec.Rel)
-		buf = binary.AppendUvarint(buf, rec.Ver)
-		buf = binary.AppendUvarint(buf, uint64(rec.Rows))
-		buf = binary.AppendUvarint(buf, uint64(len(rec.Tuple)))
+		dst = appendString(dst, rec.Rel)
+		dst = binary.AppendUvarint(dst, rec.Ver)
+		dst = binary.AppendUvarint(dst, uint64(rec.Rows))
+		dst = binary.AppendUvarint(dst, uint64(len(rec.Tuple)))
 		for _, v := range rec.Tuple {
-			buf = appendValue(buf, v)
+			dst = appendValue(dst, v)
 		}
 	}
-	return buf
+	return dst
 }
 
 // DecodeChangeBatch parses a FrameDelta payload, rejecting trailing
@@ -706,70 +703,140 @@ func DecodeChangeBatch(payload []byte) ([]ChangeRecord, error) {
 		capN = 4096
 	}
 	recs := make([]ChangeRecord, 0, capN)
+	var d ChangeLogDecoder
 	for i := uint64(0); i < n; i++ {
-		if len(rest) < 1 {
-			return nil, fmt.Errorf("relation: truncated change op")
-		}
-		rec := ChangeRecord{Op: ChangeOp(rest[0])}
-		rest = rest[1:]
-		if rec.Op == ChangeSchema {
-			ver, sz := binary.Uvarint(rest)
-			if sz <= 0 {
-				return nil, fmt.Errorf("relation: truncated change schema version")
-			}
-			rest = rest[sz:]
-			ln, sz := binary.Uvarint(rest)
-			if sz <= 0 || ln > uint64(len(rest)-sz) {
-				return nil, fmt.Errorf("relation: truncated change schema")
-			}
-			s, err := DecodeSchema(rest[sz : sz+int(ln)])
-			if err != nil {
-				return nil, err
-			}
-			rest = rest[sz+int(ln):]
-			rec.Ver, rec.Rel, rec.Schema = ver, s.Name, s
-			recs = append(recs, rec)
-			continue
-		}
-		if rec.Op != ChangeInsert && rec.Op != ChangeDelete {
-			return nil, fmt.Errorf("relation: unknown change op %d", rec.Op)
-		}
-		var err error
-		rec.Rel, rest, err = decodeString(rest)
+		rec, next, err := d.record(rest)
 		if err != nil {
 			return nil, err
 		}
-		ver, sz := binary.Uvarint(rest)
-		if sz <= 0 {
-			return nil, fmt.Errorf("relation: truncated change version")
-		}
-		rest = rest[sz:]
-		rows, sz := binary.Uvarint(rest)
-		if sz <= 0 {
-			return nil, fmt.Errorf("relation: truncated change row count")
-		}
-		rest = rest[sz:]
-		arity, sz := binary.Uvarint(rest)
-		if sz <= 0 || arity > uint64(len(rest)) {
-			return nil, fmt.Errorf("relation: truncated change tuple arity")
-		}
-		rest = rest[sz:]
-		t := make(Tuple, 0, arity)
-		for j := uint64(0); j < arity; j++ {
-			var v Value
-			v, rest, err = decodeValue(rest)
-			if err != nil {
-				return nil, err
-			}
-			t = append(t, v)
-		}
-		rec.Ver, rec.Rows, rec.Tuple = ver, int(rows), t
-		recs = append(recs, rec)
+		recs, rest = append(recs, rec), next
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("relation: %d trailing bytes after change batch", len(rest))
 	}
 	return recs, nil
+}
+
+// ChangeLogDecoder decodes a write-ahead log's entry bodies, each a
+// one-record change batch, for a recovery that reads the whole log at
+// once. It refuses exactly what DecodeChangeBatch refuses, but the
+// records it returns share their allocations: a relation name whose
+// bytes equal the previous record's is the previous record's string,
+// and every tuple is a slice of one value block, sized when the first
+// tuple needs it for the records the log holds, at that tuple's arity,
+// and for no more values than the log's bytes could encode (a wider
+// tuple that finds it short sizes a new one the same way). The zero
+// value, which DecodeChangeBatch uses, gives each tuple its own
+// allocation.
+type ChangeLogDecoder struct {
+	rel   string
+	block []Value
+	// records and bytes are what is left of the log: the entries not
+	// yet decoded and an upper bound on their bodies' bytes.
+	records, bytes int
+}
+
+// NewChangeLogDecoder returns a decoder for a log of records entries
+// whose bodies take at most bytes bytes.
+func NewChangeLogDecoder(records, bytes int) *ChangeLogDecoder {
+	return &ChangeLogDecoder{records: records, bytes: bytes}
+}
+
+// Decode parses one entry body and returns its record.
+func (d *ChangeLogDecoder) Decode(body []byte) (ChangeRecord, error) {
+	n, sz := binary.Uvarint(body)
+	if sz <= 0 {
+		return ChangeRecord{}, fmt.Errorf("relation: truncated change batch count")
+	}
+	if n != 1 {
+		return ChangeRecord{}, fmt.Errorf("relation: log entry holds %d change records, want 1", n)
+	}
+	rec, rest, err := d.record(body[sz:])
+	d.records--
+	d.bytes -= len(body)
+	if err != nil {
+		return ChangeRecord{}, err
+	}
+	if len(rest) != 0 {
+		return ChangeRecord{}, fmt.Errorf("relation: %d trailing bytes after change batch", len(rest))
+	}
+	return rec, nil
+}
+
+// record decodes the change record at the front of b and returns the
+// bytes after it.
+func (d *ChangeLogDecoder) record(b []byte) (ChangeRecord, []byte, error) {
+	if len(b) < 1 {
+		return ChangeRecord{}, nil, fmt.Errorf("relation: truncated change op")
+	}
+	rec := ChangeRecord{Op: ChangeOp(b[0])}
+	rest := b[1:]
+	if rec.Op == ChangeSchema {
+		ver, sz := binary.Uvarint(rest)
+		if sz <= 0 {
+			return ChangeRecord{}, nil, fmt.Errorf("relation: truncated change schema version")
+		}
+		rest = rest[sz:]
+		ln, sz := binary.Uvarint(rest)
+		if sz <= 0 || ln > uint64(len(rest)-sz) {
+			return ChangeRecord{}, nil, fmt.Errorf("relation: truncated change schema")
+		}
+		s, err := DecodeSchema(rest[sz : sz+int(ln)])
+		if err != nil {
+			return ChangeRecord{}, nil, err
+		}
+		rec.Ver, rec.Rel, rec.Schema = ver, s.Name, s
+		return rec, rest[sz+int(ln):], nil
+	}
+	if rec.Op != ChangeInsert && rec.Op != ChangeDelete {
+		return ChangeRecord{}, nil, fmt.Errorf("relation: unknown change op %d", rec.Op)
+	}
+	ln, sz := binary.Uvarint(rest)
+	if sz <= 0 || ln > uint64(len(rest)-sz) {
+		return ChangeRecord{}, nil, fmt.Errorf("relation: truncated string")
+	}
+	if name := rest[sz : sz+int(ln)]; string(name) != d.rel {
+		d.rel = string(name)
+	}
+	rec.Rel, rest = d.rel, rest[sz+int(ln):]
+	ver, sz := binary.Uvarint(rest)
+	if sz <= 0 {
+		return ChangeRecord{}, nil, fmt.Errorf("relation: truncated change version")
+	}
+	rest = rest[sz:]
+	rows, sz := binary.Uvarint(rest)
+	if sz <= 0 {
+		return ChangeRecord{}, nil, fmt.Errorf("relation: truncated change row count")
+	}
+	rest = rest[sz:]
+	arity, sz := binary.Uvarint(rest)
+	if sz <= 0 || arity > uint64(len(rest)) {
+		return ChangeRecord{}, nil, fmt.Errorf("relation: truncated change tuple arity")
+	}
+	rest = rest[sz:]
+	t := d.tuple(int(arity))
+	for j := range t {
+		var err error
+		if t[j], rest, err = decodeValue(rest); err != nil {
+			return ChangeRecord{}, nil, err
+		}
+	}
+	rec.Ver, rec.Rows, rec.Tuple = ver, int(rows), t
+	return rec, rest, nil
+}
+
+// tuple returns room for one tuple of the given arity.
+func (d *ChangeLogDecoder) tuple(arity int) Tuple {
+	if arity == 0 || d.records <= 0 {
+		return make(Tuple, arity)
+	}
+	if len(d.block) < arity {
+		rows := min(d.records, d.bytes/(1+minValueBytes*arity))
+		d.block = make([]Value, max(rows, 1)*arity)
+	}
+	t := Tuple(d.block[:arity:arity])
+	d.block = d.block[arity:]
+	return t
 }
 
 // SubPlanTerm is one argument slot of a shipped sub-plan atom: either a

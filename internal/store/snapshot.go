@@ -114,8 +114,8 @@ func syncDir(dir string) error {
 // readSnapshot loads and verifies the committed snapshot, returning the
 // database, the peer schema version, the per-relation versions at
 // snapshot time, and the total row count. spare maps a relation name to
-// how many rows the log is about to append to it, reserved in its rows
-// and code vectors as they are built. A missing file returns an empty
+// how many rows the log is about to append to it, reserved in its code
+// vectors as they are built. A missing file returns an empty
 // database (a fresh store); any checksum or decode failure is a hard
 // error — the atomic commit means a bad snapshot is real damage, never a
 // torn write, and recovery must not serve wrong data silently.

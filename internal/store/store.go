@@ -13,7 +13,11 @@
 // change records in the wire encoding. Recovery loads the snapshot,
 // replays the log's longest valid prefix, and truncates whatever a
 // crash tore off the tail — a corrupt tail is detected and discarded,
-// never silently replayed. Records appended
+// never silently replayed. A recovered relation is its code vectors,
+// decode tables and statistics: the snapshot load and the replay build
+// no row image, which the relation decodes from its codes when
+// something first reads a row, so a restarted peer that serves State,
+// Delta, pushes and checkpoints never decodes one. Records appended
 // since the last checkpoint also stay resident in memory, where Since
 // serves them to the wire protocol's Delta request: a mirror that knows
 // its last-synced version catches up from the log instead of re-reading
@@ -60,6 +64,9 @@ type Store struct {
 	schemaVer uint64
 	wal       *os.File
 	walSize   int64
+	// entry is the buffer Append encodes each log entry into, reused
+	// from one append to the next.
+	entry []byte
 	// tail holds the data records appended since the last checkpoint —
 	// the resident change log Since serves Delta catch-ups from.
 	tail []relation.ChangeRecord
@@ -105,7 +112,7 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	img, err := io.ReadAll(wal)
+	img, err := os.ReadFile(wal.Name())
 	if err != nil {
 		wal.Close()
 		return nil, err
@@ -122,9 +129,11 @@ func Open(dir string) (*Store, error) {
 		wal.Close()
 		return nil, err
 	}
+	// The resident tail is the replayed data records, compacted in place
+	// over the decoded ones: it never overtakes the record being read.
 	s := &Store{
 		dir: dir, db: db, schemaVer: schemaVer, wal: wal, walSize: good, base: base,
-		tail: make([]relation.ChangeRecord, 0, len(recs)),
+		tail: recs[:0],
 		rec:  Recovery{SnapshotRows: rows, Trimmed: int64(len(img)) - good},
 	}
 	// A crash between a checkpoint's atomic rename and its log truncate
@@ -248,8 +257,8 @@ func (s *Store) Append(rec relation.ChangeRecord) error {
 	if s.err != nil {
 		return s.err
 	}
-	entry := encodeWALEntry(rec)
-	if _, err := s.wal.Write(entry); err != nil {
+	s.entry = appendWALEntry(s.entry[:0], rec)
+	if _, err := s.wal.Write(s.entry); err != nil {
 		s.err = fmt.Errorf("store: wal append: %w", err)
 		return s.err
 	}
@@ -259,7 +268,7 @@ func (s *Store) Append(rec relation.ChangeRecord) error {
 			return s.err
 		}
 	}
-	s.walSize += int64(len(entry))
+	s.walSize += int64(len(s.entry))
 	switch rec.Op {
 	case relation.ChangeSchema:
 		if rec.Ver > s.schemaVer {

@@ -17,38 +17,48 @@ import (
 // walName is the log's file name within the store directory.
 const walName = "wal"
 
-// encodeWALEntry renders one log entry: a uvarint body length, the body
-// (a one-record change batch in the FrameDelta encoding), and a
-// big-endian CRC32 (IEEE) of the body.
-func encodeWALEntry(rec relation.ChangeRecord) []byte {
-	body := relation.EncodeChangeBatch([]relation.ChangeRecord{rec})
-	buf := binary.AppendUvarint(nil, uint64(len(body)))
-	buf = append(buf, body...)
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(body))
+// appendWALEntry appends one log entry to dst and returns the extended
+// slice: a uvarint body length, the body (a one-record change batch in
+// the FrameDelta encoding), and a big-endian CRC32 (IEEE) of the body.
+// The body is encoded after room for the longest length prefix and then
+// moved up behind the prefix it turned out to need, so an entry costs no
+// buffer beyond dst.
+func appendWALEntry(dst []byte, rec relation.ChangeRecord) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, binary.MaxVarintLen64)...)
+	one := [1]relation.ChangeRecord{rec}
+	dst = relation.AppendChangeBatch(dst, one[:])
+	body := dst[start+binary.MaxVarintLen64:]
+	sum := crc32.ChecksumIEEE(body)
+	p := binary.PutUvarint(dst[start:], uint64(len(body)))
+	dst = append(dst[:start+p], body...)
+	return binary.BigEndian.AppendUint32(dst, sum)
 }
 
 // scanWAL walks a log image, returning every cleanly committed record
 // plus the byte offset where the valid prefix ends. A short length
 // prefix, short body, checksum mismatch, or undecodable body marks the
-// start of the discarded tail; bytes past it are never inspected. The
-// record slice is sized once, by a first pass over the entries' framing.
+// start of the discarded tail; bytes past it are never inspected. A
+// first pass over the entries' framing sizes the record slice and the
+// one value block every record's tuple is decoded into.
 func scanWAL(img []byte) (recs []relation.ChangeRecord, good int64) {
 	n := 0
 	for _, next, ok := walEntry(img, 0); ok; _, next, ok = walEntry(img, next) {
 		n++
 	}
 	recs = make([]relation.ChangeRecord, 0, n)
+	dec := relation.NewChangeLogDecoder(n, len(img))
 	off := 0
 	for {
 		body, next, ok := walEntry(img, off)
 		if !ok || crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(img[next-4:]) {
 			return recs, int64(off)
 		}
-		batch, err := relation.DecodeChangeBatch(body)
-		if err != nil || len(batch) != 1 {
+		rec, err := dec.Decode(body)
+		if err != nil {
 			return recs, int64(off)
 		}
-		recs = append(recs, batch[0])
+		recs = append(recs, rec)
 		off = next
 	}
 }
